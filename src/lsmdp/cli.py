@@ -157,9 +157,8 @@ def _bundle_basis(bundle: DomainBundle):
 
 def _bellman_residual(lmdp: Lmdp, z_interior: np.ndarray,
                       q_boundary: np.ndarray) -> float:
-    applied = lmdp.q_interior * (lmdp.passive.to_interior.T @ z_interior
-                                 + lmdp.passive.to_boundary.T @ q_boundary)
-    return float(np.max(np.abs(applied - z_interior), initial=0.0))
+    A, B = lmdp.bellman_operator
+    return float(np.max(np.abs(B @ q_boundary - A @ z_interior), initial=0.0))
 
 
 def _out_dir(args) -> Path:

@@ -19,15 +19,14 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .core import (
-    DENSE_CUTOFF,
     Desirability,
     Lmdp,
     PassiveDynamics,
     RewardModel,
     StatePartition,
+    _factorize,
     build_lmdp,
     solve_interior,
 )
@@ -174,13 +173,7 @@ def absorption_dynamics(to_interior, to_boundary, to_subtasks):
         )
     entries = entries / col_mass
     A = (sp.eye(n_i, format="csc") - to_interior).tocsc()
-    try:
-        if n_i < DENSE_CUTOFF:
-            visits = np.linalg.solve(A.toarray(), entries)
-        else:
-            visits = spla.splu(A).solve(entries)
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
-        raise SingularFundamentalMatrix(str(exc)) from exc
+    visits = _factorize(A, SingularFundamentalMatrix)(entries)
     if not np.isfinite(visits).all():
         raise SingularFundamentalMatrix("fundamental system produced non-finite visits")
     to_interior_next = to_subtasks @ visits

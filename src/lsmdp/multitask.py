@@ -19,7 +19,6 @@ from .errors import (
     DimensionMismatch,
     InvalidSpec,
     NonPositiveComposite,
-    SingularSystem,
 )
 
 BLEND_METHODS = ("nnls", "pinv")
@@ -60,7 +59,8 @@ def build_task_basis(base: Lmdp, boundary_tasks: np.ndarray) -> TaskBasis:
     """Solve every task column of exponentiated boundary rewards.
 
     Columns must be strictly positive (they are exp(r_b / lambda) for finite
-    rewards).  Solver failures are annotated with the offending task index.
+    rewards).  All tasks share one factorization of the base's Bellman
+    operator; a SingularSystem names the offending task columns.
     """
     Q = np.asarray(boundary_tasks, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[0] != base.n_boundary:
@@ -71,13 +71,7 @@ def build_task_basis(base: Lmdp, boundary_tasks: np.ndarray) -> TaskBasis:
         raise InvalidSpec("task basis needs at least one task")
     if not np.isfinite(Q).all() or Q.min() <= 0:
         raise InvalidSpec("task columns must be strictly positive and finite")
-    Z = np.empty((base.n_interior, Q.shape[1]))
-    for t in range(Q.shape[1]):
-        try:
-            Z[:, t] = solve_interior(base, Q[:, t])
-        except SingularSystem as exc:
-            raise SingularSystem(f"task {t}: {exc}") from exc
-    return TaskBasis(base, Q, Z)
+    return TaskBasis(base, Q, solve_interior(base, Q))
 
 
 def blend_weights_matrix(task_matrix: np.ndarray, target: np.ndarray,

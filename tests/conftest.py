@@ -22,13 +22,14 @@ from lsmdp import (
 )
 
 
-def random_lmdp(rng, max_interior=12, max_boundary=4, temperature=None):
+def random_lmdp(rng, max_interior=12, max_boundary=4, temperature=None,
+                min_interior=2):
     """Random first-exit LMDP with absorption mass in every column.
 
     Interior rewards are negative and boundary rewards moderate, so the
     direct solve is well conditioned at any generated temperature.
     """
-    n_i = int(rng.integers(2, max_interior + 1))
+    n_i = int(rng.integers(min_interior, max_interior + 1))
     n_b = int(rng.integers(1, max_boundary + 1))
     P = rng.random((n_i + n_b, n_i)) * (rng.random((n_i + n_b, n_i)) < 0.7)
     P[n_i:, :] += 0.05

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsmdp import (
     Desirability,
@@ -11,6 +13,7 @@ from lsmdp import (
     RewardModel,
     StatePartition,
     build_lmdp,
+    build_task_basis,
     draw_from,
     episode_return,
     exponentiate_rewards,
@@ -23,6 +26,8 @@ from lsmdp import (
     value_from_desirability,
     z_iterate,
 )
+from lsmdp import core
+from lsmdp.core import DENSE_CUTOFF, SOLVE_BLOCK
 from lsmdp.errors import (
     ConvergenceWarning,
     DimensionMismatch,
@@ -32,6 +37,7 @@ from lsmdp.errors import (
     NonPositiveDesirability,
     NotStochastic,
     RewardOverflow,
+    SingularSystem,
 )
 
 from conftest import (
@@ -212,6 +218,80 @@ def test_solve_interior_accepts_zero_boundary_entries(chain5):
 def test_solve_interior_rejects_wrong_length(chain5):
     with pytest.raises(DimensionMismatch):
         solve_interior(chain5, np.ones(3))
+    with pytest.raises(DimensionMismatch):
+        solve_interior(chain5, np.ones((3, 4)))
+    with pytest.raises(DimensionMismatch):
+        solve_interior(chain5, np.ones((2, 4, 1)))
+
+
+# ---------------------------------------------------------------------------
+# block solves: one factorization, many boundary columns
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans(),
+       n_tasks=st.sampled_from([1, 7, SOLVE_BLOCK, SOLVE_BLOCK + 9]))
+def test_block_solve_matches_columnwise_solves(seed, sparse, n_tasks):
+    rng = np.random.default_rng(seed)
+    if sparse:
+        lmdp = random_lmdp(rng, min_interior=DENSE_CUTOFF,
+                           max_interior=DENSE_CUTOFF + 40, max_boundary=6)
+    else:
+        lmdp = random_lmdp(rng, max_boundary=6)
+    shape = (lmdp.n_boundary, n_tasks)
+    Q = rng.exponential(1.0, shape) * (rng.random(shape) < 0.6)
+    Q[:, rng.random(n_tasks) < 0.2] = 0.0
+    Z = solve_interior(lmdp, Q)
+    assert Z.shape == (lmdp.n_interior, n_tasks)
+    for t in range(n_tasks):
+        z = solve_interior(lmdp, Q[:, t])
+        np.testing.assert_allclose(Z[:, t], z, rtol=0,
+                                   atol=1e-12 * np.abs(z).max(initial=0.0))
+    W = rng.uniform(0.0, 2.0, (n_tasks, 3))
+    mixed = solve_interior(lmdp, Q @ W)
+    np.testing.assert_allclose(Z @ W, mixed, rtol=0,
+                               atol=1e-9 * (1 + np.abs(mixed).max()))
+
+
+def singular_lmdp(n_interior):
+    """Self-loop 0.5, exit 0.5 and q_i = 2, so A = I - diag(q_i) P_i^T is 0."""
+    return build_lmdp(StatePartition(n_interior, 1),
+                      PassiveDynamics(0.5 * np.eye(n_interior),
+                                      np.full((1, n_interior), 0.5)),
+                      RewardModel(np.full(n_interior, math.log(2.0)), [0.0], 1.0))
+
+
+@pytest.mark.parametrize("n_interior", [1, 80])
+def test_singular_system_is_raised(n_interior):
+    assert 1 < DENSE_CUTOFF <= 80  # one state takes the dense path, 80 the sparse
+    lmdp = singular_lmdp(n_interior)
+    with pytest.raises(SingularSystem):
+        solve_interior(lmdp, lmdp.q_boundary)
+    with pytest.raises(SingularSystem):
+        build_task_basis(lmdp, np.ones((1, 3)))
+
+
+def test_residual_failure_names_the_failing_columns(chain5, monkeypatch):
+    # every solve returns 1.001 x the exact answer, so refinement cannot
+    # repair any column except the all-zero ones
+    exact = core._factorize
+
+    def inaccurate(A, error):
+        solve = exact(A, error)
+        return lambda rhs: 1.001 * solve(rhs)
+
+    monkeypatch.setattr(core, "_factorize", inaccurate)
+    Q = np.zeros((2, SOLVE_BLOCK + 4))
+    Q[:, [1, 3]] = 1.0
+    with pytest.raises(SingularSystem, match=r"in columns \[1, 3\]$"):
+        solve_interior(chain5, Q)
+    # indices are global across blocks
+    Q = np.zeros((2, SOLVE_BLOCK + 4))
+    Q[:, SOLVE_BLOCK + 2] = 1.0
+    with pytest.raises(SingularSystem, match=rf"in columns \[{SOLVE_BLOCK + 2}\]$"):
+        solve_interior(chain5, Q)
+    with pytest.raises(SingularSystem, match=r"^residual .* in columns \[0, 1, 2\]$"):
+        build_task_basis(chain5, np.ones((2, 3)))
 
 
 def test_direct_solve_matches_iteration_over_random_instances():
