@@ -10,6 +10,11 @@ own reach tasks (one per interior state, plus one per subtask state) with a
 per-task sweep budget of cap_multiplier * M.  The per-step costs scale with
 N (temperature N/12, exit probability 1/N), so flat sweep counts grow
 roughly like N^2 while the hierarchy stays near linear in total work.
+
+A level's tasks share its dynamics, so they go to ``z_iterate`` as matrices
+of SOLVE_BLOCK indicator columns, one sparse product per sweep for the whole
+block.  Each column stops at its own converging sweep, so the totals are
+exactly the per-task sums, the counts of iterating every task alone.
 """
 from __future__ import annotations
 
@@ -20,8 +25,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .core import (Lmdp, PassiveDynamics, RewardModel, StatePartition,
-                   build_lmdp, z_iterate)
+from .core import (SOLVE_BLOCK, Lmdp, PassiveDynamics, RewardModel,
+                   StatePartition, build_lmdp, z_iterate)
 from .domains import ring_passive
 from .errors import InvalidSpec
 from .hierarchy import absorption_dynamics, stack_subtask_kernel
@@ -51,18 +56,20 @@ def _level_lmdp(passive: PassiveDynamics, temperature: float) -> Lmdp:
     return build_lmdp(StatePartition(n_i, n_b), passive, rewards)
 
 
-def _indicator(n: int, j: int) -> np.ndarray:
-    q = np.zeros(n)
-    q[j] = 1.0
-    return q
-
-
 def _count_tasks(lmdp: Lmdp, task_rows: Sequence[int], tol: float,
                  max_iter: int) -> Tuple[int, int]:
+    """Total sweeps and iterate nonzeros over the indicator tasks of the rows.
+
+    One z_iterate call per SOLVE_BLOCK tasks, so no more than one block of
+    right-hand sides and iterates is held at a time.
+    """
+    rows = np.asarray(task_rows, dtype=np.intp)
     total, nnz = 0, 0
-    for row in task_rows:
-        z, iterations, _ = z_iterate(lmdp, _indicator(lmdp.n_boundary, row),
-                                     tol=tol, max_iter=max_iter)
+    for lo in range(0, rows.size, SOLVE_BLOCK):
+        block = rows[lo:lo + SOLVE_BLOCK]
+        Q = np.zeros((lmdp.n_boundary, block.size))
+        Q[block, np.arange(block.size)] = 1.0
+        z, iterations, _ = z_iterate(lmdp, Q, tol=tol, max_iter=max_iter)
         total += iterations
         nnz += int(np.count_nonzero(z))
     return total, nnz

@@ -20,8 +20,11 @@ to_interior^T`` and ``B = diag(q_i) to_boundary^T``, so the system for any
 boundary values q_b is ``A z_i = B q_b``.  ``solve_interior`` factorizes A
 once per call and solves every right-hand side of that call (one boundary
 vector, or a matrix of task columns) against the one factorization;
-``solve_direct`` wraps it.  ``solve_z_iteration`` applies the fixed-point
-map, which contracts monotonically from a zero start.
+``solve_direct`` wraps it.  ``z_iterate`` applies the fixed-point map, which
+contracts monotonically from a zero start, to the same inputs: a matrix of
+task columns is iterated a block at a time with one sparse product per sweep,
+each column stopping at its own converging sweep, and the sweep count it
+reports is the sum over columns.  ``solve_z_iteration`` wraps it.
 """
 from __future__ import annotations
 
@@ -55,11 +58,13 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
 # Below this many interior states a dense factorization beats sparse LU setup.
 DENSE_CUTOFF = 64
-# Right-hand sides solved per pass.  Bounds a many-task solve's temporaries
-# (right-hand sides, solutions, residuals) to a few blocks instead of copies of
-# the whole task matrix; on the 900-task arm basis, 64 keeps the peak resident
-# memory of basis plus blend within about 1% of one-column-at-a-time solves.
-SOLVE_BLOCK = 64
+# Columns solved or iterated per pass.  Bounds a many-task call's temporaries
+# (right-hand sides, iterates, solutions, residuals) to a few
+# n_interior x SOLVE_BLOCK arrays instead of copies of the whole task matrix.
+# Peak memory, not speed, sets the width (wider blocks sweep faster): at 32,
+# z-iteration on ring_scaling([512])'s 512-state level holds five 128 kB
+# arrays, a small share of that run's ~4.4 MB peak above its imports.
+SOLVE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -318,6 +323,17 @@ def _factorize(A: sp.csc_matrix, error: type):
         raise error(str(exc)) from exc
 
 
+def _boundary_values(lmdp: Lmdp, q_boundary) -> np.ndarray:
+    """``q_boundary`` as float64, checked to be (n_boundary,) or (n_boundary, k)."""
+    q_boundary = np.asarray(q_boundary, dtype=np.float64)
+    if q_boundary.ndim not in (1, 2) or q_boundary.shape[0] != lmdp.n_boundary:
+        raise DimensionMismatch(
+            f"boundary values shape {q_boundary.shape}, expected "
+            f"({lmdp.n_boundary},) or ({lmdp.n_boundary}, n_tasks)"
+        )
+    return q_boundary
+
+
 def solve_interior(lmdp: Lmdp, q_boundary: np.ndarray) -> np.ndarray:
     """Solve the linear Bellman system for arbitrary boundary values.
 
@@ -333,12 +349,7 @@ def solve_interior(lmdp: Lmdp, q_boundary: np.ndarray) -> np.ndarray:
     step of iterative refinement on the failing columns before declaring the
     system singular; the error names the failing column indices.
     """
-    q_boundary = np.asarray(q_boundary, dtype=np.float64)
-    if q_boundary.ndim not in (1, 2) or q_boundary.shape[0] != lmdp.n_boundary:
-        raise DimensionMismatch(
-            f"boundary values shape {q_boundary.shape}, expected "
-            f"({lmdp.n_boundary},) or ({lmdp.n_boundary}, n_tasks)"
-        )
+    q_boundary = _boundary_values(lmdp, q_boundary)
     Q = q_boundary.reshape(lmdp.n_boundary, -1)
     A, B = lmdp.bellman_operator
     solve = _factorize(A, SingularSystem)
@@ -391,27 +402,79 @@ def z_iterate(lmdp: Lmdp, q_boundary: np.ndarray, z0: Optional[np.ndarray] = Non
               tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
     """Run the desirability fixed-point iteration on raw arrays.
 
-    Returns (z, iterations, converged).  Iterating from z0 = 0 the iterates
-    grow monotonically toward the solution; convergence is declared when the
-    successive-iterate infinity-norm change drops to tol.
+    ``q_boundary`` is one boundary vector (n_boundary,) or a matrix
+    (n_boundary, k) of task columns, and ``z0`` (default zero) has the shape
+    of the result, (n_interior,) or (n_interior, k).  Iterating from zero the
+    iterates grow monotonically toward the solution.  Each column stops at
+    the first sweep whose infinity-norm change in that column drops to tol,
+    or at max_iter.  Columns are iterated SOLVE_BLOCK at a time with one
+    sparse product per sweep; every column gets the same arithmetic, bit for
+    bit, as iterating it alone.
+
+    Returns (z, iterations, converged): the iterates, the total number of
+    column-sweeps (the sum of the per-column counts; for a vector, the sweeps
+    applied), and whether every column converged.  Non-finite inputs raise
+    InvalidSpec; an iterate that goes non-finite (the iteration diverges)
+    raises SingularSystem naming the columns.
     """
-    q_boundary = np.asarray(q_boundary, dtype=np.float64)
-    q_i = lmdp.q_interior
-    # row-scaled transpose applies one sweep as a single sparse matvec
-    T = (sp.diags(q_i) @ lmdp.passive.to_interior.T).tocsr()
-    b = q_i * (lmdp.passive.to_boundary.T @ q_boundary)
-    z = np.zeros(lmdp.n_interior) if z0 is None else np.asarray(z0, dtype=np.float64).copy()
-    iterations = 0
-    converged = False
-    while iterations < max_iter:
-        z_new = T @ z + b
-        iterations += 1
-        if np.max(np.abs(z_new - z), initial=0.0) <= tol:
-            z = z_new
-            converged = True
-            break
-        z = z_new
-    return z, iterations, converged
+    q_boundary = _boundary_values(lmdp, q_boundary)
+    shape = (lmdp.n_interior,) + q_boundary.shape[1:]
+    if z0 is not None:
+        z0 = np.asarray(z0, dtype=np.float64)
+        if z0.shape != shape:
+            raise DimensionMismatch(f"z0 shape {z0.shape}, expected {shape}")
+        if not np.isfinite(z0).all():
+            raise InvalidSpec("z0 must be finite")
+        z0 = z0.reshape(lmdp.n_interior, -1)
+    if not np.isfinite(q_boundary).all():
+        raise InvalidSpec("boundary values must be finite")
+    Q = q_boundary.reshape(lmdp.n_boundary, -1)
+    k = Q.shape[1]
+    q_i = lmdp.q_interior[:, None]
+    # row-scaled transpose applies one sweep as a single sparse product
+    T = (sp.diags(lmdp.q_interior) @ lmdp.passive.to_interior.T).tocsr()
+    Z = None  # allocated only once columns finish at different sweeps
+    total, converged = 0, True
+    # a diverging iterate overflows to inf and then inf - inf; the NaN change
+    # is caught below, so numpy's warnings for it would only be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, k, SOLVE_BLOCK):
+            cols = np.arange(lo, min(lo + SOLVE_BLOCK, k))  # active, global indices
+            b = lmdp.passive.to_boundary.T @ Q[:, lo:lo + SOLVE_BLOCK]
+            b *= q_i
+            # a copy of z0's columns, since z is overwritten in place
+            z = np.zeros((lmdp.n_interior, cols.size)) if z0 is None else z0[:, cols]
+            sweeps = 0
+            while cols.size:
+                if sweeps >= max_iter:  # budget spent: freeze the rest unconverged
+                    done = np.ones(cols.size, dtype=bool)
+                    converged = False
+                else:
+                    z_new = T @ z
+                    z_new += b
+                    sweeps += 1
+                    z -= z_new  # the old iterate becomes the change
+                    change = np.abs(z, out=z).max(axis=0)
+                    z = z_new
+                    bad = np.isnan(change)  # inf - inf: the iterate overflowed
+                    if bad.any():
+                        raise SingularSystem(
+                            "z-iteration produced non-finite values in columns "
+                            f"{cols[bad].tolist()}")
+                    done = change <= tol
+                    if not done.any():
+                        continue
+                total += sweeps * int(np.count_nonzero(done))
+                if Z is None:
+                    if done.all() and cols.size == k:
+                        return z.reshape(shape), total, converged
+                    Z = np.empty((lmdp.n_interior, k))
+                Z[:, cols[done]] = z[:, done]
+                keep = ~done
+                cols, z, b = cols[keep], z[:, keep], b[:, keep]
+    if Z is None:  # no columns at all
+        Z = np.empty((lmdp.n_interior, k))
+    return Z.reshape(shape), total, converged
 
 
 def solve_z_iteration(lmdp: Lmdp, tol: float = DEFAULT_TOL,

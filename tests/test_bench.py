@@ -37,6 +37,13 @@ def test_small_ring_counts_are_pinned():
     assert hierarchical_counts(32) == (596, 1004)
 
 
+def test_large_ring_counts_are_pinned():
+    assert flat_counts(128) == (18944, 16384)
+    assert hierarchical_counts(128) == (2860, 5350)
+    assert flat_counts(512) == (262656, 262144)
+    assert hierarchical_counts(512) == (14263, 30463)
+
+
 def test_single_size_reports_no_slopes():
     rows, slopes = ring_scaling([8])
     assert slopes == {}

@@ -208,17 +208,27 @@ def test_stack_needs_structures(tmp_path, arm_config):
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
-def test_numerical_failure_exit_code(tmp_path):
+@pytest.fixture
+def diverging_config(tmp_path):
     # positive interior rewards on a recurrent pair push the spectral radius
     # of the weighted kernel past one, so the linear solve has no positive
-    # solution
+    # solution and z-iteration grows without bound
     doc = {
         "n_interior": 2, "n_boundary": 1, "lambda": 1.0,
         "r_i": [1.0, 1.0], "r_b": [0.0],
         "passive": [[0, 1, 0.9], [0, 2, 0.1], [1, 0, 0.9], [1, 2, 0.1]],
     }
-    cfg = write_config(tmp_path / "cfg.json", {"type": "lmdp", "lmdp": doc})
-    assert main(["solve", "--domain", cfg,
+    return write_config(tmp_path / "cfg.json", {"type": "lmdp", "lmdp": doc})
+
+
+def test_numerical_failure_exit_code(tmp_path, diverging_config):
+    assert main(["solve", "--domain", diverging_config,
+                 "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+
+
+def test_diverging_z_iteration_is_a_numerical_failure(tmp_path, diverging_config):
+    # the iterate overflows within a thousand sweeps; it is not a spent budget
+    assert main(["solve", "--domain", diverging_config, "--method", "z-iter",
                  "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
 
 

@@ -1,9 +1,11 @@
 """Construction, solvers, policies, and returns of the base LMDP type."""
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +29,7 @@ from lsmdp import (
     z_iterate,
 )
 from lsmdp import core
-from lsmdp.core import DENSE_CUTOFF, SOLVE_BLOCK
+from lsmdp.core import DEFAULT_MAX_ITER, DEFAULT_TOL, DENSE_CUTOFF, SOLVE_BLOCK
 from lsmdp.errors import (
     ConvergenceWarning,
     DimensionMismatch,
@@ -317,6 +319,120 @@ def test_composition_linearity_over_random_instances():
         parts = a * solve_interior(lmdp, q1) + b * solve_interior(lmdp, q2)
         scale = np.abs(blended).max()
         np.testing.assert_allclose(parts, blended, rtol=0, atol=1e-9 * (1 + scale))
+
+
+# ---------------------------------------------------------------------------
+# block z-iteration: many boundary columns per sweep
+
+
+def vector_sweeps(lmdp, q_boundary, z0, tol, max_iter):
+    """The one-vector sweep loop written out: z <- diag(q_i) (P_i^T z + P_b^T q_b)."""
+    T = (sp.diags(lmdp.q_interior) @ lmdp.passive.to_interior.T).tocsr()
+    b = lmdp.q_interior * (lmdp.passive.to_boundary.T @ q_boundary)
+    z = np.zeros(lmdp.n_interior) if z0 is None else z0.copy()
+    for sweep in range(1, max_iter + 1):
+        z_new = T @ z + b
+        if np.max(np.abs(z_new - z)) <= tol:
+            return z_new, sweep, True
+        z = z_new
+    return z, max_iter, False
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n_tasks=st.sampled_from([1, 7, SOLVE_BLOCK, SOLVE_BLOCK + 9]),
+       cut_budget=st.booleans(), start=st.booleans())
+def test_block_iteration_matches_columnwise_iteration(seed, n_tasks, cut_budget,
+                                                      start):
+    rng = np.random.default_rng(seed)
+    lmdp = random_lmdp(rng, max_boundary=6)
+    shape = (lmdp.n_boundary, n_tasks)
+    Q = rng.exponential(1.0, shape) * (rng.random(shape) < 0.6)
+    Q[:, rng.random(n_tasks) < 0.2] = 0.0
+    z0 = rng.uniform(0.0, 2.0, (lmdp.n_interior, n_tasks)) if start else None
+    max_iter = DEFAULT_MAX_ITER
+    if cut_budget:
+        # the median per-column count stops the slower half of the columns
+        counts = [vector_sweeps(lmdp, Q[:, t], None if z0 is None else z0[:, t],
+                                DEFAULT_TOL, max_iter)[1] for t in range(n_tasks)]
+        max_iter = int(np.median(counts))
+    start_copy = None if z0 is None else z0.copy()
+    Z, iterations, converged = z_iterate(lmdp, Q, z0=z0, max_iter=max_iter)
+    assert Z.shape == (lmdp.n_interior, n_tasks)
+    assert type(iterations) is int
+    if z0 is not None:
+        assert np.array_equal(z0, start_copy)  # the start is not written to
+    total, flags = 0, []
+    for t in range(n_tasks):
+        z0_t = None if z0 is None else z0[:, t]
+        z, count, ok = z_iterate(lmdp, Q[:, t], z0=z0_t, max_iter=max_iter)
+        ref_z, ref_count, ref_ok = vector_sweeps(lmdp, Q[:, t], z0_t,
+                                                 DEFAULT_TOL, max_iter)
+        assert np.array_equal(z, ref_z)
+        assert (count, ok) == (ref_count, ref_ok)
+        assert np.array_equal(Z[:, t], z)
+        total += count
+        flags.append(ok)
+    assert iterations == total
+    assert converged == all(flags)
+
+
+def test_z_iterate_rejects_wrong_shapes(chain5):
+    with pytest.raises(DimensionMismatch):
+        z_iterate(chain5, np.ones(3))
+    with pytest.raises(DimensionMismatch):
+        z_iterate(chain5, np.ones((3, 4)))
+    with pytest.raises(DimensionMismatch):
+        z_iterate(chain5, np.ones((2, 4, 1)))
+    with pytest.raises(DimensionMismatch):
+        z_iterate(chain5, np.ones(2), z0=np.zeros(4))
+    with pytest.raises(DimensionMismatch):
+        z_iterate(chain5, np.ones(2), z0=np.zeros((3, 1)))
+    with pytest.raises(DimensionMismatch):
+        z_iterate(chain5, np.ones((2, 5)), z0=np.zeros(3))
+    with pytest.raises(DimensionMismatch):
+        z_iterate(chain5, np.ones((2, 5)), z0=np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_z_iterate_rejects_non_finite_inputs(chain5, bad):
+    with pytest.raises(InvalidSpec):
+        z_iterate(chain5, np.array([1.0, bad]))
+    Q = np.ones((2, SOLVE_BLOCK + 3))
+    Q[0, SOLVE_BLOCK + 1] = bad
+    with pytest.raises(InvalidSpec):
+        z_iterate(chain5, Q)
+    with pytest.raises(InvalidSpec):
+        z_iterate(chain5, np.ones(2), z0=np.array([0.0, bad, 0.0]))
+
+
+def diverging_lmdp():
+    """A recurrent pair with q_i = e: the weighted kernel's spectral radius is
+    0.9 e > 1, so z-iteration grows without bound."""
+    return build_lmdp(StatePartition(2, 1),
+                      PassiveDynamics([[0.0, 0.9], [0.9, 0.0]], [[0.1, 0.1]]),
+                      RewardModel([1.0, 1.0], [0.0], 1.0))
+
+
+def test_diverging_iteration_raises_and_names_the_columns():
+    lmdp = diverging_lmdp()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warnings either
+        with pytest.raises(SingularSystem,
+                           match=r"non-finite values in columns \[0\]$"):
+            z_iterate(lmdp, lmdp.q_boundary)
+        # an all-zero column converges and is frozen; the others diverge
+        Q = np.ones((1, SOLVE_BLOCK + 3))
+        Q[:, [1, SOLVE_BLOCK + 1]] = 0.0
+        with pytest.raises(SingularSystem,
+                           match=r"non-finite values in columns \[0, 2, 3,"):
+            z_iterate(lmdp, Q)
+        # indices are global across blocks
+        Q = np.zeros((1, SOLVE_BLOCK + 3))
+        Q[:, SOLVE_BLOCK + 2] = 1.0
+        with pytest.raises(SingularSystem,
+                           match=rf"in columns \[{SOLVE_BLOCK + 2}\]$"):
+            z_iterate(lmdp, Q)
 
 
 # ---------------------------------------------------------------------------
