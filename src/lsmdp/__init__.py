@@ -14,16 +14,12 @@ from .core import (
     Desirability,
     Lmdp,
     PassiveDynamics,
-    PolicyMatrix,
     RewardModel,
     StatePartition,
     build_lmdp,
     draw_from,
-    episode_return,
     exponentiate_rewards,
-    optimal_policy,
     policy_column,
-    sample_transition,
     solve_direct,
     solve_interior,
     solve_z_iteration,
@@ -58,7 +54,6 @@ from .executor import (
     AccessEvent,
     HierarchicalTrajectory,
     access_hierarchy,
-    desirability_map,
     run_episode,
 )
 from .learning import (
@@ -77,7 +72,6 @@ from .domains import (
     goal_task_vector,
     grid_from_ascii,
     make_arm,
-    make_four_rooms,
     make_grid,
     make_ring,
 )

@@ -3,12 +3,14 @@
 Subcommands: solve, blend, stack, simulate, learn, bench.  Domain configs
 are JSON documents (see load_domain); every command writes its artifacts
 plus a manifest.json into --out.  Exit codes: 0 success, 2 configuration
-error, 3 numerical failure, 4 solver hit its sweep budget (partial output
-is still written).
+error (errors.ConfigError, a missing file or invalid JSON), 3 numerical
+failure (errors.NumericalError), 4 solver hit its sweep budget (partial
+output is still written).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -20,17 +22,11 @@ import numpy as np
 
 from . import serialize
 from .bench import ring_scaling
-from .core import (Lmdp, solve_direct, value_from_desirability, z_iterate)
-from .domains import (ArmSpec, GridSpec, RingSpec, boundary_goal_tasks,
-                      four_rooms_map, goal_task_vector, grid_from_ascii,
-                      make_arm, make_grid, make_ring)
-from .errors import (AllZeroColumn, AlreadyTerminated, BlockedCell,
-                     CannotTerminateBase, DegenerateBasis, DimensionMismatch,
-                     EmptyTarget, InvalidSpec, InvalidTrajectory,
-                     NoAbsorption, NonPositiveComposite,
-                     NonPositiveDesirability, NoTaskSet, NotStochastic,
-                     RewardOverflow, SingularFundamentalMatrix,
-                     SingularSystem, ZeroNormalizer)
+from .core import Lmdp, solve_direct, z_iterate
+from .domains import (ArmSpec, RingSpec, boundary_goal_tasks, four_rooms_map,
+                      goal_task_vector, grid_from_ascii, make_arm, make_grid,
+                      make_ring)
+from .errors import BlockedCell, ConfigError, InvalidSpec, NumericalError
 from .executor import run_episode
 from .hierarchy import SubtaskStructure, build_stack
 from .learning import train
@@ -40,13 +36,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_NO_CONVERGENCE = 4
-
-CONFIG_ERRORS = (InvalidSpec, DimensionMismatch, NotStochastic, NoAbsorption,
-                 BlockedCell, EmptyTarget, RewardOverflow)
-NUMERICAL_ERRORS = (SingularSystem, SingularFundamentalMatrix, ZeroNormalizer,
-                    NonPositiveDesirability, NonPositiveComposite,
-                    DegenerateBasis, AllZeroColumn, InvalidTrajectory,
-                    NoTaskSet, CannotTerminateBase, AlreadyTerminated)
 
 
 @dataclass
@@ -67,6 +56,24 @@ def _replace_spec(spec, config, fields):
     return dataclasses.replace(spec, **updates) if updates else spec
 
 
+@contextlib.contextmanager
+def _reading_config():
+    """Report a config value of the wrong type or form as InvalidSpec.
+
+    Wraps only the reading of the document into specs, so the same error
+    types raised while building or solving the model still surface as bugs.
+    """
+    try:
+        yield
+    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+        raise InvalidSpec(f"malformed config: {exc}") from exc
+
+
+def _optional_int(config: dict, key: str) -> Optional[int]:
+    value = config.get(key)
+    return None if value is None else int(value)
+
+
 def load_domain(path) -> DomainBundle:
     """Read a domain config JSON and build its LMDP, tasks, and structures.
 
@@ -79,39 +86,41 @@ def load_domain(path) -> DomainBundle:
       arm:  n_bins plus optional ArmSpec fields, start (config index).
       lmdp: inline document under "lmdp" or a path under "lmdp_file".
     Any command-specific parameters (learn, max_steps) ride along in the
-    config document.
+    config document.  A value of the wrong type or form raises InvalidSpec.
     """
     path = Path(path)
     config = serialize.read_json(path)
-    kind = config.get("type")
+    with _reading_config():
+        kind = config.get("type")
     if kind == "ring":
         fields = {f.name for f in dataclasses.fields(RingSpec)}
-        spec = RingSpec(**{k: config[k] for k in fields if k in config})
+        with _reading_config():
+            spec = RingSpec(**{k: config[k] for k in fields if k in config})
+            goal = int(config.get("goal", 0))
+            start = _optional_int(config, "start")
         lmdp, structures, tasks = make_ring(spec)
-        goal = int(config.get("goal", 0))
         if not 0 <= goal < lmdp.n_boundary:
             raise InvalidSpec(f"goal twin {goal} out of range")
         goal_q = goal_task_vector(lmdp.n_boundary, goal, spec.temperature)
-        start = config.get("start")
-        return DomainBundle(config, lmdp, tasks, structures, goal_q,
-                            None if start is None else int(start))
+        return DomainBundle(config, lmdp, tasks, structures, goal_q, start)
     if kind == "grid":
-        if "map" in config:
-            text = config["map"]
-        elif "four_rooms" in config:
-            text = four_rooms_map(int(config["four_rooms"]))
-        else:
-            raise InvalidSpec("grid config needs a map or a four_rooms size")
-        spec, map_subtasks = grid_from_ascii(text, config.get("goal_cells"))
-        spec = _replace_spec(spec, config,
-                             ("stay_prob", "step_prob", "exit_prob",
-                              "temperature", "interior_reward"))
-        subtasks = [tuple(c) for c in config.get("subtask_cells", map_subtasks)]
-        goal = tuple(config["goal"]) if "goal" in config else None
+        with _reading_config():
+            if "map" in config:
+                text = config["map"]
+            elif "four_rooms" in config:
+                text = four_rooms_map(int(config["four_rooms"]))
+            else:
+                raise InvalidSpec("grid config needs a map or a four_rooms size")
+            spec, map_subtasks = grid_from_ascii(text, config.get("goal_cells"))
+            spec = _replace_spec(spec, config,
+                                 ("stay_prob", "step_prob", "exit_prob",
+                                  "temperature", "interior_reward"))
+            subtasks = [tuple(c) for c in config.get("subtask_cells", map_subtasks)]
+            goal = tuple(config["goal"]) if "goal" in config else None
+            cell = tuple(config["start"]) if "start" in config else None
         lmdp, structure, goal_q = make_grid(spec, subtasks, goal)
         start = None
-        if "start" in config:
-            cell = tuple(config["start"])
+        if cell is not None:
             free = spec.free_cells()
             if cell not in free:
                 raise BlockedCell(f"start cell {cell} is not free")
@@ -121,29 +130,30 @@ def load_domain(path) -> DomainBundle:
         return DomainBundle(config, lmdp, tasks, structures, goal_q, start)
     if kind == "arm":
         fields = {f.name for f in dataclasses.fields(ArmSpec)}
-        kwargs = {k: config[k] for k in fields if k in config}
-        if "link_lengths" in kwargs:
-            kwargs["link_lengths"] = tuple(kwargs["link_lengths"])
-        if "target_rect" in kwargs:
-            kwargs["target_rect"] = tuple(kwargs["target_rect"])
-        spec = ArmSpec(**kwargs)
+        with _reading_config():
+            kwargs = {k: config[k] for k in fields if k in config}
+            if "link_lengths" in kwargs:
+                kwargs["link_lengths"] = tuple(kwargs["link_lengths"])
+            if "target_rect" in kwargs:
+                kwargs["target_rect"] = tuple(kwargs["target_rect"])
+            spec = ArmSpec(**kwargs)
+            start = _optional_int(config, "start")
         lmdp, basis, target_q = make_arm(spec)
-        start = config.get("start")
         bundle = DomainBundle(config, lmdp, basis.boundary_tasks, [], target_q,
-                              None if start is None else int(start))
+                              start)
         bundle.basis = basis
         return bundle
     if kind == "lmdp":
-        if "lmdp" in config:
-            doc = config["lmdp"]
-        elif "lmdp_file" in config:
-            doc = serialize.read_json(path.parent / config["lmdp_file"])
-        else:
-            raise InvalidSpec("lmdp config needs an inline document or a file")
+        with _reading_config():
+            if "lmdp" in config:
+                doc = config["lmdp"]
+            elif "lmdp_file" in config:
+                doc = serialize.read_json(path.parent / config["lmdp_file"])
+            else:
+                raise InvalidSpec("lmdp config needs an inline document or a file")
+            start = _optional_int(config, "start")
         lmdp = serialize.lmdp_from_dict(doc)
-        start = config.get("start")
-        return DomainBundle(config, lmdp, None, [], None,
-                            None if start is None else int(start))
+        return DomainBundle(config, lmdp, None, [], None, start)
     raise InvalidSpec(f"unknown domain type {kind!r}")
 
 
@@ -186,8 +196,7 @@ def cmd_solve(args) -> int:
         z_full = np.concatenate([z_i, lmdp.q_boundary])
     residual = _bellman_residual(lmdp, z_full[:lmdp.n_interior],
                                  z_full[lmdp.n_interior:])
-    serialize.save_text(out / "z.csv",
-                        serialize.desirability_csv_raw(lmdp, z_full))
+    serialize.save_text(out / "z.csv", serialize.desirability_csv(lmdp, z_full))
     manifest = serialize.run_manifest(
         "solve", bundle.config, args.seed, method=args.method,
         tol=args.tol if args.method == "z-iter" else None,
@@ -211,7 +220,7 @@ def cmd_blend(args) -> int:
     out = _out_dir(args)
     serialize.save_text(out / "weights.csv", serialize.weights_csv(weights))
     serialize.save_text(out / "z.csv",
-                        serialize.desirability_csv(bundle.lmdp, z))
+                        serialize.desirability_csv(bundle.lmdp, z.full()))
     manifest = serialize.run_manifest(
         "blend", bundle.config, args.seed, method=args.method,
         blend_residual=weights.residual,
@@ -246,7 +255,8 @@ def cmd_simulate(args) -> int:
     stack = _build_stack(bundle, args.kappa, args.penalty)
     stack.set_task(bundle.goal_q)
     start = bundle.start_state if bundle.start_state is not None else 0
-    max_steps = bundle.config.get("max_steps")
+    with _reading_config():
+        max_steps = _optional_int(bundle.config, "max_steps")
     rng = np.random.default_rng(args.seed)
     trajectory = run_episode(stack, start, rng, max_steps=max_steps)
     out = _out_dir(args)
@@ -268,13 +278,14 @@ def cmd_learn(args) -> int:
     bundle = load_domain(args.domain)
     if bundle.goal_q is None:
         raise InvalidSpec("this domain defines no goal task to learn")
-    params = bundle.config.get("learn", {})
-    epochs = int(params.get("epochs", 20))
-    episodes = int(params.get("episodes", 10))
-    n_seeds = int(params.get("n_seeds", 1))
-    max_steps = params.get("max_steps")
-    step_scale = float(params.get("step_scale", 50.0))
-    conditions = params.get("conditions", ["flat", "guided"])
+    with _reading_config():
+        params = bundle.config.get("learn", {})
+        epochs = int(params.get("epochs", 20))
+        episodes = int(params.get("episodes", 10))
+        n_seeds = int(params.get("n_seeds", 1))
+        max_steps = _optional_int(params, "max_steps")
+        step_scale = float(params.get("step_scale", 50.0))
+        conditions = params.get("conditions", ["flat", "guided"])
     stack_template = None
     if "guided" in conditions:
         stack_template = _build_stack(bundle, None, None)
@@ -382,13 +393,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except CONFIG_ERRORS as exc:
+    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -32,7 +32,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -324,13 +324,16 @@ def _factorize(A: sp.csc_matrix, error: type):
 
 
 def _boundary_values(lmdp: Lmdp, q_boundary) -> np.ndarray:
-    """``q_boundary`` as float64, checked to be (n_boundary,) or (n_boundary, k)."""
+    """``q_boundary`` as float64, checked to be finite and (n_boundary,) or
+    (n_boundary, k)."""
     q_boundary = np.asarray(q_boundary, dtype=np.float64)
     if q_boundary.ndim not in (1, 2) or q_boundary.shape[0] != lmdp.n_boundary:
         raise DimensionMismatch(
             f"boundary values shape {q_boundary.shape}, expected "
             f"({lmdp.n_boundary},) or ({lmdp.n_boundary}, n_tasks)"
         )
+    if not np.isfinite(q_boundary).all():
+        raise InvalidSpec("boundary values must be finite")
     return q_boundary
 
 
@@ -344,10 +347,11 @@ def solve_interior(lmdp: Lmdp, q_boundary: np.ndarray) -> np.ndarray:
     factorization, SOLVE_BLOCK columns at a time.
 
     Returns raw interior z without positivity checks, which lets callers pass
-    boundary values with exact zeros (indicator tasks, terminated subtasks).
-    Each column's residual is verified against 1e-10 * (1 + max|z|), with one
-    step of iterative refinement on the failing columns before declaring the
-    system singular; the error names the failing column indices.
+    boundary values with exact zeros (indicator tasks, terminated subtasks);
+    non-finite boundary values raise InvalidSpec.  Each column's residual is
+    verified against 1e-10 * (1 + max|z|), with one step of iterative
+    refinement on the failing columns before declaring the system singular;
+    the error names the failing column indices.
     """
     q_boundary = _boundary_values(lmdp, q_boundary)
     Q = q_boundary.reshape(lmdp.n_boundary, -1)
@@ -426,8 +430,6 @@ def z_iterate(lmdp: Lmdp, q_boundary: np.ndarray, z0: Optional[np.ndarray] = Non
         if not np.isfinite(z0).all():
             raise InvalidSpec("z0 must be finite")
         z0 = z0.reshape(lmdp.n_interior, -1)
-    if not np.isfinite(q_boundary).all():
-        raise InvalidSpec("boundary values must be finite")
     Q = q_boundary.reshape(lmdp.n_boundary, -1)
     k = Q.shape[1]
     q_i = lmdp.q_interior[:, None]
@@ -512,47 +514,19 @@ def solve_z_iteration(lmdp: Lmdp, tol: float = DEFAULT_TOL,
 # policies
 
 
-@dataclass(frozen=True)
-class PolicyMatrix:
-    """Controlled transition kernel, (n_states, n_interior), column = source."""
-
-    matrix: sp.csc_matrix
-    n_interior: int
-
-    def column(self, state: int) -> np.ndarray:
-        return np.asarray(self.matrix[:, state].todense()).ravel()
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-
-def optimal_policy(lmdp: Lmdp, z: Desirability) -> PolicyMatrix:
-    """Tilt the passive kernel by next-state desirability and renormalize.
-
-    a(s'|s) = P(s'|s) z(s') / sum_t P(t|s) z(t).  The support of each column
-    is contained in the passive column's support by construction.
-    """
-    z_full = np.concatenate([np.asarray(z.interior), np.asarray(z.boundary)])
-    if z_full.shape[0] != lmdp.n_states:
-        raise DimensionMismatch(
-            f"desirability covers {z_full.shape[0]} states, LMDP has {lmdp.n_states}"
-        )
-    tilted = (sp.diags(z_full) @ lmdp.passive.full_matrix).tocsc()
-    mass = np.asarray(tilted.sum(axis=0)).ravel()
-    if (mass <= 0).any():
-        s = int(np.argmin(mass))
-        raise ZeroNormalizer(f"policy column {s} has zero desirability mass")
-    matrix = (tilted @ sp.diags(1.0 / mass)).tocsc()
-    return PolicyMatrix(matrix, lmdp.n_interior)
-
-
 def policy_column(lmdp: Lmdp, z_full: np.ndarray, state: int):
-    """Sparse one-column policy: (row_indices, probabilities) at one source.
+    """Optimal policy at one source state: (row_indices, probabilities).
 
-    Used in rollout loops where materializing the full policy per blend
-    update would dominate the cost.
+    Tilts the passive column by next-state desirability and renormalizes,
+    a(s'|s) = P(s'|s) z(s') / sum_t P(t|s) z(t), so the support is contained
+    in the passive column's support.  ``z_full`` covers every state, interior
+    first.  Computing one column per draw keeps rollout loops from
+    materializing the whole policy after every blend update.
     """
     P = lmdp.passive.full_matrix
+    if len(z_full) != P.shape[0]:
+        raise DimensionMismatch(
+            f"desirability covers {len(z_full)} states, LMDP has {P.shape[0]}")
     lo, hi = P.indptr[state], P.indptr[state + 1]
     rows = P.indices[lo:hi]
     vals = P.data[lo:hi] * z_full[rows]
@@ -578,20 +552,16 @@ def draw_from(rows: np.ndarray, probs: np.ndarray, rng: np.random.Generator) -> 
     return int(rows[min(k, len(rows) - 1)])
 
 
-def sample_transition(policy: PolicyMatrix, state: int, rng: np.random.Generator) -> int:
-    """Sample the next state from one policy column."""
-    M = policy.matrix
-    lo, hi = M.indptr[state], M.indptr[state + 1]
-    return draw_from(M.indices[lo:hi], M.data[lo:hi], rng)
-
-
 # ---------------------------------------------------------------------------
 # returns
 
 
-def _kl_column(a_rows, a_vals, p_rows, p_vals) -> float:
-    """KL(a || p) over the support of a; a outside p's support is an error."""
-    p_map = dict(zip(p_rows.tolist(), p_vals.tolist()))
+def _kl_column(a_rows, a_vals, lmdp: Lmdp, state: int) -> float:
+    """KL(a || p) against the passive column p at ``state``, over the support
+    of a; a outside p's support is an error."""
+    P = lmdp.passive.full_matrix
+    lo, hi = P.indptr[state], P.indptr[state + 1]
+    p_map = dict(zip(P.indices[lo:hi].tolist(), P.data[lo:hi].tolist()))
     kl = 0.0
     for r, av in zip(a_rows.tolist(), a_vals.tolist()):
         if av <= 0.0:
@@ -603,33 +573,3 @@ def _kl_column(a_rows, a_vals, p_rows, p_vals) -> float:
             )
         kl += av * math.log(av / pv)
     return kl
-
-
-def episode_return(trajectory: Sequence[int], policy: PolicyMatrix, lmdp: Lmdp) -> float:
-    """Total first-exit return of a trajectory under a fixed policy.
-
-    Each interior visit contributes r(s) - lambda KL(a(.|s) || P(.|s)); the
-    terminal boundary state contributes its reward.  The trajectory must end
-    at a boundary state and every step must have positive policy probability.
-    """
-    states = list(trajectory)
-    if len(states) < 1 or not lmdp.partition.is_boundary(states[-1]):
-        raise InvalidTrajectory("trajectory must terminate at a boundary state")
-    lam = lmdp.rewards.temperature
-    P = lmdp.passive.full_matrix
-    M = policy.matrix
-    total = 0.0
-    for t, s in enumerate(states[:-1]):
-        if lmdp.partition.is_boundary(s):
-            raise InvalidTrajectory(f"boundary state {s} visited before the end")
-        lo, hi = M.indptr[s], M.indptr[s + 1]
-        a_rows, a_vals = M.indices[lo:hi], M.data[lo:hi]
-        nxt = states[t + 1]
-        step_p = a_vals[a_rows == nxt]
-        if step_p.size == 0 or step_p[0] <= 0:
-            raise InvalidTrajectory(f"zero-probability step {s} -> {nxt}")
-        plo, phi = P.indptr[s], P.indptr[s + 1]
-        kl = _kl_column(a_rows, a_vals, P.indices[plo:phi], P.data[plo:phi])
-        total += lmdp.rewards.interior[s] - lam * kl
-    total += lmdp.rewards.boundary[states[-1] - lmdp.n_interior]
-    return total

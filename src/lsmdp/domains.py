@@ -318,12 +318,6 @@ def make_grid(spec: GridSpec, subtask_cells: Sequence[Tuple[int, int]] = (),
     return lmdp, structure, goal_q
 
 
-def make_four_rooms(spec: GridSpec, subtask_cells: Sequence[Tuple[int, int]],
-                    goal: Optional[Tuple[int, int]] = None):
-    """Grid builder under its conventional name; see make_grid."""
-    return make_grid(spec, subtask_cells, goal)
-
-
 # ---------------------------------------------------------------------------
 # 2-DOF arm
 

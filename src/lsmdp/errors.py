@@ -1,8 +1,10 @@
 """Exception taxonomy shared across the package.
 
-Construction-time problems (bad shapes, non-stochastic columns, invalid domain
-specs) are distinguished from numerical failures (singular systems, degenerate
-bases) so the CLI can map them to distinct exit codes.
+Every error derives from exactly one of two classes: ConfigError for
+problems with what the caller supplied (bad shapes, non-stochastic columns,
+invalid domain specs, operations the current state does not allow) and
+NumericalError for failures of the computation itself (singular systems,
+degenerate bases).  The CLI maps the two to distinct exit codes.
 """
 
 
@@ -10,79 +12,87 @@ class LmdpError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ConfigError(LmdpError):
+    """The input or the requested operation is invalid; nothing was computed."""
+
+
+class NumericalError(LmdpError):
+    """A valid problem failed numerically."""
+
+
 # -- construction / configuration -------------------------------------------
 
-class DimensionMismatch(LmdpError):
+class DimensionMismatch(ConfigError):
     pass
 
 
-class NotStochastic(LmdpError):
+class NotStochastic(ConfigError):
     pass
 
 
-class NoAbsorption(LmdpError):
+class NoAbsorption(ConfigError):
     """Some interior state cannot reach the boundary under the passive dynamics."""
 
 
-class RewardOverflow(LmdpError):
+class RewardOverflow(ConfigError):
     """exp(r / lambda) is not finite for some reward entry."""
 
 
-class InvalidSpec(LmdpError):
+class InvalidSpec(ConfigError):
     pass
 
 
-class BlockedCell(LmdpError):
+class BlockedCell(ConfigError):
     pass
 
 
-class EmptyTarget(LmdpError):
+class EmptyTarget(ConfigError):
     pass
 
 
-class CannotTerminateBase(LmdpError):
+class CannotTerminateBase(ConfigError):
     pass
 
 
-class AlreadyTerminated(LmdpError):
+class AlreadyTerminated(ConfigError):
     pass
 
 
-class NoTaskSet(LmdpError):
+class NoTaskSet(ConfigError):
     """Episode requested before the stack was given a task to pursue."""
 
 
 # -- numerical ----------------------------------------------------------------
 
-class SingularSystem(LmdpError):
+class SingularSystem(NumericalError):
     pass
 
 
-class SingularFundamentalMatrix(LmdpError):
+class SingularFundamentalMatrix(NumericalError):
     pass
 
 
-class ZeroNormalizer(LmdpError):
+class ZeroNormalizer(NumericalError):
     """A policy column has zero total desirability mass under the passive support."""
 
 
-class NonPositiveDesirability(LmdpError):
+class NonPositiveDesirability(NumericalError):
     pass
 
 
-class InvalidTrajectory(LmdpError):
-    """Trajectory does not end at a boundary state or uses a zero-probability step."""
+class InvalidTrajectory(NumericalError):
+    """A policy column places mass outside the passive column's support."""
 
 
-class DegenerateBasis(LmdpError):
+class DegenerateBasis(NumericalError):
     """Task basis contains an all-zero column."""
 
 
-class NonPositiveComposite(LmdpError):
+class NonPositiveComposite(NumericalError):
     """Blended desirability has a non-positive entry."""
 
 
-class AllZeroColumn(LmdpError):
+class AllZeroColumn(NumericalError):
     """A stacked passive column has no mass at all."""
 
 

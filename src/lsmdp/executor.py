@@ -57,21 +57,16 @@ class HierarchicalTrajectory:
         return not self.truncated
 
 
-def _passive_column(lmdp, state: int):
-    P = lmdp.passive.full_matrix
-    lo, hi = P.indptr[state], P.indptr[state + 1]
-    return P.indices[lo:hi], P.data[lo:hi]
-
-
 def _transmit(stack: HierarchyStack, layer: int, entry: int) -> np.ndarray:
     """Inpainted rewards a layer sends down, from its current policy column."""
     lmdp, z = stack.policy_state(layer)
     rows, probs = policy_column(lmdp, z, entry)
     a = np.zeros(lmdp.n_states)
     a[rows] = probs
-    p_rows, p_vals = _passive_column(lmdp, entry)
+    P = lmdp.passive.full_matrix
+    p_lo, p_hi = P.indptr[entry], P.indptr[entry + 1]
     p = np.zeros(lmdp.n_states)
-    p[p_rows] = p_vals
+    p[P.indices[p_lo:p_hi]] = P.data[p_lo:p_hi]
     return inpaint_rewards(a, p, stack.kappa, lmdp.n_interior)
 
 
@@ -127,8 +122,8 @@ def masked_redraw_column(rows: np.ndarray, probs: np.ndarray, lo: int, hi: int):
 
 
 def run_episode(stack: HierarchyStack, start_state: int,
-                rng: np.random.Generator, max_steps: Optional[int] = None,
-                record_weights: bool = True) -> HierarchicalTrajectory:
+                rng: np.random.Generator,
+                max_steps: Optional[int] = None) -> HierarchicalTrajectory:
     """Execute one episode from an interior base state.
 
     The return accrues r(s) - lambda KL(a || p) per advancing step, using
@@ -172,15 +167,13 @@ def run_episode(stack: HierarchyStack, start_state: int,
             if r_t is not None:
                 stack.apply_inpaint(0, r_t)
             events.append(AccessEvent(t, s, chain, deepest, terminated))
-            if record_weights:
-                eid = len(events) - 1
-                for layer in range(stack.depth):
-                    w = stack.weights[layer]
-                    if w is not None:
-                        weight_log.append((eid, layer, w.values.copy()))
+            eid = len(events) - 1
+            for layer in range(stack.depth):
+                w = stack.weights[layer]
+                if w is not None:
+                    weight_log.append((eid, layer, w.values.copy()))
             guided = True
-        p_rows, p_vals = _passive_column(lmdp0, s)
-        total += r_i[s] - lam * _kl_column(rows, probs, p_rows, p_vals)
+        total += r_i[s] - lam * _kl_column(rows, probs, lmdp0, s)
         states.append(nxt)
         if nxt >= n_i:
             q_term = stack.target[nxt - n_i]
@@ -190,9 +183,3 @@ def run_episode(stack: HierarchyStack, start_state: int,
         s = nxt
         t += 1
     return HierarchicalTrajectory(states, events, weight_log, total, truncated)
-
-
-def desirability_map(stack: HierarchyStack, layer: int = 0) -> np.ndarray:
-    """Current composite interior desirability of a layer, as a copy."""
-    lmdp, z = stack.policy_state(layer)
-    return z[:lmdp.n_interior].copy()

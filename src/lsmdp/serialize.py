@@ -17,8 +17,8 @@ import numpy as np
 import scipy
 import scipy.sparse as sp
 
-from .core import (Desirability, Lmdp, PassiveDynamics, RewardModel,
-                   StatePartition, build_lmdp)
+from .core import (Lmdp, PassiveDynamics, RewardModel, StatePartition,
+                   build_lmdp)
 from .errors import InvalidSpec
 from .hierarchy import AugmentedMlmdp, HierarchyStack
 from .multitask import TaskBasis, TaskWeights
@@ -212,8 +212,8 @@ def _csv(header: str, rows: Iterable[Sequence[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def desirability_csv_raw(lmdp: Lmdp, z_full: np.ndarray) -> str:
-    """state_index,label,z,V over all states; tolerates zero entries.
+def desirability_csv(lmdp: Lmdp, z_full: np.ndarray) -> str:
+    """state_index,label,z,V over all states, interior first.
 
     Zeros (from non-converged or terminated states) render V as -inf.
     """
@@ -222,11 +222,6 @@ def desirability_csv_raw(lmdp: Lmdp, z_full: np.ndarray) -> str:
     rows = [(str(s), lmdp.partition.label(s), fmt(z_full[s]), fmt(values[s]))
             for s in range(lmdp.n_states)]
     return _csv("state_index,label,z,V", rows)
-
-
-def desirability_csv(lmdp: Lmdp, z: Desirability) -> str:
-    """state_index,label,z,V over all states, interior first."""
-    return desirability_csv_raw(lmdp, z.full())
 
 
 def weights_csv(weights: TaskWeights) -> str:

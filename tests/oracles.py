@@ -9,6 +9,10 @@ from collections import deque
 import numpy as np
 
 
+def _dense(M):
+    return M.toarray() if hasattr(M, "toarray") else np.asarray(M, dtype=np.float64)
+
+
 def mc_absorption(to_interior, to_subtasks, to_boundary, n_walks, seed,
                   chunk=200_000):
     """Monte-Carlo absorption frequencies of an augmented first-exit walk.
@@ -33,10 +37,7 @@ def mc_absorption(to_interior, to_subtasks, to_boundary, n_walks, seed,
         n_subtasks); column t holds the absorption frequencies of walks
         re-entering from subtask t.
     """
-    def dense(M):
-        return np.asarray(M.todense()) if hasattr(M, "todense") else np.asarray(M)
-
-    Pi, Pt, Pb = dense(to_interior), dense(to_subtasks), dense(to_boundary)
+    Pi, Pt, Pb = _dense(to_interior), _dense(to_subtasks), _dense(to_boundary)
     n_i, n_t, n_b = Pi.shape[0], Pt.shape[0], Pb.shape[0]
     # absorbing rows stacked after the interior: subtasks first, boundary last
     cdf = np.cumsum(np.vstack([Pi, Pt, Pb]), axis=0)
@@ -110,3 +111,26 @@ def kl_divergence(a, p):
     p = np.asarray(p, dtype=np.float64)
     mask = a > 0
     return float(np.sum(a[mask] * np.log(a[mask] / p[mask])))
+
+
+def tilted_policy(passive, z_full):
+    """Optimal policy of an LMDP as a dense (n_states, n_interior) matrix.
+
+    Every passive column (column = source) is tilted by next-state
+    desirability and renormalized: a(s'|s) = p(s'|s) z(s') / sum_t p(t|s) z(t).
+    """
+    A = _dense(passive) * np.asarray(z_full, dtype=np.float64)[:, None]
+    return A / A.sum(axis=0)
+
+
+def passive_values(passive, n_interior, r_interior, r_terminal):
+    """Expected return of the uncontrolled walk from each interior state.
+
+    The walk collects r_interior at every interior visit and r_terminal at
+    the boundary state it exits to: v = r_i + P_i^T v + P_b^T r_terminal,
+    solved densely on the (n_states, n_interior) passive kernel.
+    """
+    P = _dense(passive)
+    P_i, P_b = P[:n_interior], P[n_interior:]
+    return np.linalg.solve(np.eye(n_interior) - P_i.T,
+                           np.asarray(r_interior) + P_b.T @ np.asarray(r_terminal))

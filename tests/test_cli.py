@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from lsmdp import errors
 from lsmdp.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
@@ -196,6 +197,48 @@ def test_blocked_start_cell(tmp_path):
     })
     assert main(["solve", "--domain", cfg,
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+
+RING = {"type": "ring", "n_states": 12, "depth": 2}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("solve", {"type": "ring", "n_states": "abc"}),
+    ("solve", {"type": "ring", "n_states": 12, "goal": "x"}),
+    ("solve", [{"type": "ring", "n_states": 12}]),
+    ("solve", {"type": "arm", "n_bins": "7"}),
+    ("simulate", dict(RING, max_steps="x")),
+    ("learn", dict(RING, learn={"epochs": "x"})),
+], ids=["ring-size-string", "goal-string", "top-level-list", "arm-bins-string",
+        "max-steps-string", "learn-epochs-string"])
+def test_malformed_config_values(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert main([command, "--domain", cfg,
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_every_error_is_config_or_numerical():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    classes = set(subclasses(errors.LmdpError)) - {errors.ConfigError,
+                                                   errors.NumericalError}
+    config = set()
+    for cls in classes:
+        kinds = [issubclass(cls, base)
+                 for base in (errors.ConfigError, errors.NumericalError)]
+        assert sum(kinds) == 1, cls.__name__
+        if kinds[0]:
+            config.add(cls.__name__)
+    # the caller's misuse of a stack is configuration, not numerics
+    assert config == {"DimensionMismatch", "NotStochastic", "NoAbsorption",
+                      "RewardOverflow", "InvalidSpec", "BlockedCell",
+                      "EmptyTarget", "NoTaskSet", "CannotTerminateBase",
+                      "AlreadyTerminated"}
+    assert len(classes) == 18
 
 
 def test_blend_needs_a_target(tmp_path, chain_config):

@@ -11,17 +11,19 @@ from hypothesis import strategies as st
 
 from lsmdp import (
     Desirability,
+    RingSpec,
     PassiveDynamics,
     RewardModel,
     StatePartition,
     build_lmdp,
+    build_stack,
     build_task_basis,
     draw_from,
-    episode_return,
     exponentiate_rewards,
-    optimal_policy,
+    goal_task_vector,
+    make_ring,
     policy_column,
-    sample_transition,
+    run_episode,
     solve_direct,
     solve_interior,
     solve_z_iteration,
@@ -34,7 +36,6 @@ from lsmdp.errors import (
     ConvergenceWarning,
     DimensionMismatch,
     InvalidSpec,
-    InvalidTrajectory,
     NoAbsorption,
     NonPositiveDesirability,
     NotStochastic,
@@ -396,12 +397,14 @@ def test_z_iterate_rejects_wrong_shapes(chain5):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_z_iterate_rejects_non_finite_inputs(chain5, bad):
-    with pytest.raises(InvalidSpec):
-        z_iterate(chain5, np.array([1.0, bad]))
     Q = np.ones((2, SOLVE_BLOCK + 3))
     Q[0, SOLVE_BLOCK + 1] = bad
-    with pytest.raises(InvalidSpec):
-        z_iterate(chain5, Q)
+    # both solvers share the boundary check
+    for solve in (z_iterate, solve_interior):
+        with pytest.raises(InvalidSpec, match="boundary values must be finite"):
+            solve(chain5, np.array([1.0, bad]))
+        with pytest.raises(InvalidSpec, match="boundary values must be finite"):
+            solve(chain5, Q)
     with pytest.raises(InvalidSpec):
         z_iterate(chain5, np.ones(2), z0=np.array([0.0, bad, 0.0]))
 
@@ -439,9 +442,17 @@ def test_diverging_iteration_raises_and_names_the_columns():
 # policies
 
 
+def policy_matrix(lmdp, z_full):
+    """policy_column at every interior source, as a dense matrix."""
+    A = np.zeros((lmdp.n_states, lmdp.n_interior))
+    for s in range(lmdp.n_interior):
+        rows, probs = policy_column(lmdp, z_full, s)
+        A[rows, s] = probs
+    return A
+
+
 def test_constant_desirability_recovers_passive(chain5):
-    policy = optimal_policy(chain5, Desirability(np.ones(3), np.ones(2)))
-    np.testing.assert_allclose(policy.toarray(),
+    np.testing.assert_allclose(policy_matrix(chain5, np.ones(chain5.n_states)),
                                chain5.passive.full_matrix.toarray(),
                                rtol=0, atol=1e-15)
 
@@ -449,35 +460,43 @@ def test_constant_desirability_recovers_passive(chain5):
 def test_deterministic_column_ignores_desirability():
     lmdp = unit_lmdp()
     for z_b in (0.01, 1.0, 100.0):
-        policy = optimal_policy(lmdp, Desirability([1.0], [z_b]))
-        np.testing.assert_array_equal(policy.column(0), [0.0, 1.0])
+        np.testing.assert_array_equal(
+            policy_matrix(lmdp, np.array([1.0, z_b]))[:, 0], [0.0, 1.0])
 
 
 def test_chain_frozen_policy_column(chain5):
     z = solve_direct(chain5)
-    policy = optimal_policy(chain5, z)
-    np.testing.assert_allclose(policy.column(1), CHAIN5_MID_POLICY, rtol=1e-14)
+    np.testing.assert_allclose(policy_matrix(chain5, z.full())[:, 1],
+                               CHAIN5_MID_POLICY, rtol=1e-14)
 
 
 def test_policy_columns_stochastic_with_passive_support():
     rng = np.random.default_rng(17)
     for _ in range(100):
         lmdp = random_lmdp(rng)
-        policy = optimal_policy(lmdp, solve_direct(lmdp))
-        A = policy.toarray()
+        z_full = solve_direct(lmdp).full()
+        A = policy_matrix(lmdp, z_full)
         np.testing.assert_allclose(A.sum(axis=0), 1.0, rtol=0, atol=1e-12)
         P = lmdp.passive.full_matrix.toarray()
         assert (A[P == 0] == 0).all()
+        np.testing.assert_allclose(A, oracles.tilted_policy(P, z_full),
+                                   rtol=1e-13, atol=0)
 
 
 def test_policy_column_function_matches_matrix(chain5):
-    z = solve_direct(chain5)
-    policy = optimal_policy(chain5, z)
-    for s in range(chain5.n_interior):
-        rows, probs = policy_column(chain5, z.full(), s)
-        dense = np.zeros(chain5.n_states)
-        dense[rows] = probs
-        np.testing.assert_allclose(dense, policy.column(s), rtol=0, atol=1e-15)
+    z_full = solve_direct(chain5).full()
+    np.testing.assert_allclose(
+        policy_matrix(chain5, z_full),
+        oracles.tilted_policy(chain5.passive.full_matrix, z_full),
+        rtol=0, atol=1e-15)
+
+
+def test_policy_column_rejects_wrong_length(chain5):
+    # state 0's support is {1, 3}, so a short vector would still index
+    for n in (chain5.n_states - 1, chain5.n_states + 1):
+        with pytest.raises(DimensionMismatch,
+                           match=f"covers {n} states, LMDP has 5"):
+            policy_column(chain5, np.ones(n), 0)
 
 
 def test_values_and_desirability_are_inverse_maps():
@@ -503,18 +522,18 @@ def test_unit_desirability_has_zero_value():
 
 def test_deterministic_transition_always_taken():
     lmdp = unit_lmdp()
-    policy = optimal_policy(lmdp, solve_direct(lmdp))
+    rows, probs = policy_column(lmdp, solve_direct(lmdp).full(), 0)
     rng = np.random.default_rng(0)
-    assert all(sample_transition(policy, 0, rng) == 1 for _ in range(100))
+    assert all(draw_from(rows, probs, rng) == 1 for _ in range(100))
 
 
 def test_sampling_reproducible_under_seed(chain5):
-    policy = optimal_policy(chain5, solve_direct(chain5))
-    draws_a = [sample_transition(policy, 1, np.random.default_rng(42))
-               for _ in range(10)]
-    draws_b = [sample_transition(policy, 1, np.random.default_rng(42))
-               for _ in range(10)]
+    rows, probs = policy_column(chain5, solve_direct(chain5).full(), 1)
+    rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
+    draws_a = [draw_from(rows, probs, rng_a) for _ in range(200)]
+    draws_b = [draw_from(rows, probs, rng_b) for _ in range(200)]
     assert draws_a == draws_b
+    assert len(set(draws_a)) == 2
 
 
 def test_sample_frequencies_match_probabilities(chain5):
@@ -528,73 +547,73 @@ def test_sample_frequencies_match_probabilities(chain5):
 
 
 # ---------------------------------------------------------------------------
-# returns
+# returns of executed episodes
 
 
-def rollout(lmdp, policy, start, rng):
-    states = [start]
-    while states[-1] < lmdp.n_interior:
-        states.append(sample_transition(policy, states[-1], rng))
-    return states
+def ring_stack(scale=1.0, n=12, goal=4):
+    """Depth-1 stack with a goal task set, on a ring whose rewards and
+    temperature are both multiplied by ``scale``; q = exp(r / lambda), the
+    task vectors and so every draw are the same at any scale."""
+    lmdp, _, tasks = make_ring(RingSpec(n, temperature=scale,
+                                        interior_reward=-scale))
+    stack = build_stack(build_task_basis(lmdp, tasks), [])
+    stack.set_task(goal_task_vector(lmdp.n_boundary, goal, scale))
+    return lmdp, stack
 
 
-def test_passive_trajectory_return_is_reward_sum(chain5):
-    passive = optimal_policy(chain5, Desirability(np.ones(3), np.ones(2)))
-    # Four interior occupancies (the revisit of 1 counts twice), then exit.
-    trajectory = [1, 0, 1, 2, 4]
-    expected = 4 * (-1.0) + (-5.0)
-    assert episode_return(trajectory, passive, chain5) == pytest.approx(expected)
+def test_passive_trajectory_return_is_reward_sum():
+    # a deterministic corridor 0 -> 1 -> 2 -> exit: every policy column is
+    # the passive one, so no control cost accrues and the return is the
+    # interior rewards plus lambda log q at the exit, its boundary reward
+    lmdp = build_lmdp(StatePartition(3, 1),
+                      PassiveDynamics(np.eye(3, k=-1), [[0.0, 0.0, 1.0]]),
+                      RewardModel([-1.0, -2.0, -0.5], [-5.0], 0.5))
+    stack = build_stack(build_task_basis(lmdp, lmdp.q_boundary[:, None]), [])
+    stack.set_task(lmdp.q_boundary)
+    traj = run_episode(stack, 0, np.random.default_rng(0))
+    assert traj.states == [0, 1, 2, 3]
+    assert traj.total_return == pytest.approx(-1.0 - 2.0 - 0.5 - 5.0, rel=1e-12)
 
 
-def test_control_cost_scales_with_temperature(chain5):
-    z = solve_direct(chain5)
-    policy = optimal_policy(chain5, z)
-    trajectory = rollout(chain5, policy, 1, np.random.default_rng(3))
-    doubled = dataclasses.replace(
-        chain5, rewards=RewardModel(chain5.rewards.interior,
-                                    chain5.rewards.boundary, 2.0))
-    kl_total = 0.0
-    P = chain5.passive.full_matrix.toarray()
-    A = policy.toarray()
-    for s in trajectory[:-1]:
-        kl_total += oracles.kl_divergence(A[:, s], P[:, s])
-    ret_1 = episode_return(trajectory, policy, chain5)
-    ret_2 = episode_return(trajectory, policy, doubled)
-    assert ret_1 - ret_2 == pytest.approx(kl_total, rel=1e-12, abs=1e-12)
+def test_control_cost_scales_with_temperature():
+    # the control cost is lambda times the oracle KL along the path; doubling
+    # rewards and temperature keeps the path and doubles every return term
+    trajectories = []
+    for scale in (1.0, 2.0):
+        lmdp, stack = ring_stack(scale)
+        traj = run_episode(stack, 0, np.random.default_rng(3))
+        assert traj.completed
+        lam, n_i = lmdp.rewards.temperature, lmdp.n_interior
+        P = lmdp.passive.full_matrix.toarray()
+        A = oracles.tilted_policy(P, stack.z_full[0])
+        visited = traj.states[:-1]
+        kl_total = sum(oracles.kl_divergence(A[:, s], P[:, s]) for s in visited)
+        rewards = (lmdp.rewards.interior[visited].sum()
+                   + lam * math.log(stack.target[traj.states[-1] - n_i]))
+        assert kl_total > 0
+        assert rewards - traj.total_return == pytest.approx(lam * kl_total,
+                                                            rel=1e-9)
+        trajectories.append(traj)
+    assert trajectories[1].states == trajectories[0].states
+    assert trajectories[1].total_return == pytest.approx(
+        2 * trajectories[0].total_return, rel=1e-12)
 
 
-def test_optimal_policy_beats_passive_on_average(chain5):
-    z = solve_direct(chain5)
-    optimal = optimal_policy(chain5, z)
-    passive = optimal_policy(chain5, Desirability(np.ones(3), np.ones(2)))
+def test_optimal_policy_beats_passive_on_average():
+    # the mean KL-adjusted return from s is exactly the value lambda log z(s),
+    # which is above the passive walk's expected return
+    lmdp, stack = ring_stack()
+    lam, n_i = lmdp.rewards.temperature, lmdp.n_interior
+    values = lam * np.log(solve_interior(lmdp, stack.target))
+    passive = oracles.passive_values(lmdp.passive.full_matrix, n_i,
+                                     lmdp.rewards.interior,
+                                     lam * np.log(stack.target))
     rng = np.random.default_rng(29)
-    n = 10_000
-    returns = {}
-    for name, policy in (("optimal", optimal), ("passive", passive)):
-        values = np.empty(n)
-        for k in range(n):
-            values[k] = episode_return(rollout(chain5, policy, 1, rng),
-                                       policy, chain5)
-        returns[name] = values
-    diff = returns["optimal"].mean() - returns["passive"].mean()
-    stderr = math.sqrt(returns["optimal"].var(ddof=1) / n
-                       + returns["passive"].var(ddof=1) / n)
-    assert diff > 3 * stderr
-
-
-def test_trajectory_must_end_at_boundary(chain5):
-    policy = optimal_policy(chain5, solve_direct(chain5))
-    with pytest.raises(InvalidTrajectory):
-        episode_return([1, 0], policy, chain5)
-
-
-def test_boundary_visit_mid_trajectory_rejected(chain5):
-    policy = optimal_policy(chain5, solve_direct(chain5))
-    with pytest.raises(InvalidTrajectory):
-        episode_return([0, 3, 0, 3], policy, chain5)
-
-
-def test_zero_probability_step_rejected(chain5):
-    policy = optimal_policy(chain5, solve_direct(chain5))
-    with pytest.raises(InvalidTrajectory):
-        episode_return([0, 2, 4], policy, chain5)
+    n = 4000
+    for s in (0, 4, 7):
+        trajectories = [run_episode(stack, s, rng) for _ in range(n)]
+        assert all(traj.completed for traj in trajectories)
+        returns = np.array([traj.total_return for traj in trajectories])
+        stderr = returns.std(ddof=1) / math.sqrt(n)
+        assert abs(returns.mean() - values[s]) < 4 * stderr
+        assert values[s] > passive[s]

@@ -11,7 +11,6 @@ from lsmdp import (
     boundary_goal_tasks,
     build_stack,
     build_task_basis,
-    desirability_map,
     draw_from,
     goal_task_vector,
     make_grid,
@@ -207,13 +206,6 @@ def test_weight_snapshots_are_nonnegative_and_indexed(rooms_trajectories):
             assert layers == [0, 1]
 
 
-def test_record_weights_flag(rooms):
-    lmdp, stack, spec, start = tasked_rooms(rooms)
-    traj = run_episode(stack, start, np.random.default_rng(3),
-                       max_steps=4000, record_weights=False)
-    assert traj.weight_log == []
-
-
 def test_deep_chains_ascend_consecutively():
     lmdp, tower = ring_tower_stack()
     deep, term2, reentry = 0, 0, 0
@@ -276,23 +268,15 @@ def test_masked_redraw_excludes_subtask_rows():
 # desirability maps
 
 
-def test_desirability_map_matches_composite_and_copies(rooms):
-    lmdp, stack, spec, start = tasked_rooms(rooms)
-    z_map = desirability_map(stack)
-    np.testing.assert_array_equal(z_map, stack.z_full[0][:lmdp.n_interior])
-    z_map[:] = -1.0
-    assert (stack.z_full[0][:lmdp.n_interior] > 0).all()
-
-
 def test_inpainted_reward_shifts_the_map(rooms):
     lmdp, stack, spec, start = tasked_rooms(rooms)
     free = spec.free_cells()
     doors = [free.index(d) for d in ((2, 5), (5, 2), (5, 8), (8, 5))]
-    before = desirability_map(stack)
+    before = stack.z_full[0][:lmdp.n_interior].copy()
     lam = lmdp.rewards.temperature
     boost = np.array([5.0, -5.0, -5.0, -5.0]) * lam
     stack.apply_inpaint(0, boost)
-    after = desirability_map(stack)
+    after = stack.z_full[0][:lmdp.n_interior]
     ratio = after[doors] / before[doors]
     assert ratio[0] > 10.0
     np.testing.assert_allclose(ratio[1:], 1.0, rtol=0.02)

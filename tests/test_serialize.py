@@ -22,7 +22,6 @@ from lsmdp.serialize import (
     config_digest,
     curve_csv,
     desirability_csv,
-    desirability_csv_raw,
     fmt,
     lmdp_from_dict,
     lmdp_to_dict,
@@ -130,7 +129,7 @@ def test_writers_emit_identical_bytes(chain5, tmp_path):
 
 def test_desirability_csv_layout(chain5):
     z = solve_direct(chain5)
-    text = desirability_csv(chain5, z)
+    text = desirability_csv(chain5, z.full())
     lines = text.splitlines()
     assert lines[0] == "state_index,label,z,V"
     assert len(lines) == 1 + chain5.n_states
@@ -145,7 +144,7 @@ def test_desirability_csv_layout(chain5):
 def test_zero_desirability_renders_minus_infinity(chain5):
     z_full = np.ones(chain5.n_states)
     z_full[1] = 0.0
-    lines = desirability_csv_raw(chain5, z_full).splitlines()
+    lines = desirability_csv(chain5, z_full).splitlines()
     row = lines[2].split(",")
     assert row[2] == "0" and row[3] == "-inf"
 
