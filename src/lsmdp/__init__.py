@@ -22,7 +22,6 @@ from .core import (
     policy_column,
     solve_direct,
     solve_interior,
-    solve_z_iteration,
     value_from_desirability,
     z_iterate,
 )
@@ -44,7 +43,6 @@ from .hierarchy import (
     augment,
     build_stack,
     default_subtask_rewards,
-    derive_higher_layer,
     inpaint_rewards,
     rewards_to_task_weights,
     stack_subtask_kernel,

@@ -24,12 +24,11 @@ vector, or a matrix of task columns) against the one factorization;
 contracts monotonically from a zero start, to the same inputs: a matrix of
 task columns is iterated a block at a time with one sparse product per sweep,
 each column stopping at its own converging sweep, and the sweep count it
-reports is the sum over columns.  ``solve_z_iteration`` wraps it.
+reports is the sum over columns.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -39,7 +38,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
-    ConvergenceWarning,
     DimensionMismatch,
     InvalidSpec,
     InvalidTrajectory,
@@ -477,37 +475,6 @@ def z_iterate(lmdp: Lmdp, q_boundary: np.ndarray, z0: Optional[np.ndarray] = Non
     if Z is None:  # no columns at all
         Z = np.empty((lmdp.n_interior, k))
     return Z.reshape(shape), total, converged
-
-
-def solve_z_iteration(lmdp: Lmdp, tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER,
-                      z0: Optional[np.ndarray] = None):
-    """Solve the first-exit problem by fixed-point iteration.
-
-    Parameters
-    ----------
-    tol : float
-        Successive-iterate infinity-norm threshold.
-    max_iter : int
-        Sweep budget; exhausting it emits ConvergenceWarning, not an error,
-        and the partial iterate is still returned.
-    z0 : array, optional
-        Starting iterate; defaults to zero, which converges monotonically
-        from below.
-
-    Returns
-    -------
-    (Desirability, int)
-        The fixed point and the number of sweeps applied.
-    """
-    q_b = lmdp.q_boundary
-    z_i, iterations, converged = z_iterate(lmdp, q_b, z0=z0, tol=tol, max_iter=max_iter)
-    if not converged:
-        warnings.warn(
-            f"z-iteration hit max_iter={max_iter} before reaching tol={tol:g}",
-            ConvergenceWarning,
-        )
-    return Desirability(z_i, q_b), iterations
 
 
 # ---------------------------------------------------------------------------

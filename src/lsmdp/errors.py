@@ -100,7 +100,3 @@ class AllZeroColumn(NumericalError):
 
 class UnreachableSubtasks(UserWarning):
     """Subtask states carry zero transition mass and can never be entered."""
-
-
-class ConvergenceWarning(UserWarning):
-    """Iterative solve hit max_iter before reaching tolerance."""

@@ -82,7 +82,7 @@ def _access(stack: HierarchyStack, layer: int, entry: int,
     lmdp, z = stack.policy_state(layer)
     rows, probs = policy_column(lmdp, z, entry)
     nxt = draw_from(rows, probs, rng)
-    lo, hi = stack.subtask_state_range(layer)
+    lo, hi = stack.layers[layer].subtask_range
     if lo <= nxt < hi:
         inner, deepest, terminated = _access(stack, layer + 1, nxt - lo, rng, chain)
         if inner is not None:
@@ -131,18 +131,21 @@ def run_episode(stack: HierarchyStack, start_state: int,
     plus lambda log target at the absorbing twin: the boundary reward of
     the task set on the stack, not the domain's placeholder rewards.
     Accesses consume no time.  The episode truncates after max_steps
-    (default 100 * n_interior) advancing steps without absorption.
+    (default 100 * n_interior, at least 1) advancing steps without
+    absorption.
 
     Mutates the stack (blends, terminations); clone it to keep a pristine
     copy across episodes.
     """
     lmdp, _ = stack.policy_state(0)
     n_i = lmdp.n_interior
-    lo, hi = stack.subtask_state_range(0)
+    lo, hi = stack.layers[0].subtask_range
     if not 0 <= start_state < n_i:
         raise InvalidSpec(f"start state {start_state} is not a base interior state")
     if max_steps is None:
         max_steps = 100 * n_i
+    if max_steps < 1:
+        raise InvalidSpec(f"max_steps must be at least 1, got {max_steps}")
     r_i = lmdp.rewards.interior
     lam = lmdp.rewards.temperature
 

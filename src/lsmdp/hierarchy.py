@@ -103,12 +103,14 @@ def default_subtask_rewards(n_subtasks: int, penalty: float,
 
 @dataclass(frozen=True)
 class AugmentedMlmdp:
-    """A multitask layer extended with subtask states.
+    """One rung of a hierarchy: a multitask layer extended with subtask states.
 
     The augmented LMDP treats subtask states as extra boundary states
-    (indices n_boundary_base .. n_boundary_base+n_subtasks-1 of the boundary
+    (indices n_base_boundary .. n_base_boundary+n_subtasks-1 of the boundary
     block).  Its task basis is the base boundary-task columns plus one task
-    per subtask state, solved over the augmented dynamics.
+    per subtask state, solved over the augmented dynamics.  The top of a
+    stack is a rung with zero subtasks: its LMDP and basis are the top
+    layer's own, and its subtask blocks are empty.
     """
 
     lmdp: Lmdp                      # augmented: boundary = base boundary + subtasks
@@ -120,15 +122,20 @@ class AugmentedMlmdp:
     n_base_tasks: int
     n_base_boundary: int
     penalty: float
-    live_subtasks: np.ndarray       # default enabled flags, copied per episode
+    neutral_weights: np.ndarray     # subtask-task blend for inpainted reward 0
 
     @property
     def n_subtasks(self) -> int:
         return self.to_subtasks.shape[0]
 
-    def subtask_state_index(self, t: int) -> int:
-        """Global state index of subtask t in the augmented LMDP."""
-        return self.lmdp.n_interior + self.n_base_boundary + t
+    @property
+    def subtask_range(self):
+        """Global state indices [lo, hi) of the subtask states.
+
+        (n_states, n_states) at the top of a stack.
+        """
+        lo = self.lmdp.n_interior + self.n_base_boundary
+        return (lo, lo + self.n_subtasks)
 
 
 def stack_subtask_kernel(passive: PassiveDynamics, weights: np.ndarray):
@@ -254,6 +261,8 @@ def augment(mlmdp: TaskBasis, structure: SubtaskStructure,
     Q_full[:n_b, :n_tasks] = mlmdp.boundary_tasks
     Q_full[n_b:, n_tasks:] = Q_t
     basis = build_task_basis(aug_lmdp, Q_full)
+    # the blend for inpainted reward 0 (target q_t = 1) that set_task starts from
+    neutral = blend_weights_matrix(Q_t, np.ones(n_t)).values
 
     return AugmentedMlmdp(
         lmdp=aug_lmdp,
@@ -265,18 +274,25 @@ def augment(mlmdp: TaskBasis, structure: SubtaskStructure,
         n_base_tasks=n_tasks,
         n_base_boundary=n_b,
         penalty=penalty,
-        live_subtasks=np.ones(n_t, dtype=bool),
+        neutral_weights=neutral,
     )
 
 
-def derive_higher_layer(aug: AugmentedMlmdp):
-    """Passive dynamics of the layer above an augmented layer.
-
-    See absorption_dynamics for the construction.  Returns
-    (to_interior_next, to_boundary_next) as dense arrays of shapes
-    (n_subtasks, n_subtasks) and (n_base_boundary, n_subtasks).
-    """
-    return absorption_dynamics(aug.to_interior, aug.to_boundary, aug.to_subtasks)
+def _top_layer(basis: TaskBasis, penalty: float) -> AugmentedMlmdp:
+    """The top of a stack: a rung with no subtask states above it."""
+    lmdp = basis.base
+    return AugmentedMlmdp(
+        lmdp=lmdp,
+        basis=basis,
+        to_interior=lmdp.passive.to_interior,
+        to_boundary=lmdp.passive.to_boundary,
+        to_subtasks=sp.csc_matrix((0, lmdp.n_interior)),
+        subtask_rewards=np.empty((0, 0)),
+        n_base_tasks=basis.n_tasks,
+        n_base_boundary=lmdp.n_boundary,
+        penalty=penalty,
+        neutral_weights=np.empty(0),
+    )
 
 
 def inpaint_rewards(action_column: np.ndarray, passive_column: np.ndarray,
@@ -296,7 +312,7 @@ def inpaint_rewards(action_column: np.ndarray, passive_column: np.ndarray,
 
 
 def rewards_to_task_weights(aug: AugmentedMlmdp, inpainted: np.ndarray,
-                            current: TaskWeights, method: str = "nnls") -> TaskWeights:
+                            current: TaskWeights) -> TaskWeights:
     """Re-blend the subtask-task block against an inpainted reward vector.
 
     Only the subtask-task weights move; base boundary-task weights keep their
@@ -310,9 +326,9 @@ def rewards_to_task_weights(aug: AugmentedMlmdp, inpainted: np.ndarray,
         )
     lam = aug.lmdp.rewards.temperature
     q_t = np.exp(r_t / lam)
-    sub = blend_weights_matrix(aug.subtask_rewards, q_t, method=method)
+    sub = blend_weights_matrix(aug.subtask_rewards, q_t)
     values = np.concatenate([current.values[:aug.n_base_tasks], sub.values])
-    return TaskWeights(values, sub.residual, method)
+    return TaskWeights(values, sub.residual)
 
 
 # ---------------------------------------------------------------------------
@@ -323,47 +339,24 @@ def rewards_to_task_weights(aug: AugmentedMlmdp, inpainted: np.ndarray,
 class HierarchyStack:
     """An ordered tower of layers plus per-episode execution state.
 
-    ``layers`` holds AugmentedMlmdp for every layer below the top and a plain
-    TaskBasis at the top.  Layer structures are immutable and shared between
-    clones; weights, composite desirabilities, live flags, and termination
+    Every layer is an AugmentedMlmdp; the top one has zero subtasks.  Layer
+    structures are immutable and shared between clones; weights, composite
+    desirabilities, live flags (one per subtask state), and termination
     flags are per-clone.
     """
 
-    layers: List[object]
+    layers: List[AugmentedMlmdp]
     kappa: float
     penalty: float
     weights: List[Optional[TaskWeights]]
     z_full: List[Optional[np.ndarray]]
-    live: List[Optional[np.ndarray]]
+    live: List[np.ndarray]
     terminated: List[bool]
     target: Optional[np.ndarray] = None  # boundary task set by set_task
 
     @property
     def depth(self) -> int:
         return len(self.layers)
-
-    def is_augmented(self, layer: int) -> bool:
-        return isinstance(self.layers[layer], AugmentedMlmdp)
-
-    def layer_lmdp(self, layer: int) -> Lmdp:
-        entry = self.layers[layer]
-        return entry.lmdp if isinstance(entry, AugmentedMlmdp) else entry.base
-
-    def layer_basis(self, layer: int) -> TaskBasis:
-        entry = self.layers[layer]
-        return entry.basis if isinstance(entry, AugmentedMlmdp) else entry
-
-    def n_subtasks(self, layer: int) -> int:
-        entry = self.layers[layer]
-        return entry.n_subtasks if isinstance(entry, AugmentedMlmdp) else 0
-
-    def subtask_state_range(self, layer: int):
-        """Global state indices [lo, hi) of the layer's subtask states."""
-        entry = self.layers[layer]
-        if not isinstance(entry, AugmentedMlmdp):
-            return (entry.base.n_states, entry.base.n_states)
-        lo = entry.lmdp.n_interior + entry.n_base_boundary
-        return (lo, lo + entry.n_subtasks)
 
     def clone(self) -> "HierarchyStack":
         return HierarchyStack(
@@ -372,45 +365,38 @@ class HierarchyStack:
             penalty=self.penalty,
             weights=list(self.weights),
             z_full=[None if z is None else z.copy() for z in self.z_full],
-            live=[None if f is None else f.copy() for f in self.live],
+            live=[f.copy() for f in self.live],
             terminated=list(self.terminated),
             target=None if self.target is None else self.target.copy(),
         )
 
     # -- task management -----------------------------------------------------
 
-    def set_task(self, boundary_target: np.ndarray, method: str = "nnls") -> None:
+    def set_task(self, boundary_target: np.ndarray) -> None:
         """Blend the same boundary-reward target at every layer.
 
         All layers share the base boundary set, so one target vector defines
-        the goal everywhere.  Augmented layers also get the neutral subtask
-        blend (inpainted reward 0, i.e. target q_t = 1).
+        the goal everywhere.  The subtask tasks start from the neutral blend
+        (inpainted reward 0), empty at the top.
         """
         q = np.asarray(boundary_target, dtype=np.float64)
         self.target = q.copy()
         for layer, entry in enumerate(self.layers):
-            if isinstance(entry, AugmentedMlmdp):
-                base_block = entry.basis.boundary_tasks[:entry.n_base_boundary,
-                                                        :entry.n_base_tasks]
-                wb = blend_weights_matrix(base_block, q, method=method)
-                wt = blend_weights_matrix(entry.subtask_rewards,
-                                          np.ones(entry.n_subtasks), method=method)
-                w = TaskWeights(np.concatenate([wb.values, wt.values]),
-                                wb.residual, method)
-            else:
-                w = blend_weights_matrix(entry.boundary_tasks, q, method=method)
-            self.weights[layer] = w
+            base_block = entry.basis.boundary_tasks[:entry.n_base_boundary,
+                                                    :entry.n_base_tasks]
+            wb = blend_weights_matrix(base_block, q)
+            self.weights[layer] = TaskWeights(
+                np.concatenate([wb.values, entry.neutral_weights]), wb.residual)
             self._recompose(layer)
 
     def _recompose(self, layer: int) -> None:
         """Refresh the layer's composite desirability from its weights."""
-        basis = self.layer_basis(layer)
+        basis = self.layers[layer].basis
         w = self.weights[layer].values
         z_i = basis.desirabilities @ w
         z_b = basis.boundary_tasks @ w
         z = np.concatenate([z_i, z_b])
-        if self.is_augmented(layer) and self.live[layer] is not None \
-                and not self.live[layer].all():
+        if not self.live[layer].all():
             self._disable_dead_subtasks(layer, z)
         self.z_full[layer] = z
 
@@ -422,29 +408,28 @@ class HierarchyStack:
         because the cached basis columns assumed positive values there.
         """
         entry = self.layers[layer]
-        lo, hi = self.subtask_state_range(layer)
+        lo, hi = entry.subtask_range
         n_i = entry.lmdp.n_interior
         dead = ~self.live[layer]
         z[lo:hi][dead] = 0.0
         z[:n_i] = solve_interior(entry.lmdp, z[n_i:])
 
-    def apply_inpaint(self, layer: int, inpainted: np.ndarray,
-                      method: str = "nnls") -> None:
+    def apply_inpaint(self, layer: int, inpainted: np.ndarray) -> None:
         """Receive inpainted rewards from the layer above and re-blend."""
         entry = self.layers[layer]
-        if not isinstance(entry, AugmentedMlmdp):
-            raise InvalidSpec("only augmented layers can receive inpainted rewards")
+        if not entry.n_subtasks:
+            raise InvalidSpec("only layers with subtasks can receive inpainted rewards")
         if self.weights[layer] is None:
             raise NoTaskSet("set_task must run before inpainting")
         self.weights[layer] = rewards_to_task_weights(
-            entry, inpainted, self.weights[layer], method=method)
+            entry, inpainted, self.weights[layer])
         self._recompose(layer)
 
     def policy_state(self, layer: int):
         """(lmdp, z_full) pair for sampling at a layer, validated."""
         if self.weights[layer] is None or self.z_full[layer] is None:
             raise NoTaskSet("stack has no task; call set_task first")
-        return self.layer_lmdp(layer), self.z_full[layer]
+        return self.layers[layer].lmdp, self.z_full[layer]
 
 
 def build_stack(base: TaskBasis, structures: Sequence[SubtaskStructure],
@@ -468,12 +453,13 @@ def build_stack(base: TaskBasis, structures: Sequence[SubtaskStructure],
     if temperatures is not None and len(temperatures) != len(structures):
         raise DimensionMismatch("one temperature per derived layer required")
 
-    layers: List[object] = []
+    layers: List[AugmentedMlmdp] = []
     current = base
     for level, structure in enumerate(structures):
         aug = augment(current, structure, penalty=penalty)
         layers.append(aug)
-        to_i, to_b = derive_higher_layer(aug)
+        to_i, to_b = absorption_dynamics(aug.to_interior, aug.to_boundary,
+                                         aug.to_subtasks)
         n_next = structure.n_subtasks
         lam_next = (temperatures[level] if temperatures is not None
                     else current.base.rewards.temperature)
@@ -494,7 +480,7 @@ def build_stack(base: TaskBasis, structures: Sequence[SubtaskStructure],
         # the derived layer keeps the base boundary set, so it can reuse the
         # boundary-task matrix of the layer below unchanged
         current = build_task_basis(lmdp_next, current.boundary_tasks)
-    layers.append(current)
+    layers.append(_top_layer(current, penalty))
     depth = len(layers)
     return HierarchyStack(
         layers=layers,
@@ -502,8 +488,7 @@ def build_stack(base: TaskBasis, structures: Sequence[SubtaskStructure],
         penalty=penalty,
         weights=[None] * depth,
         z_full=[None] * depth,
-        live=[np.ones(structures[l].n_subtasks, dtype=bool) if l < depth - 1 else None
-              for l in range(depth)],
+        live=[np.ones(entry.n_subtasks, dtype=bool) for entry in layers],
         terminated=[False] * depth,
     )
 

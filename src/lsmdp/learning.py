@@ -97,11 +97,12 @@ def run_learning_episode(lmdp: Lmdp, learner: LearningState,
     the identical code path in both conditions.  Accesses consume no time
     and do not update the estimate; every advancing draw does.  The stack
     is mutated; pass a per-episode clone.  Returns the number of advancing
-    steps taken (max_steps if truncated).
+    steps taken (max_steps, default 100 * n_interior and at least 1, if
+    truncated).
     """
     n_i = lmdp.n_interior
     if stack is not None:
-        lo, hi = stack.subtask_state_range(0)
+        lo, hi = stack.layers[0].subtask_range
     else:
         lo = hi = lmdp.n_states
     if start_state is None:
@@ -112,6 +113,8 @@ def run_learning_episode(lmdp: Lmdp, learner: LearningState,
         raise InvalidSpec(f"start state {start_state} is not interior")
     if max_steps is None:
         max_steps = 100 * n_i
+    if max_steps < 1:
+        raise InvalidSpec(f"max_steps must be at least 1, got {max_steps}")
     lam = lmdp.rewards.temperature
     r_i = lmdp.rewards.interior
     pad = np.ones(lmdp.n_boundary)
@@ -159,19 +162,23 @@ def train(lmdp: Lmdp, goal_task: np.ndarray, epochs: int,
     comparable across conditions because both run on the same base rewards.
 
     Returns (LearningState, curve) where curve rows are
-    (epoch, mean_length, stderr).
+    (epoch, mean_length, stderr).  ``episodes_per_epoch`` must be at least 1
+    and ``step_scale`` finite and positive, or InvalidSpec is raised.
     """
+    if episodes_per_epoch < 1:
+        raise InvalidSpec(
+            f"episodes_per_epoch must be at least 1, got {episodes_per_epoch}")
+    if not (math.isfinite(step_scale) and step_scale > 0):
+        raise InvalidSpec(f"step_scale must be finite and positive, got {step_scale}")
     rng = np.random.default_rng(seed)
     goal = np.asarray(goal_task, dtype=np.float64)
     if stack is not None:
         template = stack.clone()
         template.set_task(goal)
-        lmdp = template.layer_lmdp(0)
-        n_sub = template.n_subtasks(0)
-        boundary = np.concatenate([goal, np.ones(n_sub)])
+        lmdp = template.layers[0].lmdp
+        boundary = np.concatenate([goal, np.ones(template.layers[0].n_subtasks)])
     else:
         template = None
-        n_sub = 0
         boundary = goal.copy()
     if boundary.shape != (lmdp.n_boundary,):
         raise DimensionMismatch(

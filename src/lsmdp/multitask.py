@@ -52,7 +52,6 @@ class TaskBasis:
 class TaskWeights:
     values: np.ndarray
     residual: float
-    method: str = "nnls"
 
 
 def build_task_basis(base: Lmdp, boundary_tasks: np.ndarray) -> TaskBasis:
@@ -96,7 +95,7 @@ def blend_weights_matrix(task_matrix: np.ndarray, target: np.ndarray,
         residual = float(np.linalg.norm(q - Q @ w))
     else:
         raise InvalidSpec(f"unknown blend method {method!r}; choose from {BLEND_METHODS}")
-    return TaskWeights(np.asarray(w, dtype=np.float64), float(residual), method)
+    return TaskWeights(np.asarray(w, dtype=np.float64), float(residual))
 
 
 def blend_weights(basis: TaskBasis, target: np.ndarray, method: str = "nnls") -> TaskWeights:

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from .core import (Lmdp, PassiveDynamics, RewardModel, StatePartition,
                    build_lmdp)
 from .errors import InvalidSpec
-from .hierarchy import AugmentedMlmdp, HierarchyStack
+from .hierarchy import HierarchyStack
 from .multitask import TaskBasis, TaskWeights
 
 
@@ -179,13 +179,12 @@ def save_stack(stack: HierarchyStack, directory) -> None:
     for k, entry in enumerate(stack.layers):
         name = f"layer_{k}.json"
         layer_files.append(name)
-        if isinstance(entry, AugmentedMlmdp):
+        write_json(directory / name, basis_to_dict(entry.basis))
+        if entry.n_subtasks:
             kinds.append("augmented")
             kernels.append(_matrix_triples(entry.to_subtasks))
-            write_json(directory / name, basis_to_dict(entry.basis))
         else:
             kinds.append("top")
-            write_json(directory / name, basis_to_dict(entry))
     manifest = {
         "depth": stack.depth,
         "kappa": float(stack.kappa),
@@ -193,7 +192,8 @@ def save_stack(stack: HierarchyStack, directory) -> None:
         "layer_files": layer_files,
         "layer_kinds": kinds,
         "subtask_kernels": kernels,
-        "live_subtasks": [None if f is None else [bool(v) for v in f]
+        # the top layer has no subtask flags and records null
+        "live_subtasks": [[bool(v) for v in f] if len(f) else None
                           for f in stack.live],
         "terminated": [bool(v) for v in stack.terminated],
         "task_weights": [None if w is None else [float(v) for v in w.values]

@@ -40,7 +40,7 @@ from lsmdp import (
 )
 from lsmdp.bench import ring_scaling
 from lsmdp.cli import EXIT_OK, main
-from lsmdp.hierarchy import augment, derive_higher_layer
+from lsmdp.hierarchy import absorption_dynamics, augment
 from lsmdp.multitask import blend_weights_matrix
 
 import oracles
@@ -126,7 +126,8 @@ def test_criterion_3_derived_dynamics():
 
     for aug in instances:
         assert aug.lmdp.n_states <= 30
-        to_i, to_b = derive_higher_layer(aug)
+        to_i, to_b = absorption_dynamics(aug.to_interior, aug.to_boundary,
+                                         aug.to_subtasks)
         total = to_i.sum(axis=0) + to_b.sum(axis=0)
         assert np.abs(total - 1.0).max() <= 1e-10
         freq_t, freq_b = oracles.mc_absorption(
@@ -238,7 +239,7 @@ def test_criterion_8_execution_protocol():
     stack.set_task(goal_q)
     terminate_layer(stack, 1)
     lmdp0, z0 = stack.policy_state(0)
-    lo, hi = stack.subtask_state_range(0)
+    lo, hi = stack.layers[0].subtask_range
     assert (z0[lo:hi] == 0).all()
     rng = np.random.default_rng(88)
     for _ in range(100_000):
@@ -254,12 +255,12 @@ def test_criterion_8_execution_protocol():
                                              spec.temperature)),
         [structure])
     fresh.set_task(goal_q)
-    p = np.asarray(fresh.layer_lmdp(1).passive.full_matrix[:, 0].todense()).ravel()
+    p = np.asarray(fresh.layers[1].lmdp.passive.full_matrix[:, 0].todense()).ravel()
     np.testing.assert_array_equal(
-        inpaint_rewards(p, p, fresh.kappa, fresh.layer_lmdp(1).n_interior), 0.0)
+        inpaint_rewards(p, p, fresh.kappa, fresh.layers[1].lmdp.n_interior), 0.0)
     weights_before = [w.values.copy() for w in fresh.weights]
     z_before = [v.copy() for v in fresh.z_full]
-    fresh.apply_inpaint(0, np.zeros(fresh.n_subtasks(0)))
+    fresh.apply_inpaint(0, np.zeros(fresh.layers[0].n_subtasks))
     for before, after in zip(weights_before, fresh.weights):
         np.testing.assert_allclose(after.values, before, rtol=0, atol=1e-12)
     for before, after in zip(z_before, fresh.z_full):

@@ -209,8 +209,13 @@ RING = {"type": "ring", "n_states": 12, "depth": 2}
     ("solve", {"type": "arm", "n_bins": "7"}),
     ("simulate", dict(RING, max_steps="x")),
     ("learn", dict(RING, learn={"epochs": "x"})),
+    ("simulate", dict(RING, max_steps=0)),
+    ("learn", dict(RING, learn={"max_steps": -5})),
+    ("learn", dict(RING, learn={"episodes": 0})),
+    ("learn", dict(RING, learn={"step_scale": 0})),
 ], ids=["ring-size-string", "goal-string", "top-level-list", "arm-bins-string",
-        "max-steps-string", "learn-epochs-string"])
+        "max-steps-string", "learn-epochs-string", "max-steps-zero",
+        "learn-max-steps-negative", "learn-episodes-zero", "learn-step-scale-zero"])
 def test_malformed_config_values(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path / "cfg.json", doc)
     assert main([command, "--domain", cfg,

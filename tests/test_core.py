@@ -26,14 +26,12 @@ from lsmdp import (
     run_episode,
     solve_direct,
     solve_interior,
-    solve_z_iteration,
     value_from_desirability,
     z_iterate,
 )
 from lsmdp import core
 from lsmdp.core import DEFAULT_MAX_ITER, DEFAULT_TOL, DENSE_CUTOFF, SOLVE_BLOCK
 from lsmdp.errors import (
-    ConvergenceWarning,
     DimensionMismatch,
     InvalidSpec,
     NoAbsorption,
@@ -186,10 +184,9 @@ def test_unit_instance_exact_after_one_sweep():
 
 def test_iteration_matches_direct(chain5):
     z_direct = solve_direct(chain5)
-    z_iter, iterations = solve_z_iteration(chain5, tol=1e-13)
-    assert iterations > 1
-    np.testing.assert_allclose(z_iter.interior, z_direct.interior,
-                               rtol=0, atol=10 * 1e-13)
+    z_iter, iterations, converged = z_iterate(chain5, chain5.q_boundary, tol=1e-13)
+    assert converged and iterations > 1
+    np.testing.assert_allclose(z_iter, z_direct.interior, rtol=0, atol=10 * 1e-13)
 
 
 def test_iterates_grow_monotonically_from_zero(chain5):
@@ -202,12 +199,13 @@ def test_iterates_grow_monotonically_from_zero(chain5):
         assert (z <= exact + 1e-12).all()
 
 
-def test_iteration_budget_warns_and_returns_partial(chain5):
-    with pytest.warns(ConvergenceWarning):
-        z, iterations = solve_z_iteration(chain5, tol=1e-12, max_iter=5)
+def test_iteration_budget_returns_partial(chain5):
+    z, iterations, converged = z_iterate(chain5, chain5.q_boundary, tol=1e-12,
+                                         max_iter=5)
+    assert converged is False
     assert iterations == 5
     exact = solve_direct(chain5).interior
-    assert (z.interior <= exact + 1e-12).all()
+    assert (z <= exact + 1e-12).all()
 
 
 def test_solve_interior_accepts_zero_boundary_entries(chain5):

@@ -219,7 +219,7 @@ def test_deep_chains_ascend_consecutively():
             assert layers == list(range(1, 1 + len(layers)))
             entries = [entry for _, entry in e.chain]
             for (layer, entry) in e.chain:
-                assert 0 <= entry < stack.layer_lmdp(layer).n_interior
+                assert 0 <= entry < stack.layers[layer].lmdp.n_interior
             if e.deepest_layer >= 2:
                 deep += 1
             if dead is not None and any(l >= dead for l in layers):
@@ -245,7 +245,7 @@ def test_access_returns_subtask_rewards_or_none():
         assert deepest == 1
         if terminated is None:
             transmit_seen = True
-            assert r_t.shape == (stack.n_subtasks(0),)
+            assert r_t.shape == (stack.layers[0].n_subtasks,)
             assert (np.abs(r_t) <= stack.kappa).all()   # probabilities differ by at most 1
         else:
             terminate_seen = True
@@ -291,3 +291,5 @@ def test_truncation_and_bad_start(rooms):
         run_episode(stack, lmdp.n_interior, np.random.default_rng(0))
     with pytest.raises(InvalidSpec):
         run_episode(stack, -1, np.random.default_rng(0))
+    with pytest.raises(InvalidSpec):
+        run_episode(stack, start, np.random.default_rng(0), max_steps=0)

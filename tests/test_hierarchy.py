@@ -11,13 +11,13 @@ from lsmdp import (
     RingSpec,
     StatePartition,
     SubtaskStructure,
+    absorption_dynamics,
     augment,
     boundary_goal_tasks,
     build_lmdp,
     build_stack,
     build_task_basis,
     default_subtask_rewards,
-    derive_higher_layer,
     draw_from,
     inpaint_rewards,
     make_grid,
@@ -121,7 +121,8 @@ def test_zero_weights_leave_dynamics_unchanged():
                                rtol=0, atol=1e-15)
     assert aug.to_subtasks.nnz == 0
     with pytest.raises(SingularFundamentalMatrix):
-        derive_higher_layer(aug)
+        absorption_dynamics(aug.to_interior, aug.to_boundary,
+                            aug.to_subtasks)
 
 
 def test_augmented_columns_sum_to_one():
@@ -176,14 +177,16 @@ def test_deterministic_corridor_derives_indicator():
     W[0, 0] = 1e-12
     W[1, n - 1] = 1e12
     aug = augment(build_task_basis(lmdp, np.ones((1, 1))), SubtaskStructure(W))
-    to_i, to_b = derive_higher_layer(aug)
+    to_i, to_b = absorption_dynamics(aug.to_interior, aug.to_boundary,
+                                     aug.to_subtasks)
     np.testing.assert_allclose(to_i[:, 0], [0.0, 1.0], rtol=0, atol=1e-9)
     np.testing.assert_allclose(to_b[:, 0], [0.0], rtol=0, atol=1e-9)
 
 
 def test_derived_columns_are_stochastic():
     aug = small_augmented()
-    to_i, to_b = derive_higher_layer(aug)
+    to_i, to_b = absorption_dynamics(aug.to_interior, aug.to_boundary,
+                                     aug.to_subtasks)
     np.testing.assert_allclose(to_i.sum(axis=0) + to_b.sum(axis=0), 1.0,
                                rtol=0, atol=1e-10)
 
@@ -191,7 +194,8 @@ def test_derived_columns_are_stochastic():
 def test_derived_dynamics_match_simulation_on_eight_states():
     aug = small_augmented()  # 5 interior + 1 boundary + 2 subtasks
     assert aug.lmdp.n_states == 8
-    to_i, to_b = derive_higher_layer(aug)
+    to_i, to_b = absorption_dynamics(aug.to_interior, aug.to_boundary,
+                                     aug.to_subtasks)
     freq_t, freq_b = oracles.mc_absorption(
         aug.to_interior, aug.to_subtasks, aug.to_boundary,
         n_walks=1_000_000, seed=5)
@@ -207,7 +211,8 @@ def test_four_rooms_neighbors_exceed_diagonals(rooms):
     _, stack, _, _, _ = rooms
     aug = stack.layers[0]
     doors = ((2, 5), (5, 2), (5, 8), (8, 5))
-    to_i, _ = derive_higher_layer(aug)
+    to_i, _ = absorption_dynamics(aug.to_interior, aug.to_boundary,
+                                  aug.to_subtasks)
     for src, src_cell in enumerate(doors):
         adjacent, diagonal = [], []
         for dst, dst_cell in enumerate(doors):
@@ -303,26 +308,31 @@ def test_empty_structure_list_gives_flat_stack(chain5):
     basis = build_task_basis(chain5, chain5.q_boundary[:, None])
     stack = build_stack(basis, [])
     assert stack.depth == 1
-    assert not stack.is_augmented(0)
-    assert stack.n_subtasks(0) == 0
+    top = stack.layers[0]
+    assert top.n_subtasks == 0
+    assert top.lmdp is chain5 and top.basis is basis
+    assert top.subtask_range == (chain5.n_states, chain5.n_states)
+    stack.set_task(chain5.q_boundary)
+    with pytest.raises(InvalidSpec):
+        stack.apply_inpaint(0, np.zeros(0))
 
 
 def test_ring_tower_layer_sizes():
     lmdp, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3))
     stack = build_stack(build_task_basis(lmdp, tasks), structures)
     assert stack.depth == 3
-    assert [stack.layer_lmdp(k).n_interior for k in range(3)] == [27, 9, 3]
+    assert [stack.layers[k].lmdp.n_interior for k in range(3)] == [27, 9, 3]
     # every layer keeps the base boundary set
-    assert all(stack.layer_lmdp(k).n_boundary >= 27 for k in (0,))
-    assert stack.layer_lmdp(1).n_boundary == 27 + 3
-    assert stack.layer_lmdp(2).n_boundary == 27
+    assert all(stack.layers[k].lmdp.n_boundary >= 27 for k in (0,))
+    assert stack.layers[1].lmdp.n_boundary == 27 + 3
+    assert stack.layers[2].lmdp.n_boundary == 27
 
 
 def test_every_layer_kernel_is_stochastic():
     lmdp, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3))
     stack = build_stack(build_task_basis(lmdp, tasks), structures)
     for layer in range(stack.depth):
-        full = stack.layer_lmdp(layer).passive.full_matrix.toarray()
+        full = stack.layers[layer].lmdp.passive.full_matrix.toarray()
         np.testing.assert_allclose(full.sum(axis=0), 1.0, rtol=0, atol=1e-10)
 
 
@@ -358,7 +368,7 @@ def test_clone_isolates_execution_state():
     terminate_layer(clone, 1)
     assert clone.terminated[1] and not template.terminated[1]
     assert not clone.live[0].any() and template.live[0].all()
-    lo, hi = template.subtask_state_range(0)
+    lo, hi = template.layers[0].subtask_range
     assert (template.z_full[0][lo:hi] > 0).all()
     assert (clone.z_full[0][lo:hi] == 0).all()
 
@@ -371,7 +381,7 @@ def test_terminated_subtasks_draw_no_mass():
     stack = corridor_stack()
     terminate_layer(stack, 1)
     lmdp0, z0 = stack.policy_state(0)
-    lo, hi = stack.subtask_state_range(0)
+    lo, hi = stack.layers[0].subtask_range
     rng = np.random.default_rng(47)
     for _ in range(100_000):
         s = int(rng.integers(lmdp0.n_interior))
@@ -384,7 +394,7 @@ def test_top_layer_termination_reduces_to_flat_blend():
     stack = corridor_stack()
     before = stack.z_full[0].copy()
     terminate_layer(stack, 1)
-    lo, hi = stack.subtask_state_range(0)
+    lo, hi = stack.layers[0].subtask_range
     aug = stack.layers[0]
     boundary = aug.basis.boundary_tasks @ stack.weights[0].values
     boundary[lo - aug.lmdp.n_interior:hi - aug.lmdp.n_interior] = 0.0

@@ -113,10 +113,10 @@ def test_episode_updates_once_per_advancing_step(monkeypatch, rooms):
 
     stack = template.clone()
     stack.set_task(goal_q)
-    aug = stack.layer_lmdp(0)
+    aug = stack.layers[0].lmdp
     guided_learner = fresh_learner(
         aug.n_interior,
-        np.concatenate([goal_q, np.ones(stack.n_subtasks(0))]))
+        np.concatenate([goal_q, np.ones(stack.layers[0].n_subtasks)]))
     calls.clear()
     steps = run_learning_episode(aug, guided_learner,
                                  np.random.default_rng(0), stack=stack,
@@ -180,12 +180,12 @@ def test_guided_training_leaves_the_template_alone(rooms):
     for before, after in zip(z_before, stack.z_full):
         np.testing.assert_array_equal(before, after)
     # guided learner covers the augmented layer
-    aug = stack.layer_lmdp(0)
+    aug = stack.layers[0].lmdp
     assert learner.z_interior.shape == (aug.n_interior,)
     assert learner.boundary_values.shape == (aug.n_boundary,)
     np.testing.assert_array_equal(
         learner.boundary_values,
-        np.concatenate([goal_q, np.ones(stack.n_subtasks(0))]))
+        np.concatenate([goal_q, np.ones(stack.layers[0].n_subtasks)]))
 
 
 def test_wrong_goal_shape_is_rejected(rooms):

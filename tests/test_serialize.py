@@ -151,7 +151,7 @@ def test_zero_desirability_renders_minus_infinity(chain5):
 
 def test_weights_csv_layout():
     from lsmdp.multitask import TaskWeights
-    text = weights_csv(TaskWeights(np.array([0.25, 0.0, 1.5]), 1e-12, "nnls"))
+    text = weights_csv(TaskWeights(np.array([0.25, 0.0, 1.5]), 1e-12))
     assert text == ("task_index,weight\n"
                     "0,0.25\n"
                     "1,0\n"
@@ -256,3 +256,5 @@ def test_stack_directory_contents(tmp_path):
     assert manifest["terminated"] == [False, False]
     assert len(manifest["task_weights"][0]) == stack.weights[0].values.shape[0]
     assert manifest["live_subtasks"][0] == [True, True, True]
+    assert manifest["live_subtasks"][1] is None
+    assert len(manifest["subtask_kernels"]) == 1
