@@ -286,6 +286,11 @@ def cmd_learn(args) -> int:
         max_steps = _optional_int(params, "max_steps")
         step_scale = float(params.get("step_scale", 50.0))
         conditions = params.get("conditions", ["flat", "guided"])
+        if n_seeds < 1:
+            raise InvalidSpec(f"learn.n_seeds must be at least 1, got {n_seeds}")
+        if not conditions or not set(conditions) <= {"flat", "guided"}:
+            raise InvalidSpec("learn.conditions must list 'flat' and/or "
+                              f"'guided', got {conditions!r}")
     stack_template = None
     if "guided" in conditions:
         stack_template = _build_stack(bundle, None, None)
@@ -293,17 +298,10 @@ def cmd_learn(args) -> int:
     for offset in range(n_seeds):
         seed = args.seed + offset
         for condition in conditions:
-            if condition == "flat":
-                _, curve = train(bundle.lmdp, bundle.goal_q, epochs, episodes,
-                                 seed, start_state=bundle.start_state,
-                                 max_steps=max_steps, step_scale=step_scale)
-            elif condition == "guided":
-                _, curve = train(bundle.lmdp, bundle.goal_q, epochs, episodes,
-                                 seed, stack=stack_template,
-                                 start_state=bundle.start_state,
-                                 max_steps=max_steps, step_scale=step_scale)
-            else:
-                raise InvalidSpec(f"unknown learning condition {condition!r}")
+            stack = stack_template if condition == "guided" else None
+            _, curve = train(bundle.lmdp, bundle.goal_q, epochs, episodes,
+                             seed, stack=stack, start_state=bundle.start_state,
+                             max_steps=max_steps, step_scale=step_scale)
             entries.extend((epoch, mean, se, condition, seed)
                            for epoch, mean, se in curve)
     out = _out_dir(args)

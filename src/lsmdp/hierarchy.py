@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .core import (
-    Desirability,
     Lmdp,
     PassiveDynamics,
     RewardModel,
@@ -110,7 +110,8 @@ class AugmentedMlmdp:
     block).  Its task basis is the base boundary-task columns plus one task
     per subtask state, solved over the augmented dynamics.  The top of a
     stack is a rung with zero subtasks: its LMDP and basis are the top
-    layer's own, and its subtask blocks are empty.
+    layer's own, and its subtask blocks are empty.  Below a terminated
+    layer, composites blend ``dead_desirabilities`` instead of the basis.
     """
 
     lmdp: Lmdp                      # augmented: boundary = base boundary + subtasks
@@ -121,7 +122,6 @@ class AugmentedMlmdp:
     subtask_rewards: np.ndarray     # (n_subtasks, n_subtasks) exponentiated block
     n_base_tasks: int
     n_base_boundary: int
-    penalty: float
     neutral_weights: np.ndarray     # subtask-task blend for inpainted reward 0
 
     @property
@@ -136,6 +136,16 @@ class AugmentedMlmdp:
         """
         lo = self.lmdp.n_interior + self.n_base_boundary
         return (lo, lo + self.n_subtasks)
+
+    @cached_property
+    def dead_desirabilities(self) -> np.ndarray:
+        """(n_interior, n_tasks) solves of the basis tasks with zero at every
+        subtask state, computed on first use.  The Bellman system is linear
+        in the boundary values, so a terminated composite blends these.
+        """
+        Q = self.basis.boundary_tasks.copy()
+        Q[self.n_base_boundary:] = 0.0
+        return solve_interior(self.lmdp, Q)
 
 
 def stack_subtask_kernel(passive: PassiveDynamics, weights: np.ndarray):
@@ -273,12 +283,11 @@ def augment(mlmdp: TaskBasis, structure: SubtaskStructure,
         subtask_rewards=Q_t,
         n_base_tasks=n_tasks,
         n_base_boundary=n_b,
-        penalty=penalty,
         neutral_weights=neutral,
     )
 
 
-def _top_layer(basis: TaskBasis, penalty: float) -> AugmentedMlmdp:
+def _top_layer(basis: TaskBasis) -> AugmentedMlmdp:
     """The top of a stack: a rung with no subtask states above it."""
     lmdp = basis.base
     return AugmentedMlmdp(
@@ -290,7 +299,6 @@ def _top_layer(basis: TaskBasis, penalty: float) -> AugmentedMlmdp:
         subtask_rewards=np.empty((0, 0)),
         n_base_tasks=basis.n_tasks,
         n_base_boundary=lmdp.n_boundary,
-        penalty=penalty,
         neutral_weights=np.empty(0),
     )
 
@@ -340,9 +348,9 @@ class HierarchyStack:
     """An ordered tower of layers plus per-episode execution state.
 
     Every layer is an AugmentedMlmdp; the top one has zero subtasks.  Layer
-    structures are immutable and shared between clones; weights, composite
-    desirabilities, live flags (one per subtask state), and termination
-    flags are per-clone.
+    structures, including their lazily solved dead-subtask bases, are
+    immutable and shared between clones; weights, composite desirabilities
+    and termination flags are per-clone.
     """
 
     layers: List[AugmentedMlmdp]
@@ -350,7 +358,6 @@ class HierarchyStack:
     penalty: float
     weights: List[Optional[TaskWeights]]
     z_full: List[Optional[np.ndarray]]
-    live: List[np.ndarray]
     terminated: List[bool]
     target: Optional[np.ndarray] = None  # boundary task set by set_task
 
@@ -365,7 +372,6 @@ class HierarchyStack:
             penalty=self.penalty,
             weights=list(self.weights),
             z_full=[None if z is None else z.copy() for z in self.z_full],
-            live=[f.copy() for f in self.live],
             terminated=list(self.terminated),
             target=None if self.target is None else self.target.copy(),
         )
@@ -390,29 +396,19 @@ class HierarchyStack:
             self._recompose(layer)
 
     def _recompose(self, layer: int) -> None:
-        """Refresh the layer's composite desirability from its weights."""
-        basis = self.layers[layer].basis
-        w = self.weights[layer].values
-        z_i = basis.desirabilities @ w
-        z_b = basis.boundary_tasks @ w
-        z = np.concatenate([z_i, z_b])
-        if not self.live[layer].all():
-            self._disable_dead_subtasks(layer, z)
-        self.z_full[layer] = z
+        """Refresh the layer's composite desirability from its weights.
 
-    def _disable_dead_subtasks(self, layer: int, z: np.ndarray) -> None:
-        """Zero desirability on dead subtask states and re-solve the interior.
-
-        Passive dynamics stay fixed; zero z removes the states' transition
-        mass through the policy tilt, and the interior must be re-solved
-        because the cached basis columns assumed positive values there.
+        Below a terminated layer the interior blends the dead-subtask basis
+        and the subtask states carry zero desirability.
         """
         entry = self.layers[layer]
-        lo, hi = entry.subtask_range
-        n_i = entry.lmdp.n_interior
-        dead = ~self.live[layer]
-        z[lo:hi][dead] = 0.0
-        z[:n_i] = solve_interior(entry.lmdp, z[n_i:])
+        w = self.weights[layer].values
+        dead = layer + 1 < self.depth and self.terminated[layer + 1]
+        Z = entry.dead_desirabilities if dead else entry.basis.desirabilities
+        z = np.concatenate([Z @ w, entry.basis.boundary_tasks @ w])
+        if dead:
+            z[slice(*entry.subtask_range)] = 0.0
+        self.z_full[layer] = z
 
     def apply_inpaint(self, layer: int, inpainted: np.ndarray) -> None:
         """Receive inpainted rewards from the layer above and re-blend."""
@@ -480,7 +476,7 @@ def build_stack(base: TaskBasis, structures: Sequence[SubtaskStructure],
         # the derived layer keeps the base boundary set, so it can reuse the
         # boundary-task matrix of the layer below unchanged
         current = build_task_basis(lmdp_next, current.boundary_tasks)
-    layers.append(_top_layer(current, penalty))
+    layers.append(_top_layer(current))
     depth = len(layers)
     return HierarchyStack(
         layers=layers,
@@ -488,7 +484,6 @@ def build_stack(base: TaskBasis, structures: Sequence[SubtaskStructure],
         penalty=penalty,
         weights=[None] * depth,
         z_full=[None] * depth,
-        live=[np.ones(entry.n_subtasks, dtype=bool) for entry in layers],
         terminated=[False] * depth,
     )
 
@@ -496,10 +491,11 @@ def build_stack(base: TaskBasis, structures: Sequence[SubtaskStructure],
 def terminate_layer(stack: HierarchyStack, layer: int) -> None:
     """Switch a layer off for the rest of the episode.
 
-    The layer below loses all transition mass into its subtask states: their
-    composite desirability is set to zero and its interior re-solved, so the
-    policy tilt can never select them again.  The base layer cannot be
-    terminated.
+    The layer below loses all transition mass into its subtask states: it
+    re-blends its weights over its dead-subtask basis, which puts zero
+    desirability on those states, so the policy tilt can never select them
+    again.  Nothing new is factored after the basis's one solve per layer.
+    The base layer cannot be terminated.
     """
     if not 0 <= layer < stack.depth:
         raise InvalidSpec(f"no layer {layer} in a depth-{stack.depth} stack")
@@ -508,7 +504,5 @@ def terminate_layer(stack: HierarchyStack, layer: int) -> None:
     if stack.terminated[layer]:
         raise AlreadyTerminated(f"layer {layer} already terminated")
     stack.terminated[layer] = True
-    below = layer - 1
-    stack.live[below][:] = False
-    if stack.z_full[below] is not None:
-        stack._recompose(below)
+    if stack.z_full[layer - 1] is not None:
+        stack._recompose(layer - 1)

@@ -162,9 +162,12 @@ def train(lmdp: Lmdp, goal_task: np.ndarray, epochs: int,
     comparable across conditions because both run on the same base rewards.
 
     Returns (LearningState, curve) where curve rows are
-    (epoch, mean_length, stderr).  ``episodes_per_epoch`` must be at least 1
-    and ``step_scale`` finite and positive, or InvalidSpec is raised.
+    (epoch, mean_length, stderr).  ``epochs`` and ``episodes_per_epoch``
+    must be at least 1 and ``step_scale`` finite and positive, or
+    InvalidSpec is raised.
     """
+    if epochs < 1:
+        raise InvalidSpec(f"epochs must be at least 1, got {epochs}")
     if episodes_per_epoch < 1:
         raise InvalidSpec(
             f"episodes_per_epoch must be at least 1, got {episodes_per_epoch}")

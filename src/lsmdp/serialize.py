@@ -170,8 +170,8 @@ def save_stack(stack: HierarchyStack, directory) -> None:
     """Write a stack as one document per layer plus a manifest.
 
     The manifest records layer order and kinds, kappa and penalty, the
-    normalized subtask access kernels as triples, per-layer live flags,
-    termination flags, and current task weights when a task is set.
+    normalized subtask access kernels as triples, termination flags and the
+    per-layer live flags they imply, and current task weights when set.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -192,9 +192,10 @@ def save_stack(stack: HierarchyStack, directory) -> None:
         "layer_files": layer_files,
         "layer_kinds": kinds,
         "subtask_kernels": kernels,
-        # the top layer has no subtask flags and records null
-        "live_subtasks": [[bool(v) for v in f] if len(f) else None
-                          for f in stack.live],
+        # a layer's subtasks die with the layer above; the top records null
+        "live_subtasks": [[not stack.terminated[k + 1]] * entry.n_subtasks
+                          if entry.n_subtasks else None
+                          for k, entry in enumerate(stack.layers)],
         "terminated": [bool(v) for v in stack.terminated],
         "task_weights": [None if w is None else [float(v) for v in w.values]
                          for w in stack.weights],

@@ -134,3 +134,18 @@ def passive_values(passive, n_interior, r_interior, r_terminal):
     P_i, P_b = P[:n_interior], P[n_interior:]
     return np.linalg.solve(np.eye(n_interior) - P_i.T,
                            np.asarray(r_interior) + P_b.T @ np.asarray(r_terminal))
+
+
+def first_exit_desirability(passive, n_interior, r_interior, temperature,
+                            q_boundary):
+    """Interior desirability of a first-exit LMDP for given boundary values.
+
+    Solves z = exp(r_i / lambda) * (P_i^T z + P_b^T q_b) over the interior
+    as one dense linear system on the (n_states, n_interior) passive kernel
+    (column = source).  q_boundary may be zero at some boundary states.
+    """
+    P = _dense(passive)
+    P_i, P_b = P[:n_interior], P[n_interior:]
+    q_i = np.exp(np.asarray(r_interior, dtype=np.float64) / temperature)
+    rhs = q_i * (P_b.T @ np.asarray(q_boundary, dtype=np.float64))
+    return np.linalg.solve(np.eye(n_interior) - q_i[:, None] * P_i.T, rhs)

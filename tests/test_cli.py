@@ -213,9 +213,15 @@ RING = {"type": "ring", "n_states": 12, "depth": 2}
     ("learn", dict(RING, learn={"max_steps": -5})),
     ("learn", dict(RING, learn={"episodes": 0})),
     ("learn", dict(RING, learn={"step_scale": 0})),
+    ("learn", dict(RING, learn={"epochs": 0})),
+    ("learn", dict(RING, learn={"n_seeds": 0})),
+    ("learn", dict(RING, learn={"conditions": []})),
+    ("learn", dict(RING, learn={"conditions": ["flat", "random"]})),
 ], ids=["ring-size-string", "goal-string", "top-level-list", "arm-bins-string",
         "max-steps-string", "learn-epochs-string", "max-steps-zero",
-        "learn-max-steps-negative", "learn-episodes-zero", "learn-step-scale-zero"])
+        "learn-max-steps-negative", "learn-episodes-zero", "learn-step-scale-zero",
+        "learn-epochs-zero", "learn-seeds-zero", "learn-conditions-empty",
+        "learn-conditions-unknown"])
 def test_malformed_config_values(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path / "cfg.json", doc)
     assert main([command, "--domain", cfg,

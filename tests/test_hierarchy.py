@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsmdp import (
     PassiveDynamics,
@@ -27,6 +29,7 @@ from lsmdp import (
     solve_interior,
     terminate_layer,
 )
+from lsmdp import core
 from lsmdp.domains import GridSpec
 from lsmdp.errors import (
     AlreadyTerminated,
@@ -40,6 +43,7 @@ from lsmdp.errors import (
 from lsmdp.serialize import save_stack
 
 import oracles
+from conftest import four_rooms_setting
 
 
 def base_chain(n_interior=5, seed=43):
@@ -145,9 +149,10 @@ def test_augment_extends_boundary_and_tasks():
     np.testing.assert_array_equal(
         aug.basis.boundary_tasks[:aug.n_base_boundary, :aug.n_base_tasks],
         np.ones((1, 1)))
-    # subtask boundary twins carry the access penalty
+    # subtask boundary twins carry the default access penalty, -5 lambda
     np.testing.assert_allclose(
-        aug.lmdp.rewards.boundary[aug.n_base_boundary:], aug.penalty)
+        aug.lmdp.rewards.boundary[aug.n_base_boundary:],
+        -5.0 * aug.lmdp.rewards.temperature)
 
 
 def test_augment_rejects_wrong_width():
@@ -289,7 +294,7 @@ def test_own_reward_column_selects_own_task():
     aug = stack.layers[0]
     lam = aug.lmdp.rewards.temperature
     for t in range(aug.n_subtasks):
-        r_t = np.full(aug.n_subtasks, aug.penalty)
+        r_t = np.full(aug.n_subtasks, stack.penalty)
         r_t[t] = 0.0
         assert np.allclose(np.exp(r_t / lam), aug.subtask_rewards[:, t])
         w = rewards_to_task_weights(aug, r_t, stack.weights[0])
@@ -364,10 +369,12 @@ def test_policy_state_requires_task(chain5):
 
 def test_clone_isolates_execution_state():
     template = corridor_stack()
+    before = template.z_full[0].copy()
     clone = template.clone()
     terminate_layer(clone, 1)
-    assert clone.terminated[1] and not template.terminated[1]
-    assert not clone.live[0].any() and template.live[0].all()
+    assert clone.terminated == [False, True]
+    assert template.terminated == [False, False]
+    np.testing.assert_array_equal(template.z_full[0], before)
     lo, hi = template.layers[0].subtask_range
     assert (template.z_full[0][lo:hi] > 0).all()
     assert (clone.z_full[0][lo:hi] == 0).all()
@@ -402,6 +409,92 @@ def test_top_layer_termination_reduces_to_flat_blend():
     np.testing.assert_allclose(stack.z_full[0][:aug.lmdp.n_interior], expected,
                                rtol=0, atol=1e-12)
     assert not np.allclose(before, stack.z_full[0])
+
+
+def test_termination_does_not_factor(monkeypatch):
+    template = corridor_stack()
+    factorized = []
+    real = core._factorize
+
+    def counting(*args):
+        factorized.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, "_factorize", counting)
+    first = template.clone()
+    terminate_layer(first, 1)
+    assert len(factorized) == 1  # the layer's dead-subtask basis
+    second = template.clone()
+    terminate_layer(second, 1)
+    second.apply_inpaint(0, np.zeros(second.layers[0].n_subtasks))
+    assert len(factorized) == 1
+    np.testing.assert_array_equal(second.z_full[0], first.z_full[0])
+
+
+def assert_terminated_composite(stack, layer):
+    """The composite of the layer below a terminated one against the oracle.
+
+    It must equal a dense first-exit solve with the blended boundary values
+    zeroed at the subtask states, entry by entry (the smallest entries are
+    the ones a cancelling formula gets wrong), be exactly zero there and
+    nonnegative everywhere, and tilt every interior column into a
+    distribution.
+    """
+    below = layer - 1
+    entry = stack.layers[below]
+    lmdp, z = stack.policy_state(below)
+    n_i = lmdp.n_interior
+    lo, hi = entry.subtask_range
+    q_b = entry.basis.boundary_tasks @ stack.weights[below].values
+    q_b[lo - n_i:hi - n_i] = 0.0
+    expected = oracles.first_exit_desirability(
+        lmdp.passive.full_matrix, n_i, lmdp.rewards.interior,
+        lmdp.rewards.temperature, q_b)
+    np.testing.assert_allclose(z[:n_i], expected, rtol=1e-12, atol=0)
+    assert (z[lo:hi] == 0).all()
+    assert (z >= 0).all()
+    for s in range(n_i):
+        _, probs = policy_column(lmdp, z, s)
+        assert abs(probs.sum() - 1.0) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from([(9, 2), (12, 2), (27, 3)]),
+       temperature=st.sampled_from([1.0, 0.1]),
+       seed=st.integers(0, 2**32 - 1), n_inpaints=st.integers(0, 6))
+def test_terminated_composite_matches_dense_oracle(shape, temperature, seed,
+                                                   n_inpaints):
+    rng = np.random.default_rng(seed)
+    n_states, depth = shape
+    lmdp, structures, tasks = make_ring(RingSpec(
+        n_states, subtask_spacing=3, depth=depth, temperature=temperature))
+    stack = build_stack(build_task_basis(lmdp, tasks), structures)
+    n_b = stack.layers[0].n_base_boundary
+    target = np.exp(rng.uniform(-6.0, -1.0, n_b))
+    target[rng.integers(n_b)] = 1.0
+    stack.set_task(target)
+    layer = int(rng.integers(1, stack.depth))
+    at = int(rng.integers(n_inpaints + 1))  # inpaints before the termination
+    for k in range(n_inpaints):
+        if k == at:
+            terminate_layer(stack, layer)
+        below = int(rng.integers(stack.depth - 1))
+        r_t = stack.kappa * rng.uniform(-1.0, 1.0, stack.layers[below].n_subtasks)
+        stack.apply_inpaint(below, r_t)
+    if not stack.terminated[layer]:
+        terminate_layer(stack, layer)
+    assert_terminated_composite(stack, layer)
+
+
+@pytest.mark.parametrize("temperature", [0.5, 0.2, 0.1])
+def test_terminated_four_rooms_matches_dense_oracle(temperature):
+    # at low temperature the composite spans up to 100 orders of magnitude;
+    # subtracting the subtask part from the live blend leaves negative and
+    # wildly wrong small entries there
+    _, stack, goal_q, _, _ = four_rooms_setting(temperature=temperature)
+    stack.set_task(goal_q)
+    terminate_layer(stack, 1)
+    assert_terminated_composite(stack, 1)
 
 
 def test_double_termination_rejected():

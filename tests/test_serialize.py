@@ -14,6 +14,7 @@ from lsmdp import (
     make_grid,
     run_episode,
     solve_direct,
+    terminate_layer,
 )
 from lsmdp.errors import InvalidSpec
 from lsmdp.serialize import (
@@ -245,16 +246,21 @@ def test_stack_directory_contents(tmp_path):
     lmdp, structure, goal_q = make_grid(spec, [(0, 1), (0, 4), (0, 7)], (0, 8))
     basis = build_task_basis(
         lmdp, boundary_goal_tasks(lmdp.n_boundary, spec.temperature))
-    stack = build_stack(basis, [structure])
-    stack.set_task(goal_q)
-    save_stack(stack, tmp_path / "stack")
-    names = sorted(p.name for p in (tmp_path / "stack").iterdir())
-    assert names == ["layer_0.json", "layer_1.json", "manifest.json"]
-    manifest = json.loads((tmp_path / "stack" / "manifest.json").read_text())
-    assert manifest["depth"] == 2
-    assert manifest["layer_kinds"] == ["augmented", "top"]
-    assert manifest["terminated"] == [False, False]
-    assert len(manifest["task_weights"][0]) == stack.weights[0].values.shape[0]
-    assert manifest["live_subtasks"][0] == [True, True, True]
-    assert manifest["live_subtasks"][1] is None
-    assert len(manifest["subtask_kernels"]) == 1
+    # a live stack, then one whose top layer has terminated
+    for terminated in (False, True):
+        stack = build_stack(basis, [structure])
+        stack.set_task(goal_q)
+        if terminated:
+            terminate_layer(stack, 1)
+        directory = tmp_path / f"stack-{terminated}"
+        save_stack(stack, directory)
+        names = sorted(p.name for p in directory.iterdir())
+        assert names == ["layer_0.json", "layer_1.json", "manifest.json"]
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert manifest["depth"] == 2
+        assert manifest["layer_kinds"] == ["augmented", "top"]
+        assert manifest["terminated"] == [False, terminated]
+        assert len(manifest["task_weights"][0]) == stack.weights[0].values.shape[0]
+        assert manifest["live_subtasks"][0] == [not terminated] * 3
+        assert manifest["live_subtasks"][1] is None
+        assert len(manifest["subtask_kernels"]) == 1
