@@ -29,7 +29,6 @@ from .multitask import (
     BLEND_METHODS,
     TaskBasis,
     TaskWeights,
-    blend_weights,
     blend_weights_matrix,
     build_task_basis,
     compose_desirability,

@@ -7,7 +7,7 @@ the N tasks over the full ring.  The hierarchical condition augments the
 ring with subtasks every M = max(2, ceil(ln N)) positions, derives the layer
 above, and repeats until fewer than two subtasks fit; each level solves its
 own reach tasks (one per interior state, plus one per subtask state) with a
-per-task sweep budget of cap_multiplier * M.  The per-step costs scale with
+per-task sweep budget of CAP_MULTIPLIER * M.  The per-step costs scale with
 N (temperature N/12, exit probability 1/N), so flat sweep counts grow
 roughly like N^2 while the hierarchy stays near linear in total work.
 
@@ -25,14 +25,14 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .core import (SOLVE_BLOCK, Lmdp, PassiveDynamics, RewardModel,
-                   StatePartition, build_lmdp, z_iterate)
+from .core import (DEFAULT_TOL, SOLVE_BLOCK, Lmdp, PassiveDynamics,
+                   RewardModel, StatePartition, build_lmdp, z_iterate)
 from .domains import ring_passive
 from .errors import InvalidSpec
 from .hierarchy import absorption_dynamics, stack_subtask_kernel
 
 RING_STEP_PROB = 0.3
-DEFAULT_CAP_MULTIPLIER = 3
+CAP_MULTIPLIER = 3
 ACCESS_WEIGHT = 0.25
 
 
@@ -75,16 +75,14 @@ def _count_tasks(lmdp: Lmdp, task_rows: Sequence[int], tol: float,
     return total, nnz
 
 
-def flat_counts(n: int, tol: float = 1e-10) -> Tuple[int, int]:
+def flat_counts(n: int, tol: float = DEFAULT_TOL) -> Tuple[int, int]:
     """Sweeps and nonzeros to solve all n reach tasks on the flat ring."""
     passive = ring_passive(n, RING_STEP_PROB, 1.0 / n)
     lmdp = _level_lmdp(passive, n / 12.0)
     return _count_tasks(lmdp, range(n), tol, max_iter=10 ** 7)
 
 
-def hierarchical_counts(n: int, tol: float = 1e-10,
-                        cap_multiplier: int = DEFAULT_CAP_MULTIPLIER
-                        ) -> Tuple[int, int]:
+def hierarchical_counts(n: int, tol: float = DEFAULT_TOL) -> Tuple[int, int]:
     """Sweeps and nonzeros across all levels of the subtask tower.
 
     Level interiors shrink by the spacing factor M each time; interior state
@@ -96,7 +94,7 @@ def hierarchical_counts(n: int, tol: float = 1e-10,
     M = spacing_for(N)
     if N <= M:
         return flat_counts(N, tol)
-    cap = cap_multiplier * M
+    cap = CAP_MULTIPLIER * M
     total, nnz = 0, 0
     passive = ring_passive(N, RING_STEP_PROB, 1.0 / N)
     n_base_boundary = N
@@ -131,9 +129,11 @@ def hierarchical_counts(n: int, tol: float = 1e-10,
     return total, nnz
 
 
-def ring_scaling(sizes: Sequence[int], tol: float = 1e-10,
-                 cap_multiplier: int = DEFAULT_CAP_MULTIPLIER):
-    """Run both conditions over the given ring sizes.
+def ring_scaling(sizes: Sequence[int], tol: float = DEFAULT_TOL):
+    """Run both conditions over the given ring sizes at tolerance ``tol``.
+
+    Sweep budgets are fixed: 10^7 per flat task, CAP_MULTIPLIER * M per
+    hierarchical one.  A negative or NaN ``tol`` raises InvalidSpec.
 
     Returns (rows, slopes): one BenchRow per (size, condition) and, when at
     least two distinct sizes are given, the log-log regression slopes of
@@ -148,7 +148,7 @@ def ring_scaling(sizes: Sequence[int], tol: float = 1e-10,
     for n in sizes:
         it, nz = flat_counts(n, tol)
         rows.append(BenchRow(n, "flat", it, nz))
-        it, nz = hierarchical_counts(n, tol, cap_multiplier)
+        it, nz = hierarchical_counts(n, tol)
         rows.append(BenchRow(n, "hierarchical", it, nz))
     slopes: Dict[str, float] = {}
     if len(set(sizes)) >= 2:

@@ -22,14 +22,14 @@ import numpy as np
 
 from . import serialize
 from .bench import ring_scaling
-from .core import Lmdp, solve_direct, z_iterate
+from .core import DEFAULT_MAX_ITER, DEFAULT_TOL, Lmdp, solve_direct, z_iterate
 from .domains import (ArmSpec, RingSpec, boundary_goal_tasks, four_rooms_map,
                       goal_task_vector, grid_from_ascii, make_arm, make_grid,
                       make_ring)
 from .errors import BlockedCell, ConfigError, InvalidSpec, NumericalError
 from .executor import run_episode
 from .hierarchy import SubtaskStructure, build_stack
-from .learning import train
+from .learning import DEFAULT_STEP_SCALE, train
 from .multitask import build_task_basis, solve_novel_task
 
 EXIT_OK = 0
@@ -284,7 +284,7 @@ def cmd_learn(args) -> int:
         episodes = int(params.get("episodes", 10))
         n_seeds = int(params.get("n_seeds", 1))
         max_steps = _optional_int(params, "max_steps")
-        step_scale = float(params.get("step_scale", 50.0))
+        step_scale = float(params.get("step_scale", DEFAULT_STEP_SCALE))
         conditions = params.get("conditions", ["flat", "guided"])
         if n_seeds < 1:
             raise InvalidSpec(f"learn.n_seeds must be at least 1, got {n_seeds}")
@@ -314,7 +314,11 @@ def cmd_learn(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
+    try:
+        sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise InvalidSpec(f"--sizes must be comma-separated integers, "
+                          f"got {args.sizes!r}") from exc
     rows, slopes = ring_scaling(sizes, tol=args.tol)
     out = _out_dir(args)
     serialize.save_text(out / "scaling.csv", serialize.scaling_csv(rows))
@@ -346,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one LMDP for its desirability")
     common(p)
     p.add_argument("--method", choices=["direct", "z-iter"], default="direct")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=1_000_000)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
 
     p = sub.add_parser("blend", help="compose a novel task from a basis")
     common(p)
@@ -372,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, domain=False)
     p.add_argument("--sizes", required=True,
                    help="comma-separated ring sizes, e.g. 16,32,64")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     return parser
 
 

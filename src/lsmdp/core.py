@@ -88,9 +88,6 @@ class StatePartition:
     def n_states(self) -> int:
         return self.n_interior + self.n_boundary
 
-    def is_boundary(self, state: int) -> bool:
-        return state >= self.n_interior
-
     def label(self, state: int) -> str:
         if self.labels is not None:
             return str(self.labels[state])
@@ -415,10 +412,13 @@ def z_iterate(lmdp: Lmdp, q_boundary: np.ndarray, z0: Optional[np.ndarray] = Non
 
     Returns (z, iterations, converged): the iterates, the total number of
     column-sweeps (the sum of the per-column counts; for a vector, the sweeps
-    applied), and whether every column converged.  Non-finite inputs raise
+    applied), and whether every column converged.  Non-finite inputs and a
+    tol that is negative or NaN (no column could ever meet it) raise
     InvalidSpec; an iterate that goes non-finite (the iteration diverges)
     raises SingularSystem naming the columns.
     """
+    if not tol >= 0:
+        raise InvalidSpec(f"tol must be nonnegative, got {tol}")
     q_boundary = _boundary_values(lmdp, q_boundary)
     shape = (lmdp.n_interior,) + q_boundary.shape[1:]
     if z0 is not None:

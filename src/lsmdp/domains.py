@@ -28,22 +28,19 @@ DEFAULT_EXIT_PROB = 0.2
 DEFAULT_ACCESS_WEIGHT = 0.25
 
 
-def boundary_goal_tasks(n_boundary: int, temperature: float,
-                        penalty: Optional[float] = None) -> np.ndarray:
+def boundary_goal_tasks(n_boundary: int, temperature: float) -> np.ndarray:
     """One task per boundary twin: reward 0 there, penalty everywhere else."""
-    if penalty is None:
-        penalty = BASIS_PENALTY_SCALE * temperature
+    penalty = BASIS_PENALTY_SCALE * temperature
     off = math.exp(penalty / temperature)
     Q = np.full((n_boundary, n_boundary), off)
     np.fill_diagonal(Q, 1.0)
     return Q
 
 
-def goal_task_vector(n_boundary: int, goal_index: int, temperature: float,
-                     penalty: Optional[float] = None) -> np.ndarray:
+def goal_task_vector(n_boundary: int, goal_index: int,
+                     temperature: float) -> np.ndarray:
     """Exponentiated boundary reward for a single-goal task."""
-    if penalty is None:
-        penalty = GOAL_PENALTY_SCALE * temperature
+    penalty = GOAL_PENALTY_SCALE * temperature
     q = np.full(n_boundary, math.exp(penalty / temperature))
     q[goal_index] = 1.0
     return q

@@ -52,10 +52,6 @@ class HierarchicalTrajectory:
     def length(self) -> int:
         return len(self.states) - 1
 
-    @property
-    def completed(self) -> bool:
-        return not self.truncated
-
 
 def _transmit(stack: HierarchyStack, layer: int, entry: int) -> np.ndarray:
     """Inpainted rewards a layer sends down, from its current policy column."""

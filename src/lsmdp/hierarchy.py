@@ -119,14 +119,24 @@ class AugmentedMlmdp:
     to_interior: sp.csc_matrix      # renormalized blocks of the stacked kernel
     to_boundary: sp.csc_matrix      # base-boundary rows only
     to_subtasks: sp.csc_matrix
-    subtask_rewards: np.ndarray     # (n_subtasks, n_subtasks) exponentiated block
-    n_base_tasks: int
-    n_base_boundary: int
     neutral_weights: np.ndarray     # subtask-task blend for inpainted reward 0
 
     @property
     def n_subtasks(self) -> int:
         return self.to_subtasks.shape[0]
+
+    @property
+    def n_base_tasks(self) -> int:
+        return self.basis.n_tasks - self.n_subtasks
+
+    @property
+    def n_base_boundary(self) -> int:
+        return self.lmdp.n_boundary - self.n_subtasks
+
+    @property
+    def subtask_rewards(self) -> np.ndarray:
+        """(n_subtasks, n_subtasks) exponentiated block of the subtask tasks."""
+        return self.basis.boundary_tasks[self.n_base_boundary:, self.n_base_tasks:]
 
     @property
     def subtask_range(self):
@@ -210,25 +220,22 @@ def _as_csc_block(matrix) -> sp.csc_matrix:
 
 
 def augment(mlmdp: TaskBasis, structure: SubtaskStructure,
-            subtask_rewards: Optional[np.ndarray] = None,
-            penalty: Optional[float] = None,
-            fill_penalty: Optional[float] = None) -> AugmentedMlmdp:
+            penalty: Optional[float] = None) -> AugmentedMlmdp:
     """Append subtask states to a multitask layer.
 
     The stacked kernel [to_interior; to_boundary; weights] is renormalized
-    columnwise.  Subtask tasks default to reward 0 at their own state and
+    columnwise.  Each subtask task has reward 0 at its own state and
     ``penalty`` (default -5 * lambda) at the other subtask states.  The
     cross blocks of the combined task matrix (base tasks at subtask states,
     subtask tasks at boundary twins) are filled with the much steeper
-    ``fill_penalty`` (default -20 * lambda), kept strictly positive so
-    every basis column stays a valid exponentiated reward.
+    reward AUGMENT_FILL_SCALE * lambda, kept strictly positive so every
+    basis column stays a valid exponentiated reward.
     """
     base = mlmdp.base
     lam = base.rewards.temperature
     if penalty is None:
         penalty = DEFAULT_SUBTASK_PENALTY_SCALE * lam
-    if fill_penalty is None:
-        fill_penalty = AUGMENT_FILL_SCALE * lam
+    fill_penalty = AUGMENT_FILL_SCALE * lam
     W = structure.weights
     if W.shape[1] != base.n_interior:
         raise DimensionMismatch(
@@ -242,14 +249,7 @@ def augment(mlmdp: TaskBasis, structure: SubtaskStructure,
     n_i, n_b = base.n_interior, base.n_boundary
     n_t = structure.n_subtasks
 
-    if subtask_rewards is None:
-        Q_t = default_subtask_rewards(n_t, penalty, lam)
-    else:
-        Q_t = np.asarray(subtask_rewards, dtype=np.float64)
-        if Q_t.shape != (n_t, n_t):
-            raise DimensionMismatch(f"subtask rewards shape {Q_t.shape}, expected {(n_t, n_t)}")
-        if not np.isfinite(Q_t).all() or Q_t.min() <= 0:
-            raise InvalidSpec("subtask rewards must be strictly positive (exponentiated)")
+    Q_t = default_subtask_rewards(n_t, penalty, lam)
 
     labels = None
     if base.partition.labels is not None:
@@ -280,9 +280,6 @@ def augment(mlmdp: TaskBasis, structure: SubtaskStructure,
         to_interior=to_interior.tocsc(),
         to_boundary=to_boundary.tocsc(),
         to_subtasks=to_subtasks.tocsc(),
-        subtask_rewards=Q_t,
-        n_base_tasks=n_tasks,
-        n_base_boundary=n_b,
         neutral_weights=neutral,
     )
 
@@ -296,9 +293,6 @@ def _top_layer(basis: TaskBasis) -> AugmentedMlmdp:
         to_interior=lmdp.passive.to_interior,
         to_boundary=lmdp.passive.to_boundary,
         to_subtasks=sp.csc_matrix((0, lmdp.n_interior)),
-        subtask_rewards=np.empty((0, 0)),
-        n_base_tasks=basis.n_tasks,
-        n_base_boundary=lmdp.n_boundary,
         neutral_weights=np.empty(0),
     )
 
@@ -430,35 +424,31 @@ class HierarchyStack:
 
 def build_stack(base: TaskBasis, structures: Sequence[SubtaskStructure],
                 kappa: Optional[float] = None,
-                penalty: Optional[float] = None,
-                interior_reward: float = -1.0,
-                temperatures: Optional[Sequence[float]] = None) -> HierarchyStack:
+                penalty: Optional[float] = None) -> HierarchyStack:
     """Assemble a depth len(structures)+1 tower of layers.
 
     Each structure augments the current layer; the layer above lives on the
     subtask states with absorption-derived passive dynamics, keeps the base
-    boundary set, inherits the boundary-task matrix, and charges a constant
-    ``interior_reward`` per step.  ``temperatures`` optionally overrides the
-    derived layers' temperature (one entry per derived layer).
+    boundary set and temperature, inherits the boundary-task matrix, and
+    charges reward -1 per step.  ``kappa`` (default lambda) scales inpainted
+    rewards and must be finite; ``penalty`` defaults to -5 * lambda.
     """
     lam0 = base.base.rewards.temperature
     if kappa is None:
         kappa = lam0
+    if not np.isfinite(kappa):
+        raise InvalidSpec(f"kappa must be finite, got {kappa}")
     if penalty is None:
         penalty = DEFAULT_SUBTASK_PENALTY_SCALE * lam0
-    if temperatures is not None and len(temperatures) != len(structures):
-        raise DimensionMismatch("one temperature per derived layer required")
 
     layers: List[AugmentedMlmdp] = []
     current = base
-    for level, structure in enumerate(structures):
+    for structure in structures:
         aug = augment(current, structure, penalty=penalty)
         layers.append(aug)
         to_i, to_b = absorption_dynamics(aug.to_interior, aug.to_boundary,
                                          aug.to_subtasks)
         n_next = structure.n_subtasks
-        lam_next = (temperatures[level] if temperatures is not None
-                    else current.base.rewards.temperature)
         labels = None
         if structure.labels is not None:
             bound_labels = tuple(
@@ -467,11 +457,8 @@ def build_stack(base: TaskBasis, structures: Sequence[SubtaskStructure],
             )
             labels = tuple(structure.labels) + bound_labels
         partition = StatePartition(n_next, aug.n_base_boundary, labels)
-        rewards = RewardModel(
-            np.full(n_next, interior_reward),
-            current.base.rewards.boundary,
-            lam_next,
-        )
+        rewards = RewardModel(np.full(n_next, -1.0), current.base.rewards.boundary,
+                              current.base.rewards.temperature)
         lmdp_next = build_lmdp(partition, PassiveDynamics(to_i, to_b), rewards)
         # the derived layer keeps the base boundary set, so it can reuse the
         # boundary-task matrix of the layer below unchanged

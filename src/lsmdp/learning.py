@@ -42,13 +42,12 @@ class LearningState:
 
 
 def z_learning_step(learner: LearningState, state: int, reward: float,
-                    next_state: int, temperature: float,
-                    alpha: Optional[float] = None) -> float:
+                    next_state: int, temperature: float) -> float:
     """One stochastic backup from a sampled transition.
 
-    z(s) <- (1 - a) z(s) + a exp(r(s)/lambda) z(s'), with a from the visit
-    schedule unless given explicitly.  Both execution conditions funnel
-    every sampled transition through here.
+    z(s) <- (1 - a) z(s) + a exp(r(s)/lambda) z(s'), with the step size
+    a = c / (c + visits(s)) from the learner's visit schedule.  Both
+    execution conditions funnel every sampled transition through here.
 
     Parameters
     ----------
@@ -62,8 +61,6 @@ def z_learning_step(learner: LearningState, state: int, reward: float,
         Sampled successor (interior or boundary, global index).
     temperature : float
         Reward-to-desirability scale lambda.
-    alpha : float, optional
-        Fixed step size overriding the visit schedule.
 
     Returns
     -------
@@ -75,7 +72,7 @@ def z_learning_step(learner: LearningState, state: int, reward: float,
         z_next = learner.z_interior[next_state]
     else:
         z_next = learner.boundary_values[next_state - n_i]
-    a = learner.alpha(state) if alpha is None else alpha
+    a = learner.alpha(state)
     learner.z_interior[state] = (1.0 - a) * learner.z_interior[state] \
         + a * math.exp(reward / temperature) * z_next
     learner.visits[state] += 1

@@ -98,11 +98,6 @@ def blend_weights_matrix(task_matrix: np.ndarray, target: np.ndarray,
     return TaskWeights(np.asarray(w, dtype=np.float64), float(residual))
 
 
-def blend_weights(basis: TaskBasis, target: np.ndarray, method: str = "nnls") -> TaskWeights:
-    """Fit nonnegative weights over the basis's boundary-task columns."""
-    return blend_weights_matrix(basis.boundary_tasks, target, method=method)
-
-
 def compose_desirability(basis: TaskBasis, weights: TaskWeights) -> Desirability:
     """Combine cached solutions: z = Z_i w interior, Q_b w boundary.
 
@@ -123,5 +118,5 @@ def compose_desirability(basis: TaskBasis, weights: TaskWeights) -> Desirability
 def solve_novel_task(basis: TaskBasis, target: np.ndarray,
                      method: str = "nnls"):
     """Blend then compose; returns (Desirability, TaskWeights)."""
-    weights = blend_weights(basis, target, method=method)
+    weights = blend_weights_matrix(basis.boundary_tasks, target, method=method)
     return compose_desirability(basis, weights), weights

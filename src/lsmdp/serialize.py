@@ -72,14 +72,15 @@ def lmdp_from_dict(doc: dict) -> Lmdp:
         lam = float(doc["lambda"])
         r_i = np.asarray(doc["r_i"], dtype=np.float64)
         r_b = np.asarray(doc["r_b"], dtype=np.float64)
-        triples = doc["passive"]
-    except (KeyError, TypeError, ValueError) as exc:
+        labels = tuple(doc["labels"]) if "labels" in doc else None
+        triples = [(int(entry[0]), int(entry[1]), float(entry[2]))
+                   for entry in doc["passive"]]
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed LMDP document: {exc}") from exc
-    labels = tuple(doc["labels"]) if "labels" in doc else None
     rows_i, cols_i, vals_i = [], [], []
     rows_b, cols_b, vals_b = [], [], []
     for entry in triples:
-        src, dst, p = int(entry[0]), int(entry[1]), float(entry[2])
+        src, dst, p = entry
         if not (0 <= src < n_i and 0 <= dst < n_i + n_b):
             raise InvalidSpec(f"passive triple {entry} out of range")
         if dst < n_i:
@@ -144,22 +145,6 @@ def read_json(path) -> dict:
 def save_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-def save_lmdp(path, lmdp: Lmdp) -> None:
-    write_json(path, lmdp_to_dict(lmdp))
-
-
-def load_lmdp(path) -> Lmdp:
-    return lmdp_from_dict(read_json(path))
-
-
-def save_basis(path, basis: TaskBasis) -> None:
-    write_json(path, basis_to_dict(basis))
-
-
-def load_basis(path) -> TaskBasis:
-    return basis_from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------

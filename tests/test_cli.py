@@ -200,6 +200,9 @@ def test_blocked_start_cell(tmp_path):
 
 
 RING = {"type": "ring", "n_states": 12, "depth": 2}
+# a one-state corridor to a single exit
+LMDP = {"n_interior": 1, "n_boundary": 1, "lambda": 1.0, "r_i": [-1.0],
+        "r_b": [0.0], "passive": [[0, 1, 1.0]]}
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -217,11 +220,16 @@ RING = {"type": "ring", "n_states": 12, "depth": 2}
     ("learn", dict(RING, learn={"n_seeds": 0})),
     ("learn", dict(RING, learn={"conditions": []})),
     ("learn", dict(RING, learn={"conditions": ["flat", "random"]})),
+    ("solve", {"type": "lmdp", "lmdp": dict(LMDP, labels=5)}),
+    ("solve", {"type": "lmdp", "lmdp": dict(LMDP, passive=[[0, 1]])}),
+    ("solve", {"type": "lmdp", "lmdp": dict(LMDP, passive=[[0, 1, "x"]])}),
+    ("solve", {"type": "lmdp", "lmdp": dict(LMDP, passive=7)}),
 ], ids=["ring-size-string", "goal-string", "top-level-list", "arm-bins-string",
         "max-steps-string", "learn-epochs-string", "max-steps-zero",
         "learn-max-steps-negative", "learn-episodes-zero", "learn-step-scale-zero",
         "learn-epochs-zero", "learn-seeds-zero", "learn-conditions-empty",
-        "learn-conditions-unknown"])
+        "learn-conditions-unknown", "lmdp-labels-int", "lmdp-triple-short",
+        "lmdp-triple-string", "lmdp-passive-int"])
 def test_malformed_config_values(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path / "cfg.json", doc)
     assert main([command, "--domain", cfg,
@@ -250,6 +258,28 @@ def test_every_error_is_config_or_numerical():
                       "EmptyTarget", "NoTaskSet", "CannotTerminateBase",
                       "AlreadyTerminated"}
     assert len(classes) == 18
+
+
+@pytest.mark.parametrize("argv", [
+    ["stack", "--kappa", "nan"],
+    ["stack", "--kappa", "inf"],
+    ["simulate", "--kappa", "nan"],
+    ["simulate", "--kappa", "inf"],
+    ["solve", "--method", "z-iter", "--tol", "-1"],
+    ["solve", "--method", "z-iter", "--tol", "nan"],
+    ["bench", "--sizes", "8", "--tol", "-1"],
+    ["bench", "--sizes", "abc"],
+    ["bench", "--sizes", "8,x"],
+], ids=["stack-kappa-nan", "stack-kappa-inf", "simulate-kappa-nan",
+        "simulate-kappa-inf", "solve-tol-negative", "solve-tol-nan",
+        "bench-tol-negative", "bench-sizes-word", "bench-sizes-partial"])
+def test_malformed_arguments(tmp_path, capsys, ring_config, argv):
+    if argv[0] != "bench":
+        argv = argv + ["--domain", ring_config]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (out / "manifest.json").exists()
 
 
 def test_blend_needs_a_target(tmp_path, chain_config):

@@ -376,6 +376,12 @@ def test_block_iteration_matches_columnwise_iteration(seed, n_tasks, cut_budget,
     assert converged == all(flags)
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan")])
+def test_z_iterate_rejects_a_tolerance_no_column_can_meet(chain5, tol):
+    with pytest.raises(InvalidSpec):
+        z_iterate(chain5, chain5.q_boundary, tol=tol, max_iter=10)
+
+
 def test_z_iterate_rejects_wrong_shapes(chain5):
     with pytest.raises(DimensionMismatch):
         z_iterate(chain5, np.ones(3))
@@ -580,7 +586,7 @@ def test_control_cost_scales_with_temperature():
     for scale in (1.0, 2.0):
         lmdp, stack = ring_stack(scale)
         traj = run_episode(stack, 0, np.random.default_rng(3))
-        assert traj.completed
+        assert not traj.truncated
         lam, n_i = lmdp.rewards.temperature, lmdp.n_interior
         P = lmdp.passive.full_matrix.toarray()
         A = oracles.tilted_policy(P, stack.z_full[0])
@@ -610,7 +616,7 @@ def test_optimal_policy_beats_passive_on_average():
     n = 4000
     for s in (0, 4, 7):
         trajectories = [run_episode(stack, s, rng) for _ in range(n)]
-        assert all(traj.completed for traj in trajectories)
+        assert not any(traj.truncated for traj in trajectories)
         returns = np.array([traj.total_return for traj in trajectories])
         stderr = returns.std(ddof=1) / math.sqrt(n)
         assert abs(returns.mean() - values[s]) < 4 * stderr

@@ -91,7 +91,7 @@ def test_flat_stack_reproduces_direct_rollout():
         assert traj.states == states
         assert traj.total_return == pytest.approx(total, rel=1e-9, abs=1e-9)
         assert traj.events == [] and traj.weight_log == []
-        assert traj.completed and traj.length == len(states) - 1
+        assert not traj.truncated and traj.length == len(states) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def test_omniscient_hierarchy_reaches_goal_quickly(rooms, rooms_trajectories):
                             (10, 0), (0, 10))
     assert bfs == 20
     lengths = [t.length for t in rooms_trajectories]
-    assert all(t.completed for t in rooms_trajectories)
+    assert not any(t.truncated for t in rooms_trajectories)
     assert np.mean(lengths) <= 2 * bfs
 
 
@@ -285,7 +285,7 @@ def test_inpainted_reward_shifts_the_map(rooms):
 def test_truncation_and_bad_start(rooms):
     lmdp, stack, spec, start = tasked_rooms(rooms)
     traj = run_episode(stack, start, np.random.default_rng(0), max_steps=1)
-    assert traj.truncated and not traj.completed
+    assert traj.truncated
     assert traj.length <= 1
     with pytest.raises(InvalidSpec):
         run_episode(stack, lmdp.n_interior, np.random.default_rng(0))

@@ -35,18 +35,10 @@ def ring20():
 # the update rule
 
 
-def test_zero_step_changes_nothing_but_visits():
-    learner = fresh_learner(3, [1.0])
-    before = learner.z_interior.copy()
-    z = z_learning_step(learner, 1, -1.0, 2, 1.0, alpha=0.0)
-    np.testing.assert_array_equal(learner.z_interior, before)
-    assert z == before[1]
-    assert learner.visits.tolist() == [0, 1, 0]
-
-
 def test_full_step_writes_the_sampled_backup():
+    # a first visit steps by c / (c + 0) = 1 exactly
     learner = fresh_learner(2, [0.5])
-    z = z_learning_step(learner, 0, -1.0, 2, 1.0, alpha=1.0)
+    z = z_learning_step(learner, 0, -1.0, 2, 1.0)
     assert z == pytest.approx(math.exp(-1.0) * 0.5, rel=1e-15)
     assert learner.z_interior[0] == z
 
@@ -55,8 +47,8 @@ def test_backward_sweep_recovers_a_deterministic_chain():
     # states 0..4 walk right, state 4 exits to the single boundary state
     n = 5
     learner = fresh_learner(n, [1.0])
-    for s in reversed(range(n)):
-        z_learning_step(learner, s, -1.0, s + 1, 1.0, alpha=1.0)
+    for s in reversed(range(n)):  # one first visit each: full steps
+        z_learning_step(learner, s, -1.0, s + 1, 1.0)
     np.testing.assert_allclose(learner.z_interior,
                                np.exp(-(n - np.arange(n, dtype=float))),
                                rtol=1e-14)

@@ -6,7 +6,6 @@ import pytest
 
 from lsmdp import (
     TaskWeights,
-    blend_weights,
     blend_weights_matrix,
     boundary_goal_tasks,
     build_task_basis,
@@ -59,7 +58,7 @@ def test_single_task_basis_matches_direct_solve(chain5):
 
 def test_member_task_blend_has_zero_residual(basis):
     target = basis.boundary_tasks[:, 1]
-    weights = blend_weights(basis, target)
+    weights = blend_weights_matrix(basis.boundary_tasks, target)
     assert weights.residual <= 1e-12
     composite = compose_desirability(basis, weights)
     np.testing.assert_allclose(composite.boundary, target, rtol=0, atol=1e-12)
@@ -123,7 +122,8 @@ def test_pinv_weights_are_clipped_nonnegative():
 
 def test_unknown_blend_method_rejected(basis):
     with pytest.raises(InvalidSpec):
-        blend_weights(basis, basis.boundary_tasks[:, 0], method="qr")
+        blend_weights_matrix(basis.boundary_tasks, basis.boundary_tasks[:, 0],
+                             method="qr")
 
 
 def test_zero_task_column_rejected():

@@ -2,16 +2,22 @@
 import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsmdp import (
     GridSpec,
+    RingSpec,
     boundary_goal_tasks,
     build_stack,
     build_task_basis,
     make_grid,
+    make_ring,
     run_episode,
     solve_direct,
     terminate_layer,
@@ -26,16 +32,14 @@ from lsmdp.serialize import (
     fmt,
     lmdp_from_dict,
     lmdp_to_dict,
-    load_basis,
-    load_lmdp,
+    read_json,
     run_manifest,
-    save_basis,
-    save_lmdp,
     save_stack,
     scaling_csv,
     snapshots_csv,
     trajectory_csv,
     weights_csv,
+    write_json,
 )
 
 
@@ -69,8 +73,8 @@ def test_lmdp_document_round_trip(chain5, tmp_path):
     assert back.rewards.temperature == chain5.rewards.temperature
     assert back.partition.labels == chain5.partition.labels
 
-    save_lmdp(tmp_path / "m.json", chain5)
-    from_file = load_lmdp(tmp_path / "m.json")
+    write_json(tmp_path / "m.json", doc)
+    from_file = lmdp_from_dict(read_json(tmp_path / "m.json"))
     np.testing.assert_array_equal(from_file.passive.full_matrix.toarray(),
                                   chain5.passive.full_matrix.toarray())
 
@@ -95,6 +99,11 @@ def test_malformed_documents_are_rejected(chain5):
     broken = dict(doc, passive=doc["passive"] + [[7, 0, 0.5]])
     with pytest.raises(InvalidSpec):
         lmdp_from_dict(broken)
+    # wrong types and shapes in the labels and the passive triples
+    for field, value in (("labels", 5), ("passive", [[0, 1]]),
+                         ("passive", [[0, 0, "x"]]), ("passive", 7)):
+        with pytest.raises(InvalidSpec):
+            lmdp_from_dict(dict(doc, **{field: value}))
 
 
 def test_basis_document_round_trip(chain5, tmp_path):
@@ -105,8 +114,8 @@ def test_basis_document_round_trip(chain5, tmp_path):
     np.testing.assert_array_equal(back.boundary_tasks, basis.boundary_tasks)
     np.testing.assert_array_equal(back.desirabilities, basis.desirabilities)
 
-    save_basis(tmp_path / "b.json", basis)
-    from_file = load_basis(tmp_path / "b.json")
+    write_json(tmp_path / "b.json", doc)
+    from_file = basis_from_dict(read_json(tmp_path / "b.json"))
     np.testing.assert_array_equal(from_file.desirabilities, basis.desirabilities)
 
     broken = dict(doc, desirabilities=[[1.0]])
@@ -119,7 +128,7 @@ def test_basis_document_round_trip(chain5, tmp_path):
 
 def test_writers_emit_identical_bytes(chain5, tmp_path):
     for name in ("one", "two"):
-        save_lmdp(tmp_path / f"{name}.json", chain5)
+        write_json(tmp_path / f"{name}.json", lmdp_to_dict(chain5))
     assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
     assert b"\r" not in (tmp_path / "one.json").read_bytes()
 
@@ -264,3 +273,48 @@ def test_stack_directory_contents(tmp_path):
         assert manifest["live_subtasks"][0] == [not terminated] * 3
         assert manifest["live_subtasks"][1] is None
         assert len(manifest["subtask_kernels"]) == 1
+
+
+_RING_STACKS = {}
+
+
+def ring_stack_template(n, depth):
+    """A solved ring stack per shape, built once; examples clone it."""
+    if (n, depth) not in _RING_STACKS:
+        lmdp, structures, tasks = make_ring(RingSpec(n, subtask_spacing=3,
+                                                     depth=depth))
+        _RING_STACKS[n, depth] = build_stack(build_task_basis(lmdp, tasks),
+                                             structures)
+    return _RING_STACKS[n, depth]
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from([(9, 2), (12, 2), (27, 3)]),
+       goal_frac=st.floats(0.0, 1.0, exclude_max=True),
+       terminate=st.booleans(), layer_frac=st.floats(0.0, 1.0, exclude_max=True))
+def test_save_stack_round_trips_layers_and_manifest(shape, goal_frac, terminate,
+                                                    layer_frac):
+    stack = ring_stack_template(*shape).clone()
+    n_b = stack.layers[0].n_base_boundary
+    goal = np.full(n_b, math.exp(-10.0))
+    goal[int(goal_frac * n_b)] = 1.0
+    stack.set_task(goal)
+    if terminate:
+        terminate_layer(stack, 1 + int(layer_frac * (stack.depth - 1)))
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        save_stack(stack, directory)
+        for k, entry in enumerate(stack.layers):
+            back = basis_from_dict(read_json(directory / f"layer_{k}.json"))
+            np.testing.assert_array_equal(back.boundary_tasks,
+                                          entry.basis.boundary_tasks)
+            np.testing.assert_array_equal(back.desirabilities,
+                                          entry.basis.desirabilities)
+        manifest = read_json(directory / "manifest.json")
+    assert manifest["depth"] == stack.depth
+    assert manifest["terminated"] == stack.terminated
+    assert manifest["live_subtasks"] == [
+        [not stack.terminated[k + 1]] * entry.n_subtasks if entry.n_subtasks
+        else None for k, entry in enumerate(stack.layers)]
+    for saved, weights in zip(manifest["task_weights"], stack.weights):
+        np.testing.assert_array_equal(saved, weights.values)
