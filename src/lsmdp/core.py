@@ -25,12 +25,25 @@ contracts monotonically from a zero start, to the same inputs: a matrix of
 task columns is iterated a block at a time with one sparse product per sweep,
 each column stopping at its own converging sweep, and the sweep count it
 reports is the sum over columns.
+
+Rollouts draw one step at a time with ``policy_column`` and ``draw_from``.
+Base columns are narrow (three to six entries on the ring, arm and grid
+domains), where numpy's per-call overhead dwarfs the arithmetic, so columns
+with fewer than NARROW entries are tilted, normalized and sampled with Python
+floats over lists cached on ``PassiveDynamics``.  The scalar path performs
+the same IEEE operations in the same order as the numpy path: products are
+elementwise, ``np.cumsum`` is sequential, and numpy sums an array shorter
+than 8 strictly left to right (from 8 entries on it switches to an unrolled
+pairwise sum).  Draws are therefore bit-identical on either path; dense
+columns, such as those of absorption-derived layers, stay on numpy.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -63,6 +76,9 @@ DENSE_CUTOFF = 64
 # z-iteration on ring_scaling([512])'s 512-state level holds five 128 kB
 # arrays, a small share of that run's ~4.4 MB peak above its imports.
 SOLVE_BLOCK = 32
+# Columns with fewer entries take the scalar path of policy_column and
+# draw_from; 8 is where numpy's sum turns from left to right into pairwise.
+NARROW = 8
 
 
 @dataclass(frozen=True)
@@ -165,6 +181,24 @@ class PassiveDynamics:
     def full_matrix(self) -> sp.csc_matrix:
         """(n_states, n_interior) stacked kernel, boundary rows last."""
         return sp.vstack([self.to_interior, self.to_boundary]).tocsc()
+
+    @cached_property
+    def narrow_columns(self) -> list:
+        """Per source state, ``(rows, row_list, prob_list)`` of its
+        full_matrix column when that has fewer than NARROW entries, else None.
+
+        ``rows`` is the column's row-index array and the lists hold the same
+        rows and their probabilities as Python ints and floats.
+        """
+        P = self.full_matrix
+        columns = []
+        for lo, hi in zip(P.indptr[:-1].tolist(), P.indptr[1:].tolist()):
+            if hi - lo < NARROW:
+                rows = P.indices[lo:hi]
+                columns.append((rows, rows.tolist(), P.data[lo:hi].tolist()))
+            else:
+                columns.append(None)
+        return columns
 
 
 @dataclass(frozen=True)
@@ -412,13 +446,16 @@ def z_iterate(lmdp: Lmdp, q_boundary: np.ndarray, z0: Optional[np.ndarray] = Non
 
     Returns (z, iterations, converged): the iterates, the total number of
     column-sweeps (the sum of the per-column counts; for a vector, the sweeps
-    applied), and whether every column converged.  Non-finite inputs and a
-    tol that is negative or NaN (no column could ever meet it) raise
-    InvalidSpec; an iterate that goes non-finite (the iteration diverges)
-    raises SingularSystem naming the columns.
+    applied), and whether every column converged.  Non-finite inputs, a
+    tol that is negative or NaN (no column could ever meet it) and a
+    max_iter below 1 (no sweep would run) raise InvalidSpec; an iterate that
+    goes non-finite (the iteration diverges) raises SingularSystem naming
+    the columns.
     """
     if not tol >= 0:
         raise InvalidSpec(f"tol must be nonnegative, got {tol}")
+    if not max_iter >= 1:
+        raise InvalidSpec(f"max_iter must be at least 1, got {max_iter}")
     q_boundary = _boundary_values(lmdp, q_boundary)
     shape = (lmdp.n_interior,) + q_boundary.shape[1:]
     if z0 is not None:
@@ -489,11 +526,28 @@ def policy_column(lmdp: Lmdp, z_full: np.ndarray, state: int):
     in the passive column's support.  ``z_full`` covers every state, interior
     first.  Computing one column per draw keeps rollout loops from
     materializing the whole policy after every blend update.
+
+    A column with fewer than NARROW entries is tilted with Python floats from
+    ``PassiveDynamics.narrow_columns`` and summed left to right, which is
+    exactly what numpy does with an array that short; wider columns use numpy,
+    whose pairwise sum a running sum would not reproduce.  Both paths return
+    the same arrays, bit for bit.
     """
-    P = lmdp.passive.full_matrix
+    passive = lmdp.passive
+    P = passive.full_matrix
     if len(z_full) != P.shape[0]:
         raise DimensionMismatch(
             f"desirability covers {len(z_full)} states, LMDP has {P.shape[0]}")
+    narrow = passive.narrow_columns[state]
+    if narrow is not None:
+        rows, row_list, p_list = narrow
+        vals = [pv * float(z_full[r]) for r, pv in zip(row_list, p_list)]
+        total = 0.0
+        for v in vals:
+            total += v
+        if not (total > 0):
+            raise ZeroNormalizer(f"policy column {state} has zero desirability mass")
+        return rows, np.array([v / total for v in vals])
     lo, hi = P.indptr[state], P.indptr[state + 1]
     rows = P.indices[lo:hi]
     vals = P.data[lo:hi] * z_full[rows]
@@ -512,10 +566,21 @@ def value_from_desirability(z: Desirability, temperature: float) -> np.ndarray:
 
 
 def draw_from(rows: np.ndarray, probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one index from an explicit finite distribution."""
-    cum = np.cumsum(probs)
-    u = rng.random() * cum[-1]
-    k = int(np.searchsorted(cum, u, side="right"))
+    """Draw one index from an explicit finite distribution.
+
+    ``probs`` need not sum to one: u is uniform on [0, sum) and the draw is
+    the first entry whose cumulative sum exceeds u.  Fewer than NARROW
+    probabilities are accumulated in Python and searched with bisect, which
+    matches ``np.cumsum``/``searchsorted`` bit for bit (both accumulate
+    sequentially) at a fraction of their call overhead.
+    """
+    if len(probs) < NARROW:
+        cum = list(accumulate(probs.tolist()))
+        k = bisect_right(cum, rng.random() * cum[-1])
+    else:
+        cum = np.cumsum(probs)
+        u = rng.random() * cum[-1]
+        k = int(np.searchsorted(cum, u, side="right"))
     return int(rows[min(k, len(rows) - 1)])
 
 
@@ -526,9 +591,14 @@ def draw_from(rows: np.ndarray, probs: np.ndarray, rng: np.random.Generator) -> 
 def _kl_column(a_rows, a_vals, lmdp: Lmdp, state: int) -> float:
     """KL(a || p) against the passive column p at ``state``, over the support
     of a; a outside p's support is an error."""
-    P = lmdp.passive.full_matrix
-    lo, hi = P.indptr[state], P.indptr[state + 1]
-    p_map = dict(zip(P.indices[lo:hi].tolist(), P.data[lo:hi].tolist()))
+    narrow = lmdp.passive.narrow_columns[state]
+    if narrow is not None:
+        _, row_list, p_list = narrow
+    else:
+        P = lmdp.passive.full_matrix
+        lo, hi = P.indptr[state], P.indptr[state + 1]
+        row_list, p_list = P.indices[lo:hi].tolist(), P.data[lo:hi].tolist()
+    p_map = dict(zip(row_list, p_list))
     kl = 0.0
     for r, av in zip(a_rows.tolist(), a_vals.tolist()):
         if av <= 0.0:

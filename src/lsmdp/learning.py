@@ -34,11 +34,8 @@ class LearningState:
     visits: np.ndarray
     step_scale: float = DEFAULT_STEP_SCALE
 
-    def z_full(self) -> np.ndarray:
-        return np.concatenate([self.z_interior, self.boundary_values])
-
     def alpha(self, state: int) -> float:
-        return self.step_scale / (self.step_scale + self.visits[state])
+        return self.step_scale / (self.step_scale + int(self.visits[state]))
 
 
 def z_learning_step(learner: LearningState, state: int, reward: float,
@@ -67,16 +64,17 @@ def z_learning_step(learner: LearningState, state: int, reward: float,
     float
         The updated estimate at ``state``.
     """
-    n_i = learner.z_interior.shape[0]
+    z = learner.z_interior
+    n_i = len(z)
     if next_state < n_i:
-        z_next = learner.z_interior[next_state]
+        z_next = float(z[next_state])
     else:
-        z_next = learner.boundary_values[next_state - n_i]
+        z_next = float(learner.boundary_values[next_state - n_i])
     a = learner.alpha(state)
-    learner.z_interior[state] = (1.0 - a) * learner.z_interior[state] \
-        + a * math.exp(reward / temperature) * z_next
+    z_new = (1.0 - a) * float(z[state]) + a * math.exp(reward / temperature) * z_next
+    z[state] = z_new
     learner.visits[state] += 1
-    return float(learner.z_interior[state])
+    return z_new
 
 
 def run_learning_episode(lmdp: Lmdp, learner: LearningState,
@@ -113,19 +111,25 @@ def run_learning_episode(lmdp: Lmdp, learner: LearningState,
     if max_steps < 1:
         raise InvalidSpec(f"max_steps must be at least 1, got {max_steps}")
     lam = lmdp.rewards.temperature
-    r_i = lmdp.rewards.interior
-    pad = np.ones(lmdp.n_boundary)
+    r_i = lmdp.rewards.interior.tolist()
+    # the estimate over every state, kept in step with learner.z_interior;
+    # guided behavior tilts by comp * z with boundary entries 1
+    if stack is None:
+        z = np.concatenate([learner.z_interior, learner.boundary_values])
+    else:
+        z = np.concatenate([learner.z_interior, np.ones(lmdp.n_boundary)])
+        z_behave = np.empty_like(z)
 
     t = 0
     while t < max_steps:
         redraw = False
         while True:
             if stack is None:
-                rows, probs = policy_column(lmdp, learner.z_full(), s)
+                rows, probs = policy_column(lmdp, z, s)
             else:
                 _, comp = stack.policy_state(0)
-                z_behave = comp * np.concatenate([learner.z_interior, pad])
-                rows, probs = policy_column(lmdp, z_behave, s)
+                rows, probs = policy_column(
+                    lmdp, np.multiply(comp, z, out=z_behave), s)
             if redraw:
                 rows, probs = masked_redraw_column(rows, probs, lo, hi)
             nxt = draw_from(rows, probs, rng)
@@ -135,7 +139,7 @@ def run_learning_episode(lmdp: Lmdp, learner: LearningState,
                     stack.apply_inpaint(0, transmitted)
                 redraw = True
                 continue
-            z_learning_step(learner, s, r_i[s], nxt, lam)
+            z[s] = z_learning_step(learner, s, r_i[s], nxt, lam)
             break
         if nxt >= n_i:
             return t + 1

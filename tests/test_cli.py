@@ -267,11 +267,14 @@ def test_every_error_is_config_or_numerical():
     ["simulate", "--kappa", "inf"],
     ["solve", "--method", "z-iter", "--tol", "-1"],
     ["solve", "--method", "z-iter", "--tol", "nan"],
+    ["solve", "--method", "z-iter", "--max-iter", "-3"],
+    ["solve", "--method", "z-iter", "--max-iter", "0"],
     ["bench", "--sizes", "8", "--tol", "-1"],
     ["bench", "--sizes", "abc"],
     ["bench", "--sizes", "8,x"],
 ], ids=["stack-kappa-nan", "stack-kappa-inf", "simulate-kappa-nan",
         "simulate-kappa-inf", "solve-tol-negative", "solve-tol-nan",
+        "solve-max-iter-negative", "solve-max-iter-zero",
         "bench-tol-negative", "bench-sizes-word", "bench-sizes-partial"])
 def test_malformed_arguments(tmp_path, capsys, ring_config, argv):
     if argv[0] != "bench":

@@ -39,6 +39,7 @@ from lsmdp.errors import (
     NotStochastic,
     RewardOverflow,
     SingularSystem,
+    ZeroNormalizer,
 )
 
 from conftest import (
@@ -382,6 +383,12 @@ def test_z_iterate_rejects_a_tolerance_no_column_can_meet(chain5, tol):
         z_iterate(chain5, chain5.q_boundary, tol=tol, max_iter=10)
 
 
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_z_iterate_rejects_a_budget_with_no_sweep(chain5, max_iter):
+    with pytest.raises(InvalidSpec, match="max_iter must be at least 1"):
+        z_iterate(chain5, chain5.q_boundary, max_iter=max_iter)
+
+
 def test_z_iterate_rejects_wrong_shapes(chain5):
     with pytest.raises(DimensionMismatch):
         z_iterate(chain5, np.ones(3))
@@ -548,6 +555,53 @@ def test_sample_frequencies_match_probabilities(chain5):
     draws = np.array([draw_from(rows, probs, rng) for _ in range(n)])
     for row, p in zip(rows, probs):
         assert abs((draws == row).mean() - p) < 0.01
+
+
+def reference_policy_column(lmdp, z_full, state):
+    """policy_column written out with numpy only: tilt, sum, divide."""
+    P = lmdp.passive.full_matrix
+    lo, hi = P.indptr[state], P.indptr[state + 1]
+    rows = P.indices[lo:hi]
+    vals = P.data[lo:hi] * z_full[rows]
+    return rows, vals / vals.sum()
+
+
+def reference_draw(rows, probs, rng):
+    cum = np.cumsum(probs)
+    k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+    return int(rows[min(k, len(rows) - 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_interior=st.sampled_from([2, 6, 12]))
+def test_scalar_columns_match_numpy_bit_for_bit(seed, max_interior):
+    # columns 1 to 16 entries wide straddle NARROW, so both the scalar path
+    # and the numpy path are held to the same written-out reference
+    rng = np.random.default_rng(seed)
+    lmdp = random_lmdp(rng, max_interior=max_interior)
+    P = lmdp.passive.full_matrix
+    z_full = rng.exponential(1.0, lmdp.n_states) * 10.0 ** rng.integers(-3, 4, lmdp.n_states)
+    special = rng.random(lmdp.n_states)
+    z_full[special < 0.15] = 1e-300
+    z_full[special > 0.9] = 0.0
+    for s in range(lmdp.n_interior):
+        lo, hi = P.indptr[s], P.indptr[s + 1]
+        assert (lmdp.passive.narrow_columns[s] is None) == (hi - lo >= core.NARROW)
+        with pytest.raises(ZeroNormalizer):
+            policy_column(lmdp, np.zeros(lmdp.n_states), s)
+        if not (P.data[lo:hi] * z_full[P.indices[lo:hi]]).sum() > 0:
+            with pytest.raises(ZeroNormalizer):
+                policy_column(lmdp, z_full, s)
+            continue
+        rows, probs = policy_column(lmdp, z_full, s)
+        ref_rows, ref_probs = reference_policy_column(lmdp, z_full, s)
+        assert isinstance(probs, np.ndarray)
+        assert np.array_equal(rows, ref_rows) and np.array_equal(probs, ref_probs)
+        # normalized and, as learners pass them, unnormalized probabilities
+        for p in (probs, P.data[lo:hi]):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert ([draw_from(rows, p, rng_a) for _ in range(50)]
+                    == [reference_draw(rows, p, rng_b) for _ in range(50)])
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,85 @@ def test_flat_training_shortens_episodes(rooms):
         assert all(row[2] >= 0 for row in curve)
 
 
+# Criterion 7's map (lambda 0.5, 30 epochs of 10 episodes, max_steps 2000),
+# seed 2.  Every step draws through policy_column/draw_from and backs up
+# through z_learning_step, so any change to their arithmetic moves a length.
+# Step totals: 9724 flat, 7440 guided.
+PINNED_FLAT_CURVE = [
+    (0, 129.3, 21.5767621914565),
+    (1, 78.2, 13.263818789808948),
+    (2, 50.8, 8.97007370216222),
+    (3, 33.3, 3.729909143963459),
+    (4, 32.9, 4.094576358496146),
+    (5, 29.3, 2.103172207246314),
+    (6, 30.3, 1.6265163865007803),
+    (7, 27.4, 0.8459051693633013),
+    (8, 26.4, 1.39204086785474),
+    (9, 26.2, 0.7423685817106694),
+    (10, 28.6, 1.5719768163402126),
+    (11, 24.5, 0.7340905181848414),
+    (12, 25.5, 1.0775486583496408),
+    (13, 25.6, 1.2578641509408806),
+    (14, 25.6, 1.0666666666666667),
+    (15, 25.9, 0.9122621455602673),
+    (16, 24.4, 0.7333333333333333),
+    (17, 26.0, 0.6324555320336759),
+    (18, 25.1, 0.5666666666666667),
+    (19, 25.4, 1.2128936932440166),
+    (20, 25.9, 1.149395976637778),
+    (21, 24.2, 0.41633319989322654),
+    (22, 25.9, 0.9712534856222309),
+    (23, 25.0, 0.8432740427115677),
+    (24, 25.4, 0.6359594676112971),
+    (25, 24.4, 0.8326663997864531),
+    (26, 26.1, 0.6904105059069325),
+    (27, 24.1, 0.5467073155618908),
+    (28, 24.7, 0.8171767114754174),
+    (29, 26.0, 0.9775252199076786),
+]
+PINNED_GUIDED_CURVE = [
+    (0, 26.3, 1.4609738000540748),
+    (1, 27.6, 1.9275776393067947),
+    (2, 29.8, 1.6110727964792764),
+    (3, 37.0, 4.474619785213289),
+    (4, 29.8, 3.5049171808253106),
+    (5, 30.8, 4.783768853576063),
+    (6, 29.3, 2.6036299446904674),
+    (7, 28.5, 2.1563858652847823),
+    (8, 24.1, 1.2423096769056148),
+    (9, 24.1, 1.40988573217044),
+    (10, 28.2, 2.2499382707581606),
+    (11, 25.2, 1.2364824660660936),
+    (12, 22.7, 0.683942817622773),
+    (13, 21.8, 0.19999999999999998),
+    (14, 22.0, 0.4714045207910317),
+    (15, 23.7, 1.430229196861662),
+    (16, 21.6, 0.30550504633038933),
+    (17, 22.6, 0.5416025603090641),
+    (18, 21.5, 0.26874192494328497),
+    (19, 23.7, 1.4302291968616623),
+    (20, 22.7, 1.3828312341794358),
+    (21, 23.8, 1.4742229591663987),
+    (22, 21.1, 0.09999999999999998),
+    (23, 22.0, 0.7888106377466154),
+    (24, 21.1, 0.09999999999999998),
+    (25, 22.7, 1.0005554013202425),
+    (26, 21.4, 0.22110831935702666),
+    (27, 21.5, 0.22360679774997896),
+    (28, 24.3, 1.8681541692269403),
+    (29, 23.1, 1.3535960336164634),
+]
+
+
+def test_training_curves_are_pinned(rooms):
+    lmdp, template, goal_q, _, start = rooms
+    for stack, pinned in ((None, PINNED_FLAT_CURVE),
+                          (template, PINNED_GUIDED_CURVE)):
+        _, curve = train(lmdp, goal_q, epochs=30, episodes_per_epoch=10,
+                         seed=2, stack=stack, start_state=start, max_steps=2000)
+        assert curve == pinned
+
+
 def test_zero_epochs_trains_nothing(rooms):
     # an empty learning curve would pass for a finished run, so it is refused
     lmdp, _, goal_q, _, _ = rooms
