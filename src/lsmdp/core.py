@@ -28,14 +28,16 @@ reports is the sum over columns.
 
 Rollouts draw one step at a time with ``policy_column`` and ``draw_from``.
 Base columns are narrow (three to six entries on the ring, arm and grid
-domains), where numpy's per-call overhead dwarfs the arithmetic, so columns
-with fewer than NARROW entries are tilted, normalized and sampled with Python
-floats over lists cached on ``PassiveDynamics``.  The scalar path performs
-the same IEEE operations in the same order as the numpy path: products are
-elementwise, ``np.cumsum`` is sequential, and numpy sums an array shorter
-than 8 strictly left to right (from 8 entries on it switches to an unrolled
-pairwise sum).  Draws are therefore bit-identical on either path; dense
-columns, such as those of absorption-derived layers, stay on numpy.
+domains), where numpy's per-call overhead dwarfs the arithmetic, so
+``policy_column`` tilts and normalizes a column with fewer than NARROW entries
+with Python floats over lists cached on ``PassiveDynamics``.  It performs the
+same IEEE operations in the same order as numpy: products are elementwise,
+and numpy sums an array shorter than 8 strictly left to right (from 8 entries
+on it switches to an unrolled pairwise sum, which a running sum would not
+reproduce), so dense columns, such as those of absorption-derived layers, stay
+on numpy.  ``draw_from`` needs no cutoff: ``np.cumsum`` is sequential at every
+length, so its Python running sum and bisect match numpy's bit for bit on any
+column.
 """
 from __future__ import annotations
 
@@ -76,8 +78,8 @@ DENSE_CUTOFF = 64
 # z-iteration on ring_scaling([512])'s 512-state level holds five 128 kB
 # arrays, a small share of that run's ~4.4 MB peak above its imports.
 SOLVE_BLOCK = 32
-# Columns with fewer entries take the scalar path of policy_column and
-# draw_from; 8 is where numpy's sum turns from left to right into pairwise.
+# Columns with fewer entries take the scalar path of policy_column; 8 is
+# where numpy's sum turns from left to right into pairwise.
 NARROW = 8
 
 
@@ -538,6 +540,9 @@ def policy_column(lmdp: Lmdp, z_full: np.ndarray, state: int):
     if len(z_full) != P.shape[0]:
         raise DimensionMismatch(
             f"desirability covers {len(z_full)} states, LMDP has {P.shape[0]}")
+    if not 0 <= state < P.shape[1]:
+        raise InvalidSpec(f"policy column {state} is not an interior state "
+                          f"(0..{P.shape[1] - 1})")
     narrow = passive.narrow_columns[state]
     if narrow is not None:
         rows, row_list, p_list = narrow
@@ -565,22 +570,17 @@ def value_from_desirability(z: Desirability, temperature: float) -> np.ndarray:
     return temperature * np.log(full)
 
 
-def draw_from(rows: np.ndarray, probs: np.ndarray, rng: np.random.Generator) -> int:
+def draw_from(rows: np.ndarray, probs, rng: np.random.Generator) -> int:
     """Draw one index from an explicit finite distribution.
 
     ``probs`` need not sum to one: u is uniform on [0, sum) and the draw is
-    the first entry whose cumulative sum exceeds u.  Fewer than NARROW
-    probabilities are accumulated in Python and searched with bisect, which
-    matches ``np.cumsum``/``searchsorted`` bit for bit (both accumulate
-    sequentially) at a fraction of their call overhead.
+    the first entry whose cumulative sum exceeds u.  The running sum is built
+    in Python and searched with bisect, which matches ``np.cumsum`` and
+    ``searchsorted(side="right")`` bit for bit at any length, because
+    ``np.cumsum`` also accumulates one entry at a time.
     """
-    if len(probs) < NARROW:
-        cum = list(accumulate(probs.tolist()))
-        k = bisect_right(cum, rng.random() * cum[-1])
-    else:
-        cum = np.cumsum(probs)
-        u = rng.random() * cum[-1]
-        k = int(np.searchsorted(cum, u, side="right"))
+    cum = list(accumulate(np.asarray(probs).tolist()))
+    k = bisect_right(cum, rng.random() * cum[-1])
     return int(rows[min(k, len(rows) - 1)])
 
 
@@ -591,14 +591,9 @@ def draw_from(rows: np.ndarray, probs: np.ndarray, rng: np.random.Generator) -> 
 def _kl_column(a_rows, a_vals, lmdp: Lmdp, state: int) -> float:
     """KL(a || p) against the passive column p at ``state``, over the support
     of a; a outside p's support is an error."""
-    narrow = lmdp.passive.narrow_columns[state]
-    if narrow is not None:
-        _, row_list, p_list = narrow
-    else:
-        P = lmdp.passive.full_matrix
-        lo, hi = P.indptr[state], P.indptr[state + 1]
-        row_list, p_list = P.indices[lo:hi].tolist(), P.data[lo:hi].tolist()
-    p_map = dict(zip(row_list, p_list))
+    P = lmdp.passive.full_matrix
+    lo, hi = P.indptr[state], P.indptr[state + 1]
+    p_map = dict(zip(P.indices[lo:hi].tolist(), P.data[lo:hi].tolist()))
     kl = 0.0
     for r, av in zip(a_rows.tolist(), a_vals.tolist()):
         if av <= 0.0:

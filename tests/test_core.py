@@ -510,6 +510,15 @@ def test_policy_column_rejects_wrong_length(chain5):
             policy_column(chain5, np.ones(n), 0)
 
 
+def test_policy_column_rejects_a_state_outside_the_interior():
+    # a negative index would otherwise select a column counted from the end
+    lmdp, _, _ = make_ring(RingSpec(12))
+    z_full = solve_direct(lmdp).full()
+    for state in (-1, -2, lmdp.n_interior, lmdp.n_states):
+        with pytest.raises(InvalidSpec, match="not an interior state"):
+            policy_column(lmdp, z_full, state)
+
+
 def test_values_and_desirability_are_inverse_maps():
     rng = np.random.default_rng(19)
     for _ in range(100):
@@ -575,8 +584,9 @@ def reference_draw(rows, probs, rng):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), max_interior=st.sampled_from([2, 6, 12]))
 def test_scalar_columns_match_numpy_bit_for_bit(seed, max_interior):
-    # columns 1 to 16 entries wide straddle NARROW, so both the scalar path
-    # and the numpy path are held to the same written-out reference
+    # columns 1 to 16 entries wide straddle NARROW, so both paths of
+    # policy_column are held to the same written-out reference, and
+    # draw_from's one path to the numpy reference at every width
     rng = np.random.default_rng(seed)
     lmdp = random_lmdp(rng, max_interior=max_interior)
     P = lmdp.passive.full_matrix
@@ -597,8 +607,9 @@ def test_scalar_columns_match_numpy_bit_for_bit(seed, max_interior):
         ref_rows, ref_probs = reference_policy_column(lmdp, z_full, s)
         assert isinstance(probs, np.ndarray)
         assert np.array_equal(rows, ref_rows) and np.array_equal(probs, ref_probs)
-        # normalized and, as learners pass them, unnormalized probabilities
-        for p in (probs, P.data[lo:hi]):
+        # normalized and, as learners pass them, unnormalized probabilities,
+        # as an ndarray or a plain list
+        for p in (probs, P.data[lo:hi], P.data[lo:hi].tolist()):
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
             assert ([draw_from(rows, p, rng_a) for _ in range(50)]
                     == [reference_draw(rows, p, rng_b) for _ in range(50)])
