@@ -53,17 +53,19 @@ class HierarchicalTrajectory:
         return len(self.states) - 1
 
 
-def _transmit(stack: HierarchyStack, layer: int, entry: int) -> np.ndarray:
-    """Inpainted rewards a layer sends down, from its current policy column."""
-    lmdp, z = stack.policy_state(layer)
-    rows, probs = policy_column(lmdp, z, entry)
-    a = np.zeros(lmdp.n_states)
-    a[rows] = probs
-    P = lmdp.passive.full_matrix
+def _transmit(stack: HierarchyStack, layer: int, entry: int,
+              rows: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Inpainted rewards a layer sends down from its policy column (rows,
+    probs) at entry, over its interior: the subtask states of the layer below."""
+    P = stack.layers[layer].lmdp.passive.to_interior
+    n_i = P.shape[0]
+    inner = rows < n_i
+    a = np.zeros(n_i)
+    a[rows[inner]] = probs[inner]
     p_lo, p_hi = P.indptr[entry], P.indptr[entry + 1]
-    p = np.zeros(lmdp.n_states)
+    p = np.zeros(n_i)
     p[P.indices[p_lo:p_hi]] = P.data[p_lo:p_hi]
-    return inpaint_rewards(a, p, stack.kappa, lmdp.n_interior)
+    return inpaint_rewards(a, p, stack.kappa)
 
 
 def _access(stack: HierarchyStack, layer: int, entry: int,
@@ -83,12 +85,13 @@ def _access(stack: HierarchyStack, layer: int, entry: int,
         inner, deepest, terminated = _access(stack, layer + 1, nxt - lo, rng, chain)
         if inner is not None:
             stack.apply_inpaint(layer, inner)
-        # transmit from the policy as updated by the inner chain
-        return _transmit(stack, layer, entry), deepest, terminated
+        # transmit from the policy as re-blended by the inner chain
+        rows, probs = policy_column(*stack.policy_state(layer), entry)
+        return _transmit(stack, layer, entry, rows, probs), deepest, terminated
     if nxt >= lmdp.n_interior:
         terminate_layer(stack, layer)
         return None, layer, layer
-    return _transmit(stack, layer, entry), layer, None
+    return _transmit(stack, layer, entry, rows, probs), layer, None
 
 
 def access_hierarchy(stack: HierarchyStack, entry_subtask: int,

@@ -9,7 +9,9 @@ whose passive dynamics are the absorption probabilities of the layer below
 inpainting rewards onto the subtask states: the difference between its
 desired next-state distribution and its passive one, scaled by kappa, becomes
 a boundary reward vector that the lower layer re-blends against its
-subtask-task columns.
+subtask-task columns.  Every layer keeps the base boundary set and its one
+boundary-task matrix, so a stack solves one basis per layer and one blend of
+that matrix sets the goal at every layer.
 """
 from __future__ import annotations
 
@@ -219,56 +221,62 @@ def _as_csc_block(matrix) -> sp.csc_matrix:
     return sp.csc_matrix(np.asarray(matrix, dtype=np.float64))
 
 
-def augment(mlmdp: TaskBasis, structure: SubtaskStructure,
+def augment(lmdp: Lmdp, tasks: np.ndarray, structure: SubtaskStructure,
             penalty: Optional[float] = None) -> AugmentedMlmdp:
-    """Append subtask states to a multitask layer.
+    """Append subtask states to a layer with boundary-task matrix ``tasks``.
 
-    The stacked kernel [to_interior; to_boundary; weights] is renormalized
-    columnwise.  Each subtask task has reward 0 at its own state and
-    ``penalty`` (default -5 * lambda) at the other subtask states.  The
-    cross blocks of the combined task matrix (base tasks at subtask states,
-    subtask tasks at boundary twins) are filled with the much steeper
-    reward AUGMENT_FILL_SCALE * lambda, kept strictly positive so every
-    basis column stays a valid exponentiated reward.
+    ``tasks`` is (n_boundary, n_tasks), exponentiated; only the augmented
+    basis is solved, so the layer needs no basis of its own.  The stacked
+    kernel [to_interior; to_boundary; weights] is renormalized columnwise.
+    Each subtask task has reward 0 at its own state and ``penalty``
+    (default -5 * lambda) at the other subtask states.  The cross blocks of
+    the combined task matrix (base tasks at subtask states, subtask tasks at
+    boundary twins) are filled with the much steeper reward
+    AUGMENT_FILL_SCALE * lambda, kept strictly positive so every basis
+    column stays a valid exponentiated reward.
     """
-    base = mlmdp.base
-    lam = base.rewards.temperature
+    lam = lmdp.rewards.temperature
     if penalty is None:
         penalty = DEFAULT_SUBTASK_PENALTY_SCALE * lam
     fill_penalty = AUGMENT_FILL_SCALE * lam
+    Q = np.asarray(tasks, dtype=np.float64)
+    if Q.ndim != 2 or Q.shape[0] != lmdp.n_boundary or Q.shape[1] < 1:
+        raise DimensionMismatch(
+            f"task matrix shape {Q.shape}, expected ({lmdp.n_boundary}, n_tasks >= 1)"
+        )
     W = structure.weights
-    if W.shape[1] != base.n_interior:
+    if W.shape[1] != lmdp.n_interior:
         raise DimensionMismatch(
             f"subtask weights cover {W.shape[1]} interior states, LMDP has "
-            f"{base.n_interior}"
+            f"{lmdp.n_interior}"
         )
     if W.sum() == 0:
         warnings.warn("subtask states carry no transition mass", UnreachableSubtasks)
 
-    to_interior, to_boundary, to_subtasks = stack_subtask_kernel(base.passive, W)
-    n_i, n_b = base.n_interior, base.n_boundary
+    to_interior, to_boundary, to_subtasks = stack_subtask_kernel(lmdp.passive, W)
+    n_i, n_b = lmdp.n_interior, lmdp.n_boundary
     n_t = structure.n_subtasks
 
     Q_t = default_subtask_rewards(n_t, penalty, lam)
 
     labels = None
-    if base.partition.labels is not None:
+    if lmdp.partition.labels is not None:
         sub_labels = (structure.labels if structure.labels is not None
                       else tuple(f"t{t}" for t in range(n_t)))
-        labels = tuple(base.partition.labels) + tuple(sub_labels)
+        labels = tuple(lmdp.partition.labels) + tuple(sub_labels)
     partition = StatePartition(n_i, n_b + n_t, labels)
     rewards = RewardModel(
-        base.rewards.interior,
-        np.concatenate([base.rewards.boundary, np.full(n_t, penalty)]),
+        lmdp.rewards.interior,
+        np.concatenate([lmdp.rewards.boundary, np.full(n_t, penalty)]),
         lam,
     )
     passive = PassiveDynamics(to_interior, sp.vstack([to_boundary, to_subtasks]))
     aug_lmdp = build_lmdp(partition, passive, rewards)
 
     fill = np.exp(fill_penalty / lam)
-    n_tasks = mlmdp.n_tasks
+    n_tasks = Q.shape[1]
     Q_full = np.full((n_b + n_t, n_tasks + n_t), fill)
-    Q_full[:n_b, :n_tasks] = mlmdp.boundary_tasks
+    Q_full[:n_b, :n_tasks] = Q
     Q_full[n_b:, n_tasks:] = Q_t
     basis = build_task_basis(aug_lmdp, Q_full)
     # the blend for inpainted reward 0 (target q_t = 1) that set_task starts from
@@ -281,19 +289,6 @@ def augment(mlmdp: TaskBasis, structure: SubtaskStructure,
         to_boundary=to_boundary.tocsc(),
         to_subtasks=to_subtasks.tocsc(),
         neutral_weights=neutral,
-    )
-
-
-def _top_layer(basis: TaskBasis) -> AugmentedMlmdp:
-    """The top of a stack: a rung with no subtask states above it."""
-    lmdp = basis.base
-    return AugmentedMlmdp(
-        lmdp=lmdp,
-        basis=basis,
-        to_interior=lmdp.passive.to_interior,
-        to_boundary=lmdp.passive.to_boundary,
-        to_subtasks=sp.csc_matrix((0, lmdp.n_interior)),
-        neutral_weights=np.empty(0),
     )
 
 
@@ -375,16 +370,15 @@ class HierarchyStack:
     def set_task(self, boundary_target: np.ndarray) -> None:
         """Blend the same boundary-reward target at every layer.
 
-        All layers share the base boundary set, so one target vector defines
-        the goal everywhere.  The subtask tasks start from the neutral blend
+        All layers share the base boundary set and its task matrix (the top
+        layer's basis holds it unaugmented), so one fit gives every layer its
+        base-task weights.  The subtask tasks start from the neutral blend
         (inpainted reward 0), empty at the top.
         """
         q = np.asarray(boundary_target, dtype=np.float64)
         self.target = q.copy()
+        wb = blend_weights_matrix(self.layers[-1].basis.boundary_tasks, q)
         for layer, entry in enumerate(self.layers):
-            base_block = entry.basis.boundary_tasks[:entry.n_base_boundary,
-                                                    :entry.n_base_tasks]
-            wb = blend_weights_matrix(base_block, q)
             self.weights[layer] = TaskWeights(
                 np.concatenate([wb.values, entry.neutral_weights]), wb.residual)
             self._recompose(layer)
@@ -422,7 +416,7 @@ class HierarchyStack:
         return self.layers[layer].lmdp, self.z_full[layer]
 
 
-def build_stack(base: TaskBasis, structures: Sequence[SubtaskStructure],
+def build_stack(basis: TaskBasis, structures: Sequence[SubtaskStructure],
                 kappa: Optional[float] = None,
                 penalty: Optional[float] = None) -> HierarchyStack:
     """Assemble a depth len(structures)+1 tower of layers.
@@ -430,10 +424,13 @@ def build_stack(base: TaskBasis, structures: Sequence[SubtaskStructure],
     Each structure augments the current layer; the layer above lives on the
     subtask states with absorption-derived passive dynamics, keeps the base
     boundary set and temperature, inherits the boundary-task matrix, and
-    charges reward -1 per step.  ``kappa`` (default lambda) scales inpainted
-    rewards and must be finite; ``penalty`` defaults to -5 * lambda.
+    charges reward -1 per step.  Only the augmented layers and a derived top
+    solve a basis; with no structures the top is ``basis`` itself.
+    ``kappa`` (default lambda) scales inpainted rewards and must be finite;
+    ``penalty`` defaults to -5 * lambda.
     """
-    lam0 = base.base.rewards.temperature
+    lmdp, tasks = basis.base, basis.boundary_tasks
+    lam0 = lmdp.rewards.temperature
     if kappa is None:
         kappa = lam0
     if not np.isfinite(kappa):
@@ -442,28 +439,24 @@ def build_stack(base: TaskBasis, structures: Sequence[SubtaskStructure],
         penalty = DEFAULT_SUBTASK_PENALTY_SCALE * lam0
 
     layers: List[AugmentedMlmdp] = []
-    current = base
     for structure in structures:
-        aug = augment(current, structure, penalty=penalty)
+        aug = augment(lmdp, tasks, structure, penalty=penalty)
         layers.append(aug)
         to_i, to_b = absorption_dynamics(aug.to_interior, aug.to_boundary,
                                          aug.to_subtasks)
         n_next = structure.n_subtasks
         labels = None
         if structure.labels is not None:
-            bound_labels = tuple(
-                current.base.partition.label(current.base.n_interior + b)
-                for b in range(aug.n_base_boundary)
-            )
-            labels = tuple(structure.labels) + bound_labels
-        partition = StatePartition(n_next, aug.n_base_boundary, labels)
-        rewards = RewardModel(np.full(n_next, -1.0), current.base.rewards.boundary,
-                              current.base.rewards.temperature)
-        lmdp_next = build_lmdp(partition, PassiveDynamics(to_i, to_b), rewards)
-        # the derived layer keeps the base boundary set, so it can reuse the
-        # boundary-task matrix of the layer below unchanged
-        current = build_task_basis(lmdp_next, current.boundary_tasks)
-    layers.append(_top_layer(current))
+            labels = tuple(structure.labels) + tuple(
+                lmdp.partition.label(s) for s in range(lmdp.n_interior, lmdp.n_states))
+        lmdp = build_lmdp(StatePartition(n_next, lmdp.n_boundary, labels),
+                          PassiveDynamics(to_i, to_b),
+                          RewardModel(np.full(n_next, -1.0), lmdp.rewards.boundary, lam0))
+    # the top is a rung with no subtask states above it
+    layers.append(AugmentedMlmdp(
+        lmdp=lmdp, basis=build_task_basis(lmdp, tasks) if layers else basis,
+        to_interior=lmdp.passive.to_interior, to_boundary=lmdp.passive.to_boundary,
+        to_subtasks=sp.csc_matrix((0, lmdp.n_interior)), neutral_weights=np.empty(0)))
     depth = len(layers)
     return HierarchyStack(
         layers=layers,

@@ -164,8 +164,8 @@ def train(lmdp: Lmdp, goal_task: np.ndarray, epochs: int,
 
     Returns (LearningState, curve) where curve rows are
     (epoch, mean_length, stderr).  ``epochs`` and ``episodes_per_epoch``
-    must be at least 1 and ``step_scale`` finite and positive, or
-    InvalidSpec is raised.
+    must be at least 1, ``step_scale`` finite and positive and
+    ``goal_task`` finite and nonnegative, or InvalidSpec is raised.
     """
     if epochs < 1:
         raise InvalidSpec(f"epochs must be at least 1, got {epochs}")
@@ -176,6 +176,8 @@ def train(lmdp: Lmdp, goal_task: np.ndarray, epochs: int,
         raise InvalidSpec(f"step_scale must be finite and positive, got {step_scale}")
     rng = np.random.default_rng(seed)
     goal = np.asarray(goal_task, dtype=np.float64)
+    if not np.isfinite(goal).all() or (goal < 0).any():
+        raise InvalidSpec("goal task must be finite and nonnegative")
     if stack is not None:
         template = stack.clone()
         template.set_task(goal)

@@ -79,13 +79,16 @@ def blend_weights_matrix(task_matrix: np.ndarray, target: np.ndarray,
 
     nnls solves min ||target - Q w|| subject to w >= 0 (active-set method);
     pinv takes the pseudoinverse solution and clips negatives to zero, which
-    is cheaper but only approximate when the sign constraint binds.
+    is cheaper but only approximate when the sign constraint binds.  A
+    non-finite task matrix or target raises InvalidSpec.
     """
     Q = np.asarray(task_matrix, dtype=np.float64)
     q = np.asarray(target, dtype=np.float64)
     if Q.ndim != 2 or q.shape != (Q.shape[0],):
         raise DimensionMismatch(f"target shape {q.shape} vs task matrix {Q.shape}")
     col_mass = np.abs(Q).sum(axis=0)
+    if not (np.isfinite(col_mass).all() and np.isfinite(q).all()):
+        raise InvalidSpec("task matrix and target must be finite")
     if (col_mass == 0).any():
         raise DegenerateBasis(f"task column {int(np.argmin(col_mass))} is all zero")
     if method == "nnls":

@@ -119,10 +119,11 @@ def test_criterion_3_derived_dynamics():
     W[1, 3] = 0.4
     W[1, 4] = 0.2
     basis = build_task_basis(lmdp, np.ones((1, 1)))
-    instances.append(augment(basis, SubtaskStructure(W)))
+    instances.append(augment(basis.base, basis.boundary_tasks, SubtaskStructure(W)))
 
     ring, structures, tasks = make_ring(RingSpec(9, subtask_spacing=3, depth=2))
-    instances.append(augment(build_task_basis(ring, tasks), structures[0]))
+    basis = build_task_basis(ring, tasks)
+    instances.append(augment(basis.base, basis.boundary_tasks, structures[0]))
 
     for aug in instances:
         assert aug.lmdp.n_states <= 30

@@ -29,7 +29,7 @@ from lsmdp import (
     solve_interior,
     terminate_layer,
 )
-from lsmdp import core
+from lsmdp import core, hierarchy, multitask
 from lsmdp.domains import GridSpec
 from lsmdp.errors import (
     AlreadyTerminated,
@@ -67,7 +67,7 @@ def small_augmented(n_interior=5, seed=43, weights=None):
         weights[0, 1] = 0.4
         weights[1, 3] = 0.4
         weights[1, 4] = 0.2
-    return augment(basis, SubtaskStructure(weights))
+    return augment(basis.base, basis.boundary_tasks, SubtaskStructure(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,8 @@ def test_zero_weights_leave_dynamics_unchanged():
 
 def test_augmented_columns_sum_to_one():
     lmdp, structures, tasks = make_ring(RingSpec(9, subtask_spacing=3, depth=2))
-    aug = augment(build_task_basis(lmdp, tasks), structures[0])
+    basis = build_task_basis(lmdp, tasks)
+    aug = augment(basis.base, basis.boundary_tasks, structures[0])
     total = np.asarray(aug.to_interior.sum(axis=0)).ravel() \
         + np.asarray(aug.to_boundary.sum(axis=0)).ravel() \
         + np.asarray(aug.to_subtasks.sum(axis=0)).ravel()
@@ -159,7 +160,14 @@ def test_augment_rejects_wrong_width():
     lmdp, _, tasks = make_ring(RingSpec(9))
     basis = build_task_basis(lmdp, tasks)
     with pytest.raises(DimensionMismatch):
-        augment(basis, SubtaskStructure(np.ones((2, 5))))
+        augment(basis.base, basis.boundary_tasks, SubtaskStructure(np.ones((2, 5))))
+
+
+def test_augment_rejects_a_task_matrix_of_the_wrong_shape():
+    lmdp, structures, tasks = make_ring(RingSpec(9, subtask_spacing=3, depth=2))
+    for bad in (tasks[:-1], tasks[:, 0], tasks[:, :0]):
+        with pytest.raises(DimensionMismatch):
+            augment(lmdp, bad, structures[0])
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +189,8 @@ def test_deterministic_corridor_derives_indicator():
     W = np.zeros((2, n))
     W[0, 0] = 1e-12
     W[1, n - 1] = 1e12
-    aug = augment(build_task_basis(lmdp, np.ones((1, 1))), SubtaskStructure(W))
+    basis = build_task_basis(lmdp, np.ones((1, 1)))
+    aug = augment(basis.base, basis.boundary_tasks, SubtaskStructure(W))
     to_i, to_b = absorption_dynamics(aug.to_interior, aug.to_boundary,
                                      aug.to_subtasks)
     np.testing.assert_allclose(to_i[:, 0], [0.0, 1.0], rtol=0, atol=1e-9)
@@ -359,6 +368,65 @@ def test_stack_construction_is_bit_deterministic(tmp_path):
     assert [f.name for f in files_a] == [f.name for f in files_b]
     for fa, fb in zip(files_a, files_b):
         assert fa.read_bytes() == fb.read_bytes()
+
+
+def test_build_stack_factors_each_kernel_once(monkeypatch):
+    # depth 3: two augmented bases, two absorption systems and the top basis;
+    # the intermediate derived layer is only augmented, never solved plain
+    lmdp, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3))
+    basis = build_task_basis(lmdp, tasks)
+    solved, factorized = [], []
+    real_solve, real_factorize = multitask.solve_interior, core._factorize
+
+    def counting_solve(kernel, q_boundary):
+        solved.append(kernel)
+        return real_solve(kernel, q_boundary)
+
+    def counting_factorize(A, error):
+        factorized.append(A)
+        return real_factorize(A, error)
+
+    monkeypatch.setattr(multitask, "solve_interior", counting_solve)
+    monkeypatch.setattr(core, "_factorize", counting_factorize)
+    monkeypatch.setattr(hierarchy, "_factorize", counting_factorize)
+    stack = build_stack(basis, structures)
+    assert len(solved) == 3
+    assert len({id(kernel) for kernel in solved}) == 3
+    assert len(factorized) == 5
+    assert solved[-1] is stack.layers[-1].lmdp
+
+
+def test_set_task_blends_the_shared_task_matrix_once(monkeypatch):
+    lmdp, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3))
+    stack = build_stack(build_task_basis(lmdp, tasks), structures)
+    for entry in stack.layers:
+        np.testing.assert_array_equal(
+            entry.basis.boundary_tasks[:entry.n_base_boundary,
+                                       :entry.n_base_tasks], tasks)
+    blended = []
+    real = hierarchy.blend_weights_matrix
+
+    def counting(task_matrix, target):
+        blended.append(task_matrix)
+        return real(task_matrix, target)
+
+    monkeypatch.setattr(hierarchy, "blend_weights_matrix", counting)
+    target = np.exp(-np.arange(27.0) / 4.0)
+    stack.set_task(target)
+    assert len(blended) == 1
+    base_weights = real(tasks, target).values
+    for entry, weights in zip(stack.layers, stack.weights):
+        np.testing.assert_array_equal(weights.values[:entry.n_base_tasks],
+                                      base_weights)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_set_task_rejects_a_non_finite_target(bad):
+    stack = corridor_stack()
+    target = stack.target.copy()
+    target[0] = bad
+    with pytest.raises(InvalidSpec):
+        stack.set_task(target)
 
 
 def test_policy_state_requires_task(chain5):

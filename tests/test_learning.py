@@ -264,3 +264,15 @@ def test_wrong_goal_shape_is_rejected(rooms):
     with pytest.raises(DimensionMismatch):
         train(lmdp, np.ones(lmdp.n_boundary + 1), epochs=1,
               episodes_per_epoch=1, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
+@pytest.mark.parametrize("guided", [False, True])
+def test_non_finite_or_negative_goal_is_rejected(rooms, bad, guided):
+    lmdp, template, goal_q, _, start = rooms
+    goal = goal_q.copy()
+    goal[0] = bad
+    with pytest.raises(InvalidSpec, match="goal"):
+        train(lmdp, goal, epochs=1, episodes_per_epoch=1, seed=0,
+              stack=template if guided else None, start_state=start,
+              max_steps=50)

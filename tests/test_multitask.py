@@ -132,6 +132,21 @@ def test_zero_task_column_rejected():
                              np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_blend_inputs_rejected(basis, bad):
+    Q = basis.boundary_tasks
+    target = Q[:, 0].copy()
+    target[1] = bad
+    with pytest.raises(InvalidSpec):
+        blend_weights_matrix(Q, target)
+    with pytest.raises(InvalidSpec):
+        solve_novel_task(basis, target)
+    broken = Q.copy()
+    broken[0, 2] = bad
+    with pytest.raises(InvalidSpec):
+        blend_weights_matrix(broken, Q[:, 0])
+
+
 def test_zero_weights_cannot_compose(basis):
     with pytest.raises(NonPositiveComposite):
         compose_desirability(basis, TaskWeights(np.zeros(basis.n_tasks), 0.0))
