@@ -27,11 +27,13 @@ from .core import (
 )
 from .multitask import (
     BLEND_METHODS,
+    FactoredBlock,
     TaskBasis,
     TaskWeights,
     blend_weights_matrix,
     build_task_basis,
     compose_desirability,
+    factor_block,
     solve_novel_task,
 )
 from .hierarchy import (

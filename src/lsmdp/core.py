@@ -69,6 +69,8 @@ from .errors import (
 STOCHASTIC_ATOL = 1e-9
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
+# Largest r / lambda whose exponential is a finite float64.
+LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 # Below this many interior states a dense factorization beats sparse LU setup.
 DENSE_CUTOFF = 64
 # Columns solved or iterated per pass.  Bounds a many-task call's temporaries
@@ -226,12 +228,12 @@ def exponentiate_rewards(rewards: RewardModel):
     Raises RewardOverflow when r / lambda exceeds the largest representable
     exponent, since a non-finite q poisons every downstream solve.
     """
-    log_max = math.log(np.finfo(np.float64).max)
     scaled_i = rewards.interior / rewards.temperature
     scaled_b = rewards.boundary / rewards.temperature
-    if scaled_i.size and scaled_i.max() > log_max or scaled_b.size and scaled_b.max() > log_max:
+    if (scaled_i.size and scaled_i.max() > LOG_FLOAT_MAX
+            or scaled_b.size and scaled_b.max() > LOG_FLOAT_MAX):
         raise RewardOverflow(
-            f"reward / temperature exceeds log(float64 max) = {log_max:.3f}"
+            f"reward / temperature exceeds log(float64 max) = {LOG_FLOAT_MAX:.3f}"
         )
     return np.exp(scaled_i), np.exp(scaled_b)
 

@@ -11,7 +11,8 @@ desired next-state distribution and its passive one, scaled by kappa, becomes
 a boundary reward vector that the lower layer re-blends against its
 subtask-task columns.  Every layer keeps the base boundary set and its one
 boundary-task matrix, so a stack solves one basis per layer and one blend of
-that matrix sets the goal at every layer.
+that matrix sets the goal at every layer.  That matrix and every subtask
+reward block are LU-factored once per stack (``multitask.factor_block``).
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import (
+    LOG_FLOAT_MAX,
     Lmdp,
     PassiveDynamics,
     RewardModel,
@@ -39,10 +41,12 @@ from .errors import (
     DimensionMismatch,
     InvalidSpec,
     NoTaskSet,
+    RewardOverflow,
     SingularFundamentalMatrix,
     UnreachableSubtasks,
 )
 from .multitask import TaskBasis, TaskWeights, blend_weights_matrix, build_task_basis
+from .multitask import FactoredBlock, factor_block
 
 DEFAULT_SUBTASK_PENALTY_SCALE = -5.0
 # Cross-block fill of the augmented task matrix (base tasks priced at subtask
@@ -114,6 +118,7 @@ class AugmentedMlmdp:
     stack is a rung with zero subtasks: its LMDP and basis are the top
     layer's own, and its subtask blocks are empty.  Below a terminated
     layer, composites blend ``dead_desirabilities`` instead of the basis.
+    Inpaint re-blends solve against ``subtask_block``, factored in augment.
     """
 
     lmdp: Lmdp                      # augmented: boundary = base boundary + subtasks
@@ -121,6 +126,7 @@ class AugmentedMlmdp:
     to_interior: sp.csc_matrix      # renormalized blocks of the stacked kernel
     to_boundary: sp.csc_matrix      # base-boundary rows only
     to_subtasks: sp.csc_matrix
+    subtask_block: FactoredBlock    # subtask-reward block Q_t and its LU
     neutral_weights: np.ndarray     # subtask-task blend for inpainted reward 0
 
     @property
@@ -134,11 +140,6 @@ class AugmentedMlmdp:
     @property
     def n_base_boundary(self) -> int:
         return self.lmdp.n_boundary - self.n_subtasks
-
-    @property
-    def subtask_rewards(self) -> np.ndarray:
-        """(n_subtasks, n_subtasks) exponentiated block of the subtask tasks."""
-        return self.basis.boundary_tasks[self.n_base_boundary:, self.n_base_tasks:]
 
     @property
     def subtask_range(self):
@@ -233,7 +234,8 @@ def augment(lmdp: Lmdp, tasks: np.ndarray, structure: SubtaskStructure,
     the combined task matrix (base tasks at subtask states, subtask tasks at
     boundary twins) are filled with the much steeper reward
     AUGMENT_FILL_SCALE * lambda, kept strictly positive so every basis
-    column stays a valid exponentiated reward.
+    column stays a valid exponentiated reward.  The subtask-reward block is
+    factored once here and gives the neutral blend.
     """
     lam = lmdp.rewards.temperature
     if penalty is None:
@@ -279,8 +281,9 @@ def augment(lmdp: Lmdp, tasks: np.ndarray, structure: SubtaskStructure,
     Q_full[:n_b, :n_tasks] = Q
     Q_full[n_b:, n_tasks:] = Q_t
     basis = build_task_basis(aug_lmdp, Q_full)
+    subtask_block = factor_block(Q_t)
     # the blend for inpainted reward 0 (target q_t = 1) that set_task starts from
-    neutral = blend_weights_matrix(Q_t, np.ones(n_t)).values
+    neutral = blend_weights_matrix(subtask_block, np.ones(n_t)).values
 
     return AugmentedMlmdp(
         lmdp=aug_lmdp,
@@ -288,6 +291,7 @@ def augment(lmdp: Lmdp, tasks: np.ndarray, structure: SubtaskStructure,
         to_interior=to_interior.tocsc(),
         to_boundary=to_boundary.tocsc(),
         to_subtasks=to_subtasks.tocsc(),
+        subtask_block=subtask_block,
         neutral_weights=neutral,
     )
 
@@ -314,16 +318,20 @@ def rewards_to_task_weights(aug: AugmentedMlmdp, inpainted: np.ndarray,
 
     Only the subtask-task weights move; base boundary-task weights keep their
     current values.  The target is exp(inpainted / lambda) over the subtask
-    states, fitted to the subtask-reward block.
+    states, fitted to the factored subtask-reward block.  A target that
+    overflows (too large an inpaint scale kappa) raises RewardOverflow.
     """
     r_t = np.asarray(inpainted, dtype=np.float64)
     if r_t.shape != (aug.n_subtasks,):
         raise DimensionMismatch(
             f"inpainted rewards shape {r_t.shape}, expected ({aug.n_subtasks},)"
         )
-    lam = aug.lmdp.rewards.temperature
-    q_t = np.exp(r_t / lam)
-    sub = blend_weights_matrix(aug.subtask_rewards, q_t)
+    scaled = r_t / aug.lmdp.rewards.temperature
+    if scaled.size and scaled.max() > LOG_FLOAT_MAX:
+        raise RewardOverflow(
+            f"inpainted reward / temperature {scaled.max():.6g} exceeds "
+            f"log(float64 max) = {LOG_FLOAT_MAX:.3f}; lower the inpaint scale kappa")
+    sub = blend_weights_matrix(aug.subtask_block, np.exp(scaled))
     values = np.concatenate([current.values[:aug.n_base_tasks], sub.values])
     return TaskWeights(values, sub.residual)
 
@@ -337,7 +345,8 @@ class HierarchyStack:
     """An ordered tower of layers plus per-episode execution state.
 
     Every layer is an AugmentedMlmdp; the top one has zero subtasks.  Layer
-    structures, including their lazily solved dead-subtask bases, are
+    structures, including their lazily solved dead-subtask bases, and
+    ``task_block``, the shared boundary-task matrix with its LU factors, are
     immutable and shared between clones; weights, composite desirabilities
     and termination flags are per-clone.
     """
@@ -345,6 +354,7 @@ class HierarchyStack:
     layers: List[AugmentedMlmdp]
     kappa: float
     penalty: float
+    task_block: FactoredBlock
     weights: List[Optional[TaskWeights]]
     z_full: List[Optional[np.ndarray]]
     terminated: List[bool]
@@ -359,6 +369,7 @@ class HierarchyStack:
             layers=self.layers,
             kappa=self.kappa,
             penalty=self.penalty,
+            task_block=self.task_block,
             weights=list(self.weights),
             z_full=[None if z is None else z.copy() for z in self.z_full],
             terminated=list(self.terminated),
@@ -370,14 +381,14 @@ class HierarchyStack:
     def set_task(self, boundary_target: np.ndarray) -> None:
         """Blend the same boundary-reward target at every layer.
 
-        All layers share the base boundary set and its task matrix (the top
-        layer's basis holds it unaugmented), so one fit gives every layer its
-        base-task weights.  The subtask tasks start from the neutral blend
-        (inpainted reward 0), empty at the top.
+        All layers share the base boundary set and its task matrix, so one
+        fit against ``task_block`` (factored when the stack was built) gives
+        every layer its base-task weights.  The subtask tasks start from the
+        neutral blend (inpainted reward 0), empty at the top.
         """
         q = np.asarray(boundary_target, dtype=np.float64)
         self.target = q.copy()
-        wb = blend_weights_matrix(self.layers[-1].basis.boundary_tasks, q)
+        wb = blend_weights_matrix(self.task_block, q)
         for layer, entry in enumerate(self.layers):
             self.weights[layer] = TaskWeights(
                 np.concatenate([wb.values, entry.neutral_weights]), wb.residual)
@@ -425,7 +436,8 @@ def build_stack(basis: TaskBasis, structures: Sequence[SubtaskStructure],
     subtask states with absorption-derived passive dynamics, keeps the base
     boundary set and temperature, inherits the boundary-task matrix, and
     charges reward -1 per step.  Only the augmented layers and a derived top
-    solve a basis; with no structures the top is ``basis`` itself.
+    solve a basis; with no structures the top is ``basis`` itself.  Every
+    block a stack blends is factored here or in ``augment``, not in episodes.
     ``kappa`` (default lambda) scales inpainted rewards and must be finite;
     ``penalty`` defaults to -5 * lambda.
     """
@@ -456,12 +468,14 @@ def build_stack(basis: TaskBasis, structures: Sequence[SubtaskStructure],
     layers.append(AugmentedMlmdp(
         lmdp=lmdp, basis=build_task_basis(lmdp, tasks) if layers else basis,
         to_interior=lmdp.passive.to_interior, to_boundary=lmdp.passive.to_boundary,
-        to_subtasks=sp.csc_matrix((0, lmdp.n_interior)), neutral_weights=np.empty(0)))
+        to_subtasks=sp.csc_matrix((0, lmdp.n_interior)),
+        subtask_block=factor_block(np.empty((0, 0))), neutral_weights=np.empty(0)))
     depth = len(layers)
     return HierarchyStack(
         layers=layers,
         kappa=kappa,
         penalty=penalty,
+        task_block=factor_block(tasks),
         weights=[None] * depth,
         z_full=[None] * depth,
         terminated=[False] * depth,

@@ -5,6 +5,11 @@ its solved interior desirability (Z_i).  Because the first-exit problem is
 linear in the boundary values, any new boundary reward expressible as a
 nonnegative combination of basis columns is solved instantly by taking the
 same combination of the cached desirabilities.
+
+Blends fit nonnegative weights by NNLS.  A block LU-factored once by
+factor_block is blended by its exact solution w of Q w = q when w is finite,
+w >= 0 and max|Q w - q| <= 1e-10 (1 + max|q|), a certificate that w is the
+NNLS optimum (it meets the KKT conditions); otherwise NNLS runs as usual.
 """
 from __future__ import annotations
 
@@ -12,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
+from scipy.linalg import lapack
 
-from .core import Desirability, Lmdp, solve_interior
+from .core import DEFAULT_TOL, Desirability, Lmdp, solve_interior
 from .errors import (
     DegenerateBasis,
     DimensionMismatch,
@@ -73,25 +79,63 @@ def build_task_basis(base: Lmdp, boundary_tasks: np.ndarray) -> TaskBasis:
     return TaskBasis(base, Q, solve_interior(base, Q))
 
 
-def blend_weights_matrix(task_matrix: np.ndarray, target: np.ndarray,
-                         method: str = "nnls") -> TaskWeights:
+@dataclass(frozen=True)
+class FactoredBlock:
+    """A validated task matrix; ``lu`` is LAPACK getrf's (lu, piv) when it
+    is square and nonsingular, else None."""
+
+    matrix: np.ndarray
+    lu: tuple | None
+
+
+def _check_task_matrix(Q: np.ndarray) -> None:
+    col_mass = np.abs(Q).sum(axis=0)
+    if not np.isfinite(col_mass).all():
+        raise InvalidSpec("task matrix and target must be finite")
+    if (col_mass == 0).any():
+        raise DegenerateBasis(f"task column {int(np.argmin(col_mass))} is all zero")
+
+
+def factor_block(task_matrix: np.ndarray) -> FactoredBlock:
+    """Validate a 2-D task matrix; LU-factor it if square and nonsingular."""
+    Q = np.asarray(task_matrix, dtype=np.float64)
+    if Q.ndim != 2:
+        raise DimensionMismatch(f"task matrix must be 2-D, got shape {Q.shape}")
+    _check_task_matrix(Q)
+    if not 0 < Q.shape[0] == Q.shape[1]:
+        return FactoredBlock(Q, None)
+    lu, piv, info = lapack.dgetrf(Q)  # info > 0: an exactly zero pivot
+    return FactoredBlock(Q, None if info else (lu, piv))
+
+
+def blend_weights_matrix(task_matrix: np.ndarray | FactoredBlock,
+                         target: np.ndarray, method: str = "nnls") -> TaskWeights:
     """Fit nonnegative task weights to a target exponentiated reward.
 
     nnls solves min ||target - Q w|| subject to w >= 0 (active-set method);
     pinv takes the pseudoinverse solution and clips negatives to zero, which
     is cheaper but only approximate when the sign constraint binds.  A
-    non-finite task matrix or target raises InvalidSpec.
+    non-finite task matrix or target raises InvalidSpec.  ``task_matrix`` is
+    an array, checked on every call, or a FactoredBlock, checked when factored,
+    whose certified exact solution nnls takes first (see the module docstring).
     """
-    Q = np.asarray(task_matrix, dtype=np.float64)
+    block = task_matrix if isinstance(task_matrix, FactoredBlock) else None
+    Q = np.asarray(task_matrix if block is None else block.matrix, dtype=np.float64)
     q = np.asarray(target, dtype=np.float64)
     if Q.ndim != 2 or q.shape != (Q.shape[0],):
         raise DimensionMismatch(f"target shape {q.shape} vs task matrix {Q.shape}")
-    col_mass = np.abs(Q).sum(axis=0)
-    if not (np.isfinite(col_mass).all() and np.isfinite(q).all()):
+    if not np.isfinite(q).all():
         raise InvalidSpec("task matrix and target must be finite")
-    if (col_mass == 0).any():
-        raise DegenerateBasis(f"task column {int(np.argmin(col_mass))} is all zero")
+    if block is None:
+        _check_task_matrix(Q)
     if method == "nnls":
+        if block is not None and block.lu is not None:
+            w, info = lapack.dgetrs(*block.lu, q)
+            with np.errstate(over="ignore", invalid="ignore"):
+                r = Q @ w - q
+            if (not info and np.isfinite(w).all() and w.min() >= 0
+                    and np.abs(r).max() <= DEFAULT_TOL * (1.0 + np.abs(q).max())):
+                return TaskWeights(w, float(np.linalg.norm(r)))
         w, residual = scipy.optimize.nnls(Q, q)
     elif method == "pinv":
         w = np.clip(np.linalg.pinv(Q) @ q, 0.0, None)

@@ -285,6 +285,18 @@ def test_malformed_arguments(tmp_path, capsys, ring_config, argv):
     assert not (out / "manifest.json").exists()
 
 
+def test_an_overflowing_inpaint_scale_is_a_config_error(tmp_path, capsys):
+    config = write_config(tmp_path / "ring27.json", {
+        "type": "ring", "n_states": 27, "subtask_spacing": 3, "depth": 3,
+        "goal": 0, "start": 13,
+    })
+    assert main(["simulate", "--domain", config, "--kappa", "1000",
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "kappa" in err
+    assert "RuntimeWarning" not in err
+
+
 def test_blend_needs_a_target(tmp_path, chain_config):
     assert main(["blend", "--domain", chain_config,
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,11 +22,13 @@ from lsmdp import (
     build_task_basis,
     default_subtask_rewards,
     draw_from,
+    goal_task_vector,
     inpaint_rewards,
     make_grid,
     make_ring,
     policy_column,
     rewards_to_task_weights,
+    run_episode,
     solve_interior,
     terminate_layer,
 )
@@ -37,6 +40,7 @@ from lsmdp.errors import (
     DimensionMismatch,
     InvalidSpec,
     NoTaskSet,
+    RewardOverflow,
     SingularFundamentalMatrix,
     UnreachableSubtasks,
 )
@@ -305,7 +309,7 @@ def test_own_reward_column_selects_own_task():
     for t in range(aug.n_subtasks):
         r_t = np.full(aug.n_subtasks, stack.penalty)
         r_t[t] = 0.0
-        assert np.allclose(np.exp(r_t / lam), aug.subtask_rewards[:, t])
+        assert np.allclose(np.exp(r_t / lam), aug.subtask_block.matrix[:, t])
         w = rewards_to_task_weights(aug, r_t, stack.weights[0])
         expected = np.zeros(aug.n_subtasks)
         expected[t] = 1.0
@@ -407,17 +411,68 @@ def test_set_task_blends_the_shared_task_matrix_once(monkeypatch):
     real = hierarchy.blend_weights_matrix
 
     def counting(task_matrix, target):
-        blended.append(task_matrix)
-        return real(task_matrix, target)
+        blended.append(real(task_matrix, target))
+        return blended[-1]
 
     monkeypatch.setattr(hierarchy, "blend_weights_matrix", counting)
     target = np.exp(-np.arange(27.0) / 4.0)
     stack.set_task(target)
     assert len(blended) == 1
-    base_weights = real(tasks, target).values
     for entry, weights in zip(stack.layers, stack.weights):
         np.testing.assert_array_equal(weights.values[:entry.n_base_tasks],
-                                      base_weights)
+                                      blended[0].values)
+    # the factored fit is the NNLS optimum of the shared task matrix
+    w_nnls, _ = scipy.optimize.nnls(tasks, target)
+    np.testing.assert_allclose(blended[0].values, w_nnls, rtol=0,
+                               atol=1e-12 * np.abs(w_nnls).max())
+
+
+def test_a_stack_factors_its_blocks_once_and_episodes_skip_nnls(monkeypatch):
+    # ring-27 depth 3: build_stack factors the two subtask-reward blocks and
+    # the shared task matrix; set_task and an episode's neutral and inpaint
+    # re-blends then solve against those factors and never run NNLS.  (A
+    # termination still solves its layer's dead-subtask basis on first use.)
+    lmdp, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3))
+    basis = build_task_basis(lmdp, tasks)
+    factored, fitted, blended = [], [], []
+    real_getrf, real_nnls = multitask.lapack.dgetrf, scipy.optimize.nnls
+    real_blend = hierarchy.blend_weights_matrix
+
+    def counting_getrf(a):
+        factored.append(a.shape)
+        return real_getrf(a)
+
+    def counting_nnls(*args):
+        fitted.append(args)
+        return real_nnls(*args)
+
+    def counting_blend(*args):
+        blended.append(args)
+        return real_blend(*args)
+
+    monkeypatch.setattr(multitask.lapack, "dgetrf", counting_getrf)
+    monkeypatch.setattr(scipy.optimize, "nnls", counting_nnls)
+    monkeypatch.setattr(hierarchy, "blend_weights_matrix", counting_blend)
+    stack = build_stack(basis, structures)
+    assert sorted(factored) == [(3, 3), (9, 9), (27, 27)]
+    assert all(block.lu is not None for block in
+               [stack.task_block] + [e.subtask_block for e in stack.layers[:-1]])
+    factored.clear()
+    task = stack.clone()
+    assert task.task_block is stack.task_block and task.layers is stack.layers
+    task.set_task(goal_task_vector(lmdp.n_boundary, 0, lmdp.rewards.temperature))
+    traj = run_episode(task.clone(), 13, np.random.default_rng(1))
+    assert traj.events and len(blended) > 3  # neutral blends, set_task, inpaints
+    assert fitted == []
+    assert factored == []
+
+
+def test_an_overflowing_inpaint_names_kappa():
+    lmdp, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3))
+    stack = build_stack(build_task_basis(lmdp, tasks), structures, kappa=1000.0)
+    stack.set_task(goal_task_vector(lmdp.n_boundary, 0, lmdp.rewards.temperature))
+    with pytest.raises(RewardOverflow, match="kappa"):
+        run_episode(stack, 13, np.random.default_rng(1))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

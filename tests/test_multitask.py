@@ -3,6 +3,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsmdp import (
     TaskWeights,
@@ -10,6 +13,8 @@ from lsmdp import (
     boundary_goal_tasks,
     build_task_basis,
     compose_desirability,
+    default_subtask_rewards,
+    factor_block,
     four_rooms_map,
     grid_from_ascii,
     make_grid,
@@ -17,6 +22,7 @@ from lsmdp import (
     solve_interior,
     solve_novel_task,
 )
+from lsmdp import multitask
 from lsmdp.errors import (
     DegenerateBasis,
     DimensionMismatch,
@@ -145,6 +151,106 @@ def test_non_finite_blend_inputs_rejected(basis, bad):
     broken[0, 2] = bad
     with pytest.raises(InvalidSpec):
         blend_weights_matrix(broken, Q[:, 0])
+
+
+# ---------------------------------------------------------------------------
+# factored blends
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       off=st.floats(0.0, 2.0))
+def test_factored_blend_is_the_nnls_optimum(n, seed, off):
+    # diagonal-heavy blocks (small off) have nonnegative exact solutions;
+    # dense ones often do not, and then the blend must be scipy's NNLS
+    rng = np.random.default_rng(seed)
+    Q = off * rng.uniform(0.01, 1.0, (n, n)) + np.diag(rng.uniform(0.5, 1.5, n))
+    q = rng.uniform(0.01, 1.0, n)
+    got = blend_weights_matrix(factor_block(Q), q)
+    w_nnls, r_nnls = scipy.optimize.nnls(Q, q)
+    assert (got.values >= 0).all()
+    assert got.residual <= r_nnls + 1e-12 * (1 + np.abs(q).max())
+    exact = np.linalg.solve(Q, q)
+    if exact.min() < -1e-9 * np.abs(exact).max():
+        np.testing.assert_array_equal(got.values, w_nnls)
+        assert got.residual == r_nnls
+
+
+def test_a_negative_exact_solution_falls_back_to_nnls():
+    Q = default_subtask_rewards(9, -0.1, 1.0)
+    q = np.exp(np.linspace(0.0, -2.0, 9))
+    assert np.linalg.solve(Q, q).min() < -1.0
+    w_nnls, r_nnls = scipy.optimize.nnls(Q, q)
+    got = blend_weights_matrix(factor_block(Q), q)
+    np.testing.assert_array_equal(got.values, w_nnls)
+    assert got.residual == r_nnls
+
+
+def test_a_certified_exact_blend_skips_nnls(monkeypatch):
+    Q = default_subtask_rewards(9, -5.0, 1.0)
+    q = np.exp(np.linspace(0.0, -2.0, 9))
+    w_nnls, r_nnls = scipy.optimize.nnls(Q, q)
+    calls = []
+    monkeypatch.setattr(scipy.optimize, "nnls",
+                        lambda *args: calls.append(args) or w_nnls)
+    got = blend_weights_matrix(factor_block(Q), q)
+    assert calls == []
+    np.testing.assert_allclose(got.values, w_nnls, rtol=0,
+                               atol=1e-14 * np.abs(w_nnls).max())
+    assert got.residual <= r_nnls + 1e-12
+    assert got.residual == np.linalg.norm(q - Q @ got.values)
+
+
+@pytest.mark.parametrize("spoil", [lambda w: 1.001 * w, lambda w: w + np.inf],
+                         ids=["inaccurate", "non-finite"])
+def test_an_uncertified_exact_solution_falls_back_to_nnls(monkeypatch, spoil):
+    # a nonnegative solve that misses the residual bound, or overflows, must
+    # not be taken as the NNLS optimum
+    Q = default_subtask_rewards(9, -5.0, 1.0)
+    q = np.exp(np.linspace(0.0, -2.0, 9))
+    block = factor_block(Q)
+    real = multitask.lapack.dgetrs
+    monkeypatch.setattr(multitask.lapack, "dgetrs",
+                        lambda lu, piv, b: (spoil(real(lu, piv, b)[0]), 0))
+    w_nnls, r_nnls = scipy.optimize.nnls(Q, q)
+    got = blend_weights_matrix(block, q)
+    np.testing.assert_array_equal(got.values, w_nnls)
+    assert got.residual == r_nnls
+
+
+@pytest.mark.parametrize("Q", [np.ones((3, 3)), np.array([[1.0, 0.5],
+                                                          [0.5, 1.0],
+                                                          [0.2, 0.1]])],
+                         ids=["singular", "non-square"])
+def test_an_unfactorable_block_blends_by_nnls_silently(capfd, Q):
+    block = factor_block(Q)
+    assert block.lu is None
+    q = np.linspace(1.0, 2.0, Q.shape[0])
+    w_nnls, r_nnls = scipy.optimize.nnls(Q, q)
+    got = blend_weights_matrix(block, q)
+    np.testing.assert_array_equal(got.values, w_nnls)
+    assert got.residual == r_nnls
+    assert capfd.readouterr() == ("", "")
+
+
+def test_factored_blend_rejects_bad_targets():
+    block = factor_block(default_subtask_rewards(4, -5.0, 1.0))
+    for bad in (np.inf, np.nan):
+        target = np.ones(4)
+        target[2] = bad
+        with pytest.raises(InvalidSpec):
+            blend_weights_matrix(block, target)
+    with pytest.raises(DimensionMismatch):
+        blend_weights_matrix(block, np.ones(3))
+
+
+def test_factor_block_rejects_malformed_blocks():
+    with pytest.raises(DimensionMismatch):
+        factor_block(np.ones(3))
+    with pytest.raises(InvalidSpec):
+        factor_block(np.array([[1.0, np.nan], [0.5, 1.0]]))
+    with pytest.raises(DegenerateBasis):
+        factor_block(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
 def test_zero_weights_cannot_compose(basis):
