@@ -91,7 +91,7 @@ class FactoredBlock:
 def _check_task_matrix(Q: np.ndarray) -> None:
     col_mass = np.abs(Q).sum(axis=0)
     if not np.isfinite(col_mass).all():
-        raise InvalidSpec("task matrix and target must be finite")
+        raise InvalidSpec("task matrix must be finite")
     if (col_mass == 0).any():
         raise DegenerateBasis(f"task column {int(np.argmin(col_mass))} is all zero")
 
@@ -125,7 +125,7 @@ def blend_weights_matrix(task_matrix: np.ndarray | FactoredBlock,
     if Q.ndim != 2 or q.shape != (Q.shape[0],):
         raise DimensionMismatch(f"target shape {q.shape} vs task matrix {Q.shape}")
     if not np.isfinite(q).all():
-        raise InvalidSpec("task matrix and target must be finite")
+        raise InvalidSpec("blend target must be finite")
     if block is None:
         _check_task_matrix(Q)
     if method == "nnls":
