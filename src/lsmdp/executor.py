@@ -101,9 +101,8 @@ def access_hierarchy(stack: HierarchyStack, entry_subtask: int,
     ``entry_subtask`` indexes the base layer's subtask states (equivalently
     the first layer's interior states).  Returns (inpainted rewards for the
     base or None, visited chain, deepest layer, terminated layer or None).
-    The base's own re-blend is left to the caller: the executor feeds the
-    rewards into the base blend, a learner writes them into its boundary
-    estimates instead.
+    The base's own re-blend is left to the caller: the executor and the
+    learner both feed the rewards into it with ``stack.apply_inpaint(0, ...)``.
     """
     chain: list = []
     r_t, deepest, terminated = _access(stack, 1, entry_subtask, rng, chain)

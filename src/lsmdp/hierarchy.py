@@ -41,6 +41,7 @@ from .errors import (
     DimensionMismatch,
     InvalidSpec,
     NoTaskSet,
+    NonPositiveComposite,
     RewardOverflow,
     SingularFundamentalMatrix,
     UnreachableSubtasks,
@@ -398,13 +399,20 @@ class HierarchyStack:
         """Refresh the layer's composite desirability from its weights.
 
         Below a terminated layer the interior blends the dead-subtask basis
-        and the subtask states carry zero desirability.
+        and the subtask states carry zero desirability.  Raises
+        NonPositiveComposite when an interior entry is not positive, e.g.
+        after underflow at low temperature.
         """
         entry = self.layers[layer]
         w = self.weights[layer].values
         dead = layer + 1 < self.depth and self.terminated[layer + 1]
         Z = entry.dead_desirabilities if dead else entry.basis.desirabilities
-        z = np.concatenate([Z @ w, entry.basis.boundary_tasks @ w])
+        z_i = Z @ w
+        low = z_i.min(initial=np.inf)
+        if not low > 0:
+            raise NonPositiveComposite(
+                f"layer {layer} composite desirability min = {low:.3g}")
+        z = np.concatenate([z_i, entry.basis.boundary_tasks @ w])
         if dead:
             z[slice(*entry.subtask_range)] = 0.0
         self.z_full[layer] = z

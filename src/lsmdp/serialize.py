@@ -1,9 +1,9 @@
-"""On-disk formats: LMDP and basis JSON, stack directories, CSV tables.
+"""On-disk formats: LMDP JSON, stack directories, CSV tables.
 
 All writers are deterministic: floats render with 17 significant digits
 (%.17g, enough to round-trip a double), JSON keys are sorted, newlines are
-always "\\n".  Rerunning a writer on equal inputs produces byte-identical
-files.
+always "\\n", and arrays go to float64 ``.npy`` files.  Rerunning a writer
+on equal inputs produces byte-identical files.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .core import (Lmdp, PassiveDynamics, RewardModel, StatePartition,
                    build_lmdp)
 from .errors import InvalidSpec
 from .hierarchy import HierarchyStack
-from .multitask import TaskBasis, TaskWeights
+from .multitask import TaskWeights
 
 
 def fmt(x) -> str:
@@ -99,36 +99,6 @@ def lmdp_from_dict(doc: dict) -> Lmdp:
 
 
 # ---------------------------------------------------------------------------
-# basis documents
-
-
-def basis_to_dict(basis: TaskBasis) -> dict:
-    return {
-        "lmdp": lmdp_to_dict(basis.base),
-        "boundary_tasks": [[float(v) for v in row]
-                           for row in basis.boundary_tasks],
-        "desirabilities": [[float(v) for v in row]
-                           for row in basis.desirabilities],
-    }
-
-
-def basis_from_dict(doc: dict) -> TaskBasis:
-    try:
-        lmdp = lmdp_from_dict(doc["lmdp"])
-        Q = np.asarray(doc["boundary_tasks"], dtype=np.float64)
-        Z = np.asarray(doc["desirabilities"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidSpec(f"malformed basis document: {exc}") from exc
-    if Q.ndim != 2 or Q.shape[0] != lmdp.n_boundary:
-        raise InvalidSpec(f"boundary task matrix shape {Q.shape} does not "
-                          f"match {lmdp.n_boundary} boundary states")
-    if Z.shape != (lmdp.n_interior, Q.shape[1]):
-        raise InvalidSpec(f"desirability matrix shape {Z.shape}, expected "
-                          f"{(lmdp.n_interior, Q.shape[1])}")
-    return TaskBasis(lmdp, Q, Z)
-
-
-# ---------------------------------------------------------------------------
 # JSON and text IO
 
 
@@ -154,9 +124,12 @@ def save_text(path, text: str) -> None:
 def save_stack(stack: HierarchyStack, directory) -> None:
     """Write a stack as one document per layer plus a manifest.
 
-    The manifest records layer order and kinds, kappa and penalty, the
-    normalized subtask access kernels as triples, termination flags and the
-    per-layer live flags they imply, and current task weights when set.
+    ``layer_k.json`` holds the layer's LMDP document under "lmdp" and, under
+    "boundary_tasks" and "desirabilities", the names of the ``.npy`` files
+    beside it that hold its basis arrays.  The manifest records the format
+    version, layer order and kinds, kappa and penalty, the normalized subtask
+    access kernels as triples, termination flags and the per-layer live
+    flags they imply, and current task weights when set.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -164,13 +137,18 @@ def save_stack(stack: HierarchyStack, directory) -> None:
     for k, entry in enumerate(stack.layers):
         name = f"layer_{k}.json"
         layer_files.append(name)
-        write_json(directory / name, basis_to_dict(entry.basis))
+        doc = {"lmdp": lmdp_to_dict(entry.lmdp)}
+        for key in ("boundary_tasks", "desirabilities"):
+            doc[key] = f"layer_{k}.{key}.npy"
+            np.save(directory / doc[key], getattr(entry.basis, key))
+        write_json(directory / name, doc)
         if entry.n_subtasks:
             kinds.append("augmented")
             kernels.append(_matrix_triples(entry.to_subtasks))
         else:
             kinds.append("top")
     manifest = {
+        "format": 2,
         "depth": stack.depth,
         "kappa": float(stack.kappa),
         "penalty": float(stack.penalty),

@@ -1,4 +1,5 @@
 """State augmentation, derived layer dynamics, inpainting, and stacks."""
+import dataclasses
 import math
 from pathlib import Path
 
@@ -22,7 +23,9 @@ from lsmdp import (
     build_task_basis,
     default_subtask_rewards,
     draw_from,
+    four_rooms_map,
     goal_task_vector,
+    grid_from_ascii,
     inpaint_rewards,
     make_grid,
     make_ring,
@@ -40,6 +43,7 @@ from lsmdp.errors import (
     DimensionMismatch,
     InvalidSpec,
     NoTaskSet,
+    NonPositiveComposite,
     RewardOverflow,
     SingularFundamentalMatrix,
     UnreachableSubtasks,
@@ -482,6 +486,28 @@ def test_set_task_rejects_a_non_finite_target(bad):
     target[0] = bad
     with pytest.raises(InvalidSpec):
         stack.set_task(target)
+
+
+def big_rooms_stack(temperature):
+    """21 x 21 four rooms, goal in the top-right corner; no task set yet."""
+    spec, _ = grid_from_ascii(four_rooms_map(21), goal_cells=[(0, 20)])
+    spec = dataclasses.replace(spec, temperature=temperature)
+    lmdp, structure, goal_q = make_grid(
+        spec, [(5, 10), (10, 5), (10, 16), (16, 10)], (0, 20))
+    stack = build_stack(build_task_basis(
+        lmdp, boundary_goal_tasks(lmdp.n_boundary, temperature)), [structure])
+    return stack, goal_q, lmdp.n_interior
+
+
+def test_a_composite_that_underflows_to_zero_raises():
+    # at lambda = 0.02 the base composite underflows to exactly 0 on 5 of
+    # 404 interior states, which would silently cut them out of the policy
+    stack, goal_q, _ = big_rooms_stack(0.02)
+    with pytest.raises(NonPositiveComposite, match="layer 0"):
+        stack.set_task(goal_q)
+    stack, goal_q, n_i = big_rooms_stack(0.1)
+    stack.set_task(goal_q)
+    assert stack.z_full[0][:n_i].min() > 0
 
 
 def test_policy_state_requires_task(chain5):

@@ -24,8 +24,6 @@ from lsmdp import (
 )
 from lsmdp.errors import InvalidSpec
 from lsmdp.serialize import (
-    basis_from_dict,
-    basis_to_dict,
     config_digest,
     curve_csv,
     desirability_csv,
@@ -60,7 +58,7 @@ def test_fmt_round_trips_doubles():
 
 
 # ---------------------------------------------------------------------------
-# LMDP and basis documents
+# LMDP documents
 
 
 def test_lmdp_document_round_trip(chain5, tmp_path):
@@ -104,26 +102,6 @@ def test_malformed_documents_are_rejected(chain5):
                          ("passive", [[0, 0, "x"]]), ("passive", 7)):
         with pytest.raises(InvalidSpec):
             lmdp_from_dict(dict(doc, **{field: value}))
-
-
-def test_basis_document_round_trip(chain5, tmp_path):
-    basis = build_task_basis(chain5, np.column_stack([
-        chain5.q_boundary, np.array([0.3, 0.6])]))
-    doc = basis_to_dict(basis)
-    back = basis_from_dict(doc)
-    np.testing.assert_array_equal(back.boundary_tasks, basis.boundary_tasks)
-    np.testing.assert_array_equal(back.desirabilities, basis.desirabilities)
-
-    write_json(tmp_path / "b.json", doc)
-    from_file = basis_from_dict(read_json(tmp_path / "b.json"))
-    np.testing.assert_array_equal(from_file.desirabilities, basis.desirabilities)
-
-    broken = dict(doc, desirabilities=[[1.0]])
-    with pytest.raises(InvalidSpec):
-        basis_from_dict(broken)
-    broken = dict(doc, boundary_tasks=[[1.0, 2.0]])
-    with pytest.raises(InvalidSpec):
-        basis_from_dict(broken)
 
 
 def test_writers_emit_identical_bytes(chain5, tmp_path):
@@ -264,8 +242,13 @@ def test_stack_directory_contents(tmp_path):
         directory = tmp_path / f"stack-{terminated}"
         save_stack(stack, directory)
         names = sorted(p.name for p in directory.iterdir())
-        assert names == ["layer_0.json", "layer_1.json", "manifest.json"]
+        assert names == ["layer_0.boundary_tasks.npy",
+                         "layer_0.desirabilities.npy", "layer_0.json",
+                         "layer_1.boundary_tasks.npy",
+                         "layer_1.desirabilities.npy", "layer_1.json",
+                         "manifest.json"]
         manifest = json.loads((directory / "manifest.json").read_text())
+        assert manifest["format"] == 2
         assert manifest["depth"] == 2
         assert manifest["layer_kinds"] == ["augmented", "top"]
         assert manifest["terminated"] == [False, terminated]
@@ -305,12 +288,23 @@ def test_save_stack_round_trips_layers_and_manifest(shape, goal_frac, terminate,
         directory = Path(tmp)
         save_stack(stack, directory)
         for k, entry in enumerate(stack.layers):
-            back = basis_from_dict(read_json(directory / f"layer_{k}.json"))
-            np.testing.assert_array_equal(back.boundary_tasks,
-                                          entry.basis.boundary_tasks)
-            np.testing.assert_array_equal(back.desirabilities,
-                                          entry.basis.desirabilities)
+            doc = read_json(directory / f"layer_{k}.json")
+            assert sorted(doc) == ["boundary_tasks", "desirabilities", "lmdp"]
+            assert doc["lmdp"] == lmdp_to_dict(entry.lmdp)
+            # reading renormalizes every passive column, which can move the
+            # last bits of an absorption-derived layer's probabilities
+            back = lmdp_to_dict(lmdp_from_dict(doc["lmdp"]))
+            assert dict(back, passive=None) == dict(doc["lmdp"], passive=None)
+            np.testing.assert_allclose(back["passive"], doc["lmdp"]["passive"],
+                                       rtol=1e-15, atol=0)
+            for key in ("boundary_tasks", "desirabilities"):
+                saved = np.load(directory / doc[key], allow_pickle=False)
+                expected = getattr(entry.basis, key)
+                assert saved.dtype == np.float64
+                assert saved.shape == expected.shape
+                assert np.array_equal(saved, expected)
         manifest = read_json(directory / "manifest.json")
+    assert manifest["format"] == 2
     assert manifest["depth"] == stack.depth
     assert manifest["terminated"] == stack.terminated
     assert manifest["live_subtasks"] == [
