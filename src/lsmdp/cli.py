@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: solve, blend, stack, simulate, learn, bench.  Domain configs
-are JSON documents (see load_domain); every command writes its artifacts
-plus a manifest.json into --out.  Exit codes: 0 success, 2 configuration
-error (errors.ConfigError, a missing file or invalid JSON), 3 numerical
-failure (errors.NumericalError), 4 solver hit its sweep budget (partial
-output is still written).
+are JSON documents (see load_domain); each command computes its result,
+then writes its artifacts plus a manifest.json into --out.  Exit codes: 0
+success, 2 configuration error (errors.ConfigError, an OSError on a path,
+or invalid JSON), 3 numerical failure (errors.NumericalError), 4 solver
+hit its sweep budget (partial output is still written).
 """
 from __future__ import annotations
 
@@ -171,10 +171,15 @@ def _bellman_residual(lmdp: Lmdp, z_interior: np.ndarray,
     return float(np.max(np.abs(B @ q_boundary - A @ z_interior), initial=0.0))
 
 
-def _out_dir(args) -> Path:
+def _write_outputs(args, command: str, config: dict, artifacts: dict,
+                   **extras) -> None:
+    """Create --out, write each named text artifact, then manifest.json."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, text in artifacts.items():
+        serialize.save_text(out / name, text)
+    serialize.write_json(out / "manifest.json", serialize.run_manifest(
+        command, config, args.seed, **extras))
 
 
 # ---------------------------------------------------------------------------
@@ -184,24 +189,20 @@ def _out_dir(args) -> Path:
 def cmd_solve(args) -> int:
     bundle = load_domain(args.domain)
     lmdp = bundle.lmdp
-    out = _out_dir(args)
     if args.method == "direct":
-        z = solve_direct(lmdp)
-        z_full = z.full()
-        iterations = None
-        converged = True
+        z_full = solve_direct(lmdp).full()
+        iterations, converged = None, True
     else:
         z_i, iterations, converged = z_iterate(
             lmdp, lmdp.q_boundary, tol=args.tol, max_iter=args.max_iter)
         z_full = np.concatenate([z_i, lmdp.q_boundary])
     residual = _bellman_residual(lmdp, z_full[:lmdp.n_interior],
                                  z_full[lmdp.n_interior:])
-    serialize.save_text(out / "z.csv", serialize.desirability_csv(lmdp, z_full))
-    manifest = serialize.run_manifest(
-        "solve", bundle.config, args.seed, method=args.method,
-        tol=args.tol if args.method == "z-iter" else None,
-        iterations=iterations, converged=converged, residual=residual)
-    serialize.write_json(out / "manifest.json", manifest)
+    _write_outputs(args, "solve", bundle.config,
+                   {"z.csv": serialize.desirability_csv(lmdp, z_full)},
+                   method=args.method,
+                   tol=args.tol if args.method == "z-iter" else None,
+                   iterations=iterations, converged=converged, residual=residual)
     if not converged:
         print(f"z-iteration hit max_iter={args.max_iter} "
               f"(residual {residual:.3g}); partial output written",
@@ -217,15 +218,11 @@ def cmd_blend(args) -> int:
     basis = _bundle_basis(bundle)
     method = args.method.replace("blend-", "")
     z, weights = solve_novel_task(basis, bundle.goal_q, method=method)
-    out = _out_dir(args)
-    serialize.save_text(out / "weights.csv", serialize.weights_csv(weights))
-    serialize.save_text(out / "z.csv",
-                        serialize.desirability_csv(bundle.lmdp, z.full()))
-    manifest = serialize.run_manifest(
-        "blend", bundle.config, args.seed, method=args.method,
-        blend_residual=weights.residual,
-        n_tasks=basis.n_tasks)
-    serialize.write_json(out / "manifest.json", manifest)
+    _write_outputs(args, "blend", bundle.config,
+                   {"weights.csv": serialize.weights_csv(weights),
+                    "z.csv": serialize.desirability_csv(bundle.lmdp, z.full())},
+                   method=args.method, blend_residual=weights.residual,
+                   n_tasks=basis.n_tasks)
     return EXIT_OK
 
 
@@ -239,12 +236,9 @@ def _build_stack(bundle: DomainBundle, kappa, penalty):
 def cmd_stack(args) -> int:
     bundle = load_domain(args.domain)
     stack = _build_stack(bundle, args.kappa, args.penalty)
-    out = _out_dir(args)
-    serialize.save_stack(stack, out / "stack")
-    manifest = serialize.run_manifest(
-        "stack", bundle.config, args.seed, depth=stack.depth,
-        kappa=stack.kappa, penalty=stack.penalty)
-    serialize.write_json(out / "manifest.json", manifest)
+    serialize.save_stack(stack, Path(args.out) / "stack")
+    _write_outputs(args, "stack", bundle.config, {}, depth=stack.depth,
+                   kappa=stack.kappa, penalty=stack.penalty)
     return EXIT_OK
 
 
@@ -259,18 +253,12 @@ def cmd_simulate(args) -> int:
         max_steps = _optional_int(bundle.config, "max_steps")
     rng = np.random.default_rng(args.seed)
     trajectory = run_episode(stack, start, rng, max_steps=max_steps)
-    out = _out_dir(args)
-    serialize.save_text(out / "trajectory.csv",
-                        serialize.trajectory_csv(trajectory))
-    serialize.save_text(out / "weights_snapshots.csv",
-                        serialize.snapshots_csv(trajectory))
-    manifest = serialize.run_manifest(
-        "simulate", bundle.config, args.seed,
-        total_return=trajectory.total_return,
-        length=trajectory.length,
-        truncated=trajectory.truncated,
-        n_events=len(trajectory.events))
-    serialize.write_json(out / "manifest.json", manifest)
+    _write_outputs(args, "simulate", bundle.config,
+                   {"trajectory.csv": serialize.trajectory_csv(trajectory),
+                    "weights_snapshots.csv": serialize.snapshots_csv(trajectory)},
+                   total_return=trajectory.total_return,
+                   length=trajectory.length, truncated=trajectory.truncated,
+                   n_events=len(trajectory.events))
     return EXIT_OK
 
 
@@ -304,12 +292,10 @@ def cmd_learn(args) -> int:
                              max_steps=max_steps, step_scale=step_scale)
             entries.extend((epoch, mean, se, condition, seed)
                            for epoch, mean, se in curve)
-    out = _out_dir(args)
-    serialize.save_text(out / "curve.csv", serialize.curve_csv(entries))
-    manifest = serialize.run_manifest(
-        "learn", bundle.config, args.seed, epochs=epochs, episodes=episodes,
-        n_seeds=n_seeds, conditions=list(conditions))
-    serialize.write_json(out / "manifest.json", manifest)
+    _write_outputs(args, "learn", bundle.config,
+                   {"curve.csv": serialize.curve_csv(entries)},
+                   epochs=epochs, episodes=episodes, n_seeds=n_seeds,
+                   conditions=list(conditions))
     return EXIT_OK
 
 
@@ -320,12 +306,8 @@ def cmd_bench(args) -> int:
         raise InvalidSpec(f"--sizes must be comma-separated integers, "
                           f"got {args.sizes!r}") from exc
     rows, slopes = ring_scaling(sizes, tol=args.tol)
-    out = _out_dir(args)
-    serialize.save_text(out / "scaling.csv", serialize.scaling_csv(rows))
-    config = {"sizes": sizes, "tol": args.tol}
-    manifest = serialize.run_manifest("bench", config, args.seed,
-                                      slopes=slopes)
-    serialize.write_json(out / "manifest.json", manifest)
+    _write_outputs(args, "bench", {"sizes": sizes, "tol": args.tol},
+                   {"scaling.csv": serialize.scaling_csv(rows)}, slopes=slopes)
     return EXIT_OK
 
 
@@ -394,8 +376,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise InvalidSpec(f"--seed must be non-negative, got {args.seed}")
         return COMMANDS[args.command](args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

@@ -99,13 +99,15 @@ def access_hierarchy(stack: HierarchyStack, entry_subtask: int,
     """Run one access chain starting at the first layer above the base.
 
     ``entry_subtask`` indexes the base layer's subtask states (equivalently
-    the first layer's interior states).  Returns (inpainted rewards for the
-    base or None, visited chain, deepest layer, terminated layer or None).
-    The base's own re-blend is left to the caller: the executor and the
-    learner both feed the rewards into it with ``stack.apply_inpaint(0, ...)``.
+    the first layer's interior states).  Unless the chain terminated the
+    first layer, the base is re-blended with the rewards it transmitted.
+    Returns (those rewards or None, visited chain, deepest layer,
+    terminated layer or None).
     """
     chain: list = []
     r_t, deepest, terminated = _access(stack, 1, entry_subtask, rng, chain)
+    if r_t is not None:
+        stack.apply_inpaint(0, r_t)
     return r_t, tuple(chain), deepest, terminated
 
 
@@ -164,9 +166,7 @@ def run_episode(stack: HierarchyStack, start_state: int,
             nxt = draw_from(rows, probs, rng)
             if not lo <= nxt < hi:
                 break
-            r_t, chain, deepest, terminated = access_hierarchy(stack, nxt - lo, rng)
-            if r_t is not None:
-                stack.apply_inpaint(0, r_t)
+            _, chain, deepest, terminated = access_hierarchy(stack, nxt - lo, rng)
             events.append(AccessEvent(t, s, chain, deepest, terminated))
             eid = len(events) - 1
             for layer in range(stack.depth):

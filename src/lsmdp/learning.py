@@ -134,9 +134,7 @@ def run_learning_episode(lmdp: Lmdp, learner: LearningState,
                 rows, probs = masked_redraw_column(rows, probs, lo, hi)
             nxt = draw_from(rows, probs, rng)
             if lo <= nxt < hi:
-                transmitted, _, _, _ = access_hierarchy(stack, nxt - lo, rng)
-                if transmitted is not None:
-                    stack.apply_inpaint(0, transmitted)
+                access_hierarchy(stack, nxt - lo, rng)
                 redraw = True
                 continue
             z[s] = z_learning_step(learner, s, r_i[s], nxt, lam)

@@ -108,8 +108,11 @@ def write_json(path, doc: dict) -> None:
 
 
 def read_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise InvalidSpec(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def save_text(path, text: str) -> None:
@@ -248,24 +251,16 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("lsmdp")
-    except Exception:
-        from lsmdp import __version__
-        return __version__
-
-
 def run_manifest(command: str, config: dict, seed: Optional[int],
                  **extras) -> dict:
     """Provenance document written next to every CLI artifact."""
+    from . import __version__  # not at the top: the package imports this module
     doc = {
         "command": command,
         "config_sha256": config_digest(config),
         "seed": seed,
         "versions": {
-            "lsmdp": _package_version(),
+            "lsmdp": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": platform.python_version(),

@@ -149,3 +149,17 @@ def first_exit_desirability(passive, n_interior, r_interior, temperature,
     q_i = np.exp(np.asarray(r_interior, dtype=np.float64) / temperature)
     rhs = q_i * (P_b.T @ np.asarray(q_boundary, dtype=np.float64))
     return np.linalg.solve(np.eye(n_interior) - q_i[:, None] * P_i.T, rhs)
+
+
+def absorption_kernel(to_interior, to_boundary, to_subtasks):
+    """Where a walk re-entering from each subtask first leaves the interior.
+
+    Column t starts from subtask t's entry distribution (its row of
+    ``to_subtasks``, normalized), visits the interior (I - P_i)^-1 times,
+    and exits through ``to_subtasks`` or ``to_boundary``.  Returns
+    (to_subtasks_next, to_boundary_next) as dense arrays.
+    """
+    Pi, Pb, Pt = _dense(to_interior), _dense(to_boundary), _dense(to_subtasks)
+    entries = Pt.T / Pt.sum(axis=1)
+    visits = np.linalg.inv(np.eye(Pi.shape[0]) - Pi) @ entries
+    return Pt @ visits, Pb @ visits

@@ -285,6 +285,33 @@ def test_malformed_arguments(tmp_path, capsys, ring_config, argv):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("fault", [
+    "simulate-negative-seed", "learn-negative-seed", "out-is-a-file",
+    "stack-out-is-a-file", "domain-is-a-directory", "domain-not-utf8",
+])
+def test_bad_paths_and_seeds_are_config_errors(tmp_path, capsys, ring_config,
+                                               fault):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe\x00")
+    argv = {
+        "simulate-negative-seed": ["simulate", "--seed", "-1"],
+        "learn-negative-seed": ["learn", "--seed", "-2"],
+        "out-is-a-file": ["solve", "--out", str(a_file)],
+        "stack-out-is-a-file": ["stack", "--out", str(a_file)],
+        "domain-is-a-directory": ["solve", "--domain", str(tmp_path)],
+        "domain-not-utf8": ["solve", "--domain", str(not_utf8)],
+    }[fault]
+    if "--domain" not in argv:
+        argv += ["--domain", ring_config]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_an_overflowing_inpaint_scale_is_a_config_error(tmp_path, capsys):
     config = write_config(tmp_path / "ring27.json", {
         "type": "ring", "n_states": 27, "subtask_spacing": 3, "depth": 3,
@@ -323,6 +350,19 @@ def diverging_config(tmp_path):
 def test_numerical_failure_exit_code(tmp_path, diverging_config):
     assert main(["solve", "--domain", diverging_config,
                  "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+
+
+def test_a_failed_solve_writes_nothing(tmp_path, capsys):
+    # the four-rooms map at temperature 0.02 underflows the direct solve
+    cfg = write_config(tmp_path / "cold.json", {
+        "type": "grid", "four_rooms": 21, "goal_cells": [[0, 20]],
+        "subtask_cells": [[5, 10], [10, 5], [10, 16], [16, 10]],
+        "goal": [0, 20], "temperature": 0.02,
+    })
+    out = tmp_path / "nested" / "out"
+    assert main(["solve", "--domain", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not (tmp_path / "nested").exists()
 
 
 def test_diverging_z_iteration_is_a_numerical_failure(tmp_path, diverging_config):

@@ -494,6 +494,26 @@ def test_policy_columns_stochastic_with_passive_support():
                                    rtol=1e-13, atol=0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_policy_column_is_a_tilted_passive_distribution(seed):
+    # desirability spread over several orders of magnitude, independent of
+    # any solve; columns of up to 16 entries cover both tilt paths
+    rng = np.random.default_rng(seed)
+    lmdp = random_lmdp(rng)
+    z_full = np.exp(rng.uniform(-8.0, 2.0, lmdp.n_states))
+    P = lmdp.passive.full_matrix
+    tilted = oracles.tilted_policy(P, z_full)
+    for s in range(lmdp.n_interior):
+        rows, probs = policy_column(lmdp, z_full, s)
+        assert abs(probs.sum() - 1.0) <= 1e-12
+        assert (probs >= 0).all()
+        assert set(rows.tolist()) <= set(P.indices[P.indptr[s]:P.indptr[s + 1]].tolist())
+        column = np.zeros(lmdp.n_states)
+        column[rows] = probs
+        np.testing.assert_allclose(column, tilted[:, s], rtol=0, atol=1e-12)
+
+
 def test_policy_column_function_matches_matrix(chain5):
     z_full = solve_direct(chain5).full()
     np.testing.assert_allclose(

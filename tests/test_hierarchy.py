@@ -51,7 +51,7 @@ from lsmdp.errors import (
 from lsmdp.serialize import save_stack
 
 import oracles
-from conftest import four_rooms_setting
+from conftest import four_rooms_setting, random_lmdp
 
 
 def base_chain(n_interior=5, seed=43):
@@ -211,6 +211,30 @@ def test_derived_columns_are_stochastic():
                                      aug.to_subtasks)
     np.testing.assert_allclose(to_i.sum(axis=0) + to_b.sum(axis=0), 1.0,
                                rtol=0, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_subtasks=st.integers(1, 4))
+def test_derived_columns_are_stochastic_and_match_the_dense_oracle(seed,
+                                                                   n_subtasks):
+    # a random stochastic kernel with nonnegative subtask weights, stacked
+    # and renormalized columnwise as augment does
+    rng = np.random.default_rng(seed)
+    lmdp = random_lmdp(rng)
+    P = lmdp.passive.full_matrix.toarray()
+    W = rng.uniform(0.0, 1.0, (n_subtasks, lmdp.n_interior))
+    W *= rng.random(W.shape) < 0.5
+    W[np.arange(n_subtasks), rng.integers(lmdp.n_interior, size=n_subtasks)] += 0.1
+    K = np.vstack([P, W])
+    K /= K.sum(axis=0)
+    n_i, n_b = lmdp.n_interior, lmdp.n_boundary
+    blocks = K[:n_i], K[n_i:n_i + n_b], K[n_i + n_b:]
+    to_t, to_b = absorption_dynamics(*blocks)
+    np.testing.assert_allclose(to_t.sum(axis=0) + to_b.sum(axis=0), 1.0,
+                               rtol=0, atol=1e-10)
+    want_t, want_b = oracles.absorption_kernel(*blocks)
+    np.testing.assert_allclose(to_t, want_t, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(to_b, want_b, rtol=0, atol=1e-10)
 
 
 def test_derived_dynamics_match_simulation_on_eight_states():

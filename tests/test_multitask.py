@@ -153,6 +153,26 @@ def test_non_finite_blend_inputs_rejected(basis, bad):
         blend_weights_matrix(broken, Q[:, 0])
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_tasks=st.integers(1, 5))
+def test_composition_is_linear_in_the_weights(seed, n_tasks):
+    rng = np.random.default_rng(seed)
+    lmdp = random_lmdp(rng)
+    Q = np.exp(rng.uniform(-3.0, 0.5, (lmdp.n_boundary, n_tasks)))
+    basis = build_task_basis(lmdp, Q)
+    a, b = rng.uniform(0.01, 2.0, (2, n_tasks))
+    za, zb, zab = (compose_desirability(basis, TaskWeights(w, 0.0))
+                   for w in (a, b, a + b))
+    np.testing.assert_allclose(zab.interior, za.interior + zb.interior,
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(zab.boundary, za.boundary + zb.boundary,
+                               rtol=1e-12, atol=0)
+    expected = oracles.first_exit_desirability(
+        lmdp.passive.full_matrix, lmdp.n_interior, lmdp.rewards.interior,
+        lmdp.rewards.temperature, Q @ (a + b))
+    np.testing.assert_allclose(zab.interior, expected, rtol=1e-9, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # factored blends
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lsmdp
 from lsmdp import (
     GridSpec,
     RingSpec,
@@ -226,6 +227,8 @@ def test_run_manifest_fields():
     assert doc["config_sha256"] == config_digest({"type": "ring"})
     for key in ("lsmdp", "numpy", "scipy", "python"):
         assert key in doc["versions"]
+    # the running source's version, never an installed distribution's
+    assert doc["versions"]["lsmdp"] == lsmdp.__version__
 
 
 def test_stack_directory_contents(tmp_path):
