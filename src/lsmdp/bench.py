@@ -12,9 +12,9 @@ N (temperature N/12, exit probability 1/N), so flat sweep counts grow
 roughly like N^2 while the hierarchy stays near linear in total work.
 
 A level's tasks share its dynamics, so they go to ``z_iterate`` as matrices
-of SOLVE_BLOCK indicator columns, one sparse product per sweep for the whole
-block.  Each column stops at its own converging sweep, so the totals are
-exactly the per-task sums, the counts of iterating every task alone.
+of block_width indicator columns (64 on the flat 512-ring), one sparse
+product per sweep per block.  Each column stops at its converging sweep, so
+the totals are exactly the per-task sums, the counts of iterating each alone.
 """
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .core import (DEFAULT_TOL, SOLVE_BLOCK, Lmdp, PassiveDynamics,
-                   RewardModel, StatePartition, build_lmdp, z_iterate)
+from .core import (DEFAULT_TOL, Lmdp, PassiveDynamics, RewardModel,
+                   StatePartition, block_width, build_lmdp, z_iterate)
 from .domains import ring_passive
 from .errors import InvalidSpec
 from .hierarchy import absorption_dynamics, stack_subtask_kernel
@@ -60,13 +60,13 @@ def _count_tasks(lmdp: Lmdp, task_rows: Sequence[int], tol: float,
                  max_iter: int) -> Tuple[int, int]:
     """Total sweeps and iterate nonzeros over the indicator tasks of the rows.
 
-    One z_iterate call per SOLVE_BLOCK tasks, so no more than one block of
-    right-hand sides and iterates is held at a time.
+    One z_iterate call per block_width(lmdp) tasks, so no more than one
+    block of right-hand sides and iterates is held at a time.
     """
-    rows = np.asarray(task_rows, dtype=np.intp)
+    rows, width = np.asarray(task_rows, dtype=np.intp), block_width(lmdp)
     total, nnz = 0, 0
-    for lo in range(0, rows.size, SOLVE_BLOCK):
-        block = rows[lo:lo + SOLVE_BLOCK]
+    for lo in range(0, rows.size, width):
+        block = rows[lo:lo + width]
         Q = np.zeros((lmdp.n_boundary, block.size))
         Q[block, np.arange(block.size)] = 1.0
         z, iterations, _ = z_iterate(lmdp, Q, tol=tol, max_iter=max_iter)

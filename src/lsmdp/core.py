@@ -73,13 +73,13 @@ DEFAULT_MAX_ITER = 1_000_000
 LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 # Below this many interior states a dense factorization beats sparse LU setup.
 DENSE_CUTOFF = 64
-# Columns solved or iterated per pass.  Bounds a many-task call's temporaries
-# (right-hand sides, iterates, solutions, residuals) to a few
-# n_interior x SOLVE_BLOCK arrays instead of copies of the whole task matrix.
-# Peak memory, not speed, sets the width (wider blocks sweep faster): at 32,
-# z-iteration on ring_scaling([512])'s 512-state level holds five 128 kB
-# arrays, a small share of that run's ~4.4 MB peak above its imports.
-SOLVE_BLOCK = 32
+# Bytes of one block of task columns solved or iterated per pass, which
+# bounds a many-task call's temporaries to a few blocks.  A column holds
+# n_boundary right-hand-side and n_interior iterate rows (block_width).
+# 512 KiB gives 64 columns on ring_scaling([512])'s flat level, 36 on
+# ArmSpec(30), 115 on the ring-243 stack's layer 0 and 624 on the four-rooms
+# grid; wider sweeps faster, but twice this raised peak memory by a quarter.
+SOLVE_BYTES = 512 * 1024
 # Columns with fewer entries take the scalar path of policy_column; 8 is
 # where numpy's sum turns from left to right into pairwise.
 NARROW = 8
@@ -356,6 +356,11 @@ def _factorize(A: sp.csc_matrix, error: type):
         raise error(str(exc)) from exc
 
 
+def block_width(lmdp: Lmdp) -> int:
+    """Columns in one solve_interior or z_iterate block of SOLVE_BYTES."""
+    return max(1, SOLVE_BYTES // (8 * lmdp.n_states))
+
+
 def _boundary_values(lmdp: Lmdp, q_boundary) -> np.ndarray:
     """``q_boundary`` as float64, checked to be finite and (n_boundary,) or
     (n_boundary, k)."""
@@ -377,7 +382,7 @@ def solve_interior(lmdp: Lmdp, q_boundary: np.ndarray) -> np.ndarray:
     (n_boundary, k) of task columns; the result is the interior z with the
     same trailing shape.  The operator cached on ``lmdp`` (bellman_operator)
     is factorized once per call and every column is solved against that one
-    factorization, SOLVE_BLOCK columns at a time.
+    factorization, block_width(lmdp) columns at a time.
 
     Returns raw interior z without positivity checks, which lets callers pass
     boundary values with exact zeros (indicator tasks, terminated subtasks);
@@ -390,9 +395,9 @@ def solve_interior(lmdp: Lmdp, q_boundary: np.ndarray) -> np.ndarray:
     Q = q_boundary.reshape(lmdp.n_boundary, -1)
     A, B = lmdp.bellman_operator
     solve = _factorize(A, SingularSystem)
-    Z = np.empty((lmdp.n_interior, Q.shape[1]))
-    for lo in range(0, Q.shape[1], SOLVE_BLOCK):
-        b = B @ Q[:, lo:lo + SOLVE_BLOCK]
+    Z, width = np.empty((lmdp.n_interior, Q.shape[1])), block_width(lmdp)
+    for lo in range(0, Q.shape[1], width):
+        b = B @ Q[:, lo:lo + width]
         z = solve(b)
         bad = np.flatnonzero(~np.isfinite(z).all(axis=0))
         if bad.size:
@@ -410,7 +415,7 @@ def solve_interior(lmdp: Lmdp, q_boundary: np.ndarray) -> np.ndarray:
                 raise SingularSystem(
                     f"residual {residual[first]:.3e} exceeds bound "
                     f"{bound[bad[first]]:.3e} in columns {(bad[failed] + lo).tolist()}")
-        Z[:, lo:lo + SOLVE_BLOCK] = z
+        Z[:, lo:lo + width] = z
     return Z.reshape((lmdp.n_interior,) + q_boundary.shape[1:])
 
 
@@ -444,9 +449,9 @@ def z_iterate(lmdp: Lmdp, q_boundary: np.ndarray, z0: Optional[np.ndarray] = Non
     of the result, (n_interior,) or (n_interior, k).  Iterating from zero the
     iterates grow monotonically toward the solution.  Each column stops at
     the first sweep whose infinity-norm change in that column drops to tol,
-    or at max_iter.  Columns are iterated SOLVE_BLOCK at a time with one
-    sparse product per sweep; every column gets the same arithmetic, bit for
-    bit, as iterating it alone.
+    or at max_iter.  Columns are iterated block_width(lmdp) at a time with
+    one sparse product per sweep; every column gets the same arithmetic, bit
+    for bit, as iterating it alone, so the width changes no result.
 
     Returns (z, iterations, converged): the iterates, the total number of
     column-sweeps (the sum of the per-column counts; for a vector, the sweeps
@@ -470,7 +475,7 @@ def z_iterate(lmdp: Lmdp, q_boundary: np.ndarray, z0: Optional[np.ndarray] = Non
             raise InvalidSpec("z0 must be finite")
         z0 = z0.reshape(lmdp.n_interior, -1)
     Q = q_boundary.reshape(lmdp.n_boundary, -1)
-    k = Q.shape[1]
+    k, width = Q.shape[1], block_width(lmdp)
     q_i = lmdp.q_interior[:, None]
     # row-scaled transpose applies one sweep as a single sparse product
     T = (sp.diags(lmdp.q_interior) @ lmdp.passive.to_interior.T).tocsr()
@@ -479,9 +484,9 @@ def z_iterate(lmdp: Lmdp, q_boundary: np.ndarray, z0: Optional[np.ndarray] = Non
     # a diverging iterate overflows to inf and then inf - inf; the NaN change
     # is caught below, so numpy's warnings for it would only be noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, k, SOLVE_BLOCK):
-            cols = np.arange(lo, min(lo + SOLVE_BLOCK, k))  # active, global indices
-            b = lmdp.passive.to_boundary.T @ Q[:, lo:lo + SOLVE_BLOCK]
+        for lo in range(0, k, width):
+            cols = np.arange(lo, min(lo + width, k))  # active, global indices
+            b = lmdp.passive.to_boundary.T @ Q[:, lo:lo + width]
             b *= q_i
             # a copy of z0's columns, since z is overwritten in place
             z = np.zeros((lmdp.n_interior, cols.size)) if z0 is None else z0[:, cols]

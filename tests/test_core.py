@@ -1,7 +1,9 @@
 """Construction, solvers, policies, and returns of the base LMDP type."""
+import contextlib
 import dataclasses
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from lsmdp import (
     z_iterate,
 )
 from lsmdp import core
-from lsmdp.core import DEFAULT_MAX_ITER, DEFAULT_TOL, DENSE_CUTOFF, SOLVE_BLOCK
+from lsmdp.core import DEFAULT_MAX_ITER, DEFAULT_TOL, DENSE_CUTOFF
 from lsmdp.errors import (
     DimensionMismatch,
     InvalidSpec,
@@ -229,10 +231,38 @@ def test_solve_interior_rejects_wrong_length(chain5):
 # ---------------------------------------------------------------------------
 # block solves: one factorization, many boundary columns
 
+# Block width the multi-block tests set, so that their BLOCK + a few columns
+# cross a block boundary; the default SOLVE_BYTES fits them in one block.
+BLOCK = 32
+
+
+@contextlib.contextmanager
+def block_width(lmdp, width):
+    """Size core's solve and z-iteration blocks to ``width`` columns on lmdp."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "SOLVE_BYTES", 8 * lmdp.n_states * width)
+        assert core.block_width(lmdp) == width
+        yield
+
+
+def test_block_width_counts_every_state():
+    # 512 KiB over 8-byte floats: the widths the SOLVE_BYTES comment quotes
+    for n_states, width in [(1024, 64), (1800, 36), (567, 115), (105, 624),
+                            (2 ** 17, 1), (2 ** 20, 1)]:  # never zero columns
+        assert core.block_width(SimpleNamespace(n_states=n_states)) == width
+
+
+def random_tasks(rng, lmdp, n_tasks):
+    """Sparse nonnegative boundary columns, about a fifth of them all zero."""
+    shape = (lmdp.n_boundary, n_tasks)
+    Q = rng.exponential(1.0, shape) * (rng.random(shape) < 0.6)
+    Q[:, rng.random(n_tasks) < 0.2] = 0.0
+    return Q
+
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans(),
-       n_tasks=st.sampled_from([1, 7, SOLVE_BLOCK, SOLVE_BLOCK + 9]))
+       n_tasks=st.sampled_from([1, 7, BLOCK, BLOCK + 9]))
 def test_block_solve_matches_columnwise_solves(seed, sparse, n_tasks):
     rng = np.random.default_rng(seed)
     if sparse:
@@ -240,10 +270,9 @@ def test_block_solve_matches_columnwise_solves(seed, sparse, n_tasks):
                            max_interior=DENSE_CUTOFF + 40, max_boundary=6)
     else:
         lmdp = random_lmdp(rng, max_boundary=6)
-    shape = (lmdp.n_boundary, n_tasks)
-    Q = rng.exponential(1.0, shape) * (rng.random(shape) < 0.6)
-    Q[:, rng.random(n_tasks) < 0.2] = 0.0
-    Z = solve_interior(lmdp, Q)
+    Q = random_tasks(rng, lmdp, n_tasks)
+    with block_width(lmdp, BLOCK):
+        Z = solve_interior(lmdp, Q)
     assert Z.shape == (lmdp.n_interior, n_tasks)
     for t in range(n_tasks):
         z = solve_interior(lmdp, Q[:, t])
@@ -283,14 +312,15 @@ def test_residual_failure_names_the_failing_columns(chain5, monkeypatch):
         return lambda rhs: 1.001 * solve(rhs)
 
     monkeypatch.setattr(core, "_factorize", inaccurate)
-    Q = np.zeros((2, SOLVE_BLOCK + 4))
+    monkeypatch.setattr(core, "SOLVE_BYTES", 8 * chain5.n_states * BLOCK)
+    Q = np.zeros((2, BLOCK + 4))
     Q[:, [1, 3]] = 1.0
     with pytest.raises(SingularSystem, match=r"in columns \[1, 3\]$"):
         solve_interior(chain5, Q)
     # indices are global across blocks
-    Q = np.zeros((2, SOLVE_BLOCK + 4))
-    Q[:, SOLVE_BLOCK + 2] = 1.0
-    with pytest.raises(SingularSystem, match=rf"in columns \[{SOLVE_BLOCK + 2}\]$"):
+    Q = np.zeros((2, BLOCK + 4))
+    Q[:, BLOCK + 2] = 1.0
+    with pytest.raises(SingularSystem, match=rf"in columns \[{BLOCK + 2}\]$"):
         solve_interior(chain5, Q)
     with pytest.raises(SingularSystem, match=r"^residual .* in columns \[0, 1, 2\]$"):
         build_task_basis(chain5, np.ones((2, 3)))
@@ -340,15 +370,13 @@ def vector_sweeps(lmdp, q_boundary, z0, tol, max_iter):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       n_tasks=st.sampled_from([1, 7, SOLVE_BLOCK, SOLVE_BLOCK + 9]),
+       n_tasks=st.sampled_from([1, 7, BLOCK, BLOCK + 9]),
        cut_budget=st.booleans(), start=st.booleans())
 def test_block_iteration_matches_columnwise_iteration(seed, n_tasks, cut_budget,
                                                       start):
     rng = np.random.default_rng(seed)
     lmdp = random_lmdp(rng, max_boundary=6)
-    shape = (lmdp.n_boundary, n_tasks)
-    Q = rng.exponential(1.0, shape) * (rng.random(shape) < 0.6)
-    Q[:, rng.random(n_tasks) < 0.2] = 0.0
+    Q = random_tasks(rng, lmdp, n_tasks)
     z0 = rng.uniform(0.0, 2.0, (lmdp.n_interior, n_tasks)) if start else None
     max_iter = DEFAULT_MAX_ITER
     if cut_budget:
@@ -357,7 +385,8 @@ def test_block_iteration_matches_columnwise_iteration(seed, n_tasks, cut_budget,
                                 DEFAULT_TOL, max_iter)[1] for t in range(n_tasks)]
         max_iter = int(np.median(counts))
     start_copy = None if z0 is None else z0.copy()
-    Z, iterations, converged = z_iterate(lmdp, Q, z0=z0, max_iter=max_iter)
+    with block_width(lmdp, BLOCK):
+        Z, iterations, converged = z_iterate(lmdp, Q, z0=z0, max_iter=max_iter)
     assert Z.shape == (lmdp.n_interior, n_tasks)
     assert type(iterations) is int
     if z0 is not None:
@@ -375,6 +404,41 @@ def test_block_iteration_matches_columnwise_iteration(seed, n_tasks, cut_budget,
         flags.append(ok)
     assert iterations == total
     assert converged == all(flags)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans(),
+       n_tasks=st.integers(1, 2 * BLOCK), widths=st.lists(
+           st.integers(1, 2 * BLOCK), min_size=2, max_size=2, unique=True),
+       cap=st.one_of(st.none(), st.integers(1, 40)), start=st.booleans())
+def test_block_width_changes_no_bit(seed, sparse, n_tasks, widths, cap, start):
+    rng = np.random.default_rng(seed)
+    if sparse:
+        lmdp = random_lmdp(rng, min_interior=DENSE_CUTOFF,
+                           max_interior=DENSE_CUTOFF + 40, max_boundary=6)
+    else:
+        lmdp = random_lmdp(rng, max_boundary=6)
+    Q = random_tasks(rng, lmdp, n_tasks)
+    z0 = rng.uniform(0.0, 2.0, (lmdp.n_interior, n_tasks)) if start else None
+    # a cap freezes the columns still moving at that sweep, unconverged
+    max_iter = DEFAULT_MAX_ITER if cap is None else cap
+    runs = []
+    for width in widths:
+        with block_width(lmdp, width):
+            runs.append((z_iterate(lmdp, Q, z0=z0, max_iter=max_iter),
+                         solve_interior(lmdp, Q)))
+    (iterated, solved), (iterated2, solved2) = runs
+    assert np.array_equal(iterated[0], iterated2[0])
+    assert iterated[1:] == iterated2[1:]  # sweep total and converged flag
+    if lmdp.n_interior >= DENSE_CUTOFF:  # SuperLU solves each column alone
+        assert np.array_equal(solved, solved2)
+    else:
+        # LAPACK's dense solve is not bit-stable across right-hand-side
+        # counts (1-column blocks against one k-column block differed by up
+        # to 9.7e-16 of max|z| over 2,000 random LMDPs), so the dense path
+        # keeps the column-wise test's tolerance
+        np.testing.assert_allclose(solved, solved2, rtol=0,
+                                   atol=1e-12 * np.abs(solved).max(initial=0.0))
 
 
 @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan")])
@@ -408,13 +472,14 @@ def test_z_iterate_rejects_wrong_shapes(chain5):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_z_iterate_rejects_non_finite_inputs(chain5, bad):
-    Q = np.ones((2, SOLVE_BLOCK + 3))
-    Q[0, SOLVE_BLOCK + 1] = bad
+    Q = np.ones((2, BLOCK + 3))
+    Q[0, BLOCK + 1] = bad
     # both solvers share the boundary check
     for solve in (z_iterate, solve_interior):
         with pytest.raises(InvalidSpec, match="boundary values must be finite"):
             solve(chain5, np.array([1.0, bad]))
-        with pytest.raises(InvalidSpec, match="boundary values must be finite"):
+        with block_width(chain5, BLOCK), pytest.raises(
+                InvalidSpec, match="boundary values must be finite"):
             solve(chain5, Q)
     with pytest.raises(InvalidSpec):
         z_iterate(chain5, np.ones(2), z0=np.array([0.0, bad, 0.0]))
@@ -430,22 +495,22 @@ def diverging_lmdp():
 
 def test_diverging_iteration_raises_and_names_the_columns():
     lmdp = diverging_lmdp()
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), block_width(lmdp, BLOCK):
         warnings.simplefilter("error")  # no numpy overflow warnings either
         with pytest.raises(SingularSystem,
                            match=r"non-finite values in columns \[0\]$"):
             z_iterate(lmdp, lmdp.q_boundary)
         # an all-zero column converges and is frozen; the others diverge
-        Q = np.ones((1, SOLVE_BLOCK + 3))
-        Q[:, [1, SOLVE_BLOCK + 1]] = 0.0
+        Q = np.ones((1, BLOCK + 3))
+        Q[:, [1, BLOCK + 1]] = 0.0
         with pytest.raises(SingularSystem,
                            match=r"non-finite values in columns \[0, 2, 3,"):
             z_iterate(lmdp, Q)
         # indices are global across blocks
-        Q = np.zeros((1, SOLVE_BLOCK + 3))
-        Q[:, SOLVE_BLOCK + 2] = 1.0
+        Q = np.zeros((1, BLOCK + 3))
+        Q[:, BLOCK + 2] = 1.0
         with pytest.raises(SingularSystem,
-                           match=rf"in columns \[{SOLVE_BLOCK + 2}\]$"):
+                           match=rf"in columns \[{BLOCK + 2}\]$"):
             z_iterate(lmdp, Q)
 
 
