@@ -13,13 +13,16 @@ subtask-task columns.  Every layer keeps the base boundary set and its one
 boundary-task matrix, so a stack solves one basis per layer and one blend of
 that matrix sets the goal at every layer.  That matrix and every subtask
 reward block are LU-factored once per stack (``multitask.factor_block``).
+Within one task the same inpaint recurs, so a stack memoizes each re-blend
+by layer, termination flag above and inpainted vector; every clone of a
+tasked stack shares that memo and its read-only composites.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -348,8 +351,19 @@ class HierarchyStack:
     Every layer is an AugmentedMlmdp; the top one has zero subtasks.  Layer
     structures, including their lazily solved dead-subtask bases, and
     ``task_block``, the shared boundary-task matrix with its LU factors, are
-    immutable and shared between clones; weights, composite desirabilities
-    and termination flags are per-clone.
+    immutable and shared between clones.  Weights, composites and
+    termination flags are per-clone slots; the arrays in them are never
+    written after they are made (composites are read-only), so clones share
+    them.
+
+    ``reblends`` memoizes the current task's inpaint re-blends.  It maps
+    (layer, terminated flag of the layer above, shape and bytes of the
+    inpainted vector) to the TaskWeights and composite that re-blend gave;
+    nothing else enters a re-blend, since set_task fixed the base-task
+    weights.  set_task starts an empty memo and clone shares it, so every
+    episode clone of one tasked stack reuses the others' re-blends.  It
+    grows by one entry per distinct key, with no cap, until the next
+    set_task.
     """
 
     layers: List[AugmentedMlmdp]
@@ -360,21 +374,25 @@ class HierarchyStack:
     z_full: List[Optional[np.ndarray]]
     terminated: List[bool]
     target: Optional[np.ndarray] = None  # boundary task set by set_task
+    reblends: Dict[tuple, Tuple[TaskWeights, np.ndarray]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def depth(self) -> int:
         return len(self.layers)
 
     def clone(self) -> "HierarchyStack":
+        """A copy with its own slots that shares arrays and the re-blend memo."""
         return HierarchyStack(
             layers=self.layers,
             kappa=self.kappa,
             penalty=self.penalty,
             task_block=self.task_block,
             weights=list(self.weights),
-            z_full=[None if z is None else z.copy() for z in self.z_full],
+            z_full=list(self.z_full),
             terminated=list(self.terminated),
             target=None if self.target is None else self.target.copy(),
+            reblends=self.reblends,
         )
 
     # -- task management -----------------------------------------------------
@@ -385,27 +403,31 @@ class HierarchyStack:
         All layers share the base boundary set and its task matrix, so one
         fit against ``task_block`` (factored when the stack was built) gives
         every layer its base-task weights.  The subtask tasks start from the
-        neutral blend (inpainted reward 0), empty at the top.
+        neutral blend (inpainted reward 0), empty at the top.  On an error
+        the stack keeps its previous task.
         """
         q = np.asarray(boundary_target, dtype=np.float64)
-        self.target = q.copy()
         wb = blend_weights_matrix(self.task_block, q)
-        for layer, entry in enumerate(self.layers):
-            self.weights[layer] = TaskWeights(
-                np.concatenate([wb.values, entry.neutral_weights]), wb.residual)
-            self._recompose(layer)
+        weights = [TaskWeights(np.concatenate([wb.values, entry.neutral_weights]),
+                               wb.residual) for entry in self.layers]
+        z_full = [self._compose(layer, w,
+                                layer + 1 < self.depth and self.terminated[layer + 1])
+                  for layer, w in enumerate(weights)]
+        self.target = q.copy()
+        self.weights = weights
+        self.z_full = z_full
+        self.reblends = {}
 
-    def _recompose(self, layer: int) -> None:
-        """Refresh the layer's composite desirability from its weights.
+    def _compose(self, layer: int, weights: TaskWeights, dead: bool) -> np.ndarray:
+        """The layer's read-only composite desirability under ``weights``.
 
-        Below a terminated layer the interior blends the dead-subtask basis
-        and the subtask states carry zero desirability.  Raises
-        NonPositiveComposite when an interior entry is not positive, e.g.
-        after underflow at low temperature.
+        With ``dead`` (the layer above is terminated) the interior blends
+        the dead-subtask basis and the subtask states carry zero
+        desirability.  Raises NonPositiveComposite when an interior entry is
+        not positive, e.g. after underflow at low temperature.
         """
         entry = self.layers[layer]
-        w = self.weights[layer].values
-        dead = layer + 1 < self.depth and self.terminated[layer + 1]
+        w = weights.values
         Z = entry.dead_desirabilities if dead else entry.basis.desirabilities
         z_i = Z @ w
         low = z_i.min(initial=np.inf)
@@ -415,18 +437,29 @@ class HierarchyStack:
         z = np.concatenate([z_i, entry.basis.boundary_tasks @ w])
         if dead:
             z[slice(*entry.subtask_range)] = 0.0
-        self.z_full[layer] = z
+        z.flags.writeable = False
+        return z
 
     def apply_inpaint(self, layer: int, inpainted: np.ndarray) -> None:
-        """Receive inpainted rewards from the layer above and re-blend."""
+        """Receive inpainted rewards from the layer above and re-blend.
+
+        A key already in ``reblends`` reuses its weights and composite; a
+        new one is re-blended and stored once both succeed.
+        """
         entry = self.layers[layer]
         if not entry.n_subtasks:
             raise InvalidSpec("only layers with subtasks can receive inpainted rewards")
         if self.weights[layer] is None:
             raise NoTaskSet("set_task must run before inpainting")
-        self.weights[layer] = rewards_to_task_weights(
-            entry, inpainted, self.weights[layer])
-        self._recompose(layer)
+        r_t = np.asarray(inpainted, dtype=np.float64)
+        dead = self.terminated[layer + 1]
+        key = (layer, dead, r_t.shape, r_t.tobytes())
+        reblend = self.reblends.get(key)
+        if reblend is None:
+            weights = rewards_to_task_weights(entry, r_t, self.weights[layer])
+            reblend = (weights, self._compose(layer, weights, dead))
+            self.reblends[key] = reblend
+        self.weights[layer], self.z_full[layer] = reblend
 
     def policy_state(self, layer: int):
         """(lmdp, z_full) pair for sampling at a layer, validated."""
@@ -497,7 +530,7 @@ def terminate_layer(stack: HierarchyStack, layer: int) -> None:
     re-blends its weights over its dead-subtask basis, which puts zero
     desirability on those states, so the policy tilt can never select them
     again.  Nothing new is factored after the basis's one solve per layer.
-    The base layer cannot be terminated.
+    The base layer cannot be terminated.  On an error the stack is unchanged.
     """
     if not 0 <= layer < stack.depth:
         raise InvalidSpec(f"no layer {layer} in a depth-{stack.depth} stack")
@@ -505,6 +538,8 @@ def terminate_layer(stack: HierarchyStack, layer: int) -> None:
         raise CannotTerminateBase("the base layer cannot terminate")
     if stack.terminated[layer]:
         raise AlreadyTerminated(f"layer {layer} already terminated")
+    z = stack.z_full[layer - 1]
+    if z is not None:
+        z = stack._compose(layer - 1, stack.weights[layer - 1], True)
     stack.terminated[layer] = True
-    if stack.z_full[layer - 1] is not None:
-        stack._recompose(layer - 1)
+    stack.z_full[layer - 1] = z

@@ -116,11 +116,9 @@ def test_corridor_trace_is_reproducible():
     assert [(eid, layer) for eid, layer, _ in traj.weight_log] == [(0, 0), (0, 1)]
 
 
-def test_ring_tower_trace_is_pinned():
+def assert_pinned_ring_tower_trace(traj):
     # base, access and inpaint draws on a depth-3 tower, two terminations;
     # the return sums a KL term per step, so it pins the arithmetic too
-    _, stack = ring_tower_stack()
-    traj = run_episode(stack, 13, np.random.default_rng(1))
     assert traj.states == [13, 12, 11, 12, 12, 12, 12, 13, 12, 12, 11, 10, 9,
                            8, 9, 36]
     assert traj.total_return == -36.34086817965641
@@ -128,6 +126,23 @@ def test_ring_tower_trace_is_pinned():
         (1, ((1, 4),), None), (3, ((1, 4),), None), (4, ((1, 4),), None),
         (5, ((1, 4),), None), (6, ((1, 4),), None), (8, ((1, 4),), None),
         (9, ((1, 4),), None), (12, ((1, 3), (2, 1)), 2), (14, ((1, 3),), 1)]
+
+
+def test_ring_tower_trace_is_pinned():
+    _, stack = ring_tower_stack()
+    assert_pinned_ring_tower_trace(run_episode(stack, 13, np.random.default_rng(1)))
+
+
+def test_ring_tower_trace_is_pinned_from_the_memo():
+    # a second episode clone of the tasked stack finds every inpaint
+    # re-blend in the memo the first clone filled
+    _, tasked = ring_tower_stack()
+    run_episode(tasked.clone(), 13, np.random.default_rng(1))
+    keys = set(tasked.reblends)
+    assert keys
+    assert_pinned_ring_tower_trace(
+        run_episode(tasked.clone(), 13, np.random.default_rng(1)))
+    assert set(tasked.reblends) == keys
 
 
 def test_fixed_seed_runs_identically(rooms):

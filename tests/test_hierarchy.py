@@ -1,5 +1,6 @@
 """State augmentation, derived layer dynamics, inpainting, and stacks."""
 import dataclasses
+import functools
 import math
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from lsmdp import (
     solve_interior,
     terminate_layer,
 )
-from lsmdp import core, hierarchy, multitask
+from lsmdp import TaskWeights, core, hierarchy, multitask
 from lsmdp.domains import GridSpec
 from lsmdp.errors import (
     AlreadyTerminated,
@@ -506,10 +507,15 @@ def test_an_overflowing_inpaint_names_kappa():
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_set_task_rejects_a_non_finite_target(bad):
     stack = corridor_stack()
+    old_target, memo = stack.target, stack.reblends
+    slots = stack.weights + stack.z_full
     target = stack.target.copy()
     target[0] = bad
     with pytest.raises(InvalidSpec):
         stack.set_task(target)
+    # the stack keeps its previous task whole
+    assert stack.target is old_target and stack.reblends is memo
+    assert all(new is old for new, old in zip(stack.weights + stack.z_full, slots))
 
 
 def big_rooms_stack(temperature):
@@ -529,6 +535,7 @@ def test_a_composite_that_underflows_to_zero_raises():
     stack, goal_q, _ = big_rooms_stack(0.02)
     with pytest.raises(NonPositiveComposite, match="layer 0"):
         stack.set_task(goal_q)
+    assert stack.target is None and stack.weights == stack.z_full == [None, None]
     stack, goal_q, n_i = big_rooms_stack(0.1)
     stack.set_task(goal_q)
     assert stack.z_full[0][:n_i].min() > 0
@@ -683,3 +690,151 @@ def test_base_layer_cannot_terminate():
         terminate_layer(stack, 0)
     with pytest.raises(InvalidSpec):
         terminate_layer(stack, 5)
+
+
+def test_a_failed_termination_changes_nothing():
+    # at lambda = 0.05 the live composite is positive, but with zero
+    # desirability at the doors some interior entries underflow to 0
+    stack, goal_q, _ = big_rooms_stack(0.05)
+    stack.set_task(goal_q)
+    z0 = stack.z_full[0]
+    with pytest.raises(NonPositiveComposite, match="layer 0"):
+        terminate_layer(stack, 1)
+    assert stack.terminated == [False, False]
+    assert stack.z_full[0] is z0
+
+
+# ---------------------------------------------------------------------------
+# the re-blend memo
+
+
+@functools.cache
+def ring_tower_template():
+    """A ring-27 depth-3 stack with no task set; tests work on clones."""
+    lmdp, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3))
+    return lmdp, build_stack(build_task_basis(lmdp, tasks), structures)
+
+
+def tasked_ring_tower(goal=0):
+    lmdp, template = ring_tower_template()
+    stack = template.clone()
+    stack.set_task(goal_task_vector(lmdp.n_boundary, goal, lmdp.rewards.temperature))
+    return stack
+
+
+def assert_same_execution_state(stack, twin):
+    assert stack.terminated == twin.terminated
+    for ours, theirs in zip(stack.weights, twin.weights):
+        np.testing.assert_array_equal(ours.values, theirs.values)
+        assert ours.residual == theirs.residual
+    for ours, theirs in zip(stack.z_full, twin.z_full):
+        np.testing.assert_array_equal(ours, theirs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(goal=st.integers(0, 26), seed=st.integers(0, 2**32 - 1),
+       ops=st.lists(st.tuples(st.sampled_from(["inpaint", "terminate", "episode"]),
+                              st.integers(0, 5)), max_size=25))
+def test_memoized_reblends_equal_fresh_ones(goal, seed, ops):
+    # inpaints come from a pool of three vectors per layer, so keys repeat;
+    # "episode" restarts both sides from a clone of their tasked stack,
+    # which keeps the memo.  The twin empties its memo before every call.
+    tasked, twin_tasked = tasked_ring_tower(goal), tasked_ring_tower(goal)
+    rng = np.random.default_rng(seed)
+    pool = [[tasked.kappa * rng.uniform(-1.0, 1.0, entry.n_subtasks)
+             for _ in range(3)] for entry in tasked.layers[:-1]]
+    stack, twin = tasked.clone(), twin_tasked.clone()
+    for op, k in ops:
+        twin.reblends.clear()
+        if op == "episode":
+            stack, twin = tasked.clone(), twin_tasked.clone()
+        elif op == "inpaint":
+            layer = k % 2
+            stack.apply_inpaint(layer, pool[layer][k % 3])
+            twin.apply_inpaint(layer, pool[layer][k % 3])
+        elif not stack.terminated[1 + k % 2]:
+            terminate_layer(stack, 1 + k % 2)
+            terminate_layer(twin, 1 + k % 2)
+        assert_same_execution_state(stack, twin)
+
+
+def test_set_task_starts_a_fresh_memo():
+    # a retargeted clone neither reads nor writes the memo that the other
+    # clones of its old task still share
+    tasked = tasked_ring_tower(0)
+    r_t = tasked.kappa * np.linspace(-1.0, 1.0, tasked.layers[0].n_subtasks)
+    tasked.clone().apply_inpaint(0, r_t)
+    retargeted = tasked.clone()
+    retargeted.set_task(tasked_ring_tower(9).target)
+    assert retargeted.reblends == {}
+    retargeted.apply_inpaint(0, r_t)
+    replay = tasked.clone()
+    replay.apply_inpaint(0, r_t)
+    for stack, goal in ((retargeted, 9), (replay, 0)):
+        fresh = tasked_ring_tower(goal)
+        fresh.apply_inpaint(0, r_t)
+        assert_same_execution_state(stack, fresh)
+
+
+def test_the_memo_keys_on_the_terminated_flag_above():
+    tasked = tasked_ring_tower()
+    r_t = tasked.kappa * np.linspace(-1.0, 1.0, tasked.layers[0].n_subtasks)
+    tasked.clone().apply_inpaint(0, r_t)
+    dead = tasked.clone()
+    terminate_layer(dead, 1)
+    dead.apply_inpaint(0, r_t)
+    fresh = tasked_ring_tower()
+    terminate_layer(fresh, 1)
+    fresh.apply_inpaint(0, r_t)
+    assert_same_execution_state(dead, fresh)
+    assert len(tasked.reblends) == 2
+
+
+def test_a_column_vector_misses_the_memo():
+    stack = tasked_ring_tower()
+    r_t = np.zeros(stack.layers[0].n_subtasks)
+    stack.apply_inpaint(0, r_t)
+    with pytest.raises(DimensionMismatch):
+        stack.apply_inpaint(0, r_t[:, None])
+
+
+def test_a_repeated_episode_reblends_nothing(monkeypatch):
+    tasked = tasked_ring_tower()
+    first = run_episode(tasked.clone(), 20, np.random.default_rng(5))
+    blended = []
+    real = hierarchy.blend_weights_matrix
+
+    def counting(*args):
+        blended.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hierarchy, "blend_weights_matrix", counting)
+    second = run_episode(tasked.clone(), 20, np.random.default_rng(5))
+    assert first.events and blended == []
+    assert second.states == first.states
+    assert second.total_return == first.total_return
+
+
+def test_composites_are_read_only():
+    stack = tasked_ring_tower()
+    stack.apply_inpaint(0, np.zeros(stack.layers[0].n_subtasks))
+    terminate_layer(stack, 2)
+    # layer 0 re-blended, layer 1 recomposed dead, layer 2 from set_task
+    for z in stack.z_full:
+        with pytest.raises(ValueError):
+            z[0] = 1.0
+
+
+def test_a_failed_inpaint_changes_nothing(monkeypatch):
+    stack = tasked_ring_tower()
+    weights, z_full = list(stack.weights), list(stack.z_full)
+
+    def zero_weights(aug, inpainted, current):
+        return TaskWeights(np.zeros_like(current.values), 0.0)
+
+    monkeypatch.setattr(hierarchy, "rewards_to_task_weights", zero_weights)
+    with pytest.raises(NonPositiveComposite, match="layer 0"):
+        stack.apply_inpaint(0, np.zeros(stack.layers[0].n_subtasks))
+    assert all(new is old for new, old in zip(stack.weights, weights))
+    assert all(new is old for new, old in zip(stack.z_full, z_full))
+    assert stack.reblends == {}
