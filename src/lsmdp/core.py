@@ -35,9 +35,9 @@ same IEEE operations in the same order as numpy: products are elementwise,
 and numpy sums an array shorter than 8 strictly left to right (from 8 entries
 on it switches to an unrolled pairwise sum, which a running sum would not
 reproduce), so dense columns, such as those of absorption-derived layers, stay
-on numpy.  ``draw_from`` needs no cutoff: ``np.cumsum`` is sequential at every
-length, so its Python running sum and bisect match numpy's bit for bit on any
-column.
+on numpy.  Draws need no cutoff: ``np.cumsum`` is sequential at every length,
+so ``running_sum`` and the bisect of ``draw_at`` match numpy's bit for bit on
+any column.
 """
 from __future__ import annotations
 
@@ -557,15 +557,15 @@ def policy_column(lmdp: Lmdp, z_full: np.ndarray, state: int):
         total = 0.0
         for v in vals:
             total += v
-        if not (total > 0):
-            raise ZeroNormalizer(f"policy column {state} has zero desirability mass")
+        if not 0.0 < total < math.inf:
+            raise ZeroNormalizer(f"policy column {state} has desirability mass {total}")
         return rows, np.array([v / total for v in vals])
     lo, hi = P.indptr[state], P.indptr[state + 1]
     rows = P.indices[lo:hi]
     vals = P.data[lo:hi] * z_full[rows]
     total = vals.sum()
-    if not (total > 0):
-        raise ZeroNormalizer(f"policy column {state} has zero desirability mass")
+    if not 0.0 < total < math.inf:
+        raise ZeroNormalizer(f"policy column {state} has desirability mass {total}")
     return rows, vals / total
 
 
@@ -577,18 +577,25 @@ def value_from_desirability(z: Desirability, temperature: float) -> np.ndarray:
     return temperature * np.log(full)
 
 
-def draw_from(rows: np.ndarray, probs, rng: np.random.Generator) -> int:
-    """Draw one index from an explicit finite distribution.
-
-    ``probs`` need not sum to one: u is uniform on [0, sum) and the draw is
-    the first entry whose cumulative sum exceeds u.  The running sum is built
-    in Python and searched with bisect, which matches ``np.cumsum`` and
-    ``searchsorted(side="right")`` bit for bit at any length, because
-    ``np.cumsum`` also accumulates one entry at a time.
-    """
+def running_sum(probs) -> list:
+    """Left-to-right running sum of weights, ``np.cumsum`` bit for bit; raises
+    ZeroNormalizer unless the total is finite and positive."""
     cum = list(accumulate(np.asarray(probs).tolist()))
+    if not (cum and 0.0 < cum[-1] < math.inf):
+        raise ZeroNormalizer(f"cannot draw from total mass {cum[-1] if cum else 0.0}")
+    return cum
+
+
+def draw_at(rows: np.ndarray, cum: list, rng: np.random.Generator) -> int:
+    """The one draw rule: the first row whose running sum exceeds u, u
+    uniform on [0, total), as ``np.searchsorted(side="right")`` finds it."""
     k = bisect_right(cum, rng.random() * cum[-1])
     return int(rows[min(k, len(rows) - 1)])
+
+
+def draw_from(rows: np.ndarray, probs, rng: np.random.Generator) -> int:
+    """Draw one row from weights ``probs``, which need not sum to one."""
+    return draw_at(rows, running_sum(probs), rng)
 
 
 # ---------------------------------------------------------------------------

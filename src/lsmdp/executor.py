@@ -22,7 +22,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import _kl_column, draw_from, policy_column
+# draw_from is not called here, but callers that patch this module's names use it
+from .core import _kl_column, draw_at, draw_from, policy_column, running_sum
 from .errors import InvalidSpec, ZeroNormalizer
 from .hierarchy import HierarchyStack, inpaint_rewards, terminate_layer
 
@@ -53,19 +54,42 @@ class HierarchicalTrajectory:
         return len(self.states) - 1
 
 
-def _transmit(stack: HierarchyStack, layer: int, entry: int,
-              rows: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Inpainted rewards a layer sends down from its policy column (rows,
-    probs) at entry, over its interior: the subtask states of the layer below."""
-    P = stack.layers[layer].lmdp.passive.to_interior
-    n_i = P.shape[0]
-    inner = rows < n_i
-    a = np.zeros(n_i)
-    a[rows[inner]] = probs[inner]
-    p_lo, p_hi = P.indptr[entry], P.indptr[entry + 1]
-    p = np.zeros(n_i)
-    p[P.indices[p_lo:p_hi]] = P.data[p_lo:p_hi]
-    return inpaint_rewards(a, p, stack.kappa)
+class Column:
+    """A cached policy column (rows, probs) and the running sum draws bisect;
+    the step ``kl``, ``masked`` redraw and ``transmit`` fill on first use."""
+
+    __slots__ = ("rows", "probs", "cum", "kl", "masked", "transmit")
+
+    def __init__(self, rows: np.ndarray, probs: np.ndarray):
+        self.rows, self.probs, self.cum = rows, probs, running_sum(probs)
+        self.kl = self.masked = self.transmit = None
+
+
+def _column(stack: HierarchyStack, layer: int, state: int) -> Column:
+    """The record of the layer's current composite at ``state``, from its
+    cache; a miss tilts the column with ``policy_column``."""
+    cache = stack.columns[layer]
+    if state not in cache:
+        cache[state] = Column(*policy_column(*stack.policy_state(layer), state))
+    return cache[state]
+
+
+def _transmit(stack: HierarchyStack, layer: int, entry: int) -> np.ndarray:
+    """Inpainted rewards (read-only) a layer sends down from its current policy
+    column at entry, over its interior: the subtask states of the layer below."""
+    col = _column(stack, layer, entry)
+    if col.transmit is None:
+        P = stack.layers[layer].lmdp.passive.to_interior
+        n_i = P.shape[0]
+        inner = col.rows < n_i
+        a = np.zeros(n_i)
+        a[col.rows[inner]] = col.probs[inner]
+        p_lo, p_hi = P.indptr[entry], P.indptr[entry + 1]
+        p = np.zeros(n_i)
+        p[P.indices[p_lo:p_hi]] = P.data[p_lo:p_hi]
+        col.transmit = inpaint_rewards(a, p, stack.kappa)
+        col.transmit.flags.writeable = False
+    return col.transmit
 
 
 def _access(stack: HierarchyStack, layer: int, entry: int,
@@ -77,21 +101,19 @@ def _access(stack: HierarchyStack, layer: int, entry: int,
     the caller only has to skip its inpaint when None comes back.
     """
     chain.append((layer, entry))
-    lmdp, z = stack.policy_state(layer)
-    rows, probs = policy_column(lmdp, z, entry)
-    nxt = draw_from(rows, probs, rng)
+    col = _column(stack, layer, entry)
+    nxt = draw_at(col.rows, col.cum, rng)
     lo, hi = stack.layers[layer].subtask_range
     if lo <= nxt < hi:
         inner, deepest, terminated = _access(stack, layer + 1, nxt - lo, rng, chain)
         if inner is not None:
             stack.apply_inpaint(layer, inner)
         # transmit from the policy as re-blended by the inner chain
-        rows, probs = policy_column(*stack.policy_state(layer), entry)
-        return _transmit(stack, layer, entry, rows, probs), deepest, terminated
-    if nxt >= lmdp.n_interior:
+        return _transmit(stack, layer, entry), deepest, terminated
+    if nxt >= stack.layers[layer].lmdp.n_interior:
         terminate_layer(stack, layer)
         return None, layer, layer
-    return _transmit(stack, layer, entry, rows, probs), layer, None
+    return _transmit(stack, layer, entry), layer, None
 
 
 def access_hierarchy(stack: HierarchyStack, entry_subtask: int,
@@ -159,11 +181,12 @@ def run_episode(stack: HierarchyStack, start_state: int,
     while t < max_steps:
         guided = False
         while True:
-            lmdp0, z = stack.policy_state(0)
-            rows, probs = policy_column(lmdp0, z, s)
+            col = _column(stack, 0, s)
             if guided:
-                rows, probs = masked_redraw_column(rows, probs, lo, hi)
-            nxt = draw_from(rows, probs, rng)
+                if col.masked is None:
+                    col.masked = Column(*masked_redraw_column(col.rows, col.probs, lo, hi))
+                col = col.masked
+            nxt = draw_at(col.rows, col.cum, rng)
             if not lo <= nxt < hi:
                 break
             _, chain, deepest, terminated = access_hierarchy(stack, nxt - lo, rng)
@@ -172,9 +195,11 @@ def run_episode(stack: HierarchyStack, start_state: int,
             for layer in range(stack.depth):
                 w = stack.weights[layer]
                 if w is not None:
-                    weight_log.append((eid, layer, w.values.copy()))
+                    weight_log.append((eid, layer, w.values))
             guided = True
-        total += r_i[s] - lam * _kl_column(rows, probs, lmdp0, s)
+        if col.kl is None:
+            col.kl = _kl_column(col.rows, col.probs, lmdp, s)
+        total += r_i[s] - lam * col.kl
         states.append(nxt)
         if nxt >= n_i:
             q_term = stack.target[nxt - n_i]

@@ -56,8 +56,12 @@ class TaskBasis:
 
 @dataclass(frozen=True)
 class TaskWeights:
-    values: np.ndarray
+    values: np.ndarray  # a read-only view, so logs and memos share it
     residual: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", np.asarray(self.values).view())
+        self.values.flags.writeable = False
 
 
 def build_task_basis(base: Lmdp, boundary_tasks: np.ndarray) -> TaskBasis:

@@ -700,6 +700,40 @@ def test_scalar_columns_match_numpy_bit_for_bit(seed, max_interior):
                     == [reference_draw(rows, p, rng_b) for _ in range(50)])
 
 
+
+@pytest.mark.parametrize("probs", [
+    [0.0, 0.0, 0.0],            # all zero
+    [0.5, np.nan, 0.5],         # NaN
+    [0.2, -0.5, 0.1],           # negative total
+    [0.5, np.inf, 0.5],         # infinite total
+    [],                         # empty column
+], ids=["zero", "nan", "negative", "inf", "empty"])
+def test_a_bad_distribution_raises(probs):
+    # these used to draw the last row, or fail with a bare IndexError
+    rows = np.arange(len(probs))
+    with pytest.raises(ZeroNormalizer):
+        draw_from(rows, np.array(probs, dtype=np.float64), np.random.default_rng(0))
+    with pytest.raises(ZeroNormalizer):
+        core.running_sum(probs)
+
+
+def test_an_infinite_desirability_raises_on_both_tilt_paths():
+    # an inf entry used to give NaN probabilities, and a draw from them the
+    # last row of the column, here a boundary state of ring-12
+    ring, _, _ = make_ring(RingSpec(12))
+    dense = random_lmdp(np.random.default_rng(3), max_interior=12, min_interior=12)
+    paths = set()
+    for lmdp in (ring, dense):
+        P = lmdp.passive.full_matrix
+        for s in range(lmdp.n_interior):
+            paths.add(lmdp.passive.narrow_columns[s] is None)
+            z_full = np.ones(lmdp.n_states)
+            z_full[P.indices[P.indptr[s]]] = np.inf
+            with pytest.raises(ZeroNormalizer):
+                policy_column(lmdp, z_full, s)
+    assert paths == {False, True}
+
+
 # ---------------------------------------------------------------------------
 # returns of executed episodes
 

@@ -1,8 +1,12 @@
 """Hierarchical episode execution: accesses, terminations, trajectories."""
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsmdp import (
     GridSpec,
@@ -18,7 +22,9 @@ from lsmdp import (
     policy_column,
     run_episode,
     solve_interior,
+    terminate_layer,
 )
+from lsmdp import executor, hierarchy
 from lsmdp.errors import InvalidSpec, ZeroNormalizer
 from lsmdp.executor import masked_redraw_column
 
@@ -143,6 +149,122 @@ def test_ring_tower_trace_is_pinned_from_the_memo():
     assert_pinned_ring_tower_trace(
         run_episode(tasked.clone(), 13, np.random.default_rng(1)))
     assert set(tasked.reblends) == keys
+
+
+# ---------------------------------------------------------------------------
+# the column cache and the termination memo
+
+
+@functools.cache
+def ring_template(n, depth):
+    """A ring-n stack with subtasks every 3 states and no task; use clones."""
+    lmdp, structures, tasks = make_ring(RingSpec(n, subtask_spacing=3, depth=depth))
+    return lmdp, build_stack(build_task_basis(lmdp, tasks), structures)
+
+
+def assert_same_trajectory(traj, twin):
+    assert traj.states == twin.states
+    assert traj.events == twin.events
+    assert traj.total_return == twin.total_return
+    assert traj.truncated == twin.truncated
+    assert [(e, layer) for e, layer, _ in traj.weight_log] == [
+        (e, layer) for e, layer, _ in twin.weight_log]
+    for (_, _, ours), (_, _, theirs) in zip(traj.weight_log, twin.weight_log):
+        assert np.array_equal(ours, theirs)
+
+
+def uncached_column(stack, layer, state):
+    """executor._column with no cache: a fresh record on every read."""
+    return executor.Column(*policy_column(*stack.policy_state(layer), state))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from([(27, 3), (81, 4)]), data=st.data())
+def test_warm_caches_change_no_episode(shape, data):
+    # clones of a tasked stack share its column caches and memos; once other
+    # episodes (and this one) have filled them, an episode must equal the
+    # same episode on a cold twin that reads no cached column at all
+    lmdp, template = ring_template(*shape)
+    goal = data.draw(st.integers(0, lmdp.n_boundary - 1), label="goal")
+    start = data.draw(st.integers(0, lmdp.n_interior - 1), label="start")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    q = goal_task_vector(lmdp.n_boundary, goal, lmdp.rewards.temperature)
+    warm, cold = template.clone(), template.clone()
+    warm.set_task(q)
+    cold.set_task(q)
+    starts = np.random.default_rng(seed).integers(lmdp.n_interior, size=4)
+    for k, other in enumerate(starts):
+        run_episode(warm.clone(), int(other), np.random.default_rng([seed, k]))
+    first = run_episode(warm.clone(), start, np.random.default_rng(seed))
+    again = run_episode(warm.clone(), start, np.random.default_rng(seed))
+    with mock.patch.object(executor, "_column", uncached_column):
+        twin = run_episode(cold.clone(), start, np.random.default_rng(seed))
+    assert_same_trajectory(first, twin)
+    assert_same_trajectory(again, twin)
+
+
+def test_a_repeated_episode_tilts_no_column(monkeypatch):
+    _, tasked = ring_tower_stack()
+    first = run_episode(tasked.clone(), 13, np.random.default_rng(1))
+    tilted = []
+    real = executor.policy_column
+
+    def counting(*args):
+        tilted.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(executor, "policy_column", counting)
+    second = run_episode(tasked.clone(), 13, np.random.default_rng(1))
+    assert first.events and tilted == []
+    assert_same_trajectory(second, first)
+    # a retargeted clone starts cold
+    fresh = tasked.clone()
+    fresh.set_task(tasked.target)
+    run_episode(fresh, 13, np.random.default_rng(1))
+    assert tilted
+
+
+def test_a_repeated_termination_composes_nothing(monkeypatch):
+    _, tasked = ring_tower_stack()
+    dead = tasked.clone()
+    terminate_layer(dead, 1)
+    composed = []
+    real = hierarchy.HierarchyStack._compose
+
+    def counting(self, *args):
+        composed.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(hierarchy.HierarchyStack, "_compose", counting)
+    again = tasked.clone()
+    terminate_layer(again, 1)
+    assert composed == []
+    assert again.z_full[0] is dead.z_full[0]
+    assert again.columns[0] is dead.columns[0]
+    assert tasked.z_full[0] is not dead.z_full[0]
+
+
+def test_clones_share_caches_and_set_task_starts_fresh_ones():
+    _, tasked = ring_tower_stack()
+    run_episode(tasked.clone(), 13, np.random.default_rng(1))
+    clone = tasked.clone()
+    assert all(ours is theirs for ours, theirs in zip(clone.columns, tasked.columns))
+    assert clone.deaths is tasked.deaths and tasked.deaths
+    clone.set_task(tasked.target)
+    assert clone.columns == [{}] * clone.depth and clone.deaths == {}
+    assert all(ours is not theirs for ours, theirs in zip(clone.columns, tasked.columns))
+
+
+def test_logged_weights_are_read_only_references():
+    _, stack = ring_tower_stack()
+    traj = run_episode(stack, 13, np.random.default_rng(1))
+    assert traj.weight_log
+    for _, _, values in traj.weight_log:
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+    # the last access logged the weights the stack still holds
+    last = traj.weight_log[-stack.depth:]
+    assert all(values is stack.weights[layer].values for _, layer, values in last)
 
 
 def test_fixed_seed_runs_identically(rooms):

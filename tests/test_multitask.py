@@ -126,6 +126,19 @@ def test_pinv_weights_are_clipped_nonnegative():
     assert (weights.values >= 0).all()
 
 
+
+@pytest.mark.parametrize("method", ["nnls", "pinv", "factored"])
+def test_blend_weights_are_read_only(basis, method):
+    # logs and memos keep references to weights, never copies
+    Q, q = basis.boundary_tasks, basis.boundary_tasks[:, 0]
+    weights = (blend_weights_matrix(factor_block(Q), q) if method == "factored"
+               else blend_weights_matrix(Q, q, method=method))
+    with pytest.raises(ValueError):
+        weights.values[0] = 1.0
+    mine = np.array([1.0, 2.0])
+    TaskWeights(mine, 0.0)
+    mine[0] = 3.0  # a caller's own array stays writable
+
 def test_unknown_blend_method_rejected(basis):
     with pytest.raises(InvalidSpec):
         blend_weights_matrix(basis.boundary_tasks, basis.boundary_tasks[:, 0],
