@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (DEFAULT_TOL, Lmdp, PassiveDynamics, RewardModel,
                    StatePartition, block_width, build_lmdp, z_iterate)
@@ -115,16 +114,14 @@ def hierarchical_counts(n: int, tol: float = DEFAULT_TOL) -> Tuple[int, int]:
         W = np.zeros((n_next, size))
         for t, pos in enumerate(positions):
             W[t, pos] = ACCESS_WEIGHT
-        to_i, to_b, to_t = stack_subtask_kernel(passive, W)
-        aug_passive = PassiveDynamics(to_i, sp.vstack([to_b, to_t]).tocsc())
+        aug_passive = stack_subtask_kernel(passive, W)
         lmdp = _level_lmdp(aug_passive, lam)
         twins = [(j * stride) % N for j in range(size)]
         sub_rows = [n_base_boundary + t for t in range(n_next)]
         it, nz = _count_tasks(lmdp, list(twins) + sub_rows, tol, max_iter=cap)
         total += it
         nnz += nz
-        next_i, next_b = absorption_dynamics(to_i, to_b, to_t)
-        passive = PassiveDynamics(next_i, next_b)
+        passive = PassiveDynamics(*absorption_dynamics(aug_passive, n_next))
         stride *= M
     return total, nnz
 

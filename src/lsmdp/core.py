@@ -133,9 +133,9 @@ class PassiveDynamics:
     to_boundary : (n_boundary, n_interior) array or sparse matrix
         Probability of absorbing at each boundary state, column = source.
 
-    Columns are validated to be stochastic within 1e-9 and then renormalized
-    exactly.  Construction fails with NoAbsorption if some interior state has
-    no path to any boundary state.
+    Columns are validated to be finite and stochastic within 1e-9, then
+    renormalized exactly.  Construction fails with NoAbsorption if some
+    interior state has no path to any boundary state.
     """
 
     def __init__(self, to_interior, to_boundary):
@@ -151,7 +151,7 @@ class PassiveDynamics:
         if P_i.nnz and P_i.data.min() < 0 or P_b.nnz and P_b.data.min() < 0:
             raise NotStochastic("negative transition probability")
         sums = np.asarray(P_i.sum(axis=0)).ravel() + np.asarray(P_b.sum(axis=0)).ravel()
-        bad = np.abs(sums - 1.0) > STOCHASTIC_ATOL
+        bad = ~(np.abs(sums - 1.0) <= STOCHASTIC_ATOL)   # a NaN entry is bad too
         if bad.any():
             s = int(np.argmax(bad))
             raise NotStochastic(f"column {s} sums to {sums[s]:.12g}")

@@ -2,9 +2,11 @@
 
 A layer is augmented by appending subtask states: extra absorbing states
 reachable through a nonnegative weight matrix stacked under the passive
-kernel and renormalized columnwise.  Entering a subtask state hands control
-to the layer above, whose interior states *are* those subtask states and
-whose passive dynamics are the absorption probabilities of the layer below
+kernel and renormalized columnwise.  That kernel is held once, as the
+layer's ``lmdp.passive`` (subtask rows last), and solves, absorption and
+saves all read it there.  Entering a subtask state hands control to the
+layer above, whose interior states *are* those subtask states and whose
+passive dynamics are the absorption probabilities of the layer below
 (fundamental-matrix identities).  The layer above steers the layer below by
 inpainting rewards onto the subtask states: the difference between its
 desired next-state distribution and its passive one, scaled by kappa, becomes
@@ -120,22 +122,20 @@ class AugmentedMlmdp:
     block).  Its task basis is the base boundary-task columns plus one task
     per subtask state, solved over the augmented dynamics.  The top of a
     stack is a rung with zero subtasks: its LMDP and basis are the top
-    layer's own, and its subtask blocks are empty.  Below a terminated
+    layer's own.  The layer's one kernel is ``lmdp.passive``, its last
+    ``n_subtasks`` boundary rows the subtask rows.  Below a terminated
     layer, composites blend ``dead_desirabilities`` instead of the basis.
     Inpaint re-blends solve against ``subtask_block``, factored in augment.
     """
 
     lmdp: Lmdp                      # augmented: boundary = base boundary + subtasks
     basis: TaskBasis                # over the augmented LMDP, [base tasks | subtask tasks]
-    to_interior: sp.csc_matrix      # renormalized blocks of the stacked kernel
-    to_boundary: sp.csc_matrix      # base-boundary rows only
-    to_subtasks: sp.csc_matrix
     subtask_block: FactoredBlock    # subtask-reward block Q_t and its LU
     neutral_weights: np.ndarray     # subtask-task blend for inpainted reward 0
 
     @property
     def n_subtasks(self) -> int:
-        return self.to_subtasks.shape[0]
+        return self.neutral_weights.shape[0]
 
     @property
     def n_base_tasks(self) -> int:
@@ -165,11 +165,12 @@ class AugmentedMlmdp:
         return solve_interior(self.lmdp, Q)
 
 
-def stack_subtask_kernel(passive: PassiveDynamics, weights: np.ndarray):
+def stack_subtask_kernel(passive: PassiveDynamics,
+                         weights: np.ndarray) -> PassiveDynamics:
     """Stack subtask access mass under a passive kernel and renormalize.
 
-    Returns the three column-stochastic blocks (to_interior, to_boundary,
-    to_subtasks) of the augmented kernel, as csc matrices.
+    Returns the augmented kernel, whose boundary rows are the base boundary
+    rows followed by one row per subtask.
     """
     stacked = sp.vstack([
         passive.to_interior,
@@ -180,25 +181,29 @@ def stack_subtask_kernel(passive: PassiveDynamics, weights: np.ndarray):
     if (mass <= 0).any():
         raise AllZeroColumn(f"stacked column {int(np.argmin(mass))} has no mass")
     stacked = (stacked @ sp.diags(1.0 / mass)).tocsc()
-    n_i, n_b = passive.n_interior, passive.n_boundary
-    return stacked[:n_i], stacked[n_i:n_i + n_b], stacked[n_i + n_b:]
+    n_i = passive.n_interior
+    # sorted boundary rows: their order becomes each policy column's row
+    # order, which decides the row a uniform draw picks, so episodes depend on it
+    return PassiveDynamics(stacked[:n_i], stacked[n_i:].sorted_indices())
 
 
-def absorption_dynamics(to_interior, to_boundary, to_subtasks):
+def absorption_dynamics(passive: PassiveDynamics, n_subtasks: int):
     """Higher-layer passive dynamics from absorption of the walk below.
 
-    Column t' conditions on re-entering the lower layer from subtask t' (the
-    renormalized t'-th column of to_subtasks^T); rows are the probabilities
-    of absorbing at each subtask state and each boundary state.  Stacked
+    The subtask rows of ``passive`` are its last ``n_subtasks`` boundary
+    rows.  Column t' conditions on re-entering the lower layer from subtask
+    t' (the renormalized t'-th subtask row); rows are the probabilities of
+    absorbing at each subtask state and each base boundary state.  Stacked
     columns must sum to 1 up to solver accuracy, since the walk absorbs with
     probability 1.
 
     Returns (to_interior_next, to_boundary_next) as dense arrays.
     """
-    to_interior = _as_csc_block(to_interior)
-    to_boundary = _as_csc_block(to_boundary)
-    to_subtasks = _as_csc_block(to_subtasks)
-    n_i = to_interior.shape[0]
+    n_i, n_b = passive.n_interior, passive.n_boundary - n_subtasks
+    if not 0 <= n_b < passive.n_boundary:
+        raise DimensionMismatch(
+            f"{n_subtasks} subtasks, {passive.n_boundary} boundary rows")
+    to_boundary, to_subtasks = passive.to_boundary[:n_b], passive.to_boundary[n_b:]
     entries = to_subtasks.T.toarray()                # (n_i, n_t)
     col_mass = entries.sum(axis=0)
     if (col_mass <= 0).any():
@@ -206,7 +211,7 @@ def absorption_dynamics(to_interior, to_boundary, to_subtasks):
             f"subtask {int(np.argmin(col_mass))} has no entry distribution"
         )
     entries = entries / col_mass
-    A = (sp.eye(n_i, format="csc") - to_interior).tocsc()
+    A = (sp.eye(n_i, format="csc") - passive.to_interior).tocsc()
     visits = _factorize(A, SingularFundamentalMatrix)(entries)
     if not np.isfinite(visits).all():
         raise SingularFundamentalMatrix("fundamental system produced non-finite visits")
@@ -220,19 +225,14 @@ def absorption_dynamics(to_interior, to_boundary, to_subtasks):
     return np.asarray(to_interior_next), np.asarray(to_boundary_next)
 
 
-def _as_csc_block(matrix) -> sp.csc_matrix:
-    if sp.issparse(matrix):
-        return matrix.tocsc()
-    return sp.csc_matrix(np.asarray(matrix, dtype=np.float64))
-
-
 def augment(lmdp: Lmdp, tasks: np.ndarray, structure: SubtaskStructure,
             penalty: Optional[float] = None) -> AugmentedMlmdp:
     """Append subtask states to a layer with boundary-task matrix ``tasks``.
 
     ``tasks`` is (n_boundary, n_tasks), exponentiated; only the augmented
     basis is solved, so the layer needs no basis of its own.  The stacked
-    kernel [to_interior; to_boundary; weights] is renormalized columnwise.
+    kernel [to_interior; to_boundary; weights], renormalized columnwise, is
+    the augmented LMDP's passive dynamics.
     Each subtask task has reward 0 at its own state and ``penalty``
     (default -5 * lambda) at the other subtask states.  The cross blocks of
     the combined task matrix (base tasks at subtask states, subtask tasks at
@@ -259,7 +259,7 @@ def augment(lmdp: Lmdp, tasks: np.ndarray, structure: SubtaskStructure,
     if W.sum() == 0:
         warnings.warn("subtask states carry no transition mass", UnreachableSubtasks)
 
-    to_interior, to_boundary, to_subtasks = stack_subtask_kernel(lmdp.passive, W)
+    passive = stack_subtask_kernel(lmdp.passive, W)
     n_i, n_b = lmdp.n_interior, lmdp.n_boundary
     n_t = structure.n_subtasks
 
@@ -276,7 +276,6 @@ def augment(lmdp: Lmdp, tasks: np.ndarray, structure: SubtaskStructure,
         np.concatenate([lmdp.rewards.boundary, np.full(n_t, penalty)]),
         lam,
     )
-    passive = PassiveDynamics(to_interior, sp.vstack([to_boundary, to_subtasks]))
     aug_lmdp = build_lmdp(partition, passive, rewards)
 
     fill = np.exp(fill_penalty / lam)
@@ -292,9 +291,6 @@ def augment(lmdp: Lmdp, tasks: np.ndarray, structure: SubtaskStructure,
     return AugmentedMlmdp(
         lmdp=aug_lmdp,
         basis=basis,
-        to_interior=to_interior.tocsc(),
-        to_boundary=to_boundary.tocsc(),
-        to_subtasks=to_subtasks.tocsc(),
         subtask_block=subtask_block,
         neutral_weights=neutral,
     )
@@ -505,8 +501,7 @@ def build_stack(basis: TaskBasis, structures: Sequence[SubtaskStructure],
     for structure in structures:
         aug = augment(lmdp, tasks, structure, penalty=penalty)
         layers.append(aug)
-        to_i, to_b = absorption_dynamics(aug.to_interior, aug.to_boundary,
-                                         aug.to_subtasks)
+        to_i, to_b = absorption_dynamics(aug.lmdp.passive, aug.n_subtasks)
         n_next = structure.n_subtasks
         labels = None
         if structure.labels is not None:
@@ -518,8 +513,6 @@ def build_stack(basis: TaskBasis, structures: Sequence[SubtaskStructure],
     # the top is a rung with no subtask states above it
     layers.append(AugmentedMlmdp(
         lmdp=lmdp, basis=build_task_basis(lmdp, tasks) if layers else basis,
-        to_interior=lmdp.passive.to_interior, to_boundary=lmdp.passive.to_boundary,
-        to_subtasks=sp.csc_matrix((0, lmdp.n_interior)),
         subtask_block=factor_block(np.empty((0, 0))), neutral_weights=np.empty(0)))
     depth = len(layers)
     return HierarchyStack(

@@ -65,7 +65,10 @@ def lmdp_to_dict(lmdp: Lmdp) -> dict:
 
 
 def lmdp_from_dict(doc: dict) -> Lmdp:
-    """Rebuild an LMDP from its document; validation runs as usual."""
+    """Rebuild an LMDP from its document; validation runs as usual.
+
+    A (source, destination) pair repeated across triples raises InvalidSpec.
+    """
     try:
         n_i = int(doc["n_interior"])
         n_b = int(doc["n_boundary"])
@@ -77,25 +80,19 @@ def lmdp_from_dict(doc: dict) -> Lmdp:
                    for entry in doc["passive"]]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed LMDP document: {exc}") from exc
-    rows_i, cols_i, vals_i = [], [], []
-    rows_b, cols_b, vals_b = [], [], []
+    seen = set()
     for entry in triples:
-        src, dst, p = entry
+        src, dst, _ = entry
         if not (0 <= src < n_i and 0 <= dst < n_i + n_b):
             raise InvalidSpec(f"passive triple {entry} out of range")
-        if dst < n_i:
-            rows_i.append(dst)
-            cols_i.append(src)
-            vals_i.append(p)
-        else:
-            rows_b.append(dst - n_i)
-            cols_b.append(src)
-            vals_b.append(p)
-    to_interior = sp.csc_matrix((vals_i, (rows_i, cols_i)), shape=(n_i, n_i))
-    to_boundary = sp.csc_matrix((vals_b, (rows_b, cols_b)), shape=(n_b, n_i))
-    partition = StatePartition(n_i, n_b, labels)
-    passive = PassiveDynamics(to_interior, to_boundary)
-    return build_lmdp(partition, passive, RewardModel(r_i, r_b, lam))
+        if (src, dst) in seen:
+            raise InvalidSpec(f"passive triples repeat source {src}, destination {dst}")
+        seen.add((src, dst))
+    src, dst, prob = zip(*triples) if triples else ((), (), ())
+    full = sp.csc_matrix((prob, (dst, src)), shape=(n_i + n_b, n_i))
+    passive = PassiveDynamics(full[:n_i], full[n_i:])
+    return build_lmdp(StatePartition(n_i, n_b, labels), passive,
+                      RewardModel(r_i, r_b, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +126,15 @@ def save_stack(stack: HierarchyStack, directory) -> None:
 
     ``layer_k.json`` holds the layer's LMDP document under "lmdp" and, under
     "boundary_tasks" and "desirabilities", the names of the ``.npy`` files
-    beside it that hold its basis arrays.  The manifest records the format
-    version, layer order and kinds, kappa and penalty, the normalized subtask
-    access kernels as triples, termination flags and the per-layer live
-    flags they imply, and current task weights when set.
+    beside it that hold its basis arrays; the last boundary rows of its
+    passive triples are its subtask access rows.  The manifest (format 3)
+    records the layer count, order and kinds, kappa and penalty, termination
+    flags (a layer's subtasks live while the layer above does), and current
+    task weights when set.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    layer_files, kinds, kernels = [], [], []
+    layer_files = []
     for k, entry in enumerate(stack.layers):
         name = f"layer_{k}.json"
         layer_files.append(name)
@@ -145,23 +143,14 @@ def save_stack(stack: HierarchyStack, directory) -> None:
             doc[key] = f"layer_{k}.{key}.npy"
             np.save(directory / doc[key], getattr(entry.basis, key))
         write_json(directory / name, doc)
-        if entry.n_subtasks:
-            kinds.append("augmented")
-            kernels.append(_matrix_triples(entry.to_subtasks))
-        else:
-            kinds.append("top")
     manifest = {
-        "format": 2,
+        "format": 3,
         "depth": stack.depth,
         "kappa": float(stack.kappa),
         "penalty": float(stack.penalty),
         "layer_files": layer_files,
-        "layer_kinds": kinds,
-        "subtask_kernels": kernels,
-        # a layer's subtasks die with the layer above; the top records null
-        "live_subtasks": [[not stack.terminated[k + 1]] * entry.n_subtasks
-                          if entry.n_subtasks else None
-                          for k, entry in enumerate(stack.layers)],
+        "layer_kinds": ["augmented" if entry.n_subtasks else "top"
+                        for entry in stack.layers],
         "terminated": [bool(v) for v in stack.terminated],
         "task_weights": [None if w is None else [float(v) for v in w.values]
                          for w in stack.weights],

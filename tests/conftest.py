@@ -41,6 +41,16 @@ def random_lmdp(rng, max_interior=12, max_boundary=4, temperature=None,
                       PassiveDynamics(P[:n_i], P[n_i:]), rewards)
 
 
+def kernel_blocks(passive, n_subtasks):
+    """(to_interior, to_boundary, to_subtasks) of an augmented kernel.
+
+    The subtask rows are the last ``n_subtasks`` boundary rows, where
+    ``absorption_dynamics`` reads them.
+    """
+    n_b = passive.n_boundary - n_subtasks
+    return passive.to_interior, passive.to_boundary[:n_b], passive.to_boundary[n_b:]
+
+
 def random_boundary_q(rng, n_boundary):
     """Strictly positive exponentiated boundary rewards."""
     return np.exp(rng.uniform(-3.0, 0.5, n_boundary))

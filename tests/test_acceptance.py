@@ -44,7 +44,8 @@ from lsmdp.hierarchy import absorption_dynamics, augment
 from lsmdp.multitask import blend_weights_matrix
 
 import oracles
-from conftest import four_rooms_setting, random_lmdp, random_boundary_q
+from conftest import (four_rooms_setting, kernel_blocks, random_boundary_q,
+                      random_lmdp)
 
 
 def elapsed_under(t0, budget):
@@ -127,13 +128,13 @@ def test_criterion_3_derived_dynamics():
 
     for aug in instances:
         assert aug.lmdp.n_states <= 30
-        to_i, to_b = absorption_dynamics(aug.to_interior, aug.to_boundary,
-                                         aug.to_subtasks)
+        to_i, to_b = absorption_dynamics(aug.lmdp.passive, aug.n_subtasks)
         total = to_i.sum(axis=0) + to_b.sum(axis=0)
         assert np.abs(total - 1.0).max() <= 1e-10
+        to_interior, to_boundary, to_subtasks = kernel_blocks(aug.lmdp.passive,
+                                                              aug.n_subtasks)
         freq_t, freq_b = oracles.mc_absorption(
-            aug.to_interior, aug.to_subtasks, aug.to_boundary,
-            n_walks=1_000_000, seed=17)
+            to_interior, to_subtasks, to_boundary, n_walks=1_000_000, seed=17)
         assert np.abs(to_i - freq_t).max() <= 0.005
         assert np.abs(to_b - freq_b).max() <= 0.005
     assert elapsed_under(t0, 120.0)

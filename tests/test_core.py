@@ -89,6 +89,16 @@ def test_negative_probability_rejected():
         PassiveDynamics([[-0.1]], [[1.1]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_entry_is_not_stochastic(bad):
+    # a NaN once passed the column-sum check and was misreported as
+    # NoAbsorption; either block, and the message names the column
+    with pytest.raises(NotStochastic, match="column 1"):
+        PassiveDynamics([[0.0, 0.0], [0.0, 0.0]], [[1.0, bad]])
+    with pytest.raises(NotStochastic, match="column 1"):
+        PassiveDynamics([[0.0, 0.5], [0.0, bad]], [[1.0, 0.5]])
+
+
 def test_unreachable_boundary_rejected():
     to_interior = [[0.0, 1.0], [1.0, 0.0]]
     to_boundary = [[0.0, 0.0]]

@@ -52,7 +52,7 @@ from lsmdp.errors import (
 from lsmdp.serialize import save_stack
 
 import oracles
-from conftest import four_rooms_setting, random_lmdp
+from conftest import four_rooms_setting, kernel_blocks, random_lmdp
 
 
 def base_chain(n_interior=5, seed=43):
@@ -120,7 +120,8 @@ def test_single_entry_weights_gate_access():
     W = np.zeros((1, 5))
     W[0, 2] = 0.5
     aug = small_augmented(weights=W)
-    column_mass = np.asarray(aug.to_subtasks.sum(axis=0)).ravel()
+    _, _, to_subtasks = kernel_blocks(aug.lmdp.passive, aug.n_subtasks)
+    column_mass = np.asarray(to_subtasks.sum(axis=0)).ravel()
     assert column_mass[2] > 0
     assert (column_mass[[0, 1, 3, 4]] == 0).all()
 
@@ -129,22 +130,21 @@ def test_zero_weights_leave_dynamics_unchanged():
     with pytest.warns(UnreachableSubtasks):
         aug = small_augmented(weights=np.zeros((2, 5)))
     base = base_chain()
-    np.testing.assert_allclose(aug.to_interior.toarray(),
+    to_interior, _, to_subtasks = kernel_blocks(aug.lmdp.passive, aug.n_subtasks)
+    np.testing.assert_allclose(to_interior.toarray(),
                                base.passive.to_interior.toarray(),
                                rtol=0, atol=1e-15)
-    assert aug.to_subtasks.nnz == 0
+    assert to_subtasks.nnz == 0
     with pytest.raises(SingularFundamentalMatrix):
-        absorption_dynamics(aug.to_interior, aug.to_boundary,
-                            aug.to_subtasks)
+        absorption_dynamics(aug.lmdp.passive, aug.n_subtasks)
 
 
 def test_augmented_columns_sum_to_one():
     lmdp, structures, tasks = make_ring(RingSpec(9, subtask_spacing=3, depth=2))
     basis = build_task_basis(lmdp, tasks)
     aug = augment(basis.base, basis.boundary_tasks, structures[0])
-    total = np.asarray(aug.to_interior.sum(axis=0)).ravel() \
-        + np.asarray(aug.to_boundary.sum(axis=0)).ravel() \
-        + np.asarray(aug.to_subtasks.sum(axis=0)).ravel()
+    total = sum(np.asarray(block.sum(axis=0)).ravel()
+                for block in kernel_blocks(aug.lmdp.passive, aug.n_subtasks))
     np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
     # the augmented LMDP itself must agree
     full = aug.lmdp.passive.full_matrix.toarray()
@@ -200,18 +200,19 @@ def test_deterministic_corridor_derives_indicator():
     W[1, n - 1] = 1e12
     basis = build_task_basis(lmdp, np.ones((1, 1)))
     aug = augment(basis.base, basis.boundary_tasks, SubtaskStructure(W))
-    to_i, to_b = absorption_dynamics(aug.to_interior, aug.to_boundary,
-                                     aug.to_subtasks)
+    to_i, to_b = absorption_dynamics(aug.lmdp.passive, aug.n_subtasks)
     np.testing.assert_allclose(to_i[:, 0], [0.0, 1.0], rtol=0, atol=1e-9)
     np.testing.assert_allclose(to_b[:, 0], [0.0], rtol=0, atol=1e-9)
 
 
 def test_derived_columns_are_stochastic():
     aug = small_augmented()
-    to_i, to_b = absorption_dynamics(aug.to_interior, aug.to_boundary,
-                                     aug.to_subtasks)
+    to_i, to_b = absorption_dynamics(aug.lmdp.passive, aug.n_subtasks)
     np.testing.assert_allclose(to_i.sum(axis=0) + to_b.sum(axis=0), 1.0,
                                rtol=0, atol=1e-10)
+    for bad in (0, -1, aug.lmdp.n_boundary + 1):
+        with pytest.raises(DimensionMismatch):
+            absorption_dynamics(aug.lmdp.passive, bad)
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,12 +229,12 @@ def test_derived_columns_are_stochastic_and_match_the_dense_oracle(seed,
     W[np.arange(n_subtasks), rng.integers(lmdp.n_interior, size=n_subtasks)] += 0.1
     K = np.vstack([P, W])
     K /= K.sum(axis=0)
-    n_i, n_b = lmdp.n_interior, lmdp.n_boundary
-    blocks = K[:n_i], K[n_i:n_i + n_b], K[n_i + n_b:]
-    to_t, to_b = absorption_dynamics(*blocks)
+    n_i = lmdp.n_interior
+    passive = PassiveDynamics(K[:n_i], K[n_i:])
+    to_t, to_b = absorption_dynamics(passive, n_subtasks)
     np.testing.assert_allclose(to_t.sum(axis=0) + to_b.sum(axis=0), 1.0,
                                rtol=0, atol=1e-10)
-    want_t, want_b = oracles.absorption_kernel(*blocks)
+    want_t, want_b = oracles.absorption_kernel(*kernel_blocks(passive, n_subtasks))
     np.testing.assert_allclose(to_t, want_t, rtol=0, atol=1e-10)
     np.testing.assert_allclose(to_b, want_b, rtol=0, atol=1e-10)
 
@@ -241,11 +242,11 @@ def test_derived_columns_are_stochastic_and_match_the_dense_oracle(seed,
 def test_derived_dynamics_match_simulation_on_eight_states():
     aug = small_augmented()  # 5 interior + 1 boundary + 2 subtasks
     assert aug.lmdp.n_states == 8
-    to_i, to_b = absorption_dynamics(aug.to_interior, aug.to_boundary,
-                                     aug.to_subtasks)
+    to_i, to_b = absorption_dynamics(aug.lmdp.passive, aug.n_subtasks)
+    to_interior, to_boundary, to_subtasks = kernel_blocks(aug.lmdp.passive,
+                                                          aug.n_subtasks)
     freq_t, freq_b = oracles.mc_absorption(
-        aug.to_interior, aug.to_subtasks, aug.to_boundary,
-        n_walks=1_000_000, seed=5)
+        to_interior, to_subtasks, to_boundary, n_walks=1_000_000, seed=5)
     np.testing.assert_allclose(to_i, freq_t, rtol=0, atol=0.005)
     np.testing.assert_allclose(to_b, freq_b, rtol=0, atol=0.005)
 
@@ -258,8 +259,7 @@ def test_four_rooms_neighbors_exceed_diagonals(rooms):
     _, stack, _, _, _ = rooms
     aug = stack.layers[0]
     doors = ((2, 5), (5, 2), (5, 8), (8, 5))
-    to_i, _ = absorption_dynamics(aug.to_interior, aug.to_boundary,
-                                  aug.to_subtasks)
+    to_i, _ = absorption_dynamics(aug.lmdp.passive, aug.n_subtasks)
     for src, src_cell in enumerate(doors):
         adjacent, diagonal = [], []
         for dst, dst_cell in enumerate(doors):

@@ -1,4 +1,5 @@
 """Deterministic on-disk formats and their round trips."""
+import functools
 import hashlib
 import json
 import math
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 import lsmdp
 from lsmdp import (
     GridSpec,
+    PassiveDynamics,
     RingSpec,
+    absorption_dynamics,
     boundary_goal_tasks,
     build_stack,
     build_task_basis,
@@ -21,6 +24,7 @@ from lsmdp import (
     make_ring,
     run_episode,
     solve_direct,
+    stack_subtask_kernel,
     terminate_layer,
 )
 from lsmdp.errors import InvalidSpec
@@ -40,6 +44,8 @@ from lsmdp.serialize import (
     weights_csv,
     write_json,
 )
+
+from conftest import four_rooms_setting
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +109,11 @@ def test_malformed_documents_are_rejected(chain5):
                          ("passive", [[0, 0, "x"]]), ("passive", 7)):
         with pytest.raises(InvalidSpec):
             lmdp_from_dict(dict(doc, **{field: value}))
+    # a repeated pair is rejected, not summed into P(1|0) = 1.0, although
+    # column 0 still sums to 1
+    passive = [t for t in doc["passive"] if t[:2] != [0, 3]] + [[0, 1, 0.5]]
+    with pytest.raises(InvalidSpec, match="source 0, destination 1"):
+        lmdp_from_dict(dict(doc, passive=passive))
 
 
 def test_writers_emit_identical_bytes(chain5, tmp_path):
@@ -251,14 +262,14 @@ def test_stack_directory_contents(tmp_path):
                          "layer_1.desirabilities.npy", "layer_1.json",
                          "manifest.json"]
         manifest = json.loads((directory / "manifest.json").read_text())
-        assert manifest["format"] == 2
+        assert manifest["format"] == 3
         assert manifest["depth"] == 2
         assert manifest["layer_kinds"] == ["augmented", "top"]
         assert manifest["terminated"] == [False, terminated]
         assert len(manifest["task_weights"][0]) == stack.weights[0].values.shape[0]
-        assert manifest["live_subtasks"][0] == [not terminated] * 3
-        assert manifest["live_subtasks"][1] is None
-        assert len(manifest["subtask_kernels"]) == 1
+        # the three subtask access rows are the layer's last boundary rows
+        doc = json.loads((directory / "layer_0.json").read_text())["lmdp"]
+        assert doc["n_boundary"] == stack.layers[0].n_base_boundary + 3
 
 
 _RING_STACKS = {}
@@ -307,11 +318,58 @@ def test_save_stack_round_trips_layers_and_manifest(shape, goal_frac, terminate,
                 assert saved.shape == expected.shape
                 assert np.array_equal(saved, expected)
         manifest = read_json(directory / "manifest.json")
-    assert manifest["format"] == 2
+    assert manifest["format"] == 3
     assert manifest["depth"] == stack.depth
     assert manifest["terminated"] == stack.terminated
-    assert manifest["live_subtasks"] == [
-        [not stack.terminated[k + 1]] * entry.n_subtasks if entry.n_subtasks
-        else None for k, entry in enumerate(stack.layers)]
     for saved, weights in zip(manifest["task_weights"], stack.weights):
         np.testing.assert_array_equal(saved, weights.values)
+
+
+FORMAT_3_KEYS = {"format", "depth", "kappa", "penalty", "layer_files",
+                 "layer_kinds", "terminated", "task_weights"}
+
+
+@functools.lru_cache(maxsize=None)
+def rooms_stack_template():
+    return four_rooms_setting()[1]
+
+
+def assert_same_kernel(got, want):
+    for block in ("to_interior", "to_boundary"):
+        a, b = getattr(got, block), getattr(want, block)
+        assert a.shape == b.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, part), getattr(b, part)), (block, part)
+
+
+@settings(max_examples=16, deadline=None)
+@given(shape=st.sampled_from([(9, 2), (12, 2), (27, 3), "rooms"]),
+       terminate=st.booleans(), layer_frac=st.floats(0.0, 1.0, exclude_max=True))
+def test_each_layer_derives_from_the_kernel_it_solves(shape, terminate,
+                                                      layer_frac):
+    # the layer above is absorbed from the same PassiveDynamics the layer's
+    # solves read, bit for bit; an augmented layer above also stacks its own
+    # subtask rows on the absorbed kernel
+    if shape == "rooms":
+        template, structures = rooms_stack_template(), []
+    else:
+        n, depth = shape
+        template = ring_stack_template(n, depth)
+        structures = make_ring(RingSpec(n, subtask_spacing=3, depth=depth))[1]
+    for k, (below, above) in enumerate(zip(template.layers, template.layers[1:])):
+        derived = PassiveDynamics(*absorption_dynamics(below.lmdp.passive,
+                                                       below.n_subtasks))
+        if above.n_subtasks:
+            derived = stack_subtask_kernel(derived, structures[k + 1].weights)
+        assert_same_kernel(above.lmdp.passive, derived)
+    stack = template.clone()
+    goal = np.full(stack.layers[0].n_base_boundary, math.exp(-10.0))
+    goal[0] = 1.0
+    stack.set_task(goal)
+    if terminate:
+        terminate_layer(stack, 1 + int(layer_frac * (stack.depth - 1)))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_stack(stack, tmp)
+        manifest = read_json(Path(tmp) / "manifest.json")
+    assert set(manifest) == FORMAT_3_KEYS
+    assert manifest["format"] == 3
