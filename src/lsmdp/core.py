@@ -29,23 +29,24 @@ reports is the sum over columns.
 Rollouts draw one step at a time with ``policy_column`` and ``draw_from``.
 Base columns are narrow (three to six entries on the ring, arm and grid
 domains), where numpy's per-call overhead dwarfs the arithmetic, so
-``policy_column`` tilts and normalizes a column with fewer than NARROW entries
-with Python floats over lists cached on ``PassiveDynamics``.  It performs the
-same IEEE operations in the same order as numpy: products are elementwise,
-and numpy sums an array shorter than 8 strictly left to right (from 8 entries
-on it switches to an unrolled pairwise sum, which a running sum would not
-reproduce), so dense columns, such as those of absorption-derived layers, stay
-on numpy.  Draws need no cutoff: ``np.cumsum`` is sequential at every length,
-so ``running_sum`` and the bisect of ``draw_at`` match numpy's bit for bit on
-any column.
+``narrow_tilt`` tilts a column with fewer than NARROW entries with Python
+floats over lists cached on ``PassiveDynamics``.  It performs the same IEEE
+operations in the same order as numpy: products are elementwise, and numpy
+sums an array shorter than 8 strictly left to right (from 8 entries on it
+switches to an unrolled pairwise sum, which a running sum would not
+reproduce), so dense columns, such as those of absorption-derived layers,
+stay on numpy.  Draws need no cutoff: ``np.cumsum`` is sequential at every
+length, so ``running_sum`` and the bisect of ``draw_at`` match numpy's bit
+for bit on any column.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -536,11 +537,10 @@ def policy_column(lmdp: Lmdp, z_full: np.ndarray, state: int):
     first.  Computing one column per draw keeps rollout loops from
     materializing the whole policy after every blend update.
 
-    A column with fewer than NARROW entries is tilted with Python floats from
-    ``PassiveDynamics.narrow_columns`` and summed left to right, which is
-    exactly what numpy does with an array that short; wider columns use numpy,
-    whose pairwise sum a running sum would not reproduce.  Both paths return
-    the same arrays, bit for bit.
+    A column with fewer than NARROW entries is tilted by ``narrow_tilt`` and
+    wrapped in an array; wider columns use numpy, whose pairwise sum a
+    running sum would not reproduce.  Both paths return the same arrays, bit
+    for bit.
     """
     passive = lmdp.passive
     P = passive.full_matrix
@@ -552,14 +552,7 @@ def policy_column(lmdp: Lmdp, z_full: np.ndarray, state: int):
                           f"(0..{P.shape[1] - 1})")
     narrow = passive.narrow_columns[state]
     if narrow is not None:
-        rows, row_list, p_list = narrow
-        vals = [pv * float(z_full[r]) for r, pv in zip(row_list, p_list)]
-        total = 0.0
-        for v in vals:
-            total += v
-        if not 0.0 < total < math.inf:
-            raise ZeroNormalizer(f"policy column {state} has desirability mass {total}")
-        return rows, np.array([v / total for v in vals])
+        return narrow[0], np.array(narrow_tilt(narrow, z_full, state))
     lo, hi = P.indptr[state], P.indptr[state + 1]
     rows = P.indices[lo:hi]
     vals = P.data[lo:hi] * z_full[rows]
@@ -567,6 +560,18 @@ def policy_column(lmdp: Lmdp, z_full: np.ndarray, state: int):
     if not 0.0 < total < math.inf:
         raise ZeroNormalizer(f"policy column {state} has desirability mass {total}")
     return rows, vals / total
+
+
+def narrow_tilt(narrow: tuple, z, state: int) -> list:
+    """``policy_column``'s probabilities at a ``narrow_columns`` entry as a list
+    of floats, for ``z`` a list or array over every state, normalized by a left-
+    to-right sum as numpy's; ZeroNormalizer unless that is finite and positive."""
+    _, row_list, p_list = narrow
+    vals = [pv * float(z[r]) for r, pv in zip(row_list, p_list)]
+    total = reduce(add, vals, 0.0)
+    if not 0.0 < total < math.inf:
+        raise ZeroNormalizer(f"policy column {state} has desirability mass {total}")
+    return [v / total for v in vals]
 
 
 def value_from_desirability(z: Desirability, temperature: float) -> np.ndarray:
@@ -578,9 +583,9 @@ def value_from_desirability(z: Desirability, temperature: float) -> np.ndarray:
 
 
 def running_sum(probs) -> list:
-    """Left-to-right running sum of weights, ``np.cumsum`` bit for bit; raises
-    ZeroNormalizer unless the total is finite and positive."""
-    cum = list(accumulate(np.asarray(probs).tolist()))
+    """Left-to-right running sum of weights (list or array), ``np.cumsum``
+    bit for bit; raises ZeroNormalizer unless the total is finite and positive."""
+    cum = list(accumulate(probs if type(probs) is list else np.asarray(probs).tolist()))
     if not (cum and 0.0 < cum[-1] < math.inf):
         raise ZeroNormalizer(f"cannot draw from total mass {cum[-1] if cum else 0.0}")
     return cum

@@ -7,7 +7,12 @@ correction.  A hierarchy can sit on top: accesses and reward inpainting run
 exactly as in the executor, and behavior then tilts by the product of the
 estimate and the stack's live composite desirability.  Flat and guided runs
 share the same episode loop and the same update function; the guided
-branches are simply never taken when no stack is given.
+branches are simply never taken when no stack is given.  An episode steps
+on Python floats: a list holds the behavior desirability (the estimate,
+times the composite when guided), rebuilt only when an access swaps the
+composite.  Narrow columns draw through ``narrow_tilt``, ``running_sum`` and
+``draw_at`` with no array made, every float as the full-array tilt of wide
+columns and masked redraws gives it.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import Lmdp, draw_from, policy_column
+from .core import Lmdp, draw_at, draw_from, narrow_tilt, policy_column, running_sum
 from .errors import DimensionMismatch, InvalidSpec
 from .executor import access_hierarchy, masked_redraw_column
 from .hierarchy import HierarchyStack
@@ -51,11 +56,11 @@ def z_learning_step(learner: LearningState, state: int, reward: float,
     learner : LearningState
         Estimate to update in place; visits(state) increments.
     state : int
-        Interior state the transition left from.
+        Interior state the transition left from; any other raises InvalidSpec.
     reward : float
         Interior reward at that state.
     next_state : int
-        Sampled successor (interior or boundary, global index).
+        Sampled successor (interior or boundary, global index), or InvalidSpec.
     temperature : float
         Reward-to-desirability scale lambda.
 
@@ -65,7 +70,9 @@ def z_learning_step(learner: LearningState, state: int, reward: float,
         The updated estimate at ``state``.
     """
     z = learner.z_interior
-    n_i = len(z)
+    n_i, n = len(z), len(z) + len(learner.boundary_values)
+    if not (0 <= state < n_i and 0 <= next_state < n):
+        raise InvalidSpec(f"no transition {state} -> {next_state} in {n_i}/{n} states")
     if next_state < n_i:
         z_next = float(z[next_state])
     else:
@@ -96,10 +103,17 @@ def run_learning_episode(lmdp: Lmdp, learner: LearningState,
     truncated).
     """
     n_i = lmdp.n_interior
+    lo = hi = lmdp.n_states
     if stack is not None:
         lo, hi = stack.layers[0].subtask_range
-    else:
-        lo = hi = lmdp.n_states
+        base, _ = stack.policy_state(0)  # NoTaskSet before any draw
+        if base.n_states != lmdp.n_states:
+            raise DimensionMismatch(
+                f"stack base has {base.n_states} states, LMDP has {lmdp.n_states}")
+    for name, n in (("z_interior", n_i), ("boundary_values", lmdp.n_boundary)):
+        shape = np.shape(getattr(learner, name))
+        if shape != (n,):
+            raise DimensionMismatch(f"learner {name} shape {shape}, expected ({n},)")
     if start_state is None:
         s = int(rng.integers(n_i))
     elif 0 <= start_state < n_i:
@@ -112,32 +126,36 @@ def run_learning_episode(lmdp: Lmdp, learner: LearningState,
         raise InvalidSpec(f"max_steps must be at least 1, got {max_steps}")
     lam = lmdp.rewards.temperature
     r_i = lmdp.rewards.interior.tolist()
-    # the estimate over every state, kept in step with learner.z_interior;
-    # guided behavior tilts by comp * z with boundary entries 1
-    if stack is None:
-        z = np.concatenate([learner.z_interior, learner.boundary_values])
-    else:
-        z = np.concatenate([learner.z_interior, np.ones(lmdp.n_boundary)])
-        z_behave = np.empty_like(z)
+    narrow = lmdp.passive.narrow_columns
+    # behavior desirability over every state, kept in step with the estimate;
+    # a guided run builds it from the composite at its first draw
+    behave = learner.z_interior.tolist() + learner.boundary_values.tolist()
+    comp = None
 
     t = 0
     while t < max_steps:
         redraw = False
         while True:
-            if stack is None:
-                rows, probs = policy_column(lmdp, z, s)
+            if stack is not None and stack.z_full[0] is not comp:
+                # first draw, or an access re-blended or terminated the base;
+                # the guided estimate is 1 on every boundary state
+                comp = stack.z_full[0]
+                comp_list = comp.tolist()
+                behave = (comp[:n_i] * learner.z_interior).tolist() + comp_list[n_i:]
+            col = narrow[s]
+            if col is None or redraw:
+                rows, probs = policy_column(lmdp, np.array(behave), s)
+                if redraw:
+                    rows, probs = masked_redraw_column(rows, probs, lo, hi)
+                nxt = draw_from(rows, probs, rng)
             else:
-                _, comp = stack.policy_state(0)
-                rows, probs = policy_column(
-                    lmdp, np.multiply(comp, z, out=z_behave), s)
-            if redraw:
-                rows, probs = masked_redraw_column(rows, probs, lo, hi)
-            nxt = draw_from(rows, probs, rng)
+                nxt = draw_at(col[1], running_sum(narrow_tilt(col, behave, s)), rng)
             if lo <= nxt < hi:
                 access_hierarchy(stack, nxt - lo, rng)
                 redraw = True
                 continue
-            z[s] = z_learning_step(learner, s, r_i[s], nxt, lam)
+            z_new = z_learning_step(learner, s, r_i[s], nxt, lam)
+            behave[s] = z_new if comp is None else comp_list[s] * z_new
             break
         if nxt >= n_i:
             return t + 1
@@ -182,13 +200,7 @@ def train(lmdp: Lmdp, goal_task: np.ndarray, epochs: int,
         lmdp = template.layers[0].lmdp
         boundary = np.concatenate([goal, np.ones(template.layers[0].n_subtasks)])
     else:
-        template = None
-        boundary = goal.copy()
-    if boundary.shape != (lmdp.n_boundary,):
-        raise DimensionMismatch(
-            f"boundary values shape {boundary.shape}, "
-            f"expected ({lmdp.n_boundary},)"
-        )
+        template, boundary = None, goal.copy()
     learner = LearningState(
         z_interior=np.ones(lmdp.n_interior),
         boundary_values=boundary,
@@ -199,10 +211,8 @@ def train(lmdp: Lmdp, goal_task: np.ndarray, epochs: int,
     for epoch in range(epochs):
         lengths = np.empty(episodes_per_epoch)
         for episode in range(episodes_per_epoch):
-            ep_stack = None
-            if template is not None:
-                # inpaints and terminations are episode-scoped
-                ep_stack = template.clone()
+            # inpaints and terminations are episode-scoped
+            ep_stack = None if template is None else template.clone()
             lengths[episode] = run_learning_episode(
                 lmdp, learner, rng, stack=ep_stack,
                 start_state=start_state, max_steps=max_steps)

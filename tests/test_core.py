@@ -702,6 +702,10 @@ def test_scalar_columns_match_numpy_bit_for_bit(seed, max_interior):
         ref_rows, ref_probs = reference_policy_column(lmdp, z_full, s)
         assert isinstance(probs, np.ndarray)
         assert np.array_equal(rows, ref_rows) and np.array_equal(probs, ref_probs)
+        narrow = lmdp.passive.narrow_columns[s]
+        if narrow is not None:
+            # the learner tilts a list of floats and keeps the list
+            assert core.narrow_tilt(narrow, z_full.tolist(), s) == probs.tolist()
         # normalized and, as learners pass them, unnormalized probabilities,
         # as an ndarray or a plain list
         for p in (probs, P.data[lo:hi], P.data[lo:hi].tolist()):

@@ -1,22 +1,31 @@
 """Online desirability estimation, flat and hierarchy-guided."""
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lsmdp.learning
 from lsmdp import (
     LearningState,
     RingSpec,
+    access_hierarchy,
+    build_stack,
+    build_task_basis,
     draw_from,
     goal_task_vector,
     make_ring,
+    policy_column,
     run_learning_episode,
     solve_interior,
     train,
     z_learning_step,
 )
-from lsmdp.errors import DimensionMismatch, InvalidSpec
+from lsmdp.core import NARROW
+from lsmdp.errors import DimensionMismatch, InvalidSpec, NoTaskSet
+from lsmdp.executor import masked_redraw_column
 
 
 def fresh_learner(n_interior, boundary, step_scale=50.0):
@@ -60,6 +69,19 @@ def test_visit_schedule_decays():
     for _ in range(50):
         z_learning_step(learner, 0, -1.0, 1, 1.0)
     assert learner.alpha(0) == pytest.approx(0.5, rel=1e-15)
+
+
+@pytest.mark.parametrize("state, next_state", [
+    (0, -1),    # used to read the last interior estimate as the successor
+    (-1, 0),    # used to update the last interior state and its visit count
+    (0, 3),     # past the boundary: used to be a bare IndexError
+], ids=["negative-successor", "negative-state", "successor-past-boundary"])
+def test_a_transition_outside_the_states_is_rejected(state, next_state):
+    learner = fresh_learner(2, [0.5])
+    with pytest.raises(InvalidSpec, match="transition"):
+        z_learning_step(learner, state, -1.0, next_state, 1.0)
+    np.testing.assert_array_equal(learner.z_interior, [1.0, 1.0])
+    np.testing.assert_array_equal(learner.visits, [0, 0])
 
 
 def test_passive_samples_converge_to_the_solution():
@@ -122,6 +144,33 @@ def test_episode_rejects_bad_start(rooms):
     with pytest.raises(InvalidSpec):
         run_learning_episode(lmdp, learner, np.random.default_rng(0),
                              start_state=lmdp.n_interior)
+
+
+def test_episode_rejects_mismatched_inputs():
+    # the flat base with a stack used to fail deep in numpy broadcasting, and
+    # a short estimate was never checked on the list path
+    lmdp, goal = ring20()
+    rng = np.random.default_rng(0)
+    ring, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=2))
+    stack = build_stack(build_task_basis(ring, tasks), structures)
+    q = goal_task_vector(ring.n_boundary, 0, ring.rewards.temperature)
+    with pytest.raises(NoTaskSet):
+        run_learning_episode(stack.layers[0].lmdp, fresh_learner(
+            27, np.concatenate([q, np.ones(9)])), rng, stack=stack)
+    stack.set_task(q)
+    learner = fresh_learner(ring.n_interior, q)
+    with pytest.raises(DimensionMismatch, match="stack base"):
+        run_learning_episode(ring, learner, rng, stack=stack.clone())
+    # the guided layer needs boundary values for its subtask states too
+    with pytest.raises(DimensionMismatch, match="boundary_values"):
+        run_learning_episode(stack.layers[0].lmdp, learner, rng, stack=stack.clone())
+    assert not learner.visits.any()
+    for bad in (fresh_learner(lmdp.n_interior + 1, goal),
+                fresh_learner(lmdp.n_interior, goal[:-1]),
+                LearningState(np.ones((lmdp.n_interior, 1)), goal,
+                              np.zeros(lmdp.n_interior, dtype=np.int64))):
+        with pytest.raises(DimensionMismatch, match="learner"):
+            run_learning_episode(lmdp, bad, rng)
 
 
 def test_estimates_stay_positive_during_training(rooms):
@@ -276,3 +325,90 @@ def test_non_finite_or_negative_goal_is_rejected(rooms, bad, guided):
         train(lmdp, goal, epochs=1, episodes_per_epoch=1, seed=0,
               stack=template if guided else None, start_state=start,
               max_steps=50)
+
+
+# ---------------------------------------------------------------------------
+# the list path against the array loop
+
+
+def reference_episode(lmdp, learner, rng, stack=None, start_state=None,
+                      max_steps=None):
+    """run_learning_episode as an array loop: every draw tilts the full
+    behavior array (the estimate, times the live composite when guided)
+    with policy_column, and a redraw masks it; same rng use throughout."""
+    n_i = lmdp.n_interior
+    lo = hi = lmdp.n_states
+    if stack is not None:
+        lo, hi = stack.layers[0].subtask_range
+    s = int(rng.integers(n_i)) if start_state is None else start_state
+    max_steps = 100 * n_i if max_steps is None else max_steps
+    boundary = learner.boundary_values if stack is None else np.ones(lmdp.n_boundary)
+    z = np.concatenate([learner.z_interior, boundary])
+    lam, r_i = lmdp.rewards.temperature, lmdp.rewards.interior.tolist()
+    for t in range(max_steps):
+        redraw = False
+        while True:
+            behave = z if stack is None else np.multiply(stack.policy_state(0)[1], z)
+            rows, probs = policy_column(lmdp, behave, s)
+            if redraw:
+                rows, probs = masked_redraw_column(rows, probs, lo, hi)
+            nxt = draw_from(rows, probs, rng)
+            if lo <= nxt < hi:
+                access_hierarchy(stack, nxt - lo, rng)
+                redraw = True
+                continue
+            z[s] = z_learning_step(learner, s, r_i[s], nxt, lam)
+            break
+        if nxt >= n_i:
+            return t + 1
+        s = nxt
+    return max_steps
+
+
+@functools.cache
+def ring_layer_one():
+    """Layer 1 of the ring-27 depth-3 stack, a flat LMDP whose nine columns
+    are all wider than NARROW, and goal-0 boundary values for it."""
+    ring, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3))
+    stack = build_stack(build_task_basis(ring, tasks), structures)
+    q = goal_task_vector(ring.n_boundary, 0, ring.rewards.temperature)
+    return stack.layers[1].lmdp, np.concatenate([q, np.ones(stack.layers[1].n_subtasks)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(["rooms-flat", "rooms-guided", "ring-layer-1"]),
+       data=st.data())
+def test_list_episodes_match_the_array_loop(rooms, case, data):
+    # three episodes of one learner, so later ones tilt by trained estimates;
+    # guided episodes access the stack, re-blend its base and redraw
+    lmdp, template, goal_q, _, _ = rooms
+    stacks = [None, None]
+    boundary = goal_q
+    if case == "rooms-guided":
+        stacks = [template.clone(), template.clone()]
+        for stack in stacks:
+            stack.set_task(goal_q)
+        lmdp = stacks[0].layers[0].lmdp
+        boundary = np.concatenate([goal_q, np.ones(stacks[0].layers[0].n_subtasks)])
+    elif case == "ring-layer-1":
+        lmdp, boundary = ring_layer_one()
+        assert all(column is None for column in lmdp.passive.narrow_columns)
+        assert lmdp.passive.full_matrix.getnnz(axis=0).min() >= NARROW
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    start = data.draw(st.none() | st.integers(0, lmdp.n_interior - 1), label="start")
+    ours, theirs = (fresh_learner(lmdp.n_interior, boundary) for _ in range(2))
+    rng_ours, rng_theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        ep_ours, ep_theirs = (None if stack is None else stack.clone()
+                              for stack in stacks)
+        steps = run_learning_episode(lmdp, ours, rng_ours, stack=ep_ours,
+                                     start_state=start, max_steps=400)
+        assert steps == reference_episode(lmdp, theirs, rng_theirs, stack=ep_theirs,
+                                          start_state=start, max_steps=400)
+        assert ours.z_interior.tobytes() == theirs.z_interior.tobytes()
+        assert ours.visits.tobytes() == theirs.visits.tobytes()
+        if ep_ours is not None:
+            assert ep_ours.terminated == ep_theirs.terminated
+            assert [w.values.tobytes() for w in ep_ours.weights] == [
+                w.values.tobytes() for w in ep_theirs.weights]
+    assert rng_ours.random() == rng_theirs.random()
