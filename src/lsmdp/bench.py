@@ -105,9 +105,8 @@ def hierarchical_counts(n: int, tol: float = DEFAULT_TOL) -> Tuple[int, int]:
         n_next = len(positions)
         if n_next < 2:
             # top level: plain reach tasks over the derived dynamics
-            lmdp = _level_lmdp(passive, lam)
             twins = [(j * stride) % N for j in range(size)]
-            it, nz = _count_tasks(lmdp, twins, tol, max_iter=cap)
+            it, nz = _count_tasks(_level_lmdp(passive, lam), twins, tol, cap)
             total += it
             nnz += nz
             break
@@ -115,10 +114,10 @@ def hierarchical_counts(n: int, tol: float = DEFAULT_TOL) -> Tuple[int, int]:
         for t, pos in enumerate(positions):
             W[t, pos] = ACCESS_WEIGHT
         aug_passive = stack_subtask_kernel(passive, W)
-        lmdp = _level_lmdp(aug_passive, lam)
         twins = [(j * stride) % N for j in range(size)]
         sub_rows = [n_base_boundary + t for t in range(n_next)]
-        it, nz = _count_tasks(lmdp, list(twins) + sub_rows, tol, max_iter=cap)
+        # a level's Lmdp (and its cached sweep operator) dies with its count
+        it, nz = _count_tasks(_level_lmdp(aug_passive, lam), twins + sub_rows, tol, cap)
         total += it
         nnz += nz
         passive = PassiveDynamics(*absorption_dynamics(aug_passive, n_next))
@@ -130,12 +129,16 @@ def ring_scaling(sizes: Sequence[int], tol: float = DEFAULT_TOL):
     """Run both conditions over the given ring sizes at tolerance ``tol``.
 
     Sweep budgets are fixed: 10^7 per flat task, CAP_MULTIPLIER * M per
-    hierarchical one.  A negative or NaN ``tol`` raises InvalidSpec.
+    hierarchical one.  A negative or NaN ``tol`` or a non-integral or bool
+    size raises InvalidSpec.
 
     Returns (rows, slopes): one BenchRow per (size, condition) and, when at
     least two distinct sizes are given, the log-log regression slopes of
     total iterations and nonzeros for each condition.
     """
+    sizes = list(sizes)  # int() would truncate 8.7 into a row labelled n=8
+    if any(isinstance(s, (bool, np.bool_)) or not float(s).is_integer() for s in sizes):
+        raise InvalidSpec(f"ring sizes must be integers, got {sizes}")
     sizes = [int(s) for s in sizes]
     if not sizes:
         raise InvalidSpec("at least one ring size is required")

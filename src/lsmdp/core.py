@@ -283,6 +283,11 @@ class Lmdp:
         A = sp.eye(self.n_interior, format="csr") - q @ self.passive.to_interior.T
         return A.tocsc(), (q @ self.passive.to_boundary.T).tocsr()
 
+    @cached_property
+    def sweep_operator(self) -> sp.csr_matrix:
+        """diag(q_i) P_i^T (csr): one z_iterate sweep is one product with it."""
+        return (sp.diags(self.q_interior) @ self.passive.to_interior.T).tocsr()
+
 
 def build_lmdp(partition: StatePartition, passive: PassiveDynamics,
                rewards: RewardModel) -> Lmdp:
@@ -452,20 +457,24 @@ def z_iterate(lmdp: Lmdp, q_boundary: np.ndarray, z0: Optional[np.ndarray] = Non
     the first sweep whose infinity-norm change in that column drops to tol,
     or at max_iter.  Columns are iterated block_width(lmdp) at a time with
     one sparse product per sweep; every column gets the same arithmetic, bit
-    for bit, as iterating it alone, so the width changes no result.
+    for bit, as iterating it alone, so the width changes no result.  A sweep
+    skips the per-column max while |change| at each column's probe row (its
+    last argmax), a lower bound on that max, exceeds tol; a NaN anywhere,
+    which the block's max propagates, forces it.
 
     Returns (z, iterations, converged): the iterates, the total number of
     column-sweeps (the sum of the per-column counts; for a vector, the sweeps
-    applied), and whether every column converged.  Non-finite inputs, a
-    tol that is negative or NaN (no column could ever meet it) and a
-    max_iter below 1 (no sweep would run) raise InvalidSpec; an iterate that
+    applied), and whether every column converged.  Non-finite inputs, a tol
+    that is negative or NaN (no column could ever meet it) and a max_iter
+    that is not an integer of at least 1 raise InvalidSpec; an iterate that
     goes non-finite (the iteration diverges) raises SingularSystem naming
     the columns.
     """
     if not tol >= 0:
         raise InvalidSpec(f"tol must be nonnegative, got {tol}")
-    if not max_iter >= 1:
-        raise InvalidSpec(f"max_iter must be at least 1, got {max_iter}")
+    if (isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer))
+            or not max_iter >= 1):
+        raise InvalidSpec(f"max_iter must be at least 1 and an integer, got {max_iter!r}")
     q_boundary = _boundary_values(lmdp, q_boundary)
     shape = (lmdp.n_interior,) + q_boundary.shape[1:]
     if z0 is not None:
@@ -477,9 +486,7 @@ def z_iterate(lmdp: Lmdp, q_boundary: np.ndarray, z0: Optional[np.ndarray] = Non
         z0 = z0.reshape(lmdp.n_interior, -1)
     Q = q_boundary.reshape(lmdp.n_boundary, -1)
     k, width = Q.shape[1], block_width(lmdp)
-    q_i = lmdp.q_interior[:, None]
-    # row-scaled transpose applies one sweep as a single sparse product
-    T = (sp.diags(lmdp.q_interior) @ lmdp.passive.to_interior.T).tocsr()
+    q_i, T = lmdp.q_interior[:, None], lmdp.sweep_operator
     Z = None  # allocated only once columns finish at different sweeps
     total, converged = 0, True
     # a diverging iterate overflows to inf and then inf - inf; the NaN change
@@ -491,7 +498,7 @@ def z_iterate(lmdp: Lmdp, q_boundary: np.ndarray, z0: Optional[np.ndarray] = Non
             b *= q_i
             # a copy of z0's columns, since z is overwritten in place
             z = np.zeros((lmdp.n_interior, cols.size)) if z0 is None else z0[:, cols]
-            sweeps = 0
+            sweeps, probe = 0, np.zeros(cols.size, dtype=np.intp)
             while cols.size:
                 if sweeps >= max_iter:  # budget spent: freeze the rest unconverged
                     done = np.ones(cols.size, dtype=bool)
@@ -501,7 +508,12 @@ def z_iterate(lmdp: Lmdp, q_boundary: np.ndarray, z0: Optional[np.ndarray] = Non
                     z_new += b
                     sweeps += 1
                     z -= z_new  # the old iterate becomes the change
+                    at = np.arange(cols.size)  # column j is probed at (probe[j], j)
+                    if not np.isnan(z.max()) and (np.abs(z[probe, at]) > tol).all():
+                        z = z_new
+                        continue
                     change = np.abs(z, out=z).max(axis=0)
+                    probe = (z == change).argmax(axis=0)  # rows of the maxima
                     z = z_new
                     bad = np.isnan(change)  # inf - inf: the iterate overflowed
                     if bad.any():
@@ -518,7 +530,7 @@ def z_iterate(lmdp: Lmdp, q_boundary: np.ndarray, z0: Optional[np.ndarray] = Non
                     Z = np.empty((lmdp.n_interior, k))
                 Z[:, cols[done]] = z[:, done]
                 keep = ~done
-                cols, z, b = cols[keep], z[:, keep], b[:, keep]
+                cols, z, b, probe = cols[keep], z[:, keep], b[:, keep], probe[keep]
     if Z is None:  # no columns at all
         Z = np.empty((lmdp.n_interior, k))
     return Z.reshape(shape), total, converged

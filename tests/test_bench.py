@@ -1,4 +1,5 @@
 """Ring scaling benchmark plumbing."""
+import numpy as np
 import pytest
 
 from lsmdp.bench import (
@@ -23,6 +24,20 @@ def test_sizes_are_validated():
         ring_scaling([])
     with pytest.raises(InvalidSpec):
         ring_scaling([2, 16])
+
+
+@pytest.mark.parametrize("size", [8.7, 16.5, np.float64(8.7), float("nan"),
+                                  float("inf"), True, np.True_])
+def test_sizes_that_are_not_integers_are_rejected(size):
+    # int() used to truncate 8.7 and report the row as n=8
+    with pytest.raises(InvalidSpec, match="ring sizes must be integers"):
+        ring_scaling([8, size])
+
+
+def test_integral_float_sizes_are_taken_as_ints():
+    rows, _ = ring_scaling([8.0, np.float64(12.0)])
+    assert rows == ring_scaling([8, 12])[0]
+    assert [type(r.n) for r in rows] == [int] * 4
 
 
 def test_counts_are_deterministic():

@@ -33,6 +33,7 @@ from lsmdp import (
 )
 from lsmdp import core
 from lsmdp.core import DEFAULT_MAX_ITER, DEFAULT_TOL, DENSE_CUTOFF
+from lsmdp.domains import ring_passive
 from lsmdp.errors import (
     DimensionMismatch,
     InvalidSpec,
@@ -417,6 +418,40 @@ def test_block_iteration_matches_columnwise_iteration(seed, n_tasks, cut_budget,
 
 
 @settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([1, BLOCK]),
+       n_tasks=st.sampled_from([1, 5, BLOCK, BLOCK + 7]), cut_budget=st.booleans())
+def test_loose_probe_rows_change_no_bit(seed, width, n_tasks, cut_budget):
+    # on a ring a change travels from state to state, and a start of both
+    # signs kicked at a few states over many decades, with task columns as
+    # spread, moves each column's largest change between rows from sweep to
+    # sweep: probe rows go stale and then only the exact max may decide
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 40))
+    passive = ring_passive(n, rng.uniform(0.05, 0.4), rng.uniform(0.02, 0.2))
+    lmdp = build_lmdp(StatePartition(n, n), passive, RewardModel(
+        -rng.uniform(0.1, 2.0, n), rng.uniform(-2.0, 0.5, n), rng.uniform(0.4, 2.5)))
+    shape = (n, n_tasks)
+    Q = (rng.random(shape) < 0.3) * 10.0 ** rng.uniform(-8, 4, n_tasks)
+    z0 = (rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-12, 4, shape)
+          * (rng.random(shape) < 0.2))
+    refs = [vector_sweeps(lmdp, Q[:, t], z0[:, t], DEFAULT_TOL, DEFAULT_MAX_ITER)
+            for t in range(n_tasks)]
+    max_iter = DEFAULT_MAX_ITER
+    if cut_budget:  # stop the slower half of the columns unconverged
+        max_iter = int(np.median([count for _, count, _ in refs]))
+        refs = [vector_sweeps(lmdp, Q[:, t], z0[:, t], DEFAULT_TOL, max_iter)
+                for t in range(n_tasks)]
+    with block_width(lmdp, width):
+        Z, iterations, converged = z_iterate(lmdp, Q, z0=z0, max_iter=max_iter)
+    for t, (ref_z, ref_count, ref_ok) in enumerate(refs):
+        assert np.array_equal(Z[:, t], ref_z)
+        z, count, ok = z_iterate(lmdp, Q[:, t], z0=z0[:, t], max_iter=max_iter)
+        assert np.array_equal(z, ref_z) and (count, ok) == (ref_count, ref_ok)
+    assert iterations == sum(count for _, count, _ in refs)
+    assert converged == all(ok for _, _, ok in refs)
+
+
+@settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans(),
        n_tasks=st.integers(1, 2 * BLOCK), widths=st.lists(
            st.integers(1, 2 * BLOCK), min_size=2, max_size=2, unique=True),
@@ -461,6 +496,18 @@ def test_z_iterate_rejects_a_tolerance_no_column_can_meet(chain5, tol):
 def test_z_iterate_rejects_a_budget_with_no_sweep(chain5, max_iter):
     with pytest.raises(InvalidSpec, match="max_iter must be at least 1"):
         z_iterate(chain5, chain5.q_boundary, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 3.0, np.float64(3.0), True, False,
+                                      np.True_, "3", None])
+def test_z_iterate_rejects_a_budget_that_is_not_an_integer(chain5, max_iter):
+    # 2.5 used to run 3 sweeps and True 1, both silently
+    with pytest.raises(InvalidSpec, match="max_iter must be at least 1 and an integer"):
+        z_iterate(chain5, chain5.q_boundary, max_iter=max_iter)
+
+
+def test_z_iterate_takes_a_numpy_integer_budget(chain5):
+    assert z_iterate(chain5, chain5.q_boundary, max_iter=np.int64(3))[1:] == (3, False)
 
 
 def test_z_iterate_rejects_wrong_shapes(chain5):
@@ -522,6 +569,28 @@ def test_diverging_iteration_raises_and_names_the_columns():
         with pytest.raises(SingularSystem,
                            match=rf"in columns \[{BLOCK + 2}\]$"):
             z_iterate(lmdp, Q)
+
+
+def test_columns_overflowing_at_different_sweeps_raise_at_the_first():
+    # the 1e300 column overflows within 30 sweeps, long before the 1e150
+    # column; the all-zero column converges at once and 1e-300 is far behind
+    lmdp, Q = diverging_lmdp(), np.array([[1.0, 1e150, 1e300, 0.0, 1e-300]])
+    with pytest.raises(SingularSystem, match=r"in columns \[2\]$"):
+        z_iterate(lmdp, Q)
+    with block_width(lmdp, BLOCK), pytest.raises(SingularSystem,
+                                                 match=r"in columns \[2\]$"):
+        z_iterate(lmdp, Q)
+
+
+def test_an_overflow_away_from_the_probe_row_is_caught():
+    # state 0 moves toward 1e300 for 55 sweeps and never sees state 1, whose
+    # change is NaN from sweep 25: each column's probe row stays at state 0,
+    # so only the block's NaN test can stop the run inside the 40-sweep budget
+    lmdp = build_lmdp(StatePartition(2, 1),
+                      PassiveDynamics([[0.5, 0.0], [0.0, 0.9]], [[0.5, 0.1]]),
+                      RewardModel([0.0, 1.0], [0.0], 1.0))
+    with pytest.raises(SingularSystem, match=r"in columns \[0\]$"):
+        z_iterate(lmdp, np.array([1e300]), max_iter=40)
 
 
 # ---------------------------------------------------------------------------
