@@ -76,7 +76,7 @@ def _count_tasks(lmdp: Lmdp, task_rows: Sequence[int], tol: float,
 
 def flat_counts(n: int, tol: float = DEFAULT_TOL) -> Tuple[int, int]:
     """Sweeps and nonzeros to solve all n reach tasks on the flat ring."""
-    passive = ring_passive(n, RING_STEP_PROB, 1.0 / n)
+    passive = ring_passive((n,), RING_STEP_PROB, 1.0 / n)
     lmdp = _level_lmdp(passive, n / 12.0)
     return _count_tasks(lmdp, range(n), tol, max_iter=10 ** 7)
 
@@ -95,7 +95,7 @@ def hierarchical_counts(n: int, tol: float = DEFAULT_TOL) -> Tuple[int, int]:
         return flat_counts(N, tol)
     cap = CAP_MULTIPLIER * M
     total, nnz = 0, 0
-    passive = ring_passive(N, RING_STEP_PROB, 1.0 / N)
+    passive = ring_passive((N,), RING_STEP_PROB, 1.0 / N)
     n_base_boundary = N
     stride = 1
     while True:

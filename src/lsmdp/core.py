@@ -117,6 +117,18 @@ class StatePartition:
         return f"b{state - self.n_interior}"
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer; bools and integral floats are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_count(name: str, value) -> int:
+    """``value`` if it is an integer of at least 1, else InvalidSpec."""
+    if not (is_integer(value) and value >= 1):
+        raise InvalidSpec(f"{name} must be at least 1 and an integer, got {value!r}")
+    return value
+
+
 def _as_csc(matrix, shape=None) -> sp.csc_matrix:
     out = sp.csc_matrix(matrix, dtype=np.float64)
     if shape is not None and out.shape != shape:
@@ -472,9 +484,7 @@ def z_iterate(lmdp: Lmdp, q_boundary: np.ndarray, z0: Optional[np.ndarray] = Non
     """
     if not tol >= 0:
         raise InvalidSpec(f"tol must be nonnegative, got {tol}")
-    if (isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer))
-            or not max_iter >= 1):
-        raise InvalidSpec(f"max_iter must be at least 1 and an integer, got {max_iter!r}")
+    check_count("max_iter", max_iter)
     q_boundary = _boundary_values(lmdp, q_boundary)
     shape = (lmdp.n_interior,) + q_boundary.shape[1:]
     if z0 is not None:

@@ -92,18 +92,20 @@ class RingSpec:
         return sizes
 
 
-def ring_passive(n: int, step_prob: float, exit_prob: float) -> PassiveDynamics:
-    """Local walk with wraparound; every state exits to its own twin."""
-    stay = 1.0 - 2 * step_prob - exit_prob
-    rows, cols, vals = [], [], []
-    for s in range(n):
-        for dest, p in (((s - 1) % n, step_prob), ((s + 1) % n, step_prob),
-                        (s, stay)):
-            if p > 0:
-                rows.append(dest)
-                cols.append(s)
-                vals.append(p)
-    to_interior = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+def ring_passive(shape: Tuple[int, ...], step_prob: float,
+                 exit_prob: float) -> PassiveDynamics:
+    """Local walk on a torus over ``shape`` (a ring for one axis): +-1 along
+    each axis at ``step_prob``, stay 1 - 2 * ndim * step_prob - exit_prob,
+    and every state exits to its own twin.  States are the C-order cells."""
+    grid = np.arange(math.prod(shape)).reshape(shape)
+    n = grid.size
+    stay = 1.0 - 2 * grid.ndim * step_prob - exit_prob
+    moves = [(np.roll(grid, d, axis).ravel(), step_prob)
+             for axis in range(grid.ndim) for d in (1, -1)] + [(grid.ravel(), stay)]
+    rows, probs = zip(*[(dest, p) for dest, p in moves if p > 0])
+    to_interior = sp.csc_matrix(
+        (np.repeat(probs, n), (np.concatenate(rows), np.tile(np.arange(n), len(rows)))),
+        shape=(n, n))
     to_boundary = sp.identity(n, format="csc") * exit_prob
     return PassiveDynamics(to_interior, to_boundary)
 
@@ -117,7 +119,7 @@ def make_ring(spec: RingSpec):
     n = spec.n_states
     labels = tuple(f"s{k}" for k in range(n)) + tuple(f"exit{k}" for k in range(n))
     partition = StatePartition(n, n, labels)
-    passive = ring_passive(n, spec.step_prob, spec.exit_prob)
+    passive = ring_passive((n,), spec.step_prob, spec.exit_prob)
     rewards = RewardModel(np.full(n, spec.interior_reward), np.zeros(n),
                           spec.temperature)
     lmdp = build_lmdp(partition, passive, rewards)
@@ -372,28 +374,13 @@ def make_arm(spec: ArmSpec):
     K = spec.n_bins
     n = K * K
     angles = spec.angles()
-    stay = 1.0 - 4 * spec.step_prob - spec.exit_prob
-    rows, cols, vals = [], [], []
-    for i in range(K):
-        for j in range(K):
-            s = i * K + j
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                dest = ((i + di) % K) * K + (j + dj) % K
-                rows.append(dest)
-                cols.append(s)
-                vals.append(spec.step_prob)
-            if stay > 0:
-                rows.append(s)
-                cols.append(s)
-                vals.append(stay)
-    to_interior = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-    to_boundary = sp.identity(n, format="csc") * spec.exit_prob
     labels = tuple(f"j{i}_{j}" for i in range(K) for j in range(K)) + \
         tuple(f"exit_j{i}_{j}" for i in range(K) for j in range(K))
     partition = StatePartition(n, n, labels)
     rewards = RewardModel(np.full(n, spec.interior_reward), np.zeros(n),
                           spec.temperature)
-    lmdp = build_lmdp(partition, PassiveDynamics(to_interior, to_boundary), rewards)
+    lmdp = build_lmdp(partition, ring_passive((K, K), spec.step_prob, spec.exit_prob),
+                      rewards)
 
     x0, x1, y0, y1 = spec.target_rect
     penalty = math.exp(GOAL_PENALTY_SCALE)

@@ -23,7 +23,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 # draw_from is not called here, but callers that patch this module's names use it
-from .core import _kl_column, draw_at, draw_from, policy_column, running_sum
+from .core import (_kl_column, check_count, draw_at, draw_from, is_integer,
+                   policy_column, running_sum)
 from .errors import InvalidSpec, ZeroNormalizer
 from .hierarchy import HierarchyStack, inpaint_rewards, terminate_layer
 
@@ -68,7 +69,7 @@ class Column:
 def _column(stack: HierarchyStack, layer: int, state: int) -> Column:
     """The record of the layer's current composite at ``state``, from its
     cache; a miss tilts the column with ``policy_column``."""
-    cache = stack.columns[layer]
+    cache = stack.composites[layer].columns
     if state not in cache:
         cache[state] = Column(*policy_column(*stack.policy_state(layer), state))
     return cache[state]
@@ -133,6 +134,16 @@ def access_hierarchy(stack: HierarchyStack, entry_subtask: int,
     return r_t, tuple(chain), deepest, terminated
 
 
+def rollout_budget(n_interior: int, start_state: Optional[int],
+                   max_steps: Optional[int]) -> int:
+    """A rollout's checked step budget, by default 100 * n_interior; a
+    ``start_state`` other than None must be an integer interior state."""
+    if start_state is not None and not (
+            is_integer(start_state) and 0 <= start_state < n_interior):
+        raise InvalidSpec(f"start state {start_state} is not a base interior state")
+    return 100 * n_interior if max_steps is None else check_count("max_steps", max_steps)
+
+
 def masked_redraw_column(rows: np.ndarray, probs: np.ndarray, lo: int, hi: int):
     """Drop subtask rows [lo, hi) and renormalize; used after an access."""
     keep = (rows < lo) | (rows >= hi)
@@ -162,12 +173,7 @@ def run_episode(stack: HierarchyStack, start_state: int,
     lmdp, _ = stack.policy_state(0)
     n_i = lmdp.n_interior
     lo, hi = stack.layers[0].subtask_range
-    if not 0 <= start_state < n_i:
-        raise InvalidSpec(f"start state {start_state} is not a base interior state")
-    if max_steps is None:
-        max_steps = 100 * n_i
-    if max_steps < 1:
-        raise InvalidSpec(f"max_steps must be at least 1, got {max_steps}")
+    max_steps = rollout_budget(n_i, start_state, max_steps)
     r_i = lmdp.rewards.interior
     lam = lmdp.rewards.temperature
 
@@ -192,10 +198,8 @@ def run_episode(stack: HierarchyStack, start_state: int,
             _, chain, deepest, terminated = access_hierarchy(stack, nxt - lo, rng)
             events.append(AccessEvent(t, s, chain, deepest, terminated))
             eid = len(events) - 1
-            for layer in range(stack.depth):
-                w = stack.weights[layer]
-                if w is not None:
-                    weight_log.append((eid, layer, w.values))
+            for layer, composite in enumerate(stack.composites):
+                weight_log.append((eid, layer, composite.weights.values))
             guided = True
         if col.kl is None:
             col.kl = _kl_column(col.rows, col.probs, lmdp, s)

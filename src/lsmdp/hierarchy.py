@@ -15,16 +15,18 @@ subtask-task columns.  Every layer keeps the base boundary set and its one
 boundary-task matrix, so a stack solves one basis per layer and one blend of
 that matrix sets the goal at every layer.  That matrix and every subtask
 reward block are LU-factored once per stack (``multitask.factor_block``).
-Within one task the same inpaint recurs, so a stack memoizes each re-blend
-by layer, termination flag above and inpainted vector, and each termination
-by its weights; clones share the memos, composites and column caches.
+A layer's task state is one ``Composite``: its weights, the desirability
+they compose, a policy-column cache, and the dead twin a termination above
+swaps in.  Within one task the same inpaint recurs, so a stack memoizes each
+re-blend's composite by layer, termination flag above and inpainted vector;
+clones share the memo and the composites, caches and dead twins in it.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -340,6 +342,17 @@ def rewards_to_task_weights(aug: AugmentedMlmdp, inpainted: np.ndarray,
 # stacks
 
 
+class Composite:
+    """A layer's task state: TaskWeights, the read-only desirability ``z``
+    they compose, the executor's state -> Column cache of ``z``, and the
+    ``dead`` twin a termination above composes once (None until then)."""
+
+    __slots__ = ("weights", "z", "columns", "dead")
+
+    def __init__(self, weights: TaskWeights, z: np.ndarray):
+        self.weights, self.z, self.columns, self.dead = weights, z, {}, None
+
+
 @dataclass
 class HierarchyStack:
     """An ordered tower of layers plus per-episode execution state.
@@ -347,23 +360,19 @@ class HierarchyStack:
     Every layer is an AugmentedMlmdp; the top one has zero subtasks.  Layer
     structures, including their lazily solved dead-subtask bases, and
     ``task_block``, the shared boundary-task matrix with its LU factors, are
-    immutable and shared between clones.  Weights, composites, column
-    caches and termination flags are per-clone slots; the arrays in them are
-    never written after they are made (weights and composites are
-    read-only), so clones share them.
+    immutable and shared between clones.  ``composites[k]`` is layer k's
+    current Composite and ``terminated[k]`` its flag; both lists are
+    per-clone.  A Composite's arrays are never written after they are made
+    and its cache and dead twin only fill in, so clones share the records.
 
     ``reblends`` memoizes the current task's inpaint re-blends.  It maps
     (layer, terminated flag of the layer above, shape and bytes of the
-    inpainted vector) to the TaskWeights, composite and column cache that
-    re-blend gave; nothing else enters a re-blend, since set_task fixed the
-    base-task weights.  set_task starts an empty memo and clone shares it,
-    so every episode clone of one tasked stack reuses the others'
-    re-blends.  It grows by one entry per distinct key, with no cap, until
-    the next set_task.  ``deaths`` memoizes terminate_layer's dead
-    composites by (layer, weight bytes) alike.  ``columns[layer]`` caches
-    the executor's column records read from ``z_full[layer]``; each cache
-    travels with its composite, so it lives for one task and is shared by
-    clones, with no cap: on ring-243 depth 4 a task's caches held 181-265
+    inpainted vector) to the Composite that re-blend gave; nothing else
+    enters a re-blend, since set_task fixed the base-task weights.
+    set_task starts fresh composites and an empty memo and clone shares
+    them, so every episode clone of one tasked stack reuses the others'
+    re-blends, column records and dead twins.  Nothing is capped until the
+    next set_task: on ring-243 depth 4 a task's column caches held 181-265
     records (< 1 MB) after 16 episodes, about 2,800 (6.5 MB) after 4,000.
     """
 
@@ -371,33 +380,31 @@ class HierarchyStack:
     kappa: float
     penalty: float
     task_block: FactoredBlock
-    weights: List[Optional[TaskWeights]]
-    z_full: List[Optional[np.ndarray]]
+    composites: List[Optional[Composite]]
     terminated: List[bool]
     target: Optional[np.ndarray] = None  # boundary task set by set_task
-    reblends: Dict[tuple, Tuple[TaskWeights, np.ndarray, dict]] = field(
-        default_factory=dict, repr=False, compare=False)
-    deaths: Dict[tuple, tuple] = field(default_factory=dict, repr=False, compare=False)
-    columns: List[dict] = field(default_factory=list, repr=False, compare=False)
+    reblends: Dict[tuple, Composite] = field(default_factory=dict, repr=False,
+                                             compare=False)
 
     @property
     def depth(self) -> int:
         return len(self.layers)
 
+    # per-layer views of the composites, None before set_task
+    weights = property(lambda self: [c and c.weights for c in self.composites])
+    z_full = property(lambda self: [c and c.z for c in self.composites])
+
     def clone(self) -> "HierarchyStack":
-        """A copy with its own slots that shares arrays, caches and memos."""
+        """A copy with its own slots that shares composites and the memo."""
         return HierarchyStack(
             layers=self.layers,
             kappa=self.kappa,
             penalty=self.penalty,
             task_block=self.task_block,
-            weights=list(self.weights),
-            z_full=list(self.z_full),
+            composites=list(self.composites),
             terminated=list(self.terminated),
             target=None if self.target is None else self.target.copy(),
             reblends=self.reblends,
-            deaths=self.deaths,
-            columns=list(self.columns),
         )
 
     # -- task management -----------------------------------------------------
@@ -408,24 +415,24 @@ class HierarchyStack:
         All layers share the base boundary set and its task matrix, so one
         fit against ``task_block`` (factored when the stack was built) gives
         every layer its base-task weights.  The subtask tasks start from the
-        neutral blend (inpainted reward 0), empty at the top.  On an error
-        the stack keeps its previous task.
+        neutral blend (inpainted reward 0), empty at the top.  A negative or
+        non-finite target raises InvalidSpec; on any error the stack keeps
+        its previous task.
         """
         q = np.asarray(boundary_target, dtype=np.float64)
+        if (q < 0).any():
+            raise InvalidSpec("boundary target must be nonnegative")
         wb = blend_weights_matrix(self.task_block, q)
-        weights = [TaskWeights(np.concatenate([wb.values, entry.neutral_weights]),
-                               wb.residual) for entry in self.layers]
-        z_full = [self._compose(layer, w,
-                                layer + 1 < self.depth and self.terminated[layer + 1])
-                  for layer, w in enumerate(weights)]
+        self.composites = [
+            self._compose(layer, TaskWeights(
+                np.concatenate([wb.values, entry.neutral_weights]), wb.residual),
+                layer + 1 < self.depth and self.terminated[layer + 1])
+            for layer, entry in enumerate(self.layers)]
         self.target = q.copy()
-        self.weights = weights
-        self.z_full = z_full
-        self.columns = [{} for _ in z_full]
-        self.reblends, self.deaths = {}, {}
+        self.reblends = {}
 
-    def _compose(self, layer: int, weights: TaskWeights, dead: bool) -> np.ndarray:
-        """The layer's read-only composite desirability under ``weights``.
+    def _compose(self, layer: int, weights: TaskWeights, dead: bool) -> Composite:
+        """The layer's Composite under ``weights``, its ``z`` read-only.
 
         With ``dead`` (the layer above is terminated) the interior blends
         the dead-subtask basis and the subtask states carry zero
@@ -444,34 +451,33 @@ class HierarchyStack:
         if dead:
             z[slice(*entry.subtask_range)] = 0.0
         z.flags.writeable = False
-        return z
+        return Composite(weights, z)
 
     def apply_inpaint(self, layer: int, inpainted: np.ndarray) -> None:
         """Receive inpainted rewards from the layer above and re-blend.
 
-        A key already in ``reblends`` reuses its weights and composite; a
-        new one is re-blended and stored once both succeed.
+        A key already in ``reblends`` reuses its Composite; a new one is
+        re-blended and stored once both steps succeed.
         """
         entry = self.layers[layer]
         if not entry.n_subtasks:
             raise InvalidSpec("only layers with subtasks can receive inpainted rewards")
-        if self.weights[layer] is None:
+        if self.composites[layer] is None:
             raise NoTaskSet("set_task must run before inpainting")
         r_t = np.asarray(inpainted, dtype=np.float64)
         dead = self.terminated[layer + 1]
         key = (layer, dead, r_t.shape, r_t.tobytes())
-        reblend = self.reblends.get(key)
-        if reblend is None:
-            weights = rewards_to_task_weights(entry, r_t, self.weights[layer])
-            reblend = (weights, self._compose(layer, weights, dead), {})
-            self.reblends[key] = reblend
-        self.weights[layer], self.z_full[layer], self.columns[layer] = reblend
+        composite = self.reblends.get(key)
+        if composite is None:
+            weights = rewards_to_task_weights(entry, r_t, self.composites[layer].weights)
+            composite = self.reblends[key] = self._compose(layer, weights, dead)
+        self.composites[layer] = composite
 
     def policy_state(self, layer: int):
         """(lmdp, z_full) pair for sampling at a layer, validated."""
-        if self.weights[layer] is None or self.z_full[layer] is None:
+        if self.composites[layer] is None:
             raise NoTaskSet("stack has no task; call set_task first")
-        return self.layers[layer].lmdp, self.z_full[layer]
+        return self.layers[layer].lmdp, self.composites[layer].z
 
 
 def build_stack(basis: TaskBasis, structures: Sequence[SubtaskStructure],
@@ -520,10 +526,8 @@ def build_stack(basis: TaskBasis, structures: Sequence[SubtaskStructure],
         kappa=kappa,
         penalty=penalty,
         task_block=factor_block(tasks),
-        weights=[None] * depth,
-        z_full=[None] * depth,
+        composites=[None] * depth,
         terminated=[False] * depth,
-        columns=[{} for _ in range(depth)],
     )
 
 
@@ -534,8 +538,8 @@ def terminate_layer(stack: HierarchyStack, layer: int) -> None:
     re-blends its weights over its dead-subtask basis, which puts zero
     desirability on those states, so the policy tilt can never select them
     again.  Nothing new is factored after the basis's one solve per layer,
-    and ``stack.deaths`` memoizes the dead composite of each weight vector.
-    The base layer cannot be terminated.  On an error the stack is unchanged.
+    and a live Composite composes its dead twin once for all clones.  The
+    base layer cannot be terminated.  On an error the stack is unchanged.
     """
     if not 0 <= layer < stack.depth:
         raise InvalidSpec(f"no layer {layer} in a depth-{stack.depth} stack")
@@ -543,10 +547,9 @@ def terminate_layer(stack: HierarchyStack, layer: int) -> None:
         raise CannotTerminateBase("the base layer cannot terminate")
     if stack.terminated[layer]:
         raise AlreadyTerminated(f"layer {layer} already terminated")
-    if stack.z_full[layer - 1] is not None:
-        w = stack.weights[layer - 1]
-        key = (layer - 1, w.values.tobytes())
-        if key not in stack.deaths:
-            stack.deaths[key] = (stack._compose(layer - 1, w, True), {})
-        stack.z_full[layer - 1], stack.columns[layer - 1] = stack.deaths[key]
+    live = stack.composites[layer - 1]
+    if live is not None:
+        if live.dead is None:
+            live.dead = stack._compose(layer - 1, live.weights, True)
+        stack.composites[layer - 1] = live.dead
     stack.terminated[layer] = True

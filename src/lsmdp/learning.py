@@ -22,9 +22,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import Lmdp, draw_at, draw_from, narrow_tilt, policy_column, running_sum
+from .core import (Lmdp, check_count, draw_at, draw_from, narrow_tilt, policy_column,
+                   running_sum)
 from .errors import DimensionMismatch, InvalidSpec
-from .executor import access_hierarchy, masked_redraw_column
+from .executor import access_hierarchy, masked_redraw_column, rollout_budget
 from .hierarchy import HierarchyStack
 
 DEFAULT_STEP_SCALE = 50.0
@@ -114,16 +115,8 @@ def run_learning_episode(lmdp: Lmdp, learner: LearningState,
         shape = np.shape(getattr(learner, name))
         if shape != (n,):
             raise DimensionMismatch(f"learner {name} shape {shape}, expected ({n},)")
-    if start_state is None:
-        s = int(rng.integers(n_i))
-    elif 0 <= start_state < n_i:
-        s = start_state
-    else:
-        raise InvalidSpec(f"start state {start_state} is not interior")
-    if max_steps is None:
-        max_steps = 100 * n_i
-    if max_steps < 1:
-        raise InvalidSpec(f"max_steps must be at least 1, got {max_steps}")
+    max_steps = rollout_budget(n_i, start_state, max_steps)
+    s = int(rng.integers(n_i)) if start_state is None else start_state
     lam = lmdp.rewards.temperature
     r_i = lmdp.rewards.interior.tolist()
     narrow = lmdp.passive.narrow_columns
@@ -136,12 +129,12 @@ def run_learning_episode(lmdp: Lmdp, learner: LearningState,
     while t < max_steps:
         redraw = False
         while True:
-            if stack is not None and stack.z_full[0] is not comp:
+            if stack is not None and stack.composites[0] is not comp:
                 # first draw, or an access re-blended or terminated the base;
                 # the guided estimate is 1 on every boundary state
-                comp = stack.z_full[0]
-                comp_list = comp.tolist()
-                behave = (comp[:n_i] * learner.z_interior).tolist() + comp_list[n_i:]
+                comp = stack.composites[0]
+                comp_list = comp.z.tolist()
+                behave = (comp.z[:n_i] * learner.z_interior).tolist() + comp_list[n_i:]
             col = narrow[s]
             if col is None or redraw:
                 rows, probs = policy_column(lmdp, np.array(behave), s)
@@ -183,11 +176,8 @@ def train(lmdp: Lmdp, goal_task: np.ndarray, epochs: int,
     must be at least 1, ``step_scale`` finite and positive and
     ``goal_task`` finite and nonnegative, or InvalidSpec is raised.
     """
-    if epochs < 1:
-        raise InvalidSpec(f"epochs must be at least 1, got {epochs}")
-    if episodes_per_epoch < 1:
-        raise InvalidSpec(
-            f"episodes_per_epoch must be at least 1, got {episodes_per_epoch}")
+    check_count("epochs", epochs)
+    check_count("episodes_per_epoch", episodes_per_epoch)
     if not (math.isfinite(step_scale) and step_scale > 0):
         raise InvalidSpec(f"step_scale must be finite and positive, got {step_scale}")
     rng = np.random.default_rng(seed)

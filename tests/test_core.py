@@ -427,7 +427,7 @@ def test_loose_probe_rows_change_no_bit(seed, width, n_tasks, cut_budget):
     # sweep: probe rows go stale and then only the exact max may decide
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 40))
-    passive = ring_passive(n, rng.uniform(0.05, 0.4), rng.uniform(0.02, 0.2))
+    passive = ring_passive((n,), rng.uniform(0.05, 0.4), rng.uniform(0.02, 0.2))
     lmdp = build_lmdp(StatePartition(n, n), passive, RewardModel(
         -rng.uniform(0.1, 2.0, n), rng.uniform(-2.0, 0.5, n), rng.uniform(0.4, 2.5)))
     shape = (n, n_tasks)

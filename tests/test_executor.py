@@ -226,6 +226,7 @@ def test_a_repeated_episode_tilts_no_column(monkeypatch):
 
 def test_a_repeated_termination_composes_nothing(monkeypatch):
     _, tasked = ring_tower_stack()
+    live = tasked.composites[0]
     dead = tasked.clone()
     terminate_layer(dead, 1)
     composed = []
@@ -239,20 +240,24 @@ def test_a_repeated_termination_composes_nothing(monkeypatch):
     again = tasked.clone()
     terminate_layer(again, 1)
     assert composed == []
-    assert again.z_full[0] is dead.z_full[0]
-    assert again.columns[0] is dead.columns[0]
-    assert tasked.z_full[0] is not dead.z_full[0]
+    # the live record keeps its dead twin, column cache and all
+    assert again.composites[0] is dead.composites[0] is live.dead
+    assert tasked.composites[0] is live and live.dead is not live
+    assert live.dead.weights is live.weights
 
 
 def test_clones_share_caches_and_set_task_starts_fresh_ones():
     _, tasked = ring_tower_stack()
     run_episode(tasked.clone(), 13, np.random.default_rng(1))
     clone = tasked.clone()
-    assert all(ours is theirs for ours, theirs in zip(clone.columns, tasked.columns))
-    assert clone.deaths is tasked.deaths and tasked.deaths
+    assert all(ours is theirs for ours, theirs in zip(clone.composites, tasked.composites))
+    assert clone.reblends is tasked.reblends
+    assert tasked.composites[0].columns
+    assert any(c.dead is not None for c in tasked.reblends.values())
     clone.set_task(tasked.target)
-    assert clone.columns == [{}] * clone.depth and clone.deaths == {}
-    assert all(ours is not theirs for ours, theirs in zip(clone.columns, tasked.columns))
+    assert clone.reblends == {} and clone.reblends is not tasked.reblends
+    assert all(c.columns == {} and c.dead is None for c in clone.composites)
+    assert all(ours is not theirs for ours, theirs in zip(clone.composites, tasked.composites))
 
 
 def test_logged_weights_are_read_only_references():
@@ -438,9 +443,10 @@ def test_truncation_and_bad_start(rooms):
     traj = run_episode(stack, start, np.random.default_rng(0), max_steps=1)
     assert traj.truncated
     assert traj.length <= 1
-    with pytest.raises(InvalidSpec):
-        run_episode(stack, lmdp.n_interior, np.random.default_rng(0))
-    with pytest.raises(InvalidSpec):
-        run_episode(stack, -1, np.random.default_rng(0))
-    with pytest.raises(InvalidSpec):
-        run_episode(stack, start, np.random.default_rng(0), max_steps=0)
+    # bools and floats, integral or not, are refused like out-of-range states
+    for bad in (lmdp.n_interior, -1, 1.5, np.float64(2.0), True):
+        with pytest.raises(InvalidSpec, match="start state"):
+            run_episode(stack, bad, np.random.default_rng(0))
+    for bad in (0, 2.5, True):
+        with pytest.raises(InvalidSpec, match="max_steps"):
+            run_episode(stack, start, np.random.default_rng(0), max_steps=bad)

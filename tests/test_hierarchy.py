@@ -504,8 +504,8 @@ def test_an_overflowing_inpaint_names_kappa():
         run_episode(stack, 13, np.random.default_rng(1))
 
 
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_set_task_rejects_a_non_finite_target(bad):
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
+def test_set_task_rejects_a_non_finite_or_negative_target(bad):
     stack = corridor_stack()
     old_target, memo = stack.target, stack.reblends
     slots = stack.weights + stack.z_full
@@ -738,14 +738,19 @@ def assert_same_execution_state(stack, twin):
 def test_memoized_reblends_equal_fresh_ones(goal, seed, ops):
     # inpaints come from a pool of three vectors per layer, so keys repeat;
     # "episode" restarts both sides from a clone of their tasked stack,
-    # which keeps the memo.  The twin empties its memo before every call.
+    # which keeps the memo.  Before every op the twin empties its memo and
+    # drops its records' caches and dead twins, so it composes afresh.
     tasked, twin_tasked = tasked_ring_tower(goal), tasked_ring_tower(goal)
     rng = np.random.default_rng(seed)
     pool = [[tasked.kappa * rng.uniform(-1.0, 1.0, entry.n_subtasks)
              for _ in range(3)] for entry in tasked.layers[:-1]]
     stack, twin = tasked.clone(), twin_tasked.clone()
     for op, k in ops:
+        # every record the twin can reach forgets its columns and dead twin
         twin.reblends.clear()
+        for composite in twin.composites + twin_tasked.composites:
+            composite.columns.clear()
+            composite.dead = None
         if op == "episode":
             stack, twin = tasked.clone(), twin_tasked.clone()
         elif op == "inpaint":

@@ -141,9 +141,14 @@ def test_episode_updates_once_per_advancing_step(monkeypatch, rooms):
 def test_episode_rejects_bad_start(rooms):
     lmdp, _, goal_q, _, _ = rooms
     learner = fresh_learner(lmdp.n_interior, goal_q)
-    with pytest.raises(InvalidSpec):
-        run_learning_episode(lmdp, learner, np.random.default_rng(0),
-                             start_state=lmdp.n_interior)
+    for bad in (lmdp.n_interior, -1, 1.5, np.float64(2.0), True):
+        with pytest.raises(InvalidSpec, match="start state"):
+            run_learning_episode(lmdp, learner, np.random.default_rng(0),
+                                 start_state=bad)
+    for bad in (0, 2.5, True):
+        with pytest.raises(InvalidSpec, match="max_steps"):
+            run_learning_episode(lmdp, learner, np.random.default_rng(0),
+                                 start_state=0, max_steps=bad)
 
 
 def test_episode_rejects_mismatched_inputs():
@@ -279,9 +284,12 @@ def test_training_curves_are_pinned(rooms):
 def test_zero_epochs_trains_nothing(rooms):
     # an empty learning curve would pass for a finished run, so it is refused
     lmdp, _, goal_q, _, _ = rooms
-    for epochs in (0, -1):
+    for epochs in (0, -1, 2.5, True):
         with pytest.raises(InvalidSpec, match="epochs"):
             train(lmdp, goal_q, epochs=epochs, episodes_per_epoch=5, seed=0)
+    for episodes in (0, 2.5, True):
+        with pytest.raises(InvalidSpec, match="episodes_per_epoch"):
+            train(lmdp, goal_q, epochs=1, episodes_per_epoch=episodes, seed=0)
 
 
 def test_guided_training_leaves_the_template_alone(rooms):
