@@ -28,16 +28,16 @@ reports is the sum over columns.
 
 Rollouts draw one step at a time with ``policy_column`` and ``draw_from``.
 Base columns are narrow (three to six entries on the ring, arm and grid
-domains), where numpy's per-call overhead dwarfs the arithmetic, so
-``narrow_tilt`` tilts a column with fewer than NARROW entries with Python
-floats over lists cached on ``PassiveDynamics``.  It performs the same IEEE
-operations in the same order as numpy: products are elementwise, and numpy
-sums an array shorter than 8 strictly left to right (from 8 entries on it
-switches to an unrolled pairwise sum, which a running sum would not
-reproduce), so dense columns, such as those of absorption-derived layers,
-stay on numpy.  Draws need no cutoff: ``np.cumsum`` is sequential at every
-length, so ``running_sum`` and the bisect of ``draw_at`` match numpy's bit
-for bit on any column.
+domains), where numpy's per-call overhead dwarfs the arithmetic, so a column
+with fewer than NARROW entries is tilted with Python floats over lists cached
+on ``PassiveDynamics``, and the learner's ``narrow_draw`` tilts, sums and draws
+it with no array made.  It performs the same IEEE operations in the same
+order as numpy: products are elementwise, and numpy sums an array shorter
+than 8 strictly left to right (from 8 entries on it switches to an unrolled
+pairwise sum, which a running sum would not reproduce), so dense columns,
+such as those of absorption-derived layers, stay on numpy.  Draws need no
+cutoff: ``np.cumsum`` is sequential at every length, so ``running_sum`` and
+the bisect of ``draw_at`` match numpy's bit for bit on any column.
 """
 from __future__ import annotations
 
@@ -45,8 +45,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, repeat
+from operator import add, mul, truediv
 from typing import Optional
 
 import numpy as np
@@ -559,10 +559,9 @@ def policy_column(lmdp: Lmdp, z_full: np.ndarray, state: int):
     first.  Computing one column per draw keeps rollout loops from
     materializing the whole policy after every blend update.
 
-    A column with fewer than NARROW entries is tilted by ``narrow_tilt`` and
-    wrapped in an array; wider columns use numpy, whose pairwise sum a
-    running sum would not reproduce.  Both paths return the same arrays, bit
-    for bit.
+    A column with fewer than NARROW entries is tilted with Python floats from
+    ``PassiveDynamics.narrow_columns``, skipping the sparse slicing and fancy
+    indexing; every column is then summed and divided by numpy.
     """
     passive = lmdp.passive
     P = passive.full_matrix
@@ -574,26 +573,32 @@ def policy_column(lmdp: Lmdp, z_full: np.ndarray, state: int):
                           f"(0..{P.shape[1] - 1})")
     narrow = passive.narrow_columns[state]
     if narrow is not None:
-        return narrow[0], np.array(narrow_tilt(narrow, z_full, state))
-    lo, hi = P.indptr[state], P.indptr[state + 1]
-    rows = P.indices[lo:hi]
-    vals = P.data[lo:hi] * z_full[rows]
+        rows, row_list, p_list = narrow
+        vals = np.array([pv * float(z_full[r]) for r, pv in zip(row_list, p_list)])
+    else:
+        lo, hi = P.indptr[state], P.indptr[state + 1]
+        rows = P.indices[lo:hi]
+        vals = P.data[lo:hi] * z_full[rows]
     total = vals.sum()
     if not 0.0 < total < math.inf:
         raise ZeroNormalizer(f"policy column {state} has desirability mass {total}")
     return rows, vals / total
 
 
-def narrow_tilt(narrow: tuple, z, state: int) -> list:
-    """``policy_column``'s probabilities at a ``narrow_columns`` entry as a list
-    of floats, for ``z`` a list or array over every state, normalized by a left-
-    to-right sum as numpy's; ZeroNormalizer unless that is finite and positive."""
+def narrow_draw(narrow: tuple, z: list, state: int, rng: np.random.Generator) -> int:
+    """``draw_from(*policy_column(lmdp, z, state), rng)`` at a ``narrow_columns``
+    entry for ``z`` a list, with no array and no Python-level loop: the same
+    floats, the same ZeroNormalizer checks and the same last-row clamp."""
     _, row_list, p_list = narrow
-    vals = [pv * float(z[r]) for r, pv in zip(row_list, p_list)]
+    vals = list(map(mul, p_list, map(z.__getitem__, row_list)))
     total = reduce(add, vals, 0.0)
     if not 0.0 < total < math.inf:
         raise ZeroNormalizer(f"policy column {state} has desirability mass {total}")
-    return [v / total for v in vals]
+    cum = list(accumulate(map(truediv, vals, repeat(total))))
+    if not 0.0 < cum[-1] < math.inf:
+        raise ZeroNormalizer(f"cannot draw from total mass {cum[-1]}")
+    k = bisect_right(cum, rng.random() * cum[-1])
+    return row_list[min(k, len(row_list) - 1)]
 
 
 def value_from_desirability(z: Desirability, temperature: float) -> np.ndarray:
@@ -607,7 +612,7 @@ def value_from_desirability(z: Desirability, temperature: float) -> np.ndarray:
 def running_sum(probs) -> list:
     """Left-to-right running sum of weights (list or array), ``np.cumsum``
     bit for bit; raises ZeroNormalizer unless the total is finite and positive."""
-    cum = list(accumulate(probs if type(probs) is list else np.asarray(probs).tolist()))
+    cum = list(accumulate(np.asarray(probs).tolist()))
     if not (cum and 0.0 < cum[-1] < math.inf):
         raise ZeroNormalizer(f"cannot draw from total mass {cum[-1] if cum else 0.0}")
     return cum

@@ -71,13 +71,7 @@ class RingSpec:
             raise InvalidSpec("subtask spacing must be at least 2")
         if self.depth < 1:
             raise InvalidSpec("depth must be at least 1")
-        if not 0.0 < self.step_prob < 0.5:
-            raise InvalidSpec("step probability must lie in (0, 0.5)")
-        stay = 1.0 - 2 * self.step_prob
-        if self.exit_prob <= 0 or self.exit_prob > stay + 1e-12:
-            raise InvalidSpec(
-                f"exit probability {self.exit_prob} exceeds stay mass {stay}"
-            )
+        _check_walk(self.step_prob, self.exit_prob, 2)
 
     def level_sizes(self) -> List[int]:
         sizes = [self.n_states]
@@ -90,6 +84,17 @@ class RingSpec:
                 )
             sizes.append(len(range(0, n, self.subtask_spacing)))
         return sizes
+
+
+def _check_walk(step_prob: float, exit_prob: float, n_moves: int) -> None:
+    """InvalidSpec naming the field unless 0 < step_prob < 1 / n_moves and
+    0 < exit_prob <= the stay mass 1 - n_moves * step_prob (NaN fails both)."""
+    if not 0.0 < step_prob < 1.0 / n_moves:
+        raise InvalidSpec(f"step_prob must lie in (0, {1.0 / n_moves:g}), got {step_prob}")
+    stay = 1.0 - n_moves * step_prob
+    if not 0.0 < exit_prob <= stay + 1e-12:
+        raise InvalidSpec(f"exit_prob must lie in (0, {stay:g}], the stay mass, "
+                          f"got {exit_prob}")
 
 
 def ring_passive(shape: Tuple[int, ...], step_prob: float,
@@ -344,9 +349,7 @@ class ArmSpec:
         x0, x1, y0, y1 = self.target_rect
         if not (x0 < x1 and y0 < y1):
             raise InvalidSpec("target rectangle must have positive area")
-        stay = 1.0 - 4 * self.step_prob
-        if stay < 0 or self.exit_prob > stay + 1e-12:
-            raise InvalidSpec("exit probability exceeds stay mass")
+        _check_walk(self.step_prob, self.exit_prob, 4)
 
     def angles(self) -> np.ndarray:
         k = np.arange(self.n_bins)

@@ -8,22 +8,22 @@ exactly as in the executor, and behavior then tilts by the product of the
 estimate and the stack's live composite desirability.  Flat and guided runs
 share the same episode loop and the same update function; the guided
 branches are simply never taken when no stack is given.  An episode steps
-on Python floats: a list holds the behavior desirability (the estimate,
-times the composite when guided), rebuilt only when an access swaps the
-composite.  Narrow columns draw through ``narrow_tilt``, ``running_sum`` and
-``draw_at`` with no array made, every float as the full-array tilt of wide
-columns and masked redraws gives it.
+a list-backed copy of the learner, whose estimate and visits go back to the
+caller's arrays once, as it returns or raises, and a list of the behavior
+desirability (the estimate, times the composite when guided), rebuilt only
+when an access swaps the composite.  Narrow columns draw through one
+``narrow_draw`` call, every float as the full-array tilt gives it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import (Lmdp, check_count, draw_at, draw_from, narrow_tilt, policy_column,
-                   running_sum)
+from .core import Lmdp, check_count, draw_from, narrow_draw, policy_column
 from .errors import DimensionMismatch, InvalidSpec
 from .executor import access_hierarchy, masked_redraw_column, rollout_budget
 from .hierarchy import HierarchyStack
@@ -111,50 +111,58 @@ def run_learning_episode(lmdp: Lmdp, learner: LearningState,
         if base.n_states != lmdp.n_states:
             raise DimensionMismatch(
                 f"stack base has {base.n_states} states, LMDP has {lmdp.n_states}")
-    for name, n in (("z_interior", n_i), ("boundary_values", lmdp.n_boundary)):
+    for name, n in (("z_interior", n_i), ("boundary_values", lmdp.n_boundary),
+                    ("visits", n_i)):
         shape = np.shape(getattr(learner, name))
         if shape != (n,):
             raise DimensionMismatch(f"learner {name} shape {shape}, expected ({n},)")
+    if not (math.isfinite(learner.step_scale) and learner.step_scale > 0):
+        raise InvalidSpec(
+            f"step_scale must be finite and positive, got {learner.step_scale}")
     max_steps = rollout_budget(n_i, start_state, max_steps)
     s = int(rng.integers(n_i)) if start_state is None else start_state
     lam = lmdp.rewards.temperature
     r_i = lmdp.rewards.interior.tolist()
     narrow = lmdp.passive.narrow_columns
+    work = LearningState(learner.z_interior.tolist(), learner.boundary_values.tolist(),
+                         learner.visits.tolist(), learner.step_scale)
     # behavior desirability over every state, kept in step with the estimate;
     # a guided run builds it from the composite at its first draw
-    behave = learner.z_interior.tolist() + learner.boundary_values.tolist()
+    behave = work.z_interior + work.boundary_values
     comp = None
-
-    t = 0
-    while t < max_steps:
-        redraw = False
-        while True:
-            if stack is not None and stack.composites[0] is not comp:
-                # first draw, or an access re-blended or terminated the base;
-                # the guided estimate is 1 on every boundary state
-                comp = stack.composites[0]
-                comp_list = comp.z.tolist()
-                behave = (comp.z[:n_i] * learner.z_interior).tolist() + comp_list[n_i:]
-            col = narrow[s]
-            if col is None or redraw:
-                rows, probs = policy_column(lmdp, np.array(behave), s)
-                if redraw:
-                    rows, probs = masked_redraw_column(rows, probs, lo, hi)
-                nxt = draw_from(rows, probs, rng)
-            else:
-                nxt = draw_at(col[1], running_sum(narrow_tilt(col, behave, s)), rng)
-            if lo <= nxt < hi:
-                access_hierarchy(stack, nxt - lo, rng)
-                redraw = True
-                continue
-            z_new = z_learning_step(learner, s, r_i[s], nxt, lam)
-            behave[s] = z_new if comp is None else comp_list[s] * z_new
-            break
-        if nxt >= n_i:
-            return t + 1
-        s = nxt
-        t += 1
-    return max_steps
+    try:
+        t = 0
+        while t < max_steps:
+            redraw = False
+            while True:
+                if stack is not None and stack.composites[0] is not comp:
+                    # first draw, or an access re-blended or terminated the base;
+                    # the guided estimate is 1 on every boundary state
+                    comp = stack.composites[0]
+                    comp_list = comp.z.tolist()
+                    behave = list(map(mul, comp_list, work.z_interior)) + comp_list[n_i:]
+                col = narrow[s]
+                if col is None or redraw:
+                    rows, probs = policy_column(lmdp, np.array(behave), s)
+                    if redraw:
+                        rows, probs = masked_redraw_column(rows, probs, lo, hi)
+                    nxt = draw_from(rows, probs, rng)
+                else:
+                    nxt = narrow_draw(col, behave, s, rng)
+                if lo <= nxt < hi:
+                    access_hierarchy(stack, nxt - lo, rng)
+                    redraw = True
+                    continue
+                z_new = z_learning_step(work, s, r_i[s], nxt, lam)
+                behave[s] = z_new if comp is None else comp_list[s] * z_new
+                break
+            if nxt >= n_i:
+                return t + 1
+            s = nxt
+            t += 1
+        return max_steps
+    finally:  # every backup made, also when a draw or an access raises
+        learner.z_interior[:], learner.visits[:] = work.z_interior, work.visits
 
 
 def train(lmdp: Lmdp, goal_task: np.ndarray, epochs: int,
@@ -178,8 +186,6 @@ def train(lmdp: Lmdp, goal_task: np.ndarray, epochs: int,
     """
     check_count("epochs", epochs)
     check_count("episodes_per_epoch", episodes_per_epoch)
-    if not (math.isfinite(step_scale) and step_scale > 0):
-        raise InvalidSpec(f"step_scale must be finite and positive, got {step_scale}")
     rng = np.random.default_rng(seed)
     goal = np.asarray(goal_task, dtype=np.float64)
     if not np.isfinite(goal).all() or (goal < 0).any():

@@ -227,13 +227,18 @@ LMDP = {"n_interior": 1, "n_boundary": 1, "lambda": 1.0, "r_i": [-1.0],
     ("solve", {"type": "lmdp", "lmdp": dict(LMDP, passive=[[0, 1, 0.5],
                                                           [0, 1, 0.5]])}),
     ("solve", {"type": "lmdp", "lmdp": dict(LMDP, passive=[[0, 1, float("nan")]])}),
+    ("solve", {"type": "arm", "n_bins": 8, "step_prob": float("nan")}),
+    ("solve", {"type": "arm", "n_bins": 8, "step_prob": -0.01}),
+    ("solve", {"type": "arm", "n_bins": 8, "exit_prob": -0.01}),
+    ("solve", {"type": "arm", "n_bins": 8, "exit_prob": float("nan")}),
 ], ids=["ring-size-string", "goal-string", "top-level-list", "arm-bins-string",
         "max-steps-string", "learn-epochs-string", "max-steps-zero",
         "learn-max-steps-negative", "learn-episodes-zero", "learn-step-scale-zero",
         "learn-epochs-zero", "learn-seeds-zero", "learn-conditions-empty",
         "learn-conditions-unknown", "lmdp-labels-int", "lmdp-triple-short",
         "lmdp-triple-string", "lmdp-passive-int", "lmdp-triple-repeated",
-        "lmdp-triple-nan"])
+        "lmdp-triple-nan", "arm-step-nan", "arm-step-negative", "arm-exit-negative",
+        "arm-exit-nan"])
 def test_malformed_config_values(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path / "cfg.json", doc)
     assert main([command, "--domain", cfg,

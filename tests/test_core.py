@@ -773,8 +773,10 @@ def test_scalar_columns_match_numpy_bit_for_bit(seed, max_interior):
         assert np.array_equal(rows, ref_rows) and np.array_equal(probs, ref_probs)
         narrow = lmdp.passive.narrow_columns[s]
         if narrow is not None:
-            # the learner tilts a list of floats and keeps the list
-            assert core.narrow_tilt(narrow, z_full.tolist(), s) == probs.tolist()
+            # the learner tilts, sums and draws a list of floats in one call
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert ([core.narrow_draw(narrow, z_full.tolist(), s, rng_a) for _ in range(50)]
+                    == [reference_draw(ref_rows, ref_probs, rng_b) for _ in range(50)])
         # normalized and, as learners pass them, unnormalized probabilities,
         # as an ndarray or a plain list
         for p in (probs, P.data[lo:hi], P.data[lo:hi].tolist()):
@@ -815,6 +817,19 @@ def test_an_infinite_desirability_raises_on_both_tilt_paths():
             with pytest.raises(ZeroNormalizer):
                 policy_column(lmdp, z_full, s)
     assert paths == {False, True}
+
+
+@pytest.mark.parametrize("fill", [0.0, np.inf, np.nan], ids=["zero", "inf", "nan"])
+def test_narrow_draw_rejects_a_column_without_finite_positive_mass(fill):
+    ring, _, _ = make_ring(RingSpec(12))
+    narrow = ring.passive.narrow_columns[4]
+    z = [0.0 if fill == 0.0 else 1.0] * ring.n_states
+    z[narrow[1][0]] = fill
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ZeroNormalizer, match="policy column 4"):
+        core.narrow_draw(narrow, z, 4, rng)
+    assert rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,23 @@ def test_arm_spec_validation():
         ArmSpec(5, step_prob=0.25)   # stay mass 0 cannot cover the exit
 
 
+@pytest.mark.parametrize("spec, field", [
+    (lambda: RingSpec(5, exit_prob=-0.01), "exit_prob"),
+    (lambda: RingSpec(5, exit_prob=math.nan), "exit_prob"),
+    (lambda: RingSpec(5, step_prob=math.nan), "step_prob"),
+    (lambda: ArmSpec(5, step_prob=-0.01), "step_prob"),
+    (lambda: ArmSpec(5, step_prob=math.nan), "step_prob"),
+    (lambda: ArmSpec(5, exit_prob=-0.01), "exit_prob"),
+    (lambda: ArmSpec(5, exit_prob=math.nan), "exit_prob"),
+], ids=["ring-exit-negative", "ring-exit-nan", "ring-step-nan", "arm-step-negative",
+        "arm-step-nan", "arm-exit-negative", "arm-exit-nan"])
+def test_walk_probabilities_are_checked_by_field(spec, field):
+    # a negative arm step used to surface as NotStochastic from the kernel, a
+    # NaN one as a ValueError, and a negative exit as "exceeds stay mass"
+    with pytest.raises(InvalidSpec, match=f"^{field} must lie in .*, got (-0.01|nan)$"):
+        spec()
+
+
 def test_arm_target_membership_matches_kinematics():
     spec = ArmSpec(17)
     lmdp, basis, target_q = make_arm(spec)

@@ -178,6 +178,77 @@ def test_episode_rejects_mismatched_inputs():
             run_learning_episode(lmdp, bad, rng)
 
 
+@pytest.mark.parametrize("visits, step_scale, error, match", [
+    (np.zeros(5, dtype=np.int64), 50.0, DimensionMismatch, "learner visits"),
+    (np.zeros((27, 1), dtype=np.int64), 50.0, DimensionMismatch, "learner visits"),
+    (np.zeros(27, dtype=np.int64), 0.0, InvalidSpec, "step_scale"),
+    (np.zeros(27, dtype=np.int64), -1.0, InvalidSpec, "step_scale"),
+    (np.zeros(27, dtype=np.int64), np.nan, InvalidSpec, "step_scale"),
+    (np.zeros(27, dtype=np.int64), np.inf, InvalidSpec, "step_scale"),
+], ids=["visits-short", "visits-column", "step-scale-zero", "step-scale-negative",
+        "step-scale-nan", "step-scale-inf"])
+def test_learner_inputs_are_checked_before_any_draw(visits, step_scale, error, match):
+    # these were a bare IndexError after some updates, a bare TypeError,
+    # ZeroDivisionError and ZeroNormalizer; the episode writes visits back
+    ring, _, _ = make_ring(RingSpec(27))
+    q = goal_task_vector(ring.n_boundary, 0, ring.rewards.temperature)
+    learner = LearningState(np.ones(27), q, visits, step_scale=step_scale)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(error, match=match):
+        run_learning_episode(ring, learner, rng, start_state=13)
+    np.testing.assert_array_equal(learner.z_interior, np.ones(27))
+    assert not learner.visits.any()
+    assert rng.bit_generator.state == state
+
+
+class FailingGenerator:
+    """A Generator whose ``random()`` raises after ``calls`` draws."""
+
+    def __init__(self, seed, calls):
+        self.rng, self.calls = np.random.default_rng(seed), calls
+
+    def random(self):
+        if self.calls == 0:
+            raise RuntimeError("generator failed")
+        self.calls -= 1
+        return self.rng.random()
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("guided", [False, True], ids=["flat", "guided"])
+# the start is 20 steps from the goal, so every episode draws 20 times or more
+@pytest.mark.parametrize("calls", [0, 1, 10, 19])
+def test_an_aborted_episode_writes_its_updates_back(rooms, guided, calls):
+    # the estimate and visits live in lists for an episode; a failure part
+    # way through still leaves every backup made so far in the caller's arrays
+    lmdp, template, goal_q, _, start = rooms
+    stack, boundary = None, goal_q
+    if guided:
+        stack = template.clone()
+        stack.set_task(goal_q)
+        lmdp = stack.layers[0].lmdp
+        boundary = np.concatenate([goal_q, np.ones(stack.layers[0].n_subtasks)])
+    ours, theirs = (fresh_learner(lmdp.n_interior, boundary) for _ in range(2))
+    for learner, episode in ((ours, run_learning_episode), (theirs, reference_episode)):
+        # a trained estimate first, so the write-back is not of all ones
+        for seed in range(3):
+            episode(lmdp, learner, np.random.default_rng(seed),
+                    stack=None if stack is None else stack.clone(),
+                    start_state=start, max_steps=2000)
+        before = learner.visits.sum()
+        with pytest.raises(RuntimeError, match="generator failed"):
+            episode(lmdp, learner, FailingGenerator(7, calls),
+                    stack=None if stack is None else stack.clone(),
+                    start_state=start, max_steps=2000)
+        if calls >= 10:  # backups before the raise, so the write-back shows
+            assert learner.visits.sum() > before
+    assert ours.z_interior.tobytes() == theirs.z_interior.tobytes()
+    assert ours.visits.tobytes() == theirs.visits.tobytes()
+
+
 def test_estimates_stay_positive_during_training(rooms):
     lmdp, _, goal_q, _, start = rooms
     learner, _ = train(lmdp, goal_q, epochs=3, episodes_per_epoch=5,
