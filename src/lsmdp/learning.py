@@ -44,6 +44,11 @@ class LearningState:
         return self.step_scale / (self.step_scale + int(self.visits[state]))
 
 
+def check_step_scale(step_scale: float) -> None:
+    if not (math.isfinite(step_scale) and step_scale > 0):
+        raise InvalidSpec(f"step_scale must be finite and positive, got {step_scale}")
+
+
 def z_learning_step(learner: LearningState, state: int, reward: float,
                     next_state: int, temperature: float) -> float:
     """One stochastic backup from a sampled transition.
@@ -116,9 +121,7 @@ def run_learning_episode(lmdp: Lmdp, learner: LearningState,
         shape = np.shape(getattr(learner, name))
         if shape != (n,):
             raise DimensionMismatch(f"learner {name} shape {shape}, expected ({n},)")
-    if not (math.isfinite(learner.step_scale) and learner.step_scale > 0):
-        raise InvalidSpec(
-            f"step_scale must be finite and positive, got {learner.step_scale}")
+    check_step_scale(learner.step_scale)
     max_steps = rollout_budget(n_i, start_state, max_steps)
     s = int(rng.integers(n_i)) if start_state is None else start_state
     lam = lmdp.rewards.temperature
@@ -186,6 +189,7 @@ def train(lmdp: Lmdp, goal_task: np.ndarray, epochs: int,
     """
     check_count("epochs", epochs)
     check_count("episodes_per_epoch", episodes_per_epoch)
+    check_step_scale(step_scale)
     rng = np.random.default_rng(seed)
     goal = np.asarray(goal_task, dtype=np.float64)
     if not np.isfinite(goal).all() or (goal < 0).any():

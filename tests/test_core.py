@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import math
 import warnings
+from bisect import bisect_right
 from types import SimpleNamespace
 
 import numpy as np
@@ -773,10 +774,22 @@ def test_scalar_columns_match_numpy_bit_for_bit(seed, max_interior):
         assert np.array_equal(rows, ref_rows) and np.array_equal(probs, ref_probs)
         narrow = lmdp.passive.narrow_columns[s]
         if narrow is not None:
-            # the learner tilts, sums and draws a list of floats in one call
+            # the learner tilts, sums and draws a list of floats in one call;
+            # the running sum it bisects is numpy's float for float
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert ([core.narrow_draw(narrow, z_full.tolist(), s, rng_a) for _ in range(50)]
-                    == [reference_draw(ref_rows, ref_probs, rng_b) for _ in range(50)])
+            bisected = []
+
+            def record(cum, x):
+                bisected.append(cum)
+                return bisect_right(cum, x)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core, "bisect_right", record)
+                drawn = [core.narrow_draw(narrow, z_full.tolist(), s, rng_a)
+                         for _ in range(50)]
+            assert drawn == [reference_draw(ref_rows, ref_probs, rng_b) for _ in range(50)]
+            assert len(bisected) == 50
+            assert all(cum == np.cumsum(ref_probs).tolist() for cum in bisected)
         # normalized and, as learners pass them, unnormalized probabilities,
         # as an ndarray or a plain list
         for p in (probs, P.data[lo:hi], P.data[lo:hi].tolist()):

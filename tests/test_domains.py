@@ -253,7 +253,7 @@ def test_arm_spec_validation():
     with pytest.raises(InvalidSpec):
         ArmSpec(5, target_rect=(1.0, 1.0, 0.0, 1.0))
     with pytest.raises(InvalidSpec):
-        ArmSpec(5, step_prob=0.25)   # stay mass 0 cannot cover the exit
+        ArmSpec(5, step_prob=0.25)   # four moves of 0.25 leave no stay mass
 
 
 @pytest.mark.parametrize("spec, field", [
@@ -264,12 +264,14 @@ def test_arm_spec_validation():
     (lambda: ArmSpec(5, step_prob=math.nan), "step_prob"),
     (lambda: ArmSpec(5, exit_prob=-0.01), "exit_prob"),
     (lambda: ArmSpec(5, exit_prob=math.nan), "exit_prob"),
+    (lambda: ArmSpec(5, step_prob=0.2, exit_prob=0.5), "exit_prob"),
 ], ids=["ring-exit-negative", "ring-exit-nan", "ring-step-nan", "arm-step-negative",
-        "arm-step-nan", "arm-exit-negative", "arm-exit-nan"])
+        "arm-step-nan", "arm-exit-negative", "arm-exit-nan", "arm-exit-over-stay"])
 def test_walk_probabilities_are_checked_by_field(spec, field):
     # a negative arm step used to surface as NotStochastic from the kernel, a
-    # NaN one as a ValueError, and a negative exit as "exceeds stay mass"
-    with pytest.raises(InvalidSpec, match=f"^{field} must lie in .*, got (-0.01|nan)$"):
+    # NaN one as a ValueError, and a negative exit as "exceeds stay mass";
+    # an exit above the stay mass 1 - 4 * 0.2 is named as such
+    with pytest.raises(InvalidSpec, match=f"^{field} must lie in .*, got (-0.01|nan|0.5)$"):
         spec()
 
 

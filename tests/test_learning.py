@@ -202,6 +202,21 @@ def test_learner_inputs_are_checked_before_any_draw(visits, step_scale, error, m
     assert rng.bit_generator.state == state
 
 
+class Untouchable:
+    """A stack stand-in that fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"stack.{name} used")
+
+
+@pytest.mark.parametrize("step_scale", [0.0, np.nan])
+def test_train_checks_step_scale_before_the_stack(rooms, step_scale):
+    lmdp, _, goal_q, _, start = rooms
+    with pytest.raises(InvalidSpec, match="step_scale"):
+        train(lmdp, goal_q, epochs=1, episodes_per_epoch=1, seed=0, stack=Untouchable(),
+              start_state=start, step_scale=step_scale)
+
+
 class FailingGenerator:
     """A Generator whose ``random()`` raises after ``calls`` draws."""
 
