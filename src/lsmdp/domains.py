@@ -173,7 +173,8 @@ class GridSpec:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise InvalidSpec("grid must have positive dimensions")
-        if abs(self.stay_prob + 4 * self.step_prob - 1.0) > 1e-9:
+        _check_walk(self.step_prob, self.exit_prob, 4)
+        if not abs(self.stay_prob + 4 * self.step_prob - 1.0) <= 1e-9:
             raise InvalidSpec("stay_prob + 4 * step_prob must equal 1")
         object.__setattr__(self, "walls",
                            frozenset(self.walls) - set(self.doors))

@@ -2,8 +2,8 @@
 
 All writers are deterministic: floats render with 17 significant digits
 (%.17g, enough to round-trip a double), JSON keys are sorted, newlines are
-always "\\n", and arrays go to float64 ``.npy`` files.  Rerunning a writer
-on equal inputs produces byte-identical files.
+always "\\n", and arrays go to ``.npy`` files, float64 or int64.  Rerunning
+a writer on equal inputs produces byte-identical files.
 """
 from __future__ import annotations
 
@@ -45,23 +45,27 @@ def _matrix_triples(matrix: sp.csc_matrix) -> List[list]:
 # LMDP documents
 
 
-def lmdp_to_dict(lmdp: Lmdp) -> dict:
-    """JSON-ready description: sizes, temperature, rewards, passive triples.
-
-    Triples use global destination indices (boundary rows start at
-    n_interior) and are sorted by source then destination.
-    """
+def _lmdp_header(lmdp: Lmdp) -> dict:
+    """An LMDP document without its kernel: sizes, temperature, rewards, labels."""
     doc = {
         "n_interior": lmdp.n_interior,
         "n_boundary": lmdp.n_boundary,
         "lambda": float(lmdp.rewards.temperature),
         "r_i": [float(v) for v in lmdp.rewards.interior],
         "r_b": [float(v) for v in lmdp.rewards.boundary],
-        "passive": _matrix_triples(lmdp.passive.full_matrix),
     }
     if lmdp.partition.labels is not None:
         doc["labels"] = list(lmdp.partition.labels)
     return doc
+
+
+def lmdp_to_dict(lmdp: Lmdp) -> dict:
+    """JSON-ready description: sizes, temperature, rewards, passive triples.
+
+    Triples use global destination indices (boundary rows start at
+    n_interior) and are sorted by source then destination.
+    """
+    return dict(_lmdp_header(lmdp), passive=_matrix_triples(lmdp.passive.full_matrix))
 
 
 def lmdp_from_dict(doc: dict) -> Lmdp:
@@ -124,31 +128,34 @@ def save_text(path, text: str) -> None:
 def save_stack(stack: HierarchyStack, directory) -> None:
     """Write a stack as one document per layer plus a manifest.
 
-    ``layer_k.json`` holds the layer's LMDP document under "lmdp" and, under
-    "boundary_tasks" and "desirabilities", the names of the ``.npy`` files
-    beside it that hold its basis arrays; the last boundary rows of its
-    passive triples are its subtask access rows.  The manifest (format 3)
-    records the layer count, order and kinds, kappa and penalty, termination
-    flags (a layer's subtasks live while the layer above does), and current
-    task weights when set.
+    ``layer_k.json`` holds the layer's LMDP document without its kernel
+    under "lmdp" and names the ``.npy`` files beside it: the basis arrays
+    under "boundary_tasks" and "desirabilities", and under "passive_data",
+    "passive_indices" and "passive_indptr" (int64) the CSC arrays of its one
+    kernel, ``full_matrix`` as stored (its draw order), subtask access rows
+    last.  The manifest (format 4) records the layer count, order and kinds,
+    kappa and penalty, termination flags (a layer's subtasks live while the
+    layer above does), and current task weights when set.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    layer_files = []
     for k, entry in enumerate(stack.layers):
-        name = f"layer_{k}.json"
-        layer_files.append(name)
-        doc = {"lmdp": lmdp_to_dict(entry.lmdp)}
-        for key in ("boundary_tasks", "desirabilities"):
+        doc = {"lmdp": _lmdp_header(entry.lmdp)}
+        kernel = entry.lmdp.passive.full_matrix
+        for key, array in (("boundary_tasks", entry.basis.boundary_tasks),
+                           ("desirabilities", entry.basis.desirabilities),
+                           ("passive_data", kernel.data),
+                           ("passive_indices", kernel.indices.astype(np.int64)),
+                           ("passive_indptr", kernel.indptr.astype(np.int64))):
             doc[key] = f"layer_{k}.{key}.npy"
-            np.save(directory / doc[key], getattr(entry.basis, key))
-        write_json(directory / name, doc)
+            np.save(directory / doc[key], array)
+        write_json(directory / f"layer_{k}.json", doc)
     manifest = {
-        "format": 3,
+        "format": 4,
         "depth": stack.depth,
         "kappa": float(stack.kappa),
         "penalty": float(stack.penalty),
-        "layer_files": layer_files,
+        "layer_files": [f"layer_{k}.json" for k in range(stack.depth)],
         "layer_kinds": ["augmented" if entry.n_subtasks else "top"
                         for entry in stack.layers],
         "terminated": [bool(v) for v in stack.terminated],

@@ -200,6 +200,7 @@ def test_blocked_start_cell(tmp_path):
 
 
 RING = {"type": "ring", "n_states": 12, "depth": 2}
+ROOMS = {"type": "grid", "four_rooms": 11, "goal_cells": [[0, 10]]}
 # a one-state corridor to a single exit
 LMDP = {"n_interior": 1, "n_boundary": 1, "lambda": 1.0, "r_i": [-1.0],
         "r_b": [0.0], "passive": [[0, 1, 1.0]]}
@@ -231,6 +232,9 @@ LMDP = {"n_interior": 1, "n_boundary": 1, "lambda": 1.0, "r_i": [-1.0],
     ("solve", {"type": "arm", "n_bins": 8, "step_prob": -0.01}),
     ("solve", {"type": "arm", "n_bins": 8, "exit_prob": -0.01}),
     ("solve", {"type": "arm", "n_bins": 8, "exit_prob": float("nan")}),
+    ("solve", dict(ROOMS, step_prob=float("nan"))),
+    ("solve", dict(ROOMS, exit_prob=float("nan"))),
+    ("solve", dict(ROOMS, exit_prob=-0.01)),
 ], ids=["ring-size-string", "goal-string", "top-level-list", "arm-bins-string",
         "max-steps-string", "learn-epochs-string", "max-steps-zero",
         "learn-max-steps-negative", "learn-episodes-zero", "learn-step-scale-zero",
@@ -238,12 +242,17 @@ LMDP = {"n_interior": 1, "n_boundary": 1, "lambda": 1.0, "r_i": [-1.0],
         "learn-conditions-unknown", "lmdp-labels-int", "lmdp-triple-short",
         "lmdp-triple-string", "lmdp-passive-int", "lmdp-triple-repeated",
         "lmdp-triple-nan", "arm-step-nan", "arm-step-negative", "arm-exit-negative",
-        "arm-exit-nan"])
+        "arm-exit-nan", "grid-step-nan", "grid-exit-nan", "grid-exit-negative"])
 def test_malformed_config_values(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path / "cfg.json", doc)
     assert main([command, "--domain", cfg,
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("configuration error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    # a walk probability out of range is named in the message
+    for field in ("step_prob", "exit_prob"):
+        if isinstance(doc, dict) and field in doc:
+            assert f"{field} must lie in" in err
 
 
 def test_every_error_is_config_or_numerical():

@@ -137,6 +137,8 @@ def test_goal_override_names_the_goal():
 def test_grid_spec_validation():
     with pytest.raises(InvalidSpec):
         GridSpec(width=3, height=3, goal_cells=((0, 0),), stay_prob=0.5)
+    with pytest.raises(InvalidSpec, match="stay_prob"):
+        GridSpec(width=3, height=3, goal_cells=((0, 0),), stay_prob=math.nan)
     with pytest.raises(InvalidSpec):
         GridSpec(width=3, height=3, goal_cells=())
     with pytest.raises(BlockedCell):
@@ -253,7 +255,7 @@ def test_arm_spec_validation():
     with pytest.raises(InvalidSpec):
         ArmSpec(5, target_rect=(1.0, 1.0, 0.0, 1.0))
     with pytest.raises(InvalidSpec):
-        ArmSpec(5, step_prob=0.25)   # four moves of 0.25 leave no stay mass
+        ArmSpec(5, step_prob=0.25)   # four moves need step_prob below 1/4
 
 
 @pytest.mark.parametrize("spec, field", [
@@ -265,8 +267,13 @@ def test_arm_spec_validation():
     (lambda: ArmSpec(5, exit_prob=-0.01), "exit_prob"),
     (lambda: ArmSpec(5, exit_prob=math.nan), "exit_prob"),
     (lambda: ArmSpec(5, step_prob=0.2, exit_prob=0.5), "exit_prob"),
+    (lambda: GridSpec(3, 3, goal_cells=((0, 0),), step_prob=math.nan), "step_prob"),
+    (lambda: GridSpec(3, 3, goal_cells=((0, 0),), exit_prob=math.nan), "exit_prob"),
+    (lambda: GridSpec(3, 3, goal_cells=((0, 0),), exit_prob=-0.01), "exit_prob"),
+    (lambda: GridSpec(3, 3, goal_cells=((0, 0),), exit_prob=0.5), "exit_prob"),
 ], ids=["ring-exit-negative", "ring-exit-nan", "ring-step-nan", "arm-step-negative",
-        "arm-step-nan", "arm-exit-negative", "arm-exit-nan", "arm-exit-over-stay"])
+        "arm-step-nan", "arm-exit-negative", "arm-exit-nan", "arm-exit-over-stay",
+        "grid-step-nan", "grid-exit-nan", "grid-exit-negative", "grid-exit-over-stay"])
 def test_walk_probabilities_are_checked_by_field(spec, field):
     # a negative arm step used to surface as NotStochastic from the kernel, a
     # NaN one as a ValueError, and a negative exit as "exceeds stay mass";

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lsmdp
@@ -256,13 +257,13 @@ def test_stack_directory_contents(tmp_path):
         directory = tmp_path / f"stack-{terminated}"
         save_stack(stack, directory)
         names = sorted(p.name for p in directory.iterdir())
-        assert names == ["layer_0.boundary_tasks.npy",
-                         "layer_0.desirabilities.npy", "layer_0.json",
-                         "layer_1.boundary_tasks.npy",
-                         "layer_1.desirabilities.npy", "layer_1.json",
-                         "manifest.json"]
+        assert names == [f"layer_{k}.{suffix}" for k in (0, 1)
+                         for suffix in ("boundary_tasks.npy", "desirabilities.npy",
+                                        "json", "passive_data.npy",
+                                        "passive_indices.npy", "passive_indptr.npy")
+                         ] + ["manifest.json"]
         manifest = json.loads((directory / "manifest.json").read_text())
-        assert manifest["format"] == 3
+        assert manifest["format"] == 4
         assert manifest["depth"] == 2
         assert manifest["layer_kinds"] == ["augmented", "top"]
         assert manifest["terminated"] == [False, terminated]
@@ -285,13 +286,27 @@ def ring_stack_template(n, depth):
     return _RING_STACKS[n, depth]
 
 
+@functools.lru_cache(maxsize=None)
+def rooms_stack_template():
+    return four_rooms_setting()[1]
+
+
+PASSIVE_PARTS = (("passive_data", "data", np.float64),
+                 ("passive_indices", "indices", np.int64),
+                 ("passive_indptr", "indptr", np.int64))
+
+
 @settings(max_examples=25, deadline=None)
 @given(shape=st.sampled_from([(9, 2), (12, 2), (27, 3)]),
        goal_frac=st.floats(0.0, 1.0, exclude_max=True),
        terminate=st.booleans(), layer_frac=st.floats(0.0, 1.0, exclude_max=True))
+@example(shape="rooms", goal_frac=0.0, terminate=False, layer_frac=0.0)
+@example(shape="rooms", goal_frac=0.5, terminate=True, layer_frac=0.0)
 def test_save_stack_round_trips_layers_and_manifest(shape, goal_frac, terminate,
                                                     layer_frac):
-    stack = ring_stack_template(*shape).clone()
+    template = (rooms_stack_template() if shape == "rooms"
+                else ring_stack_template(*shape))
+    stack = template.clone()
     n_b = stack.layers[0].n_base_boundary
     goal = np.full(n_b, math.exp(-10.0))
     goal[int(goal_frac * n_b)] = 1.0
@@ -303,14 +318,32 @@ def test_save_stack_round_trips_layers_and_manifest(shape, goal_frac, terminate,
         save_stack(stack, directory)
         for k, entry in enumerate(stack.layers):
             doc = read_json(directory / f"layer_{k}.json")
-            assert sorted(doc) == ["boundary_tasks", "desirabilities", "lmdp"]
-            assert doc["lmdp"] == lmdp_to_dict(entry.lmdp)
-            # reading renormalizes every passive column, which can move the
-            # last bits of an absorption-derived layer's probabilities
-            back = lmdp_to_dict(lmdp_from_dict(doc["lmdp"]))
-            assert dict(back, passive=None) == dict(doc["lmdp"], passive=None)
-            np.testing.assert_allclose(back["passive"], doc["lmdp"]["passive"],
-                                       rtol=1e-15, atol=0)
+            assert sorted(doc) == ["boundary_tasks", "desirabilities", "lmdp",
+                                   "passive_data", "passive_indices",
+                                   "passive_indptr"]
+            lmdp = entry.lmdp
+            header = {"n_interior": lmdp.n_interior, "n_boundary": lmdp.n_boundary,
+                      "lambda": lmdp.rewards.temperature,
+                      "r_i": lmdp.rewards.interior.tolist(),
+                      "r_b": lmdp.rewards.boundary.tolist()}
+            if lmdp.partition.labels is not None:
+                header["labels"] = list(lmdp.partition.labels)
+            assert doc["lmdp"] == header
+            # the kernel's arrays as the layer stores them, bit for bit, in
+            # the order its draws read them
+            kernel = lmdp.passive.full_matrix
+            parts = {}
+            for key, part, dtype in PASSIVE_PARTS:
+                saved = np.load(directory / doc[key], allow_pickle=False)
+                assert saved.dtype == dtype
+                assert saved.tobytes() == getattr(kernel, part).astype(dtype).tobytes()
+                parts[part] = saved
+            n_i, n_b = doc["lmdp"]["n_interior"], doc["lmdp"]["n_boundary"]
+            rebuilt = sp.csc_matrix((parts["data"], parts["indices"], parts["indptr"]),
+                                    shape=(n_i + n_b, n_i))
+            rebuilt.check_format(full_check=True)
+            assert rebuilt.shape == (lmdp.n_states, lmdp.n_interior)
+            assert (rebuilt != kernel).nnz == 0
             for key in ("boundary_tasks", "desirabilities"):
                 saved = np.load(directory / doc[key], allow_pickle=False)
                 expected = getattr(entry.basis, key)
@@ -318,20 +351,15 @@ def test_save_stack_round_trips_layers_and_manifest(shape, goal_frac, terminate,
                 assert saved.shape == expected.shape
                 assert np.array_equal(saved, expected)
         manifest = read_json(directory / "manifest.json")
-    assert manifest["format"] == 3
+    assert manifest["format"] == 4
     assert manifest["depth"] == stack.depth
     assert manifest["terminated"] == stack.terminated
     for saved, weights in zip(manifest["task_weights"], stack.weights):
         np.testing.assert_array_equal(saved, weights.values)
 
 
-FORMAT_3_KEYS = {"format", "depth", "kappa", "penalty", "layer_files",
+FORMAT_4_KEYS = {"format", "depth", "kappa", "penalty", "layer_files",
                  "layer_kinds", "terminated", "task_weights"}
-
-
-@functools.lru_cache(maxsize=None)
-def rooms_stack_template():
-    return four_rooms_setting()[1]
 
 
 def assert_same_kernel(got, want):
@@ -371,5 +399,23 @@ def test_each_layer_derives_from_the_kernel_it_solves(shape, terminate,
     with tempfile.TemporaryDirectory() as tmp:
         save_stack(stack, tmp)
         manifest = read_json(Path(tmp) / "manifest.json")
-    assert set(manifest) == FORMAT_3_KEYS
-    assert manifest["format"] == 3
+    assert set(manifest) == FORMAT_4_KEYS
+    assert manifest["format"] == 4
+
+
+def test_save_stack_builds_no_passive_triples(monkeypatch, tmp_path):
+    # the stack writer saves each kernel's arrays as they are: it neither
+    # lists triples nor renders an LMDP document
+    def refuse(*_):
+        raise AssertionError("save_stack built a triple document")
+
+    monkeypatch.setattr(lsmdp.serialize, "_matrix_triples", refuse)
+    monkeypatch.setattr(lsmdp.serialize, "lmdp_to_dict", refuse)
+    stack = ring_stack_template(27, 3).clone()
+    goal = np.full(stack.layers[0].n_base_boundary, math.exp(-10.0))
+    goal[0] = 1.0
+    stack.set_task(goal)
+    terminate_layer(stack, 1)
+    save_stack(stack, tmp_path)
+    assert read_json(tmp_path / "manifest.json")["terminated"] == stack.terminated
+    assert len(list(tmp_path.glob("*.passive_*.npy"))) == 3 * stack.depth
