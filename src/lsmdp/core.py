@@ -28,10 +28,10 @@ reports is the sum over columns.
 
 Rollouts draw one step at a time with ``policy_column`` and ``draw_from``.
 Base columns are narrow (three to six entries on the ring, arm and grid
-domains), where numpy's per-call overhead dwarfs the arithmetic, so a column
-with fewer than NARROW entries is tilted with Python floats over lists cached
-on ``PassiveDynamics``, and the learner's ``narrow_draw`` tilts, sums and draws
-it with no array made.  It performs the same IEEE operations in the same
+domains), where numpy's per-call overhead dwarfs the arithmetic, so the
+learner's ``narrow_draw`` tilts, sums and draws a column with fewer than
+NARROW entries with Python floats over lists cached on ``PassiveDynamics``,
+with no array made.  It performs the same IEEE operations in the same
 order as numpy: products are elementwise, and numpy sums an array shorter
 than 8 strictly left to right (from 8 entries on it switches to an unrolled
 pairwise sum, which a running sum would not reproduce), so dense columns,
@@ -201,18 +201,14 @@ class PassiveDynamics:
 
     @cached_property
     def narrow_columns(self) -> list:
-        """Per source state, ``(rows, row_list, prob_list)`` of its
-        full_matrix column when that has fewer than NARROW entries, else None.
-
-        ``rows`` is the column's row-index array and the lists hold the same
-        rows and their probabilities as Python ints and floats.
-        """
+        """Per source state, ``(row_list, prob_list)`` of its full_matrix
+        column as Python ints and floats when that has fewer than NARROW
+        entries, else None."""
         P = self.full_matrix
         columns = []
         for lo, hi in zip(P.indptr[:-1].tolist(), P.indptr[1:].tolist()):
             if hi - lo < NARROW:
-                rows = P.indices[lo:hi]
-                columns.append((rows, rows.tolist(), P.data[lo:hi].tolist()))
+                columns.append((P.indices[lo:hi].tolist(), P.data[lo:hi].tolist()))
             else:
                 columns.append(None)
         return columns
@@ -558,27 +554,17 @@ def policy_column(lmdp: Lmdp, z_full: np.ndarray, state: int):
     in the passive column's support.  ``z_full`` covers every state, interior
     first.  Computing one column per draw keeps rollout loops from
     materializing the whole policy after every blend update.
-
-    A column with fewer than NARROW entries is tilted with Python floats from
-    ``PassiveDynamics.narrow_columns``, skipping the sparse slicing and fancy
-    indexing; every column is then summed and divided by numpy.
     """
-    passive = lmdp.passive
-    P = passive.full_matrix
+    P = lmdp.passive.full_matrix
     if len(z_full) != P.shape[0]:
         raise DimensionMismatch(
             f"desirability covers {len(z_full)} states, LMDP has {P.shape[0]}")
     if not 0 <= state < P.shape[1]:
         raise InvalidSpec(f"policy column {state} is not an interior state "
                           f"(0..{P.shape[1] - 1})")
-    narrow = passive.narrow_columns[state]
-    if narrow is not None:
-        rows, row_list, p_list = narrow
-        vals = np.array([pv * float(z_full[r]) for r, pv in zip(row_list, p_list)])
-    else:
-        lo, hi = P.indptr[state], P.indptr[state + 1]
-        rows = P.indices[lo:hi]
-        vals = P.data[lo:hi] * z_full[rows]
+    lo, hi = P.indptr[state], P.indptr[state + 1]
+    rows = P.indices[lo:hi]
+    vals = P.data[lo:hi] * z_full[rows]
     total = vals.sum()
     if not 0.0 < total < math.inf:
         raise ZeroNormalizer(f"policy column {state} has desirability mass {total}")
@@ -589,7 +575,7 @@ def narrow_draw(narrow: tuple, z: list, state: int, rng: np.random.Generator) ->
     """``draw_from(*policy_column(lmdp, z, state), rng)`` at a ``narrow_columns``
     entry for ``z`` a list, with no array and no Python-level loop: the same
     floats, the same ZeroNormalizer checks and the same last-row clamp."""
-    _, row_list, p_list = narrow
+    row_list, p_list = narrow
     vals = list(map(mul, p_list, map(z.__getitem__, row_list)))
     total = reduce(add, vals, 0.0)
     if not 0.0 < total < math.inf:

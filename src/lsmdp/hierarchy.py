@@ -12,20 +12,22 @@ inpainting rewards onto the subtask states: the difference between its
 desired next-state distribution and its passive one, scaled by kappa, becomes
 a boundary reward vector that the lower layer re-blends against its
 subtask-task columns.  Every layer keeps the base boundary set and its one
-boundary-task matrix, so a stack solves one basis per layer and one blend of
-that matrix sets the goal at every layer.  That matrix and every subtask
-reward block are LU-factored once per stack (``multitask.factor_block``).
-A layer's task state is one ``Composite``: its weights, the desirability
-they compose, a policy-column cache, and the dead twin a termination above
-swaps in.  Within one task the same inpaint recurs, so a stack memoizes each
-re-blend's composite by layer, termination flag above and inpainted vector;
-clones share the memo and the composites, caches and dead twins in it.
+boundary-task matrix, so one blend of that matrix sets the goal at every
+layer.  The Bellman system is linear in the boundary values, so a layer
+solves once per boundary state, U = A^-1 B, and composes z_i = U z_b from the
+blended boundary values z_b; a termination above only zeroes z_b at the
+subtask states.  The task matrix and every subtask reward block are
+LU-factored once per stack (``multitask.factor_block``).  A layer's task
+state is one ``Composite``: its weights, the desirability they compose, a
+policy-column cache, and the dead twin a termination above swaps in.  Within
+one task the same inpaint recurs, so a stack memoizes each re-blend's
+composite by layer, termination flag above and inpainted vector; clones share
+the memo and the composites, caches and dead twins in it.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -53,6 +55,7 @@ from .errors import (
     SingularFundamentalMatrix,
     UnreachableSubtasks,
 )
+# build_task_basis stays importable here: perfbench/spans.py patches it
 from .multitask import TaskBasis, TaskWeights, blend_weights_matrix, build_task_basis
 from .multitask import FactoredBlock, factor_block
 
@@ -121,17 +124,18 @@ class AugmentedMlmdp:
 
     The augmented LMDP treats subtask states as extra boundary states
     (indices n_base_boundary .. n_base_boundary+n_subtasks-1 of the boundary
-    block).  Its task basis is the base boundary-task columns plus one task
-    per subtask state, solved over the augmented dynamics.  The top of a
-    stack is a rung with zero subtasks: its LMDP and basis are the top
-    layer's own.  The layer's one kernel is ``lmdp.passive``, its last
-    ``n_subtasks`` boundary rows the subtask rows.  Below a terminated
-    layer, composites blend ``dead_desirabilities`` instead of the basis.
-    Inpaint re-blends solve against ``subtask_block``, factored in augment.
+    block).  ``tasks`` holds the base boundary-task columns plus one task per
+    subtask state; ``solves`` holds the interior solve of each boundary
+    state, so the interior of any boundary values z_b is ``solves @ z_b``.
+    The top of a stack is a rung with zero subtasks over the top layer's own
+    LMDP.  The layer's one kernel is ``lmdp.passive``, its last
+    ``n_subtasks`` boundary rows the subtask rows.  Inpaint re-blends solve
+    against ``subtask_block``, factored in augment.
     """
 
     lmdp: Lmdp                      # augmented: boundary = base boundary + subtasks
-    basis: TaskBasis                # over the augmented LMDP, [base tasks | subtask tasks]
+    tasks: np.ndarray               # (n_boundary, n_tasks), [base tasks | subtask tasks]
+    solves: np.ndarray              # (n_interior, n_boundary), A^-1 B
     subtask_block: FactoredBlock    # subtask-reward block Q_t and its LU
     neutral_weights: np.ndarray     # subtask-task blend for inpainted reward 0
 
@@ -141,7 +145,7 @@ class AugmentedMlmdp:
 
     @property
     def n_base_tasks(self) -> int:
-        return self.basis.n_tasks - self.n_subtasks
+        return self.tasks.shape[1] - self.n_subtasks
 
     @property
     def n_base_boundary(self) -> int:
@@ -155,16 +159,6 @@ class AugmentedMlmdp:
         """
         lo = self.lmdp.n_interior + self.n_base_boundary
         return (lo, lo + self.n_subtasks)
-
-    @cached_property
-    def dead_desirabilities(self) -> np.ndarray:
-        """(n_interior, n_tasks) solves of the basis tasks with zero at every
-        subtask state, computed on first use.  The Bellman system is linear
-        in the boundary values, so a terminated composite blends these.
-        """
-        Q = self.basis.boundary_tasks.copy()
-        Q[self.n_base_boundary:] = 0.0
-        return solve_interior(self.lmdp, Q)
 
 
 def stack_subtask_kernel(passive: PassiveDynamics,
@@ -232,14 +226,14 @@ def augment(lmdp: Lmdp, tasks: np.ndarray, structure: SubtaskStructure,
     """Append subtask states to a layer with boundary-task matrix ``tasks``.
 
     ``tasks`` is (n_boundary, n_tasks), exponentiated; only the augmented
-    basis is solved, so the layer needs no basis of its own.  The stacked
+    layer is solved, once per boundary state.  The stacked
     kernel [to_interior; to_boundary; weights], renormalized columnwise, is
     the augmented LMDP's passive dynamics.
     Each subtask task has reward 0 at its own state and ``penalty``
     (default -5 * lambda) at the other subtask states.  The cross blocks of
     the combined task matrix (base tasks at subtask states, subtask tasks at
     boundary twins) are filled with the much steeper reward
-    AUGMENT_FILL_SCALE * lambda, kept strictly positive so every basis
+    AUGMENT_FILL_SCALE * lambda, kept strictly positive so every task
     column stays a valid exponentiated reward.  The subtask-reward block is
     factored once here and gives the neutral blend.
     """
@@ -252,6 +246,8 @@ def augment(lmdp: Lmdp, tasks: np.ndarray, structure: SubtaskStructure,
         raise DimensionMismatch(
             f"task matrix shape {Q.shape}, expected ({lmdp.n_boundary}, n_tasks >= 1)"
         )
+    if not np.isfinite(Q).all() or Q.min() <= 0:
+        raise InvalidSpec("task columns must be strictly positive and finite")
     W = structure.weights
     if W.shape[1] != lmdp.n_interior:
         raise DimensionMismatch(
@@ -285,14 +281,14 @@ def augment(lmdp: Lmdp, tasks: np.ndarray, structure: SubtaskStructure,
     Q_full = np.full((n_b + n_t, n_tasks + n_t), fill)
     Q_full[:n_b, :n_tasks] = Q
     Q_full[n_b:, n_tasks:] = Q_t
-    basis = build_task_basis(aug_lmdp, Q_full)
     subtask_block = factor_block(Q_t)
     # the blend for inpainted reward 0 (target q_t = 1) that set_task starts from
     neutral = blend_weights_matrix(subtask_block, np.ones(n_t)).values
 
     return AugmentedMlmdp(
         lmdp=aug_lmdp,
-        basis=basis,
+        tasks=Q_full,
+        solves=solve_interior(aug_lmdp, np.eye(n_b + n_t)),
         subtask_block=subtask_block,
         neutral_weights=neutral,
     )
@@ -358,12 +354,13 @@ class HierarchyStack:
     """An ordered tower of layers plus per-episode execution state.
 
     Every layer is an AugmentedMlmdp; the top one has zero subtasks.  Layer
-    structures, including their lazily solved dead-subtask bases, and
-    ``task_block``, the shared boundary-task matrix with its LU factors, are
-    immutable and shared between clones.  ``composites[k]`` is layer k's
-    current Composite and ``terminated[k]`` its flag; both lists are
-    per-clone.  A Composite's arrays are never written after they are made
-    and its cache and dead twin only fill in, so clones share the records.
+    structures, each with its boundary solves, and ``task_block``, the shared
+    boundary-task matrix with its LU factors, are immutable and shared
+    between clones; nothing is solved or factored after build_stack.
+    ``composites[k]`` is layer k's current Composite and ``terminated[k]``
+    its flag; both lists are per-clone.  A Composite's arrays are never
+    written after they are made and its cache and dead twin only fill in,
+    so clones share the records.
 
     ``reblends`` memoizes the current task's inpaint re-blends.  It maps
     (layer, terminated flag of the layer above, shape and bytes of the
@@ -434,22 +431,22 @@ class HierarchyStack:
     def _compose(self, layer: int, weights: TaskWeights, dead: bool) -> Composite:
         """The layer's Composite under ``weights``, its ``z`` read-only.
 
-        With ``dead`` (the layer above is terminated) the interior blends
-        the dead-subtask basis and the subtask states carry zero
-        desirability.  Raises NonPositiveComposite when an interior entry is
-        not positive, e.g. after underflow at low temperature.
+        The boundary values are the blend z_b = tasks @ w, zero at the
+        subtask states with ``dead`` (the layer above is terminated), and the
+        interior is solves @ z_b, a sum of nonnegative terms.  Raises
+        NonPositiveComposite when an interior entry is not positive, e.g.
+        after underflow at low temperature.
         """
         entry = self.layers[layer]
-        w = weights.values
-        Z = entry.dead_desirabilities if dead else entry.basis.desirabilities
-        z_i = Z @ w
+        z_b = entry.tasks @ weights.values
+        if dead:
+            z_b[entry.n_base_boundary:] = 0.0
+        z_i = entry.solves @ z_b
         low = z_i.min(initial=np.inf)
         if not low > 0:
             raise NonPositiveComposite(
                 f"layer {layer} composite desirability min = {low:.3g}")
-        z = np.concatenate([z_i, entry.basis.boundary_tasks @ w])
-        if dead:
-            z[slice(*entry.subtask_range)] = 0.0
+        z = np.concatenate([z_i, z_b])
         z.flags.writeable = False
         return Composite(weights, z)
 
@@ -488,9 +485,10 @@ def build_stack(basis: TaskBasis, structures: Sequence[SubtaskStructure],
     Each structure augments the current layer; the layer above lives on the
     subtask states with absorption-derived passive dynamics, keeps the base
     boundary set and temperature, inherits the boundary-task matrix, and
-    charges reward -1 per step.  Only the augmented layers and a derived top
-    solve a basis; with no structures the top is ``basis`` itself.  Every
-    block a stack blends is factored here or in ``augment``, not in episodes.
+    charges reward -1 per step.  Of ``basis`` only ``base`` and
+    ``boundary_tasks`` are read.  Every layer solves each of its boundary
+    states once, and every block a stack blends is factored here or in
+    ``augment``, not in episodes.
     ``kappa`` (default lambda) scales inpainted rewards and must be finite;
     ``penalty`` defaults to -5 * lambda.
     """
@@ -518,7 +516,8 @@ def build_stack(basis: TaskBasis, structures: Sequence[SubtaskStructure],
                           RewardModel(np.full(n_next, -1.0), lmdp.rewards.boundary, lam0))
     # the top is a rung with no subtask states above it
     layers.append(AugmentedMlmdp(
-        lmdp=lmdp, basis=build_task_basis(lmdp, tasks) if layers else basis,
+        lmdp=lmdp, tasks=tasks,
+        solves=solve_interior(lmdp, np.eye(lmdp.n_boundary)),
         subtask_block=factor_block(np.empty((0, 0))), neutral_weights=np.empty(0)))
     depth = len(layers)
     return HierarchyStack(
@@ -535,11 +534,11 @@ def terminate_layer(stack: HierarchyStack, layer: int) -> None:
     """Switch a layer off for the rest of the episode.
 
     The layer below loses all transition mass into its subtask states: it
-    re-blends its weights over its dead-subtask basis, which puts zero
-    desirability on those states, so the policy tilt can never select them
-    again.  Nothing new is factored after the basis's one solve per layer,
-    and a live Composite composes its dead twin once for all clones.  The
-    base layer cannot be terminated.  On an error the stack is unchanged.
+    recomposes its weights with zero boundary value at those states from the
+    same boundary solves, so the policy tilt can never select them again.
+    Nothing is solved or factored, and a live Composite composes its dead
+    twin once for all clones.  The base layer cannot be terminated.  On an
+    error the stack is unchanged.
     """
     if not 0 <= layer < stack.depth:
         raise InvalidSpec(f"no layer {layer} in a depth-{stack.depth} stack")

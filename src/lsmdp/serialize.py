@@ -129,11 +129,12 @@ def save_stack(stack: HierarchyStack, directory) -> None:
     """Write a stack as one document per layer plus a manifest.
 
     ``layer_k.json`` holds the layer's LMDP document without its kernel
-    under "lmdp" and names the ``.npy`` files beside it: the basis arrays
-    under "boundary_tasks" and "desirabilities", and under "passive_data",
+    under "lmdp" and names the ``.npy`` files beside it: under
+    "boundary_tasks" its task matrix, under "boundary_solves" the interior
+    solve of each boundary state, and under "passive_data",
     "passive_indices" and "passive_indptr" (int64) the CSC arrays of its one
     kernel, ``full_matrix`` as stored (its draw order), subtask access rows
-    last.  The manifest (format 4) records the layer count, order and kinds,
+    last.  The manifest (format 5) records the layer count, order and kinds,
     kappa and penalty, termination flags (a layer's subtasks live while the
     layer above does), and current task weights when set.
     """
@@ -142,8 +143,8 @@ def save_stack(stack: HierarchyStack, directory) -> None:
     for k, entry in enumerate(stack.layers):
         doc = {"lmdp": _lmdp_header(entry.lmdp)}
         kernel = entry.lmdp.passive.full_matrix
-        for key, array in (("boundary_tasks", entry.basis.boundary_tasks),
-                           ("desirabilities", entry.basis.desirabilities),
+        for key, array in (("boundary_tasks", entry.tasks),
+                           ("boundary_solves", entry.solves),
                            ("passive_data", kernel.data),
                            ("passive_indices", kernel.indices.astype(np.int64)),
                            ("passive_indptr", kernel.indptr.astype(np.int64))):
@@ -151,7 +152,7 @@ def save_stack(stack: HierarchyStack, directory) -> None:
             np.save(directory / doc[key], array)
         write_json(directory / f"layer_{k}.json", doc)
     manifest = {
-        "format": 4,
+        "format": 5,
         "depth": stack.depth,
         "kappa": float(stack.kappa),
         "penalty": float(stack.penalty),

@@ -837,7 +837,7 @@ def test_narrow_draw_rejects_a_column_without_finite_positive_mass(fill):
     ring, _, _ = make_ring(RingSpec(12))
     narrow = ring.passive.narrow_columns[4]
     z = [0.0 if fill == 0.0 else 1.0] * ring.n_states
-    z[narrow[1][0]] = fill
+    z[narrow[0][0]] = fill
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(ZeroNormalizer, match="policy column 4"):

@@ -154,10 +154,10 @@ def test_augmented_columns_sum_to_one():
 def test_augment_extends_boundary_and_tasks():
     aug = small_augmented()
     assert aug.lmdp.n_boundary == aug.n_base_boundary + aug.n_subtasks
-    assert aug.basis.n_tasks == aug.n_base_tasks + aug.n_subtasks
+    assert aug.tasks.shape[1] == aug.n_base_tasks + aug.n_subtasks
     # base task columns survive unchanged on the base boundary block
     np.testing.assert_array_equal(
-        aug.basis.boundary_tasks[:aug.n_base_boundary, :aug.n_base_tasks],
+        aug.tasks[:aug.n_base_boundary, :aug.n_base_tasks],
         np.ones((1, 1)))
     # subtask boundary twins carry the default access penalty, -5 lambda
     np.testing.assert_allclose(
@@ -357,7 +357,7 @@ def test_empty_structure_list_gives_flat_stack(chain5):
     assert stack.depth == 1
     top = stack.layers[0]
     assert top.n_subtasks == 0
-    assert top.lmdp is chain5 and top.basis is basis
+    assert top.lmdp is chain5 and top.tasks is basis.boundary_tasks
     assert top.subtask_range == (chain5.n_states, chain5.n_states)
     stack.set_task(chain5.q_boundary)
     with pytest.raises(InvalidSpec):
@@ -404,12 +404,13 @@ def test_stack_construction_is_bit_deterministic(tmp_path):
 
 
 def test_build_stack_factors_each_kernel_once(monkeypatch):
-    # depth 3: two augmented bases, two absorption systems and the top basis;
-    # the intermediate derived layer is only augmented, never solved plain
+    # depth 3: two augmented layers' and the top's boundary solves, and two
+    # absorption systems; the intermediate derived layer is only augmented,
+    # never solved plain
     lmdp, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3))
     basis = build_task_basis(lmdp, tasks)
     solved, factorized = [], []
-    real_solve, real_factorize = multitask.solve_interior, core._factorize
+    real_solve, real_factorize = hierarchy.solve_interior, core._factorize
 
     def counting_solve(kernel, q_boundary):
         solved.append(kernel)
@@ -419,6 +420,7 @@ def test_build_stack_factors_each_kernel_once(monkeypatch):
         factorized.append(A)
         return real_factorize(A, error)
 
+    monkeypatch.setattr(hierarchy, "solve_interior", counting_solve)
     monkeypatch.setattr(multitask, "solve_interior", counting_solve)
     monkeypatch.setattr(core, "_factorize", counting_factorize)
     monkeypatch.setattr(hierarchy, "_factorize", counting_factorize)
@@ -434,8 +436,7 @@ def test_set_task_blends_the_shared_task_matrix_once(monkeypatch):
     stack = build_stack(build_task_basis(lmdp, tasks), structures)
     for entry in stack.layers:
         np.testing.assert_array_equal(
-            entry.basis.boundary_tasks[:entry.n_base_boundary,
-                                       :entry.n_base_tasks], tasks)
+            entry.tasks[:entry.n_base_boundary, :entry.n_base_tasks], tasks)
     blended = []
     real = hierarchy.blend_weights_matrix
 
@@ -459,8 +460,7 @@ def test_set_task_blends_the_shared_task_matrix_once(monkeypatch):
 def test_a_stack_factors_its_blocks_once_and_episodes_skip_nnls(monkeypatch):
     # ring-27 depth 3: build_stack factors the two subtask-reward blocks and
     # the shared task matrix; set_task and an episode's neutral and inpaint
-    # re-blends then solve against those factors and never run NNLS.  (A
-    # termination still solves its layer's dead-subtask basis on first use.)
+    # re-blends then solve against those factors and never run NNLS
     lmdp, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3))
     basis = build_task_basis(lmdp, tasks)
     factored, fitted, blended = [], [], []
@@ -583,7 +583,7 @@ def test_top_layer_termination_reduces_to_flat_blend():
     terminate_layer(stack, 1)
     lo, hi = stack.layers[0].subtask_range
     aug = stack.layers[0]
-    boundary = aug.basis.boundary_tasks @ stack.weights[0].values
+    boundary = aug.tasks @ stack.weights[0].values
     boundary[lo - aug.lmdp.n_interior:hi - aug.lmdp.n_interior] = 0.0
     expected = solve_interior(aug.lmdp, boundary)
     np.testing.assert_allclose(stack.z_full[0][:aug.lmdp.n_interior], expected,
@@ -603,12 +603,42 @@ def test_termination_does_not_factor(monkeypatch):
     monkeypatch.setattr(core, "_factorize", counting)
     first = template.clone()
     terminate_layer(first, 1)
-    assert len(factorized) == 1  # the layer's dead-subtask basis
+    assert factorized == []  # the build solved every boundary state
     second = template.clone()
     terminate_layer(second, 1)
     second.apply_inpaint(0, np.zeros(second.layers[0].n_subtasks))
-    assert len(factorized) == 1
+    assert factorized == []
     np.testing.assert_array_equal(second.z_full[0], first.z_full[0])
+
+
+def test_nothing_is_solved_after_build_stack(monkeypatch):
+    # ring-27 depth 3, goal 0, start 13, seed 1: its episode inpaints and
+    # terminates a layer; every composite comes from the build's solves
+    lmdp, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3))
+    template = build_stack(build_task_basis(lmdp, tasks), structures)
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((core, "_factorize"), (hierarchy, "_factorize"),
+                         (hierarchy, "solve_interior"),
+                         (multitask, "solve_interior")):
+        counting(module, name)
+    template.set_task(goal_task_vector(lmdp.n_boundary, 0, lmdp.rewards.temperature))
+    for layer in range(1, template.depth):
+        stack = template.clone()
+        stack.apply_inpaint(layer - 1, np.full(stack.layers[layer - 1].n_subtasks, 0.5))
+        terminate_layer(stack, layer)
+        stack.apply_inpaint(layer - 1, np.full(stack.layers[layer - 1].n_subtasks, -0.5))
+    traj = run_episode(template.clone(), 13, np.random.default_rng(1))
+    assert any(event.terminated_layer is not None for event in traj.events)
+    assert calls == []
 
 
 def assert_terminated_composite(stack, layer):
@@ -625,7 +655,7 @@ def assert_terminated_composite(stack, layer):
     lmdp, z = stack.policy_state(below)
     n_i = lmdp.n_interior
     lo, hi = entry.subtask_range
-    q_b = entry.basis.boundary_tasks @ stack.weights[below].values
+    q_b = entry.tasks @ stack.weights[below].values
     q_b[lo - n_i:hi - n_i] = 0.0
     expected = oracles.first_exit_desirability(
         lmdp.passive.full_matrix, n_i, lmdp.rewards.interior,
@@ -675,6 +705,37 @@ def test_terminated_four_rooms_matches_dense_oracle(temperature):
     stack.set_task(goal_q)
     terminate_layer(stack, 1)
     assert_terminated_composite(stack, 1)
+
+
+@functools.cache
+def solved_stack(shape):
+    """A ring stack of (n_states, depth), or four-rooms-11; no task set."""
+    if shape == "rooms":
+        return four_rooms_setting()[1]
+    n_states, depth = shape
+    lmdp, structures, tasks = make_ring(RingSpec(n_states, subtask_spacing=3,
+                                                 depth=depth))
+    return build_stack(build_task_basis(lmdp, tasks), structures)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from([(9, 2), (12, 2), (12, 3), (27, 2), (27, 3), "rooms"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_boundary_solves_compose_every_task(shape, seed):
+    # the Bellman system is linear in the boundary values, so the solve of
+    # each boundary state blended by a task column is that task's solve; the
+    # solves are nonnegative, and boundary values positive off the subtask
+    # states (a terminated composite's) reach every interior state
+    rng = np.random.default_rng(seed)
+    for entry in solved_stack(shape).layers:
+        lmdp, U = entry.lmdp, entry.solves
+        assert U.shape == (lmdp.n_interior, lmdp.n_boundary)
+        assert np.isfinite(U).all() and (U >= 0).all()
+        np.testing.assert_allclose(U @ entry.tasks, solve_interior(lmdp, entry.tasks),
+                                   rtol=1e-12, atol=0)
+        z_b = np.exp(rng.uniform(-6.0, 0.0, lmdp.n_boundary))
+        z_b[entry.n_base_boundary:] = 0.0
+        assert (U @ z_b > 0).all()
 
 
 def test_double_termination_rejected():

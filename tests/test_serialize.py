@@ -258,12 +258,12 @@ def test_stack_directory_contents(tmp_path):
         save_stack(stack, directory)
         names = sorted(p.name for p in directory.iterdir())
         assert names == [f"layer_{k}.{suffix}" for k in (0, 1)
-                         for suffix in ("boundary_tasks.npy", "desirabilities.npy",
+                         for suffix in ("boundary_solves.npy", "boundary_tasks.npy",
                                         "json", "passive_data.npy",
                                         "passive_indices.npy", "passive_indptr.npy")
                          ] + ["manifest.json"]
         manifest = json.loads((directory / "manifest.json").read_text())
-        assert manifest["format"] == 4
+        assert manifest["format"] == 5
         assert manifest["depth"] == 2
         assert manifest["layer_kinds"] == ["augmented", "top"]
         assert manifest["terminated"] == [False, terminated]
@@ -318,7 +318,7 @@ def test_save_stack_round_trips_layers_and_manifest(shape, goal_frac, terminate,
         save_stack(stack, directory)
         for k, entry in enumerate(stack.layers):
             doc = read_json(directory / f"layer_{k}.json")
-            assert sorted(doc) == ["boundary_tasks", "desirabilities", "lmdp",
+            assert sorted(doc) == ["boundary_solves", "boundary_tasks", "lmdp",
                                    "passive_data", "passive_indices",
                                    "passive_indptr"]
             lmdp = entry.lmdp
@@ -344,21 +344,21 @@ def test_save_stack_round_trips_layers_and_manifest(shape, goal_frac, terminate,
             rebuilt.check_format(full_check=True)
             assert rebuilt.shape == (lmdp.n_states, lmdp.n_interior)
             assert (rebuilt != kernel).nnz == 0
-            for key in ("boundary_tasks", "desirabilities"):
+            for key, expected in (("boundary_tasks", entry.tasks),
+                                  ("boundary_solves", entry.solves)):
                 saved = np.load(directory / doc[key], allow_pickle=False)
-                expected = getattr(entry.basis, key)
                 assert saved.dtype == np.float64
                 assert saved.shape == expected.shape
                 assert np.array_equal(saved, expected)
         manifest = read_json(directory / "manifest.json")
-    assert manifest["format"] == 4
+    assert manifest["format"] == 5
     assert manifest["depth"] == stack.depth
     assert manifest["terminated"] == stack.terminated
     for saved, weights in zip(manifest["task_weights"], stack.weights):
         np.testing.assert_array_equal(saved, weights.values)
 
 
-FORMAT_4_KEYS = {"format", "depth", "kappa", "penalty", "layer_files",
+FORMAT_5_KEYS = {"format", "depth", "kappa", "penalty", "layer_files",
                  "layer_kinds", "terminated", "task_weights"}
 
 
@@ -399,8 +399,8 @@ def test_each_layer_derives_from_the_kernel_it_solves(shape, terminate,
     with tempfile.TemporaryDirectory() as tmp:
         save_stack(stack, tmp)
         manifest = read_json(Path(tmp) / "manifest.json")
-    assert set(manifest) == FORMAT_4_KEYS
-    assert manifest["format"] == 4
+    assert set(manifest) == FORMAT_5_KEYS
+    assert manifest["format"] == 5
 
 
 def test_save_stack_builds_no_passive_triples(monkeypatch, tmp_path):
