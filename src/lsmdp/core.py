@@ -24,7 +24,8 @@ vector, or a matrix of task columns) against the one factorization;
 contracts monotonically from a zero start, to the same inputs: a matrix of
 task columns is iterated a block at a time with one sparse product per sweep,
 each column stopping at its own converging sweep, and the sweep count it
-reports is the sum over columns.
+reports is the sum over columns.  An overflowing iterate raises within 8
+sweeps, and a non-finite iterate is never returned.
 
 Rollouts draw one step at a time with ``policy_column`` and ``draw_from``.
 Base columns are narrow (three to six entries on the ring, arm and grid
@@ -81,8 +82,8 @@ DENSE_CUTOFF = 64
 # ArmSpec(30), 115 on the ring-243 stack's layer 0 and 624 on the four-rooms
 # grid; wider sweeps faster, but twice this raised peak memory by a quarter.
 SOLVE_BYTES = 512 * 1024
-# Columns with fewer entries take the scalar path of policy_column; 8 is
-# where numpy's sum turns from left to right into pairwise.
+# narrow_columns keeps, for narrow_draw, the columns with fewer entries (None
+# for the rest); 8 is where numpy's sum turns from left to right into pairwise.
 NARROW = 8
 
 
@@ -466,17 +467,18 @@ def z_iterate(lmdp: Lmdp, q_boundary: np.ndarray, z0: Optional[np.ndarray] = Non
     or at max_iter.  Columns are iterated block_width(lmdp) at a time with
     one sparse product per sweep; every column gets the same arithmetic, bit
     for bit, as iterating it alone, so the width changes no result.  A sweep
-    skips the per-column max while |change| at each column's probe row (its
-    last argmax), a lower bound on that max, exceeds tol; a NaN anywhere,
-    which the block's max propagates, forces it.
+    reads only each column's probe row (its last argmax) while |change|
+    there, a lower bound on the column's max, exceeds tol; a probe change at
+    or below tol, or NaN, takes the full change and max.
 
     Returns (z, iterations, converged): the iterates, the total number of
     column-sweeps (the sum of the per-column counts; for a vector, the sweeps
     applied), and whether every column converged.  Non-finite inputs, a tol
     that is negative or NaN (no column could ever meet it) and a max_iter
-    that is not an integer of at least 1 raise InvalidSpec; an iterate that
-    goes non-finite (the iteration diverges) raises SingularSystem naming
-    the columns.
+    that is not an integer of at least 1 raise InvalidSpec.  A diverging
+    iterate raises SingularSystem naming its columns, from a finiteness test
+    of the block every 8th sweep and of the columns a spent budget freezes:
+    within 8 sweeps of the overflow, and never returned non-finite.
     """
     if not tol >= 0:
         raise InvalidSpec(f"tol must be nonnegative, got {tol}")
@@ -495,8 +497,8 @@ def z_iterate(lmdp: Lmdp, q_boundary: np.ndarray, z0: Optional[np.ndarray] = Non
     q_i, T = lmdp.q_interior[:, None], lmdp.sweep_operator
     Z = None  # allocated only once columns finish at different sweeps
     total, converged = 0, True
-    # a diverging iterate overflows to inf and then inf - inf; the NaN change
-    # is caught below, so numpy's warnings for it would only be noise
+    # a diverging iterate overflows to inf and then inf - inf; the finiteness
+    # tests below catch it, so numpy's warnings for it would only be noise
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, k, width):
             cols = np.arange(lo, min(lo + width, k))  # active, global indices
@@ -505,28 +507,27 @@ def z_iterate(lmdp: Lmdp, q_boundary: np.ndarray, z0: Optional[np.ndarray] = Non
             # a copy of z0's columns, since z is overwritten in place
             z = np.zeros((lmdp.n_interior, cols.size)) if z0 is None else z0[:, cols]
             sweeps, probe = 0, np.zeros(cols.size, dtype=np.intp)
+            at = np.arange(cols.size)  # column j is probed at (probe[j], j)
             while cols.size:
                 if sweeps >= max_iter:  # budget spent: freeze the rest unconverged
+                    _check_finite(z, cols)
                     done = np.ones(cols.size, dtype=bool)
                     converged = False
                 else:
                     z_new = T @ z
                     z_new += b
                     sweeps += 1
-                    z -= z_new  # the old iterate becomes the change
-                    at = np.arange(cols.size)  # column j is probed at (probe[j], j)
-                    if not np.isnan(z.max()) and (np.abs(z[probe, at]) > tol).all():
+                    if sweeps % 8 == 0:
+                        _check_finite(z_new, cols)
+                    # a NaN probe change (inf - inf) fails this and takes the full path
+                    if (np.abs(z[probe, at] - z_new[probe, at]) > tol).all():
                         z = z_new
                         continue
+                    z -= z_new  # the old iterate becomes the change
                     change = np.abs(z, out=z).max(axis=0)
                     probe = (z == change).argmax(axis=0)  # rows of the maxima
                     z = z_new
-                    bad = np.isnan(change)  # inf - inf: the iterate overflowed
-                    if bad.any():
-                        raise SingularSystem(
-                            "z-iteration produced non-finite values in columns "
-                            f"{cols[bad].tolist()}")
-                    done = change <= tol
+                    done = change <= tol  # never for a NaN or inf change
                     if not done.any():
                         continue
                 total += sweeps * int(np.count_nonzero(done))
@@ -537,9 +538,19 @@ def z_iterate(lmdp: Lmdp, q_boundary: np.ndarray, z0: Optional[np.ndarray] = Non
                 Z[:, cols[done]] = z[:, done]
                 keep = ~done
                 cols, z, b, probe = cols[keep], z[:, keep], b[:, keep], probe[keep]
+                at = np.arange(cols.size)
     if Z is None:  # no columns at all
         Z = np.empty((lmdp.n_interior, k))
     return Z.reshape(shape), total, converged
+
+
+def _check_finite(z: np.ndarray, cols: np.ndarray) -> None:
+    """Raise SingularSystem naming the columns of z that are not all finite."""
+    finite = np.isfinite(z)
+    if not finite.all():
+        bad = ~finite.all(axis=0)
+        raise SingularSystem(
+            f"z-iteration produced non-finite values in columns {cols[bad].tolist()}")
 
 
 # ---------------------------------------------------------------------------

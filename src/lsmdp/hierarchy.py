@@ -428,17 +428,19 @@ class HierarchyStack:
         self.target = q.copy()
         self.reblends = {}
 
-    def _compose(self, layer: int, weights: TaskWeights, dead: bool) -> Composite:
+    def _compose(self, layer: int, weights: TaskWeights, dead: bool,
+                 z_b: Optional[np.ndarray] = None) -> Composite:
         """The layer's Composite under ``weights``, its ``z`` read-only.
 
-        The boundary values are the blend z_b = tasks @ w, zero at the
-        subtask states with ``dead`` (the layer above is terminated), and the
-        interior is solves @ z_b, a sum of nonnegative terms.  Raises
+        The boundary values are the blend z_b = tasks @ w (a copy of ``z_b``,
+        the live composite's, when given), zero at the subtask states with
+        ``dead`` (the layer above is terminated), and the interior is
+        solves @ z_b, a sum of nonnegative terms.  Raises
         NonPositiveComposite when an interior entry is not positive, e.g.
         after underflow at low temperature.
         """
         entry = self.layers[layer]
-        z_b = entry.tasks @ weights.values
+        z_b = entry.tasks @ weights.values if z_b is None else z_b.copy()
         if dead:
             z_b[entry.n_base_boundary:] = 0.0
         z_i = entry.solves @ z_b
@@ -537,8 +539,8 @@ def terminate_layer(stack: HierarchyStack, layer: int) -> None:
     recomposes its weights with zero boundary value at those states from the
     same boundary solves, so the policy tilt can never select them again.
     Nothing is solved or factored, and a live Composite composes its dead
-    twin once for all clones.  The base layer cannot be terminated.  On an
-    error the stack is unchanged.
+    twin once for all clones, from its own boundary values.  The base layer
+    cannot be terminated.  On an error the stack is unchanged.
     """
     if not 0 <= layer < stack.depth:
         raise InvalidSpec(f"no layer {layer} in a depth-{stack.depth} stack")
@@ -549,6 +551,7 @@ def terminate_layer(stack: HierarchyStack, layer: int) -> None:
     live = stack.composites[layer - 1]
     if live is not None:
         if live.dead is None:
-            live.dead = stack._compose(layer - 1, live.weights, True)
+            n_i = stack.layers[layer - 1].lmdp.n_interior
+            live.dead = stack._compose(layer - 1, live.weights, True, live.z[n_i:])
         stack.composites[layer - 1] = live.dead
     stack.terminated[layer] = True

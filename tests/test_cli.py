@@ -389,6 +389,17 @@ def test_diverging_z_iteration_is_a_numerical_failure(tmp_path, diverging_config
                  "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
 
 
+def test_a_budget_ending_on_an_overflowed_iterate_writes_nothing(tmp_path, capsys,
+                                                                diverging_config):
+    # the iterate is infinite at sweep 796, one sweep before inf - inf shows;
+    # freezing it must fail as numerical, not write inf into z.csv
+    out = tmp_path / "nested" / "out"
+    assert main(["solve", "--domain", diverging_config, "--method", "z-iter",
+                 "--max-iter", "796", "--out", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not (tmp_path / "nested").exists()
+
+
 def test_sweep_budget_exit_code_with_partial_output(tmp_path, ring_config):
     out = tmp_path / "out"
     code = main(["solve", "--domain", ring_config, "--out", str(out),

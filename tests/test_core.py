@@ -2,6 +2,7 @@
 import contextlib
 import dataclasses
 import math
+import re
 import warnings
 from bisect import bisect_right
 from types import SimpleNamespace
@@ -592,6 +593,74 @@ def test_an_overflow_away_from_the_probe_row_is_caught():
                       RewardModel([0.0, 1.0], [0.0], 1.0))
     with pytest.raises(SingularSystem, match=r"in columns \[0\]$"):
         z_iterate(lmdp, np.array([1e300]), max_iter=40)
+
+
+def test_a_budget_ending_on_an_overflowed_iterate_raises():
+    # 1e300 overflows to inf at sweep 24 and inf - inf first shows at sweep
+    # 25: a budget of 24 freezes an infinite iterate, which must not be returned
+    with pytest.raises(SingularSystem, match=r"non-finite values in columns \[0\]$"):
+        z_iterate(diverging_lmdp(), np.array([1e300]), max_iter=24)
+
+
+def first_overflow(lmdp, Q, z0, max_iter):
+    """The first sweep within max_iter at which some column of the sweep loop
+    written out (no column stopping) holds a non-finite value, or None."""
+    T = (sp.diags(lmdp.q_interior) @ lmdp.passive.to_interior.T).tocsr()
+    b = lmdp.q_interior[:, None] * (lmdp.passive.to_boundary.T @ Q)
+    z = np.zeros(b.shape) if z0 is None else z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sweep in range(1, max_iter + 1):
+            z = T @ z + b
+            if not np.isfinite(z).all():
+                return sweep
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([1, BLOCK]),
+       n_tasks=st.sampled_from([1, 4]), max_iter=st.integers(1, 2000),
+       offset=st.one_of(st.none(), st.integers(-8, 8)), start=st.booleans())
+def test_z_iteration_returns_finite_values_or_raises(seed, width, n_tasks, max_iter,
+                                                     offset, start):
+    # positive interior rewards can push the weighted kernel's spectral radius
+    # past one; a ring of interior moves makes the interior irreducible, so
+    # a column whose iterate overflows stays non-finite from then on.  An
+    # offset ends the budget that many sweeps after the first overflow, where
+    # it may freeze an infinite iterate before inf - inf shows
+    rng = np.random.default_rng(seed)
+    n_i, n_b = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+    P = rng.random((n_i + n_b, n_i)) * (rng.random((n_i + n_b, n_i)) < 0.7)
+    P[(np.arange(n_i) + 1) % n_i, np.arange(n_i)] += 0.1
+    P[n_i:] += 0.05
+    P /= P.sum(axis=0)
+    lmdp = build_lmdp(StatePartition(n_i, n_b), PassiveDynamics(P[:n_i], P[n_i:]),
+                      RewardModel(rng.uniform(-1.0, 2.0, n_i),
+                                  rng.uniform(-2.0, 0.5, n_b), rng.uniform(0.4, 2.5)))
+    Q = random_tasks(rng, lmdp, n_tasks) * 10.0 ** rng.uniform(0, 300, n_tasks)
+    z0 = rng.uniform(0.0, 2.0, (n_i, n_tasks)) if start else None
+    overflow = first_overflow(lmdp, Q, z0, 2000)
+    if offset is not None and overflow is not None:
+        max_iter = max(1, overflow + offset)
+    with np.errstate(over="ignore", invalid="ignore"):
+        refs = [vector_sweeps(lmdp, Q[:, t], None if z0 is None else z0[:, t],
+                              DEFAULT_TOL, max_iter) for t in range(n_tasks)]
+    overflowed = [t for t, (z, _, _) in enumerate(refs) if not np.isfinite(z).all()]
+    with block_width(lmdp, width):
+        if overflowed:
+            with pytest.raises(SingularSystem, match=r"non-finite values in columns") as info:
+                z_iterate(lmdp, Q, z0=z0, max_iter=max_iter)
+            named = re.search(r"\[([0-9, ]+)\]$", str(info.value)).group(1)
+            assert set(map(int, named.split(", "))) <= set(overflowed)
+            return
+        Z, iterations, converged = z_iterate(lmdp, Q, z0=z0, max_iter=max_iter)
+    assert np.isfinite(Z).all()
+    for t, ref in enumerate(refs):
+        assert np.array_equal(Z[:, t], ref[0])
+        z, count, ok = z_iterate(lmdp, Q[:, t], z0=None if z0 is None else z0[:, t],
+                                 max_iter=max_iter)
+        assert np.array_equal(z, ref[0]) and (count, ok) == ref[1:]
+    assert iterations == sum(count for _, count, _ in refs)
+    assert converged == all(ok for _, _, ok in refs)
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,22 @@ def test_a_repeated_termination_composes_nothing(monkeypatch):
     assert live.dead.weights is live.weights
 
 
+def test_a_dead_twin_equals_a_fresh_dead_composition():
+    # the twin starts from the live composite's boundary values, not a blend
+    _, tasked = ring_tower_stack()
+    for layer in (1, 2):
+        stack = tasked.clone()
+        terminate_layer(stack, layer)
+        fresh = stack._compose(layer - 1, stack.composites[layer - 1].weights, True)
+        assert np.array_equal(stack.composites[layer - 1].z, fresh.z)
+    run_episode(tasked.clone(), 13, np.random.default_rng(1))
+    twins = [(key[0], c) for key, c in tasked.reblends.items() if c.dead is not None]
+    assert twins
+    for layer, live in twins:
+        fresh = tasked._compose(layer, live.weights, True)
+        assert np.array_equal(live.dead.z, fresh.z)
+
+
 def test_clones_share_caches_and_set_task_starts_fresh_ones():
     _, tasked = ring_tower_stack()
     run_episode(tasked.clone(), 13, np.random.default_rng(1))
