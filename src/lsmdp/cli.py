@@ -151,17 +151,15 @@ def load_domain(path) -> DomainBundle:
                 doc = serialize.read_json(path.parent / config["lmdp_file"])
             else:
                 raise InvalidSpec("lmdp config needs an inline document or a file")
-            start = _optional_int(config, "start")
         lmdp = serialize.lmdp_from_dict(doc)
-        return DomainBundle(config, lmdp, None, [], None, start)
+        return DomainBundle(config, lmdp, None, [], None, None)
     raise InvalidSpec(f"unknown domain type {kind!r}")
 
 
 def _bundle_basis(bundle: DomainBundle):
+    # every caller turns the lmdp domain, which has no task matrix, away first
     if bundle.basis is not None:
         return bundle.basis
-    if bundle.task_matrix is None:
-        raise InvalidSpec("this domain defines no task basis")
     return build_task_basis(bundle.lmdp, bundle.task_matrix)
 
 

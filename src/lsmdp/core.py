@@ -57,7 +57,6 @@ import scipy.sparse.linalg as spla
 from .errors import (
     DimensionMismatch,
     InvalidSpec,
-    InvalidTrajectory,
     NoAbsorption,
     NonPositiveDesirability,
     NotStochastic,
@@ -130,13 +129,6 @@ def check_count(name: str, value) -> int:
     return value
 
 
-def _as_csc(matrix, shape=None) -> sp.csc_matrix:
-    out = sp.csc_matrix(matrix, dtype=np.float64)
-    if shape is not None and out.shape != shape:
-        raise DimensionMismatch(f"expected shape {shape}, got {out.shape}")
-    return out
-
-
 class PassiveDynamics:
     """Uncontrolled transition kernel split into interior and boundary blocks.
 
@@ -153,8 +145,8 @@ class PassiveDynamics:
     """
 
     def __init__(self, to_interior, to_boundary):
-        P_i = _as_csc(to_interior)
-        P_b = _as_csc(to_boundary)
+        P_i = sp.csc_matrix(to_interior, dtype=np.float64)
+        P_b = sp.csc_matrix(to_boundary, dtype=np.float64)
         if P_i.shape[0] != P_i.shape[1]:
             raise DimensionMismatch(f"interior block must be square, got {P_i.shape}")
         if P_b.shape[1] != P_i.shape[1]:
@@ -585,15 +577,14 @@ def policy_column(lmdp: Lmdp, z_full: np.ndarray, state: int):
 def narrow_draw(narrow: tuple, z: list, state: int, rng: np.random.Generator) -> int:
     """``draw_from(*policy_column(lmdp, z, state), rng)`` at a ``narrow_columns``
     entry for ``z`` a list, with no array and no Python-level loop: the same
-    floats, the same ZeroNormalizer checks and the same last-row clamp."""
+    floats, policy_column's ZeroNormalizer check (past it the sum ends near 1,
+    so draw_from's cannot fail) and the same last-row clamp."""
     row_list, p_list = narrow
     vals = list(map(mul, p_list, map(z.__getitem__, row_list)))
     total = reduce(add, vals, 0.0)
     if not 0.0 < total < math.inf:
         raise ZeroNormalizer(f"policy column {state} has desirability mass {total}")
     cum = list(accumulate(map(truediv, vals, repeat(total))))
-    if not 0.0 < cum[-1] < math.inf:
-        raise ZeroNormalizer(f"cannot draw from total mass {cum[-1]}")
     k = bisect_right(cum, rng.random() * cum[-1])
     return row_list[min(k, len(row_list) - 1)]
 
@@ -633,7 +624,7 @@ def draw_from(rows: np.ndarray, probs, rng: np.random.Generator) -> int:
 
 def _kl_column(a_rows, a_vals, lmdp: Lmdp, state: int) -> float:
     """KL(a || p) against the passive column p at ``state``, over the support
-    of a; a outside p's support is an error."""
+    of a, which as p's policy_column tilt or its masked redraw lies in p's."""
     P = lmdp.passive.full_matrix
     lo, hi = P.indptr[state], P.indptr[state + 1]
     p_map = dict(zip(P.indices[lo:hi].tolist(), P.data[lo:hi].tolist()))
@@ -641,10 +632,5 @@ def _kl_column(a_rows, a_vals, lmdp: Lmdp, state: int) -> float:
     for r, av in zip(a_rows.tolist(), a_vals.tolist()):
         if av <= 0.0:
             continue
-        pv = p_map.get(r, 0.0)
-        if pv <= 0.0:
-            raise InvalidTrajectory(
-                f"policy places mass {av:.3g} outside passive support (state {r})"
-            )
-        kl += av * math.log(av / pv)
+        kl += av * math.log(av / p_map[r])
     return kl

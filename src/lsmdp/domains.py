@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .core import PassiveDynamics, RewardModel, StatePartition, build_lmdp
 from .errors import BlockedCell, EmptyTarget, InvalidSpec
-from .hierarchy import SubtaskStructure
+from .hierarchy import SubtaskStructure, default_subtask_rewards
 from .multitask import build_task_basis
 
 # Penalty scales, in units of lambda.  Basis tasks sit strictly below goal
@@ -30,11 +30,8 @@ DEFAULT_ACCESS_WEIGHT = 0.25
 
 def boundary_goal_tasks(n_boundary: int, temperature: float) -> np.ndarray:
     """One task per boundary twin: reward 0 there, penalty everywhere else."""
-    penalty = BASIS_PENALTY_SCALE * temperature
-    off = math.exp(penalty / temperature)
-    Q = np.full((n_boundary, n_boundary), off)
-    np.fill_diagonal(Q, 1.0)
-    return Q
+    return default_subtask_rewards(n_boundary, BASIS_PENALTY_SCALE * temperature,
+                                   temperature)
 
 
 def goal_task_vector(n_boundary: int, goal_index: int,
@@ -152,8 +149,7 @@ def make_ring(spec: RingSpec):
 class GridSpec:
     """Rectangular grid with blocked cells and absorbing goal twins.
 
-    walls block cells entirely; doors are wall cells re-opened (convenience
-    for programmatic layouts).  goal_cells receive absorbing boundary twins.
+    walls block cells entirely; goal_cells receive absorbing boundary twins.
     Passive dynamics: each feasible cardinal move gets step_prob, stay gets
     stay_prob plus the mass of infeasible moves; at goal cells exit_prob is
     diverted from stay onto the twin.
@@ -162,7 +158,6 @@ class GridSpec:
     width: int
     height: int
     walls: frozenset = frozenset()
-    doors: tuple = ()
     goal_cells: tuple = ()
     stay_prob: float = 0.2
     step_prob: float = 0.2
@@ -176,8 +171,7 @@ class GridSpec:
         _check_walk(self.step_prob, self.exit_prob, 4)
         if not abs(self.stay_prob + 4 * self.step_prob - 1.0) <= 1e-9:
             raise InvalidSpec("stay_prob + 4 * step_prob must equal 1")
-        object.__setattr__(self, "walls",
-                           frozenset(self.walls) - set(self.doors))
+        object.__setattr__(self, "walls", frozenset(self.walls))
         object.__setattr__(self, "goal_cells", tuple(self.goal_cells))
         if not self.goal_cells:
             raise InvalidSpec("at least one goal cell is required")

@@ -80,10 +80,6 @@ class NonPositiveDesirability(NumericalError):
     pass
 
 
-class InvalidTrajectory(NumericalError):
-    """A policy column places mass outside the passive column's support."""
-
-
 class DegenerateBasis(NumericalError):
     """Task basis contains an all-zero column."""
 

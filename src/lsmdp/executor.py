@@ -25,7 +25,7 @@ import numpy as np
 # draw_from is not called here, but callers that patch this module's names use it
 from .core import (_kl_column, check_count, draw_at, draw_from, is_integer,
                    policy_column, running_sum)
-from .errors import InvalidSpec, ZeroNormalizer
+from .errors import InvalidSpec, NoTaskSet, ZeroNormalizer
 from .hierarchy import HierarchyStack, inpaint_rewards, terminate_layer
 
 
@@ -125,8 +125,12 @@ def access_hierarchy(stack: HierarchyStack, entry_subtask: int,
     the first layer's interior states).  Unless the chain terminated the
     first layer, the base is re-blended with the rewards it transmitted.
     Returns (those rewards or None, visited chain, deepest layer,
-    terminated layer or None).
+    terminated layer or None); InvalidSpec at depth 1, NoTaskSet with no task.
     """
+    if len(stack.layers) < 2:
+        raise InvalidSpec("a depth-1 stack has no layer above the base to access")
+    if stack.composites[1] is None:
+        raise NoTaskSet("set_task must run before an access")
     chain: list = []
     r_t, deepest, terminated = _access(stack, 1, entry_subtask, rng, chain)
     if r_t is not None:

@@ -27,7 +27,7 @@ the memo and the composites, caches and dead twins in it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -254,8 +254,6 @@ def augment(lmdp: Lmdp, tasks: np.ndarray, structure: SubtaskStructure,
             f"subtask weights cover {W.shape[1]} interior states, LMDP has "
             f"{lmdp.n_interior}"
         )
-    if W.sum() == 0:
-        warnings.warn("subtask states carry no transition mass", UnreachableSubtasks)
 
     passive = stack_subtask_kernel(lmdp.passive, W)
     n_i, n_b = lmdp.n_interior, lmdp.n_boundary
@@ -392,17 +390,11 @@ class HierarchyStack:
     z_full = property(lambda self: [c and c.z for c in self.composites])
 
     def clone(self) -> "HierarchyStack":
-        """A copy with its own slots that shares composites and the memo."""
-        return HierarchyStack(
-            layers=self.layers,
-            kappa=self.kappa,
-            penalty=self.penalty,
-            task_block=self.task_block,
-            composites=list(self.composites),
-            terminated=list(self.terminated),
-            target=None if self.target is None else self.target.copy(),
-            reblends=self.reblends,
-        )
+        """A copy with its own composite and terminated lists that shares
+        everything else: layers, composites, the memo and ``target``, which
+        set_task replaces and nothing writes in place."""
+        return replace(self, composites=list(self.composites),
+                       terminated=list(self.terminated))
 
     # -- task management -----------------------------------------------------
 
@@ -453,14 +445,14 @@ class HierarchyStack:
         return Composite(weights, z)
 
     def apply_inpaint(self, layer: int, inpainted: np.ndarray) -> None:
-        """Receive inpainted rewards from the layer above and re-blend.
+        """Receive inpainted rewards at a layer below the top and re-blend.
 
         A key already in ``reblends`` reuses its Composite; a new one is
         re-blended and stored once both steps succeed.
         """
+        if not 0 <= layer < len(self.layers) - 1:
+            raise InvalidSpec(f"no subtask layer {layer} in a depth-{self.depth} stack")
         entry = self.layers[layer]
-        if not entry.n_subtasks:
-            raise InvalidSpec("only layers with subtasks can receive inpainted rewards")
         if self.composites[layer] is None:
             raise NoTaskSet("set_task must run before inpainting")
         r_t = np.asarray(inpainted, dtype=np.float64)
@@ -474,6 +466,8 @@ class HierarchyStack:
 
     def policy_state(self, layer: int):
         """(lmdp, z_full) pair for sampling at a layer, validated."""
+        if not 0 <= layer < len(self.layers):
+            raise InvalidSpec(f"no layer {layer} in a depth-{self.depth} stack")
         if self.composites[layer] is None:
             raise NoTaskSet("stack has no task; call set_task first")
         return self.layers[layer].lmdp, self.composites[layer].z

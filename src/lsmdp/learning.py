@@ -177,8 +177,9 @@ def train(lmdp: Lmdp, goal_task: np.ndarray, epochs: int,
     """Run epochs of episodes and record the trajectory-length curve.
 
     ``goal_task`` is the exponentiated boundary reward over the base
-    boundary set.  With a stack, the goal is blended through the stack once
-    and each episode runs against a fresh clone, so inpaints and
+    boundary set.  With a stack, whose base must have ``lmdp``'s interior
+    states (else DimensionMismatch), the goal is blended through the stack
+    once and each episode runs against a fresh clone, so inpaints and
     terminations are episode-scoped; the returned lengths are then
     comparable across conditions because both run on the same base rewards.
 
@@ -195,6 +196,9 @@ def train(lmdp: Lmdp, goal_task: np.ndarray, epochs: int,
     if not np.isfinite(goal).all() or (goal < 0).any():
         raise InvalidSpec("goal task must be finite and nonnegative")
     if stack is not None:
+        if stack.layers[0].lmdp.n_interior != lmdp.n_interior:
+            raise DimensionMismatch(f"LMDP has {lmdp.n_interior} interior states, "
+                                    f"stack base {stack.layers[0].lmdp.n_interior}")
         template = stack.clone()
         template.set_task(goal)
         lmdp = template.layers[0].lmdp

@@ -102,6 +102,27 @@ def test_blend_writes_weights_and_composite(tmp_path, arm_config):
     assert manifest["blend_residual"] <= 1e-9
 
 
+def test_an_inline_map_and_an_lmdp_file_load(tmp_path, chain5):
+    # 11 free cells and one goal twin; the S cell is a subtask, so it stacks
+    grid = write_config(tmp_path / "grid.json", {
+        "type": "grid", "map": "S..G\n.#..\n....", "start": [2, 0]})
+    assert main(["solve", "--domain", grid, "--out", str(tmp_path / "solve")]) == EXIT_OK
+    rows = (tmp_path / "solve" / "z.csv").read_text().splitlines()[1:]
+    assert len(rows) == 11 + 1 and rows[-1].split(",")[1] == "goal_r0c3"
+    assert main(["simulate", "--domain", grid, "--seed", "1",
+                 "--out", str(tmp_path / "simulate")]) == EXIT_OK
+    # a file next to the config gives the same solve as the inline document
+    (tmp_path / "chain_doc.json").write_text(json.dumps(lmdp_to_dict(chain5)))
+    by_file = write_config(tmp_path / "by_file.json",
+                           {"type": "lmdp", "lmdp_file": "chain_doc.json"})
+    inline = write_config(tmp_path / "inline.json",
+                          {"type": "lmdp", "lmdp": lmdp_to_dict(chain5)})
+    for name, cfg in (("file", by_file), ("inline", inline)):
+        assert main(["solve", "--domain", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+    assert ((tmp_path / "file" / "z.csv").read_bytes()
+            == (tmp_path / "inline" / "z.csv").read_bytes())
+
+
 def test_blend_pinv_method_flag(tmp_path, arm_config):
     out = tmp_path / "out"
     assert main(["blend", "--domain", arm_config, "--out", str(out),
@@ -235,6 +256,8 @@ LMDP = {"n_interior": 1, "n_boundary": 1, "lambda": 1.0, "r_i": [-1.0],
     ("solve", dict(ROOMS, step_prob=float("nan"))),
     ("solve", dict(ROOMS, exit_prob=float("nan"))),
     ("solve", dict(ROOMS, exit_prob=-0.01)),
+    ("solve", {"type": "grid", "goal_cells": [[0, 10]]}),
+    ("solve", {"type": "lmdp"}),
 ], ids=["ring-size-string", "goal-string", "top-level-list", "arm-bins-string",
         "max-steps-string", "learn-epochs-string", "max-steps-zero",
         "learn-max-steps-negative", "learn-episodes-zero", "learn-step-scale-zero",
@@ -242,7 +265,8 @@ LMDP = {"n_interior": 1, "n_boundary": 1, "lambda": 1.0, "r_i": [-1.0],
         "learn-conditions-unknown", "lmdp-labels-int", "lmdp-triple-short",
         "lmdp-triple-string", "lmdp-passive-int", "lmdp-triple-repeated",
         "lmdp-triple-nan", "arm-step-nan", "arm-step-negative", "arm-exit-negative",
-        "arm-exit-nan", "grid-step-nan", "grid-exit-nan", "grid-exit-negative"])
+        "arm-exit-nan", "grid-step-nan", "grid-exit-nan", "grid-exit-negative",
+        "grid-without-map", "lmdp-without-document"])
 def test_malformed_config_values(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path / "cfg.json", doc)
     assert main([command, "--domain", cfg,
@@ -275,7 +299,7 @@ def test_every_error_is_config_or_numerical():
                       "RewardOverflow", "InvalidSpec", "BlockedCell",
                       "EmptyTarget", "NoTaskSet", "CannotTerminateBase",
                       "AlreadyTerminated"}
-    assert len(classes) == 18
+    assert len(classes) == 17
 
 
 @pytest.mark.parametrize("argv", [
@@ -343,8 +367,11 @@ def test_an_overflowing_inpaint_scale_is_a_config_error(tmp_path, capsys):
 
 
 def test_blend_needs_a_target(tmp_path, chain_config):
-    assert main(["blend", "--domain", chain_config,
-                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    # an lmdp domain has no target, so simulate and learn turn it away too
+    for command in ("blend", "simulate", "learn"):
+        assert main([command, "--domain", chain_config,
+                     "--out", str(tmp_path / command)]) == EXIT_CONFIG
+        assert not (tmp_path / command).exists()
 
 
 def test_stack_needs_structures(tmp_path, arm_config):

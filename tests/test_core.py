@@ -102,6 +102,13 @@ def test_a_non_finite_entry_is_not_stochastic(bad):
         PassiveDynamics([[0.0, 0.5], [0.0, bad]], [[1.0, 0.5]])
 
 
+def test_passive_blocks_must_agree_in_shape():
+    with pytest.raises(DimensionMismatch, match="must be square"):
+        PassiveDynamics([[0.5, 0.5]], [[0.5, 0.5]])
+    with pytest.raises(DimensionMismatch, match="1 source columns"):
+        PassiveDynamics([[0.0, 0.5], [0.5, 0.0]], [[1.0]])
+
+
 def test_unreachable_boundary_rejected():
     to_interior = [[0.0, 1.0], [1.0, 0.0]]
     to_boundary = [[0.0, 0.0]]
@@ -122,6 +129,16 @@ def test_reward_shape_mismatch_rejected():
         build_lmdp(StatePartition(1, 1),
                    PassiveDynamics([[0.0]], [[1.0]]),
                    RewardModel([-1.0, -1.0], [0.0], 1.0))
+    with pytest.raises(DimensionMismatch, match="boundary rewards shape"):
+        build_lmdp(StatePartition(1, 1),
+                   PassiveDynamics([[0.0]], [[1.0]]),
+                   RewardModel([-1.0], [0.0, 0.0], 1.0))
+    # the partition must match the passive kernel in both blocks
+    for partition, block in ((StatePartition(2, 1), "interior"),
+                             (StatePartition(1, 2), "boundary")):
+        with pytest.raises(DimensionMismatch, match=f"1 {block} states"):
+            build_lmdp(partition, PassiveDynamics([[0.0]], [[1.0]]),
+                       RewardModel([-1.0], [0.0], 1.0))
 
 
 def test_nonpositive_temperature_rejected():
@@ -585,9 +602,10 @@ def test_columns_overflowing_at_different_sweeps_raise_at_the_first():
 
 
 def test_an_overflow_away_from_the_probe_row_is_caught():
-    # state 0 moves toward 1e300 for 55 sweeps and never sees state 1, whose
-    # change is NaN from sweep 25: each column's probe row stays at state 0,
-    # so only the block's NaN test can stop the run inside the 40-sweep budget
+    # state 0 moves toward 1e300 for 55 sweeps and never sees state 1, which
+    # overflows to inf at sweep 24: each column's probe row stays at state 0,
+    # whose change stays finite, so only the block's finiteness test, run
+    # every 8th sweep (here at sweep 24), can stop the run inside the budget
     lmdp = build_lmdp(StatePartition(2, 1),
                       PassiveDynamics([[0.5, 0.0], [0.0, 0.9]], [[0.5, 0.1]]),
                       RewardModel([0.0, 1.0], [0.0], 1.0))

@@ -145,13 +145,9 @@ def test_grid_spec_validation():
         GridSpec(width=3, height=3, goal_cells=((5, 5),))
     with pytest.raises(BlockedCell):
         GridSpec(width=3, height=3, walls={(1, 1)}, goal_cells=((1, 1),))
-
-
-def test_doors_reopen_walls():
-    spec = GridSpec(width=3, height=1, walls={(0, 1)}, doors=((0, 1),),
-                    goal_cells=((0, 2),))
-    assert spec.walls == frozenset()
-    assert len(spec.free_cells()) == 3
+    for width, height in ((0, 3), (3, 0), (-1, 3)):
+        with pytest.raises(InvalidSpec, match="positive dimensions"):
+            GridSpec(width=width, height=height, goal_cells=((0, 0),))
 
 
 def test_four_rooms_layout():

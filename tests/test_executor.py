@@ -25,7 +25,7 @@ from lsmdp import (
     terminate_layer,
 )
 from lsmdp import executor, hierarchy
-from lsmdp.errors import InvalidSpec, ZeroNormalizer
+from lsmdp.errors import InvalidSpec, NoTaskSet, ZeroNormalizer
 from lsmdp.executor import masked_redraw_column
 
 import oracles
@@ -424,6 +424,15 @@ def test_access_returns_subtask_rewards_or_none():
             assert r_t is None and terminated == 1
             assert stack.terminated[1]
     assert transmit_seen and terminate_seen
+
+
+def test_an_access_needs_a_tasked_stack_with_a_layer_above_the_base():
+    lmdp, structures, tasks = make_ring(RingSpec(12, subtask_spacing=3, depth=2))
+    untasked = build_stack(build_task_basis(lmdp, tasks), structures)
+    with pytest.raises(NoTaskSet, match="set_task"):
+        access_hierarchy(untasked, 0, np.random.default_rng(0))
+    with pytest.raises(InvalidSpec, match="depth-1"):
+        access_hierarchy(ring_flat_stack()[1], 0, np.random.default_rng(0))
 
 
 def test_masked_redraw_excludes_subtask_rows():

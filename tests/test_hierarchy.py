@@ -90,6 +90,8 @@ def test_structure_validation():
         SubtaskStructure(np.full((1, 3), -0.5))
     with pytest.raises(DimensionMismatch):
         SubtaskStructure(np.ones((2, 3)), labels=("only-one",))
+    with pytest.raises(InvalidSpec, match="at least one subtask row"):
+        SubtaskStructure(np.empty((0, 3)))
 
 
 def test_zero_row_warns_but_constructs():
@@ -176,6 +178,12 @@ def test_augment_rejects_a_task_matrix_of_the_wrong_shape():
     lmdp, structures, tasks = make_ring(RingSpec(9, subtask_spacing=3, depth=2))
     for bad in (tasks[:-1], tasks[:, 0], tasks[:, :0]):
         with pytest.raises(DimensionMismatch):
+            augment(lmdp, bad, structures[0])
+    # every task column must be a valid exponentiated reward
+    for value in (0.0, -1.0, np.nan, np.inf):
+        bad = tasks.copy()
+        bad[2, 1] = value
+        with pytest.raises(InvalidSpec, match="strictly positive and finite"):
             augment(lmdp, bad, structures[0])
 
 
@@ -299,6 +307,8 @@ def test_inpaint_restricts_to_interior_entries():
     p = np.array([0.3, 0.3, 0.2, 0.2])
     out = inpaint_rewards(a, p, 1.0, n_interior=2)
     np.testing.assert_allclose(out, [0.3, 0.1], rtol=1e-14)
+    with pytest.raises(DimensionMismatch, match="column shapes differ"):
+        inpaint_rewards(a, p[:3], 1.0)
 
 
 def corridor_stack():
@@ -545,6 +555,37 @@ def test_policy_state_requires_task(chain5):
     fresh = build_stack(build_task_basis(chain5, chain5.q_boundary[:, None]), [])
     with pytest.raises(NoTaskSet):
         fresh.policy_state(0)
+    _, untasked = ring_tower_template()
+    with pytest.raises(NoTaskSet):
+        untasked.apply_inpaint(0, np.zeros(untasked.layers[0].n_subtasks))
+
+
+def test_inpaint_and_policy_state_reject_a_layer_out_of_range():
+    # -3 once re-blended layer 0 and stored a memo key under layer -3; the
+    # top layer, 2, has no subtask states to receive an inpaint
+    stack = tasked_ring_tower()
+    composites = list(stack.composites)
+    r_t = np.zeros(stack.layers[0].n_subtasks)
+    for layer in (-3, -1, 2, 5):
+        with pytest.raises(InvalidSpec, match=f"no subtask layer {layer} in a depth-3"):
+            stack.apply_inpaint(layer, r_t)
+    assert stack.reblends == {}
+    assert all(new is old for new, old in zip(stack.composites, composites))
+    for layer in (-1, 3, 7):
+        with pytest.raises(InvalidSpec, match=f"no layer {layer} in a depth-3"):
+            stack.policy_state(layer)
+
+
+def test_a_clone_shares_everything_but_its_two_lists():
+    stack = tasked_ring_tower()
+    clone = stack.clone()
+    assert clone.composites == stack.composites
+    assert clone.composites is not stack.composites
+    assert clone.terminated == stack.terminated
+    assert clone.terminated is not stack.terminated
+    for name in ("layers", "task_block", "target", "reblends"):
+        assert getattr(clone, name) is getattr(stack, name)
+    assert (clone.kappa, clone.penalty) == (stack.kappa, stack.penalty)
 
 
 def test_clone_isolates_execution_state():

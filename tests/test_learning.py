@@ -409,6 +409,16 @@ def test_wrong_goal_shape_is_rejected(rooms):
               episodes_per_epoch=1, seed=0)
 
 
+def test_a_stack_built_on_another_lmdp_is_rejected():
+    # train runs on the stack's base; an LMDP of another size was silently ignored
+    ring9, _, _ = make_ring(RingSpec(9))
+    ring27, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3))
+    stack = build_stack(build_task_basis(ring27, tasks), structures)
+    goal = goal_task_vector(ring27.n_boundary, 0, ring27.rewards.temperature)
+    with pytest.raises(DimensionMismatch, match="LMDP has 9 interior states, stack base 27"):
+        train(ring9, goal, epochs=1, episodes_per_epoch=1, seed=0, stack=stack)
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
 @pytest.mark.parametrize("guided", [False, True])
 def test_non_finite_or_negative_goal_is_rejected(rooms, bad, guided):

@@ -54,6 +54,8 @@ def test_basis_rejects_nonpositive_columns(chain5):
         build_task_basis(chain5, np.array([[1.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(DimensionMismatch):
         build_task_basis(chain5, np.ones((3, 2)))
+    with pytest.raises(InvalidSpec, match="at least one task"):
+        build_task_basis(chain5, np.ones((2, 0)))
 
 
 def test_single_task_basis_matches_direct_solve(chain5):
