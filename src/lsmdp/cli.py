@@ -48,7 +48,6 @@ class DomainBundle:
     structures: List[SubtaskStructure]
     goal_q: Optional[np.ndarray]
     start_state: Optional[int]
-    basis: Optional[object] = None  # pre-solved TaskBasis (arm only)
 
 
 def _replace_spec(spec, config, fields):
@@ -139,10 +138,7 @@ def load_domain(path) -> DomainBundle:
             spec = ArmSpec(**kwargs)
             start = _optional_int(config, "start")
         lmdp, basis, target_q = make_arm(spec)
-        bundle = DomainBundle(config, lmdp, basis.boundary_tasks, [], target_q,
-                              start)
-        bundle.basis = basis
-        return bundle
+        return DomainBundle(config, lmdp, basis.boundary_tasks, [], target_q, start)
     if kind == "lmdp":
         with _reading_config():
             if "lmdp" in config:
@@ -154,13 +150,6 @@ def load_domain(path) -> DomainBundle:
         lmdp = serialize.lmdp_from_dict(doc)
         return DomainBundle(config, lmdp, None, [], None, None)
     raise InvalidSpec(f"unknown domain type {kind!r}")
-
-
-def _bundle_basis(bundle: DomainBundle):
-    # every caller turns the lmdp domain, which has no task matrix, away first
-    if bundle.basis is not None:
-        return bundle.basis
-    return build_task_basis(bundle.lmdp, bundle.task_matrix)
 
 
 def _bellman_residual(lmdp: Lmdp, z_interior: np.ndarray,
@@ -213,7 +202,7 @@ def cmd_blend(args) -> int:
     bundle = load_domain(args.domain)
     if bundle.goal_q is None:
         raise InvalidSpec("this domain defines no target task to blend")
-    basis = _bundle_basis(bundle)
+    basis = build_task_basis(bundle.lmdp, bundle.task_matrix)
     method = args.method.replace("blend-", "")
     z, weights = solve_novel_task(basis, bundle.goal_q, method=method)
     _write_outputs(args, "blend", bundle.config,
@@ -227,8 +216,8 @@ def cmd_blend(args) -> int:
 def _build_stack(bundle: DomainBundle, kappa, penalty):
     if not bundle.structures:
         raise InvalidSpec("this domain defines no subtask structure to stack")
-    basis = _bundle_basis(bundle)
-    return build_stack(basis, bundle.structures, kappa=kappa, penalty=penalty)
+    return build_stack(build_task_basis(bundle.lmdp, bundle.task_matrix),
+                       bundle.structures, kappa=kappa, penalty=penalty)
 
 
 def cmd_stack(args) -> int:

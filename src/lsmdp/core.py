@@ -382,14 +382,17 @@ def _boundary_values(lmdp: Lmdp, q_boundary) -> np.ndarray:
     return q_boundary
 
 
-def solve_interior(lmdp: Lmdp, q_boundary: np.ndarray) -> np.ndarray:
+def solve_interior(lmdp: Lmdp, q_boundary: Optional[np.ndarray] = None) -> np.ndarray:
     """Solve the linear Bellman system for arbitrary boundary values.
 
     ``q_boundary`` is one boundary vector (n_boundary,) or a matrix
     (n_boundary, k) of task columns; the result is the interior z with the
-    same trailing shape.  The operator cached on ``lmdp`` (bellman_operator)
-    is factorized once per call and every column is solved against that one
-    factorization, block_width(lmdp) columns at a time.
+    same trailing shape.  With none, it is the boundary solves U = A^-1 B,
+    (n_interior, n_boundary), solved against B's own columns (B @ I bit for
+    bit, with no I made), so boundary values z_b have interior U z_b.  The
+    operator cached on ``lmdp`` (bellman_operator) is factorized once per
+    call and every column is solved against that one factorization,
+    block_width(lmdp) columns at a time.
 
     Returns raw interior z without positivity checks, which lets callers pass
     boundary values with exact zeros (indicator tasks, terminated subtasks);
@@ -398,13 +401,15 @@ def solve_interior(lmdp: Lmdp, q_boundary: np.ndarray) -> np.ndarray:
     refinement on the failing columns before declaring the system singular;
     the error names the failing column indices.
     """
-    q_boundary = _boundary_values(lmdp, q_boundary)
-    Q = q_boundary.reshape(lmdp.n_boundary, -1)
     A, B = lmdp.bellman_operator
+    if q_boundary is not None:
+        q_boundary = _boundary_values(lmdp, q_boundary)
+        Q = q_boundary.reshape(lmdp.n_boundary, -1)
+    k = lmdp.n_boundary if q_boundary is None else Q.shape[1]
     solve = _factorize(A, SingularSystem)
-    Z, width = np.empty((lmdp.n_interior, Q.shape[1])), block_width(lmdp)
-    for lo in range(0, Q.shape[1], width):
-        b = B @ Q[:, lo:lo + width]
+    Z, width = np.empty((lmdp.n_interior, k)), block_width(lmdp)
+    for lo in range(0, k, width):
+        b = B[:, lo:lo + width].toarray() if q_boundary is None else B @ Q[:, lo:lo + width]
         z = solve(b)
         bad = np.flatnonzero(~np.isfinite(z).all(axis=0))
         if bad.size:
@@ -423,7 +428,7 @@ def solve_interior(lmdp: Lmdp, q_boundary: np.ndarray) -> np.ndarray:
                     f"residual {residual[first]:.3e} exceeds bound "
                     f"{bound[bad[first]]:.3e} in columns {(bad[failed] + lo).tolist()}")
         Z[:, lo:lo + width] = z
-    return Z.reshape((lmdp.n_interior,) + q_boundary.shape[1:])
+    return Z if q_boundary is None else Z.reshape((lmdp.n_interior,) + q_boundary.shape[1:])
 
 
 def _column_residuals(A: sp.csc_matrix, z: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -41,6 +41,7 @@ from .core import (
     StatePartition,
     _factorize,
     build_lmdp,
+    is_integer,
     solve_interior,
 )
 from .errors import (
@@ -286,7 +287,7 @@ def augment(lmdp: Lmdp, tasks: np.ndarray, structure: SubtaskStructure,
     return AugmentedMlmdp(
         lmdp=aug_lmdp,
         tasks=Q_full,
-        solves=solve_interior(aug_lmdp, np.eye(n_b + n_t)),
+        solves=solve_interior(aug_lmdp),
         subtask_block=subtask_block,
         neutral_weights=neutral,
     )
@@ -450,7 +451,7 @@ class HierarchyStack:
         A key already in ``reblends`` reuses its Composite; a new one is
         re-blended and stored once both steps succeed.
         """
-        if not 0 <= layer < len(self.layers) - 1:
+        if not (is_integer(layer) and 0 <= layer < len(self.layers) - 1):
             raise InvalidSpec(f"no subtask layer {layer} in a depth-{self.depth} stack")
         entry = self.layers[layer]
         if self.composites[layer] is None:
@@ -466,7 +467,7 @@ class HierarchyStack:
 
     def policy_state(self, layer: int):
         """(lmdp, z_full) pair for sampling at a layer, validated."""
-        if not 0 <= layer < len(self.layers):
+        if not (is_integer(layer) and 0 <= layer < len(self.layers)):
             raise InvalidSpec(f"no layer {layer} in a depth-{self.depth} stack")
         if self.composites[layer] is None:
             raise NoTaskSet("stack has no task; call set_task first")
@@ -512,8 +513,7 @@ def build_stack(basis: TaskBasis, structures: Sequence[SubtaskStructure],
                           RewardModel(np.full(n_next, -1.0), lmdp.rewards.boundary, lam0))
     # the top is a rung with no subtask states above it
     layers.append(AugmentedMlmdp(
-        lmdp=lmdp, tasks=tasks,
-        solves=solve_interior(lmdp, np.eye(lmdp.n_boundary)),
+        lmdp=lmdp, tasks=tasks, solves=solve_interior(lmdp),
         subtask_block=factor_block(np.empty((0, 0))), neutral_weights=np.empty(0)))
     depth = len(layers)
     return HierarchyStack(
@@ -536,7 +536,7 @@ def terminate_layer(stack: HierarchyStack, layer: int) -> None:
     twin once for all clones, from its own boundary values.  The base layer
     cannot be terminated.  On an error the stack is unchanged.
     """
-    if not 0 <= layer < stack.depth:
+    if not (is_integer(layer) and 0 <= layer < stack.depth):
         raise InvalidSpec(f"no layer {layer} in a depth-{stack.depth} stack")
     if layer == 0:
         raise CannotTerminateBase("the base layer cannot terminate")

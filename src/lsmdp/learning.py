@@ -177,11 +177,11 @@ def train(lmdp: Lmdp, goal_task: np.ndarray, epochs: int,
     """Run epochs of episodes and record the trajectory-length curve.
 
     ``goal_task`` is the exponentiated boundary reward over the base
-    boundary set.  With a stack, whose base must have ``lmdp``'s interior
-    states (else DimensionMismatch), the goal is blended through the stack
-    once and each episode runs against a fresh clone, so inpaints and
-    terminations are episode-scoped; the returned lengths are then
-    comparable across conditions because both run on the same base rewards.
+    boundary set.  A stack's base must share ``lmdp``'s interior count (else
+    DimensionMismatch), temperature and interior rewards (else InvalidSpec;
+    a kernel differing at equal rewards goes undetected).  The goal is
+    blended through the stack once and each episode runs on a fresh clone,
+    so inpaints and terminations are episode-scoped.
 
     Returns (LearningState, curve) where curve rows are
     (epoch, mean_length, stderr).  ``epochs`` and ``episodes_per_epoch``
@@ -196,9 +196,13 @@ def train(lmdp: Lmdp, goal_task: np.ndarray, epochs: int,
     if not np.isfinite(goal).all() or (goal < 0).any():
         raise InvalidSpec("goal task must be finite and nonnegative")
     if stack is not None:
-        if stack.layers[0].lmdp.n_interior != lmdp.n_interior:
+        base = stack.layers[0].lmdp
+        if base.n_interior != lmdp.n_interior:
             raise DimensionMismatch(f"LMDP has {lmdp.n_interior} interior states, "
-                                    f"stack base {stack.layers[0].lmdp.n_interior}")
+                                    f"stack base {base.n_interior}")
+        if (base.rewards.temperature != lmdp.rewards.temperature
+                or not np.array_equal(base.rewards.interior, lmdp.rewards.interior)):
+            raise InvalidSpec("stack base differs in temperature or interior rewards")
         template = stack.clone()
         template.set_task(goal)
         lmdp = template.layers[0].lmdp

@@ -1,10 +1,10 @@
 """Multitask LMDPs: a basis of boundary-reward tasks and fast re-blending.
 
-A task basis pairs each column of boundary rewards (exponentiated, Q_b) with
-its solved interior desirability (Z_i).  Because the first-exit problem is
-linear in the boundary values, any new boundary reward expressible as a
-nonnegative combination of basis columns is solved instantly by taking the
-same combination of the cached desirabilities.
+A task basis pairs columns of boundary rewards (exponentiated, Q_b) with the
+base's boundary solves U = A^-1 B, one solve per boundary state, made on
+first use.  Because the first-exit problem is linear in the boundary values,
+any new boundary reward expressible as a nonnegative combination w of basis
+columns is solved instantly: its interior desirability is U (Q_b w).
 
 Blends fit nonnegative weights by NNLS.  A block LU-factored once by
 factor_block is blended by its exact solution w of Q w = q when w is finite,
@@ -14,6 +14,7 @@ NNLS optimum (it meets the KKT conditions); otherwise NNLS runs as usual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.optimize
@@ -41,13 +42,14 @@ class TaskBasis:
         a placeholder, tasks supply theirs via Q_b columns.
     boundary_tasks : (n_boundary, n_tasks) array
         Exponentiated boundary rewards, one task per column (Q_b).
-    desirabilities : (n_interior, n_tasks) array
-        Interior desirability solved per task column (Z_i).
+    solves : (n_interior, n_boundary) array
+        The base's boundary solves U = A^-1 B, solved on first read.
     """
 
     base: Lmdp
     boundary_tasks: np.ndarray
-    desirabilities: np.ndarray
+
+    solves = cached_property(lambda self: solve_interior(self.base))
 
     @property
     def n_tasks(self) -> int:
@@ -65,11 +67,11 @@ class TaskWeights:
 
 
 def build_task_basis(base: Lmdp, boundary_tasks: np.ndarray) -> TaskBasis:
-    """Solve every task column of exponentiated boundary rewards.
+    """A basis of task columns of exponentiated boundary rewards, unsolved.
 
     Columns must be strictly positive (they are exp(r_b / lambda) for finite
-    rewards).  All tasks share one factorization of the base's Bellman
-    operator; a SingularSystem names the offending task columns.
+    rewards).  Nothing is solved until the first compose reads ``solves``;
+    a SingularSystem there names the offending boundary columns.
     """
     Q = np.asarray(boundary_tasks, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[0] != base.n_boundary:
@@ -80,7 +82,7 @@ def build_task_basis(base: Lmdp, boundary_tasks: np.ndarray) -> TaskBasis:
         raise InvalidSpec("task basis needs at least one task")
     if not np.isfinite(Q).all() or Q.min() <= 0:
         raise InvalidSpec("task columns must be strictly positive and finite")
-    return TaskBasis(base, Q, solve_interior(base, Q))
+    return TaskBasis(base, Q)
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,7 @@ def blend_weights_matrix(task_matrix: np.ndarray | FactoredBlock,
 
 
 def compose_desirability(basis: TaskBasis, weights: TaskWeights) -> Desirability:
-    """Combine cached solutions: z = Z_i w interior, Q_b w boundary.
+    """Compose the blend w: z_b = Q_b w on the boundary, U z_b interior.
 
     Raises NonPositiveComposite when the combination has no mass somewhere,
     e.g. for an all-zero weight vector.
@@ -158,8 +160,8 @@ def compose_desirability(basis: TaskBasis, weights: TaskWeights) -> Desirability
     w = np.asarray(weights.values, dtype=np.float64)
     if w.shape != (basis.n_tasks,):
         raise DimensionMismatch(f"{w.shape[0]} weights for {basis.n_tasks} tasks")
-    z_i = basis.desirabilities @ w
     z_b = basis.boundary_tasks @ w
+    z_i = basis.solves @ z_b
     low = min(z_i.min(initial=np.inf), z_b.min(initial=np.inf))
     if not np.isfinite(low) or low <= 0:
         raise NonPositiveComposite(f"composite desirability min = {low:.3g}")

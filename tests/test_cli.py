@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from lsmdp import errors
+from lsmdp import ArmSpec, RingSpec, build_stack, build_task_basis, make_arm, make_ring
+from lsmdp import cli, core, errors, hierarchy, multitask
 from lsmdp.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
@@ -183,6 +184,47 @@ def test_bench_reports_rows_and_slopes(tmp_path):
 
 # ---------------------------------------------------------------------------
 # exit codes
+
+
+def test_no_basis_is_solved_before_its_first_compose(tmp_path, monkeypatch):
+    # a basis is solved on its first compose; a stack augments its base and
+    # never composes it, so the base kernel never reaches the solver
+    solved, bundles, load_domain = [], [], cli.load_domain
+
+    def counting_solve(kernel, *q_boundary):
+        solved.append(kernel)
+        return core.solve_interior(kernel, *q_boundary)
+
+    def recording_load(path):
+        bundles.append(load_domain(path))
+        return bundles[-1]
+
+    for module in (multitask, hierarchy):
+        monkeypatch.setattr(module, "solve_interior", counting_solve)
+    monkeypatch.setattr(cli, "load_domain", recording_load)
+    lmdp, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3))
+    basis = build_task_basis(lmdp, tasks)
+    assert solved == []
+    build_stack(basis, structures)
+    assert len(solved) == 3
+    assert all(kernel.passive is not lmdp.passive for kernel in solved)
+    config = write_config(tmp_path / "ring.json", {
+        "type": "ring", "n_states": 27, "subtask_spacing": 3, "depth": 3,
+        "goal": 0, "start": 13,
+        "learn": {"epochs": 3, "episodes": 5, "n_seeds": 2,
+                  "conditions": ["flat", "guided"]}})
+    for command in ("stack", "simulate", "learn"):
+        solved.clear()
+        assert main([command, "--domain", config, "--seed", "1",
+                     "--out", str(tmp_path / command)]) == EXIT_OK
+        assert len(solved) == 3
+        assert all(kernel.passive is not bundles[-1].lmdp.passive for kernel in solved)
+    # make_arm hands back its basis solved, once
+    solved.clear()
+    _, arm_basis, _ = make_arm(ArmSpec(7, target_rect=(-3.0, 3.0, -3.0, 3.0)))
+    assert solved == [arm_basis.base]
+    arm_basis.solves
+    assert len(solved) == 1
 
 
 def test_missing_config_file(tmp_path):

@@ -422,9 +422,9 @@ def test_build_stack_factors_each_kernel_once(monkeypatch):
     solved, factorized = [], []
     real_solve, real_factorize = hierarchy.solve_interior, core._factorize
 
-    def counting_solve(kernel, q_boundary):
+    def counting_solve(kernel, *q_boundary):
         solved.append(kernel)
-        return real_solve(kernel, q_boundary)
+        return real_solve(kernel, *q_boundary)
 
     def counting_factorize(A, error):
         factorized.append(A)
@@ -574,6 +574,28 @@ def test_inpaint_and_policy_state_reject_a_layer_out_of_range():
     for layer in (-1, 3, 7):
         with pytest.raises(InvalidSpec, match=f"no layer {layer} in a depth-3"):
             stack.policy_state(layer)
+
+
+@pytest.mark.parametrize("layer", [1.0, True, 0.0, False])
+@pytest.mark.parametrize("call", ["policy_state", "apply_inpaint", "terminate_layer"])
+def test_a_layer_index_must_be_an_integer(call, layer):
+    # a float index once raised a bare TypeError from list indexing, and a
+    # bool passed as the integer it equals
+    lmdp, structures, tasks = make_ring(RingSpec(9, subtask_spacing=3, depth=2))
+    stack = build_stack(build_task_basis(lmdp, tasks), structures)
+    stack.set_task(goal_task_vector(lmdp.n_boundary, 0, lmdp.rewards.temperature))
+    composites = list(stack.composites)
+    calls = {
+        "policy_state": lambda index: stack.policy_state(index),
+        "apply_inpaint": lambda index: stack.apply_inpaint(
+            index, np.zeros(stack.layers[0].n_subtasks)),
+        "terminate_layer": lambda index: terminate_layer(stack, index),
+    }
+    with pytest.raises(InvalidSpec, match=f"layer {layer} in a depth-2 stack"):
+        calls[call](layer)
+    assert stack.terminated == [False, False] and stack.reblends == {}
+    assert all(new is old for new, old in zip(stack.composites, composites))
+    calls["policy_state"](np.int64(1))  # numpy integers are integers
 
 
 def test_a_clone_shares_everything_but_its_two_lists():

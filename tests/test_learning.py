@@ -1,4 +1,5 @@
 """Online desirability estimation, flat and hierarchy-guided."""
+import dataclasses
 import functools
 import math
 
@@ -417,6 +418,23 @@ def test_a_stack_built_on_another_lmdp_is_rejected():
     goal = goal_task_vector(ring27.n_boundary, 0, ring27.rewards.temperature)
     with pytest.raises(DimensionMismatch, match="LMDP has 9 interior states, stack base 27"):
         train(ring9, goal, epochs=1, episodes_per_epoch=1, seed=0, stack=stack)
+
+
+@pytest.mark.parametrize("changes", [
+    {"temperature": 3.0, "interior_reward": -5.0},
+    {"temperature": 3.0},
+    {"interior_reward": -5.0},
+])
+def test_a_stack_on_other_rewards_is_rejected(changes):
+    # an LMDP of the stack's size but other rewards used to train silently
+    # on the stack's base, giving the stack LMDP's curve
+    spec = RingSpec(27, subtask_spacing=3, depth=3)
+    ring27, structures, tasks = make_ring(spec)
+    other, _, _ = make_ring(dataclasses.replace(spec, **changes))
+    stack = build_stack(build_task_basis(ring27, tasks), structures)
+    goal = goal_task_vector(ring27.n_boundary, 0, ring27.rewards.temperature)
+    with pytest.raises(InvalidSpec, match="temperature or interior rewards"):
+        train(other, goal, epochs=1, episodes_per_epoch=1, seed=0, stack=stack)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])

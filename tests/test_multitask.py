@@ -11,6 +11,7 @@ from lsmdp import (
     TaskWeights,
     blend_weights_matrix,
     boundary_goal_tasks,
+    build_stack,
     build_task_basis,
     compose_desirability,
     default_subtask_rewards,
@@ -44,7 +45,7 @@ def basis(chain5):
 def test_basis_columns_are_per_task_solutions(basis, chain5):
     for t in range(basis.n_tasks):
         np.testing.assert_allclose(
-            basis.desirabilities[:, t],
+            basis.solves @ basis.boundary_tasks[:, t],
             solve_interior(chain5, basis.boundary_tasks[:, t]),
             rtol=0, atol=1e-14)
 
@@ -60,7 +61,7 @@ def test_basis_rejects_nonpositive_columns(chain5):
 
 def test_single_task_basis_matches_direct_solve(chain5):
     basis = build_task_basis(chain5, chain5.q_boundary[:, None])
-    np.testing.assert_allclose(basis.desirabilities[:, 0],
+    np.testing.assert_allclose(basis.solves @ basis.boundary_tasks[:, 0],
                                solve_direct(chain5).interior, rtol=1e-14)
 
 
@@ -186,6 +187,27 @@ def test_composition_is_linear_in_the_weights(seed, n_tasks):
         lmdp.passive.full_matrix, lmdp.n_interior, lmdp.rewards.interior,
         lmdp.rewards.temperature, Q @ (a + b))
     np.testing.assert_allclose(zab.interior, expected, rtol=1e-9, atol=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_tasks=st.integers(1, 6))
+def test_a_basis_composes_from_its_boundary_solves(seed, n_tasks):
+    # one form of the solved basis, U = A^-1 B, for any task count up to
+    # n_boundary + 2, shared bit for bit with a depth-1 stack's layer
+    rng = np.random.default_rng(seed)
+    lmdp = random_lmdp(rng)
+    n_tasks = min(n_tasks, lmdp.n_boundary + 2)
+    Q = np.exp(rng.uniform(-3.0, 0.5, (lmdp.n_boundary, n_tasks)))
+    w = rng.uniform(0.01, 2.0, n_tasks)
+    basis = build_task_basis(lmdp, Q)
+    z = compose_desirability(basis, TaskWeights(w, 0.0))
+    expected = oracles.first_exit_desirability(
+        lmdp.passive.full_matrix, lmdp.n_interior, lmdp.rewards.interior,
+        lmdp.rewards.temperature, Q @ w)
+    np.testing.assert_allclose(z.interior, expected, rtol=1e-9, atol=0)
+    assert basis.solves.shape == (lmdp.n_interior, lmdp.n_boundary)
+    stack = build_stack(build_task_basis(lmdp, Q), [])
+    np.testing.assert_array_equal(stack.layers[0].solves, basis.solves)
 
 
 # ---------------------------------------------------------------------------
