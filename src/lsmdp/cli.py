@@ -22,7 +22,8 @@ import numpy as np
 
 from . import serialize
 from .bench import ring_scaling
-from .core import DEFAULT_MAX_ITER, DEFAULT_TOL, Lmdp, solve_direct, z_iterate
+from .core import (DEFAULT_MAX_ITER, DEFAULT_TOL, Lmdp, _column_residuals,
+                   check_count, is_integer, solve_direct, z_iterate)
 from .domains import (ArmSpec, RingSpec, boundary_goal_tasks, four_rooms_map,
                       goal_task_vector, grid_from_ascii, make_arm, make_grid,
                       make_ring)
@@ -30,7 +31,7 @@ from .errors import BlockedCell, ConfigError, InvalidSpec, NumericalError
 from .executor import run_episode
 from .hierarchy import SubtaskStructure, build_stack
 from .learning import DEFAULT_STEP_SCALE, train
-from .multitask import build_task_basis, solve_novel_task
+from .multitask import TaskBasis, build_task_basis, solve_novel_task
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,7 +45,7 @@ class DomainBundle:
 
     config: dict
     lmdp: Lmdp
-    task_matrix: Optional[np.ndarray]
+    basis: Optional[TaskBasis]
     structures: List[SubtaskStructure]
     goal_q: Optional[np.ndarray]
     start_state: Optional[int]
@@ -68,11 +69,6 @@ def _reading_config():
         raise InvalidSpec(f"malformed config: {exc}") from exc
 
 
-def _optional_int(config: dict, key: str) -> Optional[int]:
-    value = config.get(key)
-    return None if value is None else int(value)
-
-
 def load_domain(path) -> DomainBundle:
     """Read a domain config JSON and build its LMDP, tasks, and structures.
 
@@ -85,7 +81,9 @@ def load_domain(path) -> DomainBundle:
       arm:  n_bins plus optional ArmSpec fields, start (config index).
       lmdp: inline document under "lmdp" or a path under "lmdp_file".
     Any command-specific parameters (learn, max_steps) ride along in the
-    config document.  A value of the wrong type or form raises InvalidSpec.
+    config document.  A value of the wrong type or form raises InvalidSpec;
+    integer fields must be JSON integers.  Ring and grid bases come back
+    unsolved, the arm's solved (see make_arm).
     """
     path = Path(path)
     config = serialize.read_json(path)
@@ -95,19 +93,19 @@ def load_domain(path) -> DomainBundle:
         fields = {f.name for f in dataclasses.fields(RingSpec)}
         with _reading_config():
             spec = RingSpec(**{k: config[k] for k in fields if k in config})
-            goal = int(config.get("goal", 0))
-            start = _optional_int(config, "start")
+        goal = config.get("goal", 0)
         lmdp, structures, tasks = make_ring(spec)
-        if not 0 <= goal < lmdp.n_boundary:
-            raise InvalidSpec(f"goal twin {goal} out of range")
+        if not (is_integer(goal) and 0 <= goal < lmdp.n_boundary):
+            raise InvalidSpec(f"goal twin {goal!r} is not a boundary index")
         goal_q = goal_task_vector(lmdp.n_boundary, goal, spec.temperature)
-        return DomainBundle(config, lmdp, tasks, structures, goal_q, start)
+        basis = build_task_basis(lmdp, tasks)
+        return DomainBundle(config, lmdp, basis, structures, goal_q, config.get("start"))
     if kind == "grid":
         with _reading_config():
             if "map" in config:
                 text = config["map"]
             elif "four_rooms" in config:
-                text = four_rooms_map(int(config["four_rooms"]))
+                text = four_rooms_map(config["four_rooms"])
             else:
                 raise InvalidSpec("grid config needs a map or a four_rooms size")
             spec, map_subtasks = grid_from_ascii(text, config.get("goal_cells"))
@@ -124,9 +122,10 @@ def load_domain(path) -> DomainBundle:
             if cell not in free:
                 raise BlockedCell(f"start cell {cell} is not free")
             start = free.index(cell)
-        tasks = boundary_goal_tasks(lmdp.n_boundary, spec.temperature)
+        basis = build_task_basis(lmdp, boundary_goal_tasks(lmdp.n_boundary,
+                                                           spec.temperature))
         structures = [structure] if structure is not None else []
-        return DomainBundle(config, lmdp, tasks, structures, goal_q, start)
+        return DomainBundle(config, lmdp, basis, structures, goal_q, start)
     if kind == "arm":
         fields = {f.name for f in dataclasses.fields(ArmSpec)}
         with _reading_config():
@@ -136,9 +135,8 @@ def load_domain(path) -> DomainBundle:
             if "target_rect" in kwargs:
                 kwargs["target_rect"] = tuple(kwargs["target_rect"])
             spec = ArmSpec(**kwargs)
-            start = _optional_int(config, "start")
         lmdp, basis, target_q = make_arm(spec)
-        return DomainBundle(config, lmdp, basis.boundary_tasks, [], target_q, start)
+        return DomainBundle(config, lmdp, basis, [], target_q, config.get("start"))
     if kind == "lmdp":
         with _reading_config():
             if "lmdp" in config:
@@ -150,12 +148,6 @@ def load_domain(path) -> DomainBundle:
         lmdp = serialize.lmdp_from_dict(doc)
         return DomainBundle(config, lmdp, None, [], None, None)
     raise InvalidSpec(f"unknown domain type {kind!r}")
-
-
-def _bellman_residual(lmdp: Lmdp, z_interior: np.ndarray,
-                      q_boundary: np.ndarray) -> float:
-    A, B = lmdp.bellman_operator
-    return float(np.max(np.abs(B @ q_boundary - A @ z_interior), initial=0.0))
 
 
 def _write_outputs(args, command: str, config: dict, artifacts: dict,
@@ -183,8 +175,9 @@ def cmd_solve(args) -> int:
         z_i, iterations, converged = z_iterate(
             lmdp, lmdp.q_boundary, tol=args.tol, max_iter=args.max_iter)
         z_full = np.concatenate([z_i, lmdp.q_boundary])
-    residual = _bellman_residual(lmdp, z_full[:lmdp.n_interior],
-                                 z_full[lmdp.n_interior:])
+    A, B = lmdp.bellman_operator
+    residual = float(_column_residuals(A, z_full[:lmdp.n_interior],
+                                       B @ z_full[lmdp.n_interior:]))
     _write_outputs(args, "solve", bundle.config,
                    {"z.csv": serialize.desirability_csv(lmdp, z_full)},
                    method=args.method,
@@ -202,22 +195,20 @@ def cmd_blend(args) -> int:
     bundle = load_domain(args.domain)
     if bundle.goal_q is None:
         raise InvalidSpec("this domain defines no target task to blend")
-    basis = build_task_basis(bundle.lmdp, bundle.task_matrix)
     method = args.method.replace("blend-", "")
-    z, weights = solve_novel_task(basis, bundle.goal_q, method=method)
+    z, weights = solve_novel_task(bundle.basis, bundle.goal_q, method=method)
     _write_outputs(args, "blend", bundle.config,
                    {"weights.csv": serialize.weights_csv(weights),
                     "z.csv": serialize.desirability_csv(bundle.lmdp, z.full())},
                    method=args.method, blend_residual=weights.residual,
-                   n_tasks=basis.n_tasks)
+                   n_tasks=bundle.basis.n_tasks)
     return EXIT_OK
 
 
 def _build_stack(bundle: DomainBundle, kappa, penalty):
     if not bundle.structures:
         raise InvalidSpec("this domain defines no subtask structure to stack")
-    return build_stack(build_task_basis(bundle.lmdp, bundle.task_matrix),
-                       bundle.structures, kappa=kappa, penalty=penalty)
+    return build_stack(bundle.basis, bundle.structures, kappa=kappa, penalty=penalty)
 
 
 def cmd_stack(args) -> int:
@@ -236,10 +227,8 @@ def cmd_simulate(args) -> int:
     stack = _build_stack(bundle, args.kappa, args.penalty)
     stack.set_task(bundle.goal_q)
     start = bundle.start_state if bundle.start_state is not None else 0
-    with _reading_config():
-        max_steps = _optional_int(bundle.config, "max_steps")
     rng = np.random.default_rng(args.seed)
-    trajectory = run_episode(stack, start, rng, max_steps=max_steps)
+    trajectory = run_episode(stack, start, rng, max_steps=bundle.config.get("max_steps"))
     _write_outputs(args, "simulate", bundle.config,
                    {"trajectory.csv": serialize.trajectory_csv(trajectory),
                     "weights_snapshots.csv": serialize.snapshots_csv(trajectory)},
@@ -255,14 +244,11 @@ def cmd_learn(args) -> int:
         raise InvalidSpec("this domain defines no goal task to learn")
     with _reading_config():
         params = bundle.config.get("learn", {})
-        epochs = int(params.get("epochs", 20))
-        episodes = int(params.get("episodes", 10))
-        n_seeds = int(params.get("n_seeds", 1))
-        max_steps = _optional_int(params, "max_steps")
+        epochs, episodes = params.get("epochs", 20), params.get("episodes", 10)
+        n_seeds = check_count("learn.n_seeds", params.get("n_seeds", 1))
+        max_steps = params.get("max_steps")
         step_scale = float(params.get("step_scale", DEFAULT_STEP_SCALE))
         conditions = params.get("conditions", ["flat", "guided"])
-        if n_seeds < 1:
-            raise InvalidSpec(f"learn.n_seeds must be at least 1, got {n_seeds}")
         if not conditions or not set(conditions) <= {"flat", "guided"}:
             raise InvalidSpec("learn.conditions must list 'flat' and/or "
                               f"'guided', got {conditions!r}")

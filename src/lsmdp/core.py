@@ -17,9 +17,9 @@ The central identity is the linear Bellman equation
 a nonsingular sparse linear system whenever every interior state can reach the
 boundary.  Each ``Lmdp`` caches its assembled operator ``A = I - diag(q_i)
 to_interior^T`` and ``B = diag(q_i) to_boundary^T``, so the system for any
-boundary values q_b is ``A z_i = B q_b``.  ``solve_interior`` factorizes A
-once per call and solves every right-hand side of that call (one boundary
-vector, or a matrix of task columns) against the one factorization;
+boundary values q_b is ``A z_i = B q_b``.  ``solve_interior`` factors A once
+per call with SuperLU and solves every right-hand side of that call (one
+boundary vector, or a matrix of task columns) against that factorization;
 ``solve_direct`` wraps it.  ``z_iterate`` applies the fixed-point map, which
 contracts monotonically from a zero start, to the same inputs: a matrix of
 task columns is iterated a block at a time with one sparse product per sweep,
@@ -72,11 +72,10 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
 # Largest r / lambda whose exponential is a finite float64.
 LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
-# Below this many interior states a dense factorization beats sparse LU setup.
-DENSE_CUTOFF = 64
 # Bytes of one block of task columns solved or iterated per pass, which
 # bounds a many-task call's temporaries to a few blocks.  A column holds
 # n_boundary right-hand-side and n_interior iterate rows (block_width).
+# Solves and sweeps treat each column alone, so the width changes no bit.
 # 512 KiB gives 64 columns on ring_scaling([512])'s flat level, 36 on
 # ArmSpec(30), 115 on the ring-243 stack's layer 0 and 624 on the four-rooms
 # grid; wider sweeps faster, but twice this raised peak memory by a quarter.
@@ -340,23 +339,10 @@ class Desirability:
 
 
 def _factorize(A: sp.csc_matrix, error: type):
-    """Return ``solve(rhs)`` for square A and a vector or matrix rhs.
-
-    Below DENSE_CUTOFF rows each call is a dense LAPACK solve, which costs
-    less than SuperLU's setup at that size; otherwise A is factored once with
-    SuperLU.  An exactly singular A raises ``error`` (the dense path finds out
-    on its first solve).
-    """
-    if A.shape[0] < DENSE_CUTOFF:
-        dense = A.toarray()
-
-        def solve(rhs):
-            try:
-                return np.linalg.solve(dense, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise error(str(exc)) from exc
-
-        return solve
+    """Return ``solve(rhs)`` for square A and a vector or matrix rhs, with A
+    factored once by SuperLU, which solves each right-hand-side column on its
+    own, so a column's bits do not depend on the others.  An exactly
+    singular A raises ``error``."""
     try:
         return spla.splu(A).solve
     except RuntimeError as exc:
@@ -439,7 +425,7 @@ def _column_residuals(A: sp.csc_matrix, z: np.ndarray, b: np.ndarray) -> np.ndar
 
 
 def solve_direct(lmdp: Lmdp) -> Desirability:
-    """Solve the first-exit problem by direct sparse/dense factorization.
+    """Solve the first-exit problem by one sparse LU factorization.
 
     Returns
     -------

@@ -15,7 +15,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .core import PassiveDynamics, RewardModel, StatePartition, build_lmdp
+from .core import (PassiveDynamics, RewardModel, StatePartition, build_lmdp,
+                   check_count, is_integer)
 from .errors import BlockedCell, EmptyTarget, InvalidSpec
 from .hierarchy import SubtaskStructure, default_subtask_rewards
 from .multitask import build_task_basis
@@ -62,12 +63,12 @@ class RingSpec:
     access_weight: float = DEFAULT_ACCESS_WEIGHT
 
     def __post_init__(self):
-        if self.n_states < 3:
-            raise InvalidSpec("ring needs at least 3 states")
-        if self.subtask_spacing < 2:
-            raise InvalidSpec("subtask spacing must be at least 2")
-        if self.depth < 1:
-            raise InvalidSpec("depth must be at least 1")
+        if not (is_integer(self.n_states) and self.n_states >= 3):
+            raise InvalidSpec(f"ring size {self.n_states!r} is not an integer of at least 3")
+        if not (is_integer(self.subtask_spacing) and self.subtask_spacing >= 2):
+            raise InvalidSpec(f"subtask spacing must be an integer of at least 2, "
+                              f"got {self.subtask_spacing!r}")
+        check_count("depth", self.depth)
         _check_walk(self.step_prob, self.exit_prob, 2)
 
     def level_sizes(self) -> List[int]:
@@ -224,8 +225,8 @@ def grid_from_ascii(text: str, goal_cells: Optional[Sequence] = None
 
 def four_rooms_map(size: int = 11) -> str:
     """The canonical four-room layout: central walls with four doorways."""
-    if size < 5 or size % 2 == 0:
-        raise InvalidSpec("four-rooms size must be odd and at least 5")
+    if not (is_integer(size) and size >= 5 and size % 2):
+        raise InvalidSpec(f"four-rooms size {size!r} is not an odd integer of at least 5")
     mid = size // 2
     door_a, door_b = mid // 2, mid + 1 + mid // 2
     rows = []
@@ -337,8 +338,8 @@ class ArmSpec:
     interior_reward: float = -1.0
 
     def __post_init__(self):
-        if self.n_bins < 3:
-            raise InvalidSpec("need at least 3 bins per joint")
+        if not (is_integer(self.n_bins) and self.n_bins >= 3):
+            raise InvalidSpec(f"need an integer n_bins of at least 3, got {self.n_bins!r}")
         if self.link_lengths[0] <= 0 or self.link_lengths[1] <= 0:
             raise InvalidSpec("link lengths must be positive")
         x0, x1, y0, y1 = self.target_rect

@@ -138,12 +138,11 @@ def access_hierarchy(stack: HierarchyStack, entry_subtask: int,
     return r_t, tuple(chain), deepest, terminated
 
 
-def rollout_budget(n_interior: int, start_state: Optional[int],
+def rollout_budget(n_interior: int, start_state: int,
                    max_steps: Optional[int]) -> int:
-    """A rollout's checked step budget, by default 100 * n_interior; a
-    ``start_state`` other than None must be an integer interior state."""
-    if start_state is not None and not (
-            is_integer(start_state) and 0 <= start_state < n_interior):
+    """A rollout's checked step budget, by default 100 * n_interior, from
+    ``start_state``, which must be an integer interior state."""
+    if not (is_integer(start_state) and 0 <= start_state < n_interior):
         raise InvalidSpec(f"start state {start_state} is not a base interior state")
     return 100 * n_interior if max_steps is None else check_count("max_steps", max_steps)
 

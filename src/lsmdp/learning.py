@@ -122,8 +122,8 @@ def run_learning_episode(lmdp: Lmdp, learner: LearningState,
         if shape != (n,):
             raise DimensionMismatch(f"learner {name} shape {shape}, expected ({n},)")
     check_step_scale(learner.step_scale)
-    max_steps = rollout_budget(n_i, start_state, max_steps)
     s = int(rng.integers(n_i)) if start_state is None else start_state
+    max_steps = rollout_budget(n_i, s, max_steps)
     lam = lmdp.rewards.temperature
     r_i = lmdp.rewards.interior.tolist()
     narrow = lmdp.passive.narrow_columns

@@ -225,6 +225,13 @@ def test_no_basis_is_solved_before_its_first_compose(tmp_path, monkeypatch):
     assert solved == [arm_basis.base]
     arm_basis.solves
     assert len(solved) == 1
+    # and lsmdp blend composes that basis, so the arm kernel is solved once
+    solved.clear()
+    config = write_config(tmp_path / "arm.json", {
+        "type": "arm", "n_bins": 7, "target_rect": [-3, 3, -3, 3]})
+    assert main(["blend", "--domain", config, "--seed", "1",
+                 "--out", str(tmp_path / "blend")]) == EXIT_OK
+    assert len(solved) == 1 and solved[0] is bundles[-1].lmdp
 
 
 def test_missing_config_file(tmp_path):
@@ -319,6 +326,30 @@ def test_malformed_config_values(tmp_path, capsys, command, doc):
     for field in ("step_prob", "exit_prob"):
         if isinstance(doc, dict) and field in doc:
             assert f"{field} must lie in" in err
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("solve", {"type": "ring", "n_states": 27.5}),
+    ("solve", dict(RING, subtask_spacing=3.0)),
+    ("solve", dict(RING, depth=2.0)),
+    ("solve", {"type": "arm", "n_bins": 7.0}),
+    ("solve", dict(RING, goal=0.5)),
+    ("solve", dict(ROOMS, four_rooms=11.0)),
+    ("simulate", dict(RING, start=6.7)),
+    ("simulate", dict(RING, max_steps=10.5)),
+    ("learn", dict(RING, learn={"epochs": 2.5, "episodes": True})),
+    ("learn", dict(RING, learn={"epochs": 1, "episodes": 1, "n_seeds": 1.5})),
+    ("learn", dict(RING, learn={"epochs": 1, "episodes": 1, "max_steps": 50.5})),
+], ids=["ring-size-float", "ring-spacing-float", "ring-depth-float", "arm-bins-float",
+        "goal-float", "four-rooms-float", "start-float", "max-steps-float",
+        "learn-epochs-float", "learn-seeds-float", "learn-max-steps-float"])
+def test_integer_fields_take_only_integers(tmp_path, capsys, command, doc):
+    # a float, integral or not, is neither truncated nor a crash
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert main([command, "--domain", cfg,
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_error_is_config_or_numerical():

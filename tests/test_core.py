@@ -34,7 +34,7 @@ from lsmdp import (
     z_iterate,
 )
 from lsmdp import core
-from lsmdp.core import DEFAULT_MAX_ITER, DEFAULT_TOL, DENSE_CUTOFF
+from lsmdp.core import DEFAULT_MAX_ITER, DEFAULT_TOL
 from lsmdp.domains import ring_passive
 from lsmdp.errors import (
     DimensionMismatch,
@@ -296,8 +296,7 @@ def random_tasks(rng, lmdp, n_tasks):
 def test_block_solve_matches_columnwise_solves(seed, sparse, n_tasks):
     rng = np.random.default_rng(seed)
     if sparse:
-        lmdp = random_lmdp(rng, min_interior=DENSE_CUTOFF,
-                           max_interior=DENSE_CUTOFF + 40, max_boundary=6)
+        lmdp = random_lmdp(rng, min_interior=64, max_interior=104, max_boundary=6)
     else:
         lmdp = random_lmdp(rng, max_boundary=6)
     Q = random_tasks(rng, lmdp, n_tasks)
@@ -324,7 +323,6 @@ def singular_lmdp(n_interior):
 
 @pytest.mark.parametrize("n_interior", [1, 80])
 def test_singular_system_is_raised(n_interior):
-    assert 1 < DENSE_CUTOFF <= 80  # one state takes the dense path, 80 the sparse
     lmdp = singular_lmdp(n_interior)
     with pytest.raises(SingularSystem):
         solve_interior(lmdp, lmdp.q_boundary)
@@ -480,8 +478,7 @@ def test_loose_probe_rows_change_no_bit(seed, width, n_tasks, cut_budget):
 def test_block_width_changes_no_bit(seed, sparse, n_tasks, widths, cap, start):
     rng = np.random.default_rng(seed)
     if sparse:
-        lmdp = random_lmdp(rng, min_interior=DENSE_CUTOFF,
-                           max_interior=DENSE_CUTOFF + 40, max_boundary=6)
+        lmdp = random_lmdp(rng, min_interior=64, max_interior=104, max_boundary=6)
     else:
         lmdp = random_lmdp(rng, max_boundary=6)
     Q = random_tasks(rng, lmdp, n_tasks)
@@ -496,15 +493,7 @@ def test_block_width_changes_no_bit(seed, sparse, n_tasks, widths, cap, start):
     (iterated, solved), (iterated2, solved2) = runs
     assert np.array_equal(iterated[0], iterated2[0])
     assert iterated[1:] == iterated2[1:]  # sweep total and converged flag
-    if lmdp.n_interior >= DENSE_CUTOFF:  # SuperLU solves each column alone
-        assert np.array_equal(solved, solved2)
-    else:
-        # LAPACK's dense solve is not bit-stable across right-hand-side
-        # counts (1-column blocks against one k-column block differed by up
-        # to 9.7e-16 of max|z| over 2,000 random LMDPs), so the dense path
-        # keeps the column-wise test's tolerance
-        np.testing.assert_allclose(solved, solved2, rtol=0,
-                                   atol=1e-12 * np.abs(solved).max(initial=0.0))
+    assert np.array_equal(solved, solved2)  # SuperLU solves each column alone
 
 
 @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan")])

@@ -468,8 +468,8 @@ def test_truncation_and_bad_start(rooms):
     traj = run_episode(stack, start, np.random.default_rng(0), max_steps=1)
     assert traj.truncated
     assert traj.length <= 1
-    # bools and floats, integral or not, are refused like out-of-range states
-    for bad in (lmdp.n_interior, -1, 1.5, np.float64(2.0), True):
+    # None, bools and floats, integral or not, are refused like out-of-range states
+    for bad in (lmdp.n_interior, -1, 1.5, np.float64(2.0), True, None):
         with pytest.raises(InvalidSpec, match="start state"):
             run_episode(stack, bad, np.random.default_rng(0))
     for bad in (0, 2.5, True):
