@@ -28,7 +28,7 @@ from .domains import (ArmSpec, RingSpec, boundary_goal_tasks, four_rooms_map,
                       goal_task_vector, grid_from_ascii, make_arm, make_grid,
                       make_ring)
 from .errors import BlockedCell, ConfigError, InvalidSpec, NumericalError
-from .executor import run_episode
+from .executor import rollout_budget, run_episode
 from .hierarchy import SubtaskStructure, build_stack
 from .learning import DEFAULT_STEP_SCALE, train
 from .multitask import TaskBasis, build_task_basis, solve_novel_task
@@ -108,6 +108,10 @@ def load_domain(path) -> DomainBundle:
                 text = four_rooms_map(config["four_rooms"])
             else:
                 raise InvalidSpec("grid config needs a map or a four_rooms size")
+            cells = [*(config.get("goal_cells") or ()), *config.get("subtask_cells", ()),
+                     *(config[key] for key in ("goal", "start") if key in config)]
+            if not all(len(cell) == 2 and all(map(is_integer, cell)) for cell in cells):
+                raise InvalidSpec(f"grid cells must be [row, col] integer pairs, got {cells}")
             spec, map_subtasks = grid_from_ascii(text, config.get("goal_cells"))
             spec = _replace_spec(spec, config,
                                  ("stay_prob", "step_prob", "exit_prob",
@@ -244,9 +248,12 @@ def cmd_learn(args) -> int:
         raise InvalidSpec("this domain defines no goal task to learn")
     with _reading_config():
         params = bundle.config.get("learn", {})
-        epochs, episodes = params.get("epochs", 20), params.get("episodes", 10)
+        epochs = check_count("learn.epochs", params.get("epochs", 20))
+        episodes = check_count("learn.episodes", params.get("episodes", 10))
         n_seeds = check_count("learn.n_seeds", params.get("n_seeds", 1))
         max_steps = params.get("max_steps")
+        start = bundle.start_state
+        rollout_budget(bundle.lmdp.n_interior, 0 if start is None else start, max_steps)
         step_scale = float(params.get("step_scale", DEFAULT_STEP_SCALE))
         conditions = params.get("conditions", ["flat", "guided"])
         if not conditions or not set(conditions) <= {"flat", "guided"}:

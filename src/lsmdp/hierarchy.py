@@ -12,11 +12,15 @@ inpainting rewards onto the subtask states: the difference between its
 desired next-state distribution and its passive one, scaled by kappa, becomes
 a boundary reward vector that the lower layer re-blends against its
 subtask-task columns.  Every layer keeps the base boundary set and its one
-boundary-task matrix, so one blend of that matrix sets the goal at every
-layer.  The Bellman system is linear in the boundary values, so a layer
-solves once per boundary state, U = A^-1 B, and composes z_i = U z_b from the
-blended boundary values z_b; a termination above only zeroes z_b at the
-subtask states.  The task matrix and every subtask reward block are
+boundary-task matrix Q, one array at every layer, so one blend of Q sets the
+goal at every layer.  An augmented layer's task matrix [[Q, f 11^T],
+[f 11^T, Q_t]] (fill f) is held as its blocks, never assembled.  The Bellman
+system is linear in the boundary values, so a layer solves once per boundary
+state, U = A^-1 B = [U_b, U_t], and composes weights w = [w_b; w_t] as
+z_b = [Q w_b + f sum(w_t); Q_t w_t + f sum(w_b)] and z_i = U_b Q w_b +
+f sum(w_t) U_b 1 + U_t z_t; a termination above only zeroes z_t.  Q w_b and
+U_b Q w_b are memoized per task, so an inpaint re-blend, which moves only
+w_t, composes only the subtask block.  Q and every subtask block are
 LU-factored once per stack (``multitask.factor_block``).  A layer's task
 state is one ``Composite``: its weights, the desirability they compose, a
 policy-column cache, and the dead twin a termination above swaps in.  Within
@@ -125,20 +129,25 @@ class AugmentedMlmdp:
 
     The augmented LMDP treats subtask states as extra boundary states
     (indices n_base_boundary .. n_base_boundary+n_subtasks-1 of the boundary
-    block).  ``tasks`` holds the base boundary-task columns plus one task per
-    subtask state; ``solves`` holds the interior solve of each boundary
-    state, so the interior of any boundary values z_b is ``solves @ z_b``.
-    The top of a stack is a rung with zero subtasks over the top layer's own
-    LMDP.  The layer's one kernel is ``lmdp.passive``, its last
-    ``n_subtasks`` boundary rows the subtask rows.  Inpaint re-blends solve
-    against ``subtask_block``, factored in augment.
+    block).  Its task matrix is held in block form (see the module
+    docstring): the shared Q, the subtask block Q_t with its LU, which
+    inpaint re-blends solve against, and the fill f.  ``solves`` holds the
+    interior solve of each boundary state, so the interior of any boundary
+    values z_b is ``solves @ z_b``.  The top of a stack is a rung with zero
+    subtasks over the top layer's own LMDP.  The layer's one kernel is
+    ``lmdp.passive``, its last ``n_subtasks`` boundary rows the subtask rows.
     """
 
     lmdp: Lmdp                      # augmented: boundary = base boundary + subtasks
-    tasks: np.ndarray               # (n_boundary, n_tasks), [base tasks | subtask tasks]
+    base_tasks: np.ndarray          # (n_base_boundary, n_base_tasks) Q, shared
     solves: np.ndarray              # (n_interior, n_boundary), A^-1 B
     subtask_block: FactoredBlock    # subtask-reward block Q_t and its LU
     neutral_weights: np.ndarray     # subtask-task blend for inpainted reward 0
+    fill: float = 0.0               # cross-block fill f; none at the top
+    ones_solve: np.ndarray = field(init=False, repr=False)  # U_b 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "ones_solve", self.solves[:, :self.n_base_boundary].sum(1))
 
     @property
     def n_subtasks(self) -> int:
@@ -146,7 +155,7 @@ class AugmentedMlmdp:
 
     @property
     def n_base_tasks(self) -> int:
-        return self.tasks.shape[1] - self.n_subtasks
+        return self.base_tasks.shape[1]
 
     @property
     def n_base_boundary(self) -> int:
@@ -226,22 +235,21 @@ def augment(lmdp: Lmdp, tasks: np.ndarray, structure: SubtaskStructure,
             penalty: Optional[float] = None) -> AugmentedMlmdp:
     """Append subtask states to a layer with boundary-task matrix ``tasks``.
 
-    ``tasks`` is (n_boundary, n_tasks), exponentiated; only the augmented
-    layer is solved, once per boundary state.  The stacked
+    ``tasks`` is (n_boundary, n_tasks), exponentiated, and becomes the base
+    block Q; only the augmented layer is solved, once per boundary state.  The stacked
     kernel [to_interior; to_boundary; weights], renormalized columnwise, is
     the augmented LMDP's passive dynamics.
     Each subtask task has reward 0 at its own state and ``penalty``
     (default -5 * lambda) at the other subtask states.  The cross blocks of
     the combined task matrix (base tasks at subtask states, subtask tasks at
-    boundary twins) are filled with the much steeper reward
-    AUGMENT_FILL_SCALE * lambda, kept strictly positive so every task
+    boundary twins) hold the fill f = exp(AUGMENT_FILL_SCALE), the much
+    steeper reward AUGMENT_FILL_SCALE * lambda, kept positive so every task
     column stays a valid exponentiated reward.  The subtask-reward block is
     factored once here and gives the neutral blend.
     """
     lam = lmdp.rewards.temperature
     if penalty is None:
         penalty = DEFAULT_SUBTASK_PENALTY_SCALE * lam
-    fill_penalty = AUGMENT_FILL_SCALE * lam
     Q = np.asarray(tasks, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[0] != lmdp.n_boundary or Q.shape[1] < 1:
         raise DimensionMismatch(
@@ -275,21 +283,17 @@ def augment(lmdp: Lmdp, tasks: np.ndarray, structure: SubtaskStructure,
     )
     aug_lmdp = build_lmdp(partition, passive, rewards)
 
-    fill = np.exp(fill_penalty / lam)
-    n_tasks = Q.shape[1]
-    Q_full = np.full((n_b + n_t, n_tasks + n_t), fill)
-    Q_full[:n_b, :n_tasks] = Q
-    Q_full[n_b:, n_tasks:] = Q_t
     subtask_block = factor_block(Q_t)
     # the blend for inpainted reward 0 (target q_t = 1) that set_task starts from
     neutral = blend_weights_matrix(subtask_block, np.ones(n_t)).values
 
     return AugmentedMlmdp(
         lmdp=aug_lmdp,
-        tasks=Q_full,
+        base_tasks=Q,
         solves=solve_interior(aug_lmdp),
         subtask_block=subtask_block,
         neutral_weights=neutral,
+        fill=float(np.exp(AUGMENT_FILL_SCALE * lam / lam)),
     )
 
 
@@ -353,8 +357,8 @@ class HierarchyStack:
     """An ordered tower of layers plus per-episode execution state.
 
     Every layer is an AugmentedMlmdp; the top one has zero subtasks.  Layer
-    structures, each with its boundary solves, and ``task_block``, the shared
-    boundary-task matrix with its LU factors, are immutable and shared
+    structures, each with its boundary solves, and ``task_block``, their
+    shared base block Q with its LU factors, are immutable and shared
     between clones; nothing is solved or factored after build_stack.
     ``composites[k]`` is layer k's current Composite and ``terminated[k]``
     its flag; both lists are per-clone.  A Composite's arrays are never
@@ -365,11 +369,14 @@ class HierarchyStack:
     (layer, terminated flag of the layer above, shape and bytes of the
     inpainted vector) to the Composite that re-blend gave; nothing else
     enters a re-blend, since set_task fixed the base-task weights.
-    set_task starts fresh composites and an empty memo and clone shares
-    them, so every episode clone of one tasked stack reuses the others'
-    re-blends, column records and dead twins.  Nothing is capped until the
-    next set_task: on ring-243 depth 4 a task's column caches held 181-265
-    records (< 1 MB) after 16 episodes, about 2,800 (6.5 MB) after 4,000.
+    ``base_terms`` maps (layer, bytes of w_b) to (Q w_b, U_b Q w_b), right
+    for any task (a failed set_task may leave it empty).  set_task starts
+    fresh composites and empty memos and clone shares them, so every episode
+    clone of one tasked stack reuses the others' re-blends, base terms,
+    column records and dead twins.
+    Nothing is capped until the next set_task: on ring-243 depth 4 a task's
+    column caches held 181-265 records (< 1 MB) after 16 episodes, about
+    2,800 (6.5 MB) after 4,000.
     """
 
     layers: List[AugmentedMlmdp]
@@ -381,6 +388,7 @@ class HierarchyStack:
     target: Optional[np.ndarray] = None  # boundary task set by set_task
     reblends: Dict[tuple, Composite] = field(default_factory=dict, repr=False,
                                              compare=False)
+    base_terms: Dict[tuple, tuple] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def depth(self) -> int:
@@ -392,7 +400,7 @@ class HierarchyStack:
 
     def clone(self) -> "HierarchyStack":
         """A copy with its own composite and terminated lists that shares
-        everything else: layers, composites, the memo and ``target``, which
+        everything else: layers, composites, the memos and ``target``, which
         set_task replaces and nothing writes in place."""
         return replace(self, composites=list(self.composites),
                        terminated=list(self.terminated))
@@ -413,6 +421,7 @@ class HierarchyStack:
         if (q < 0).any():
             raise InvalidSpec("boundary target must be nonnegative")
         wb = blend_weights_matrix(self.task_block, q)
+        self.base_terms = {}
         self.composites = [
             self._compose(layer, TaskWeights(
                 np.concatenate([wb.values, entry.neutral_weights]), wb.residual),
@@ -421,27 +430,31 @@ class HierarchyStack:
         self.target = q.copy()
         self.reblends = {}
 
-    def _compose(self, layer: int, weights: TaskWeights, dead: bool,
-                 z_b: Optional[np.ndarray] = None) -> Composite:
+    def _compose(self, layer: int, weights: TaskWeights, dead: bool) -> Composite:
         """The layer's Composite under ``weights``, its ``z`` read-only.
 
-        The boundary values are the blend z_b = tasks @ w (a copy of ``z_b``,
-        the live composite's, when given), zero at the subtask states with
-        ``dead`` (the layer above is terminated), and the interior is
-        solves @ z_b, a sum of nonnegative terms.  Raises
-        NonPositiveComposite when an interior entry is not positive, e.g.
-        after underflow at low temperature.
+        Composes block by block (module docstring) through ``base_terms``,
+        with z_t = 0 when ``dead`` (the layer above is terminated); the
+        interior is a sum of nonnegative terms.  Raises NonPositiveComposite
+        when an interior entry is not positive, e.g. after underflow.
         """
         entry = self.layers[layer]
-        z_b = entry.tasks @ weights.values if z_b is None else z_b.copy()
-        if dead:
-            z_b[entry.n_base_boundary:] = 0.0
-        z_i = entry.solves @ z_b
+        n_b = entry.n_base_boundary
+        w_b, w_t = np.split(weights.values, [entry.n_base_tasks])
+        key = (layer, w_b.tobytes())
+        if key not in self.base_terms:
+            q_b = entry.base_tasks @ w_b
+            self.base_terms[key] = q_b, entry.solves[:, :n_b] @ q_b
+        q_b, u_b = self.base_terms[key]
+        fill_t = entry.fill * w_t.sum()
+        z_t = (np.zeros(entry.n_subtasks) if dead
+               else entry.subtask_block.matrix @ w_t + entry.fill * w_b.sum())
+        z_i = u_b + fill_t * entry.ones_solve + entry.solves[:, n_b:] @ z_t
         low = z_i.min(initial=np.inf)
         if not low > 0:
             raise NonPositiveComposite(
                 f"layer {layer} composite desirability min = {low:.3g}")
-        z = np.concatenate([z_i, z_b])
+        z = np.concatenate([z_i, q_b + fill_t, z_t])
         z.flags.writeable = False
         return Composite(weights, z)
 
@@ -481,15 +494,15 @@ def build_stack(basis: TaskBasis, structures: Sequence[SubtaskStructure],
 
     Each structure augments the current layer; the layer above lives on the
     subtask states with absorption-derived passive dynamics, keeps the base
-    boundary set and temperature, inherits the boundary-task matrix, and
-    charges reward -1 per step.  Of ``basis`` only ``base`` and
+    boundary set and temperature, shares the one float64 boundary-task
+    matrix, and charges reward -1 per step.  Of ``basis`` only ``base`` and
     ``boundary_tasks`` are read.  Every layer solves each of its boundary
     states once, and every block a stack blends is factored here or in
     ``augment``, not in episodes.
     ``kappa`` (default lambda) scales inpainted rewards and must be finite;
     ``penalty`` defaults to -5 * lambda.
     """
-    lmdp, tasks = basis.base, basis.boundary_tasks
+    lmdp, tasks = basis.base, np.asarray(basis.boundary_tasks, dtype=np.float64)
     lam0 = lmdp.rewards.temperature
     if kappa is None:
         kappa = lam0
@@ -513,7 +526,7 @@ def build_stack(basis: TaskBasis, structures: Sequence[SubtaskStructure],
                           RewardModel(np.full(n_next, -1.0), lmdp.rewards.boundary, lam0))
     # the top is a rung with no subtask states above it
     layers.append(AugmentedMlmdp(
-        lmdp=lmdp, tasks=tasks, solves=solve_interior(lmdp),
+        lmdp=lmdp, base_tasks=tasks, solves=solve_interior(lmdp),
         subtask_block=factor_block(np.empty((0, 0))), neutral_weights=np.empty(0)))
     depth = len(layers)
     return HierarchyStack(
@@ -533,7 +546,7 @@ def terminate_layer(stack: HierarchyStack, layer: int) -> None:
     recomposes its weights with zero boundary value at those states from the
     same boundary solves, so the policy tilt can never select them again.
     Nothing is solved or factored, and a live Composite composes its dead
-    twin once for all clones, from its own boundary values.  The base layer
+    twin once for all clones, through the same compose.  The base layer
     cannot be terminated.  On an error the stack is unchanged.
     """
     if not (is_integer(layer) and 0 <= layer < stack.depth):
@@ -545,7 +558,6 @@ def terminate_layer(stack: HierarchyStack, layer: int) -> None:
     live = stack.composites[layer - 1]
     if live is not None:
         if live.dead is None:
-            n_i = stack.layers[layer - 1].lmdp.n_interior
-            live.dead = stack._compose(layer - 1, live.weights, True, live.z[n_i:])
+            live.dead = stack._compose(layer - 1, live.weights, True)
         stack.composites[layer - 1] = live.dead
     stack.terminated[layer] = True

@@ -130,29 +130,35 @@ def save_stack(stack: HierarchyStack, directory) -> None:
 
     ``layer_k.json`` holds the layer's LMDP document without its kernel
     under "lmdp" and names the ``.npy`` files beside it: under
-    "boundary_tasks" its task matrix, under "boundary_solves" the interior
-    solve of each boundary state, and under "passive_data",
-    "passive_indices" and "passive_indptr" (int64) the CSC arrays of its one
-    kernel, ``full_matrix`` as stored (its draw order), subtask access rows
-    last.  The manifest (format 5) records the layer count, order and kinds,
-    kappa and penalty, termination flags (a layer's subtasks live while the
-    layer above does), and current task weights when set.
+    "boundary_solves" the interior solve of each boundary state, under
+    "passive_data", "passive_indices" and "passive_indptr" (int64) the CSC
+    arrays of its one kernel, ``full_matrix`` as stored (its draw order),
+    subtask access rows last, and on an augmented layer under
+    "subtask_tasks" its block Q_t, beside the fill f ("task_fill").  The
+    manifest (format 6) names ``base_tasks.npy``, the base block Q every
+    layer shares, written once, and records the layer count, order and
+    kinds, kappa and penalty, termination flags (a layer's subtasks live
+    while the layer above does), and current task weights when set.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    np.save(directory / "base_tasks.npy", stack.task_block.matrix)
     for k, entry in enumerate(stack.layers):
         doc = {"lmdp": _lmdp_header(entry.lmdp)}
         kernel = entry.lmdp.passive.full_matrix
-        for key, array in (("boundary_tasks", entry.tasks),
-                           ("boundary_solves", entry.solves),
-                           ("passive_data", kernel.data),
-                           ("passive_indices", kernel.indices.astype(np.int64)),
-                           ("passive_indptr", kernel.indptr.astype(np.int64))):
+        arrays = [("boundary_solves", entry.solves), ("passive_data", kernel.data),
+                  ("passive_indices", kernel.indices.astype(np.int64)),
+                  ("passive_indptr", kernel.indptr.astype(np.int64))]
+        if entry.n_subtasks:
+            arrays.append(("subtask_tasks", entry.subtask_block.matrix))
+            doc["task_fill"] = entry.fill
+        for key, array in arrays:
             doc[key] = f"layer_{k}.{key}.npy"
             np.save(directory / doc[key], array)
         write_json(directory / f"layer_{k}.json", doc)
     manifest = {
-        "format": 5,
+        "format": 6,
+        "base_tasks": "base_tasks.npy",
         "depth": stack.depth,
         "kappa": float(stack.kappa),
         "penalty": float(stack.penalty),

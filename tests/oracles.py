@@ -163,3 +163,35 @@ def absorption_kernel(to_interior, to_boundary, to_subtasks):
     entries = Pt.T / Pt.sum(axis=1)
     visits = np.linalg.inv(np.eye(Pi.shape[0]) - Pi) @ entries
     return Pt @ visits, Pb @ visits
+
+
+def augmented_task_matrix(base_tasks, subtask_tasks, fill=np.exp(-20.0)):
+    """An augmented layer's dense task matrix [[Q, f 11^T], [f 11^T, Q_t]].
+
+    Rows are the base boundary states, then the subtask states; columns the
+    base tasks, then one task per subtask.  The cross blocks price base tasks
+    at subtask states and subtask tasks at base boundary states with the
+    constant fill f, by default e^-20 (reward -20 lambda at temperature
+    lambda).  A layer with no subtasks gets Q back.
+    """
+    Q, Q_t = _dense(base_tasks), _dense(subtask_tasks)
+    (n_b, n_k), n_t = Q.shape, Q_t.shape[0]
+    T = np.full((n_b + n_t, n_k + n_t), fill)
+    T[:n_b, :n_k] = Q
+    T[n_b:, n_k:] = Q_t
+    return T
+
+
+def layer_desirability(passive, n_interior, r_interior, temperature,
+                       task_matrix, weights, n_subtasks, dead):
+    """Full desirability of a layer blended by ``weights`` over its tasks.
+
+    The boundary values are ``task_matrix @ weights``, zero at the last
+    ``n_subtasks`` boundary states when ``dead`` (the layer above is
+    terminated); the interior is their dense first-exit solve.
+    """
+    z_b = _dense(task_matrix) @ np.asarray(weights, dtype=np.float64)
+    if dead:
+        z_b[len(z_b) - n_subtasks:] = 0.0
+    z_i = first_exit_desirability(passive, n_interior, r_interior, temperature, z_b)
+    return np.concatenate([z_i, z_b])

@@ -352,6 +352,51 @@ def test_integer_fields_take_only_integers(tmp_path, capsys, command, doc):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("goal_cells", [[0, 10.0]]),
+    ("goal_cells", [[0, 10, 0]]),
+    ("subtask_cells", [[2, 5], [5, 2.0]]),
+    ("subtask_cells", [[True, 5]]),
+    ("goal", [0, 10.0]),
+    ("start", [10, 0.0]),
+    ("start", [10]),
+], ids=["goal-cells-float", "goal-cells-triple", "subtask-cells-float",
+        "subtask-cells-bool", "goal-float", "start-float", "start-single"])
+def test_grid_cells_take_only_integer_pairs(tmp_path, capsys, field, value):
+    # a float cell used to pass as its integer twin, or become a label such
+    # as goal_r0c10.0
+    cfg = write_config(tmp_path / "cfg.json", {
+        **ROOMS, "subtask_cells": [[2, 5], [5, 2], [5, 8], [8, 5]],
+        "goal": [0, 10], "start": [10, 0], field: value})
+    for command in ("solve", "simulate"):
+        assert main([command, "--domain", cfg,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "integer pairs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("learn, start, message", [
+    ({"epochs": 2.5}, 13, "must be at least 1 and an integer"),
+    ({"episodes": 0}, 13, "must be at least 1 and an integer"),
+    ({"max_steps": 50.5}, 13, "must be at least 1 and an integer"),
+    ({}, 6.7, "is not a base interior state"),
+    ({}, 27, "is not a base interior state"),
+], ids=["epochs-float", "episodes-zero", "max-steps-float", "start-float",
+        "start-out-of-range"])
+def test_learn_checks_its_inputs_before_building_a_stack(tmp_path, monkeypatch,
+                                                         capsys, learn, start,
+                                                         message):
+    built = []
+    monkeypatch.setattr(cli, "_build_stack", lambda *args: built.append(args))
+    cfg = write_config(tmp_path / "ring.json", {
+        "type": "ring", "n_states": 27, "subtask_spacing": 3, "depth": 3,
+        "start": start, "learn": dict(learn, conditions=["flat", "guided"])})
+    assert main(["learn", "--domain", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert built == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_every_error_is_config_or_numerical():
     def subclasses(cls):
         for sub in cls.__subclasses__():

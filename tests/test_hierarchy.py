@@ -67,6 +67,11 @@ def base_chain(n_interior=5, seed=43):
                       RewardModel(np.full(n_interior, -1.0), [0.0], 1.0))
 
 
+def dense_tasks(entry):
+    """A layer's task matrix, assembled densely by the oracle from its blocks."""
+    return oracles.augmented_task_matrix(entry.base_tasks, entry.subtask_block.matrix)
+
+
 def small_augmented(n_interior=5, seed=43, weights=None):
     """Hand-sized augmented layer over a random absorbing chain."""
     lmdp = base_chain(n_interior, seed)
@@ -156,10 +161,11 @@ def test_augmented_columns_sum_to_one():
 def test_augment_extends_boundary_and_tasks():
     aug = small_augmented()
     assert aug.lmdp.n_boundary == aug.n_base_boundary + aug.n_subtasks
-    assert aug.tasks.shape[1] == aug.n_base_tasks + aug.n_subtasks
+    assert dense_tasks(aug).shape == (aug.lmdp.n_boundary,
+                                      aug.n_base_tasks + aug.n_subtasks)
     # base task columns survive unchanged on the base boundary block
     np.testing.assert_array_equal(
-        aug.tasks[:aug.n_base_boundary, :aug.n_base_tasks],
+        dense_tasks(aug)[:aug.n_base_boundary, :aug.n_base_tasks],
         np.ones((1, 1)))
     # subtask boundary twins carry the default access penalty, -5 lambda
     np.testing.assert_allclose(
@@ -367,7 +373,7 @@ def test_empty_structure_list_gives_flat_stack(chain5):
     assert stack.depth == 1
     top = stack.layers[0]
     assert top.n_subtasks == 0
-    assert top.lmdp is chain5 and top.tasks is basis.boundary_tasks
+    assert top.lmdp is chain5 and top.base_tasks is basis.boundary_tasks
     assert top.subtask_range == (chain5.n_states, chain5.n_states)
     stack.set_task(chain5.q_boundary)
     with pytest.raises(InvalidSpec):
@@ -446,7 +452,7 @@ def test_set_task_blends_the_shared_task_matrix_once(monkeypatch):
     stack = build_stack(build_task_basis(lmdp, tasks), structures)
     for entry in stack.layers:
         np.testing.assert_array_equal(
-            entry.tasks[:entry.n_base_boundary, :entry.n_base_tasks], tasks)
+            dense_tasks(entry)[:entry.n_base_boundary, :entry.n_base_tasks], tasks)
     blended = []
     real = hierarchy.blend_weights_matrix
 
@@ -646,7 +652,7 @@ def test_top_layer_termination_reduces_to_flat_blend():
     terminate_layer(stack, 1)
     lo, hi = stack.layers[0].subtask_range
     aug = stack.layers[0]
-    boundary = aug.tasks @ stack.weights[0].values
+    boundary = dense_tasks(aug) @ stack.weights[0].values
     boundary[lo - aug.lmdp.n_interior:hi - aug.lmdp.n_interior] = 0.0
     expected = solve_interior(aug.lmdp, boundary)
     np.testing.assert_allclose(stack.z_full[0][:aug.lmdp.n_interior], expected,
@@ -718,7 +724,7 @@ def assert_terminated_composite(stack, layer):
     lmdp, z = stack.policy_state(below)
     n_i = lmdp.n_interior
     lo, hi = entry.subtask_range
-    q_b = entry.tasks @ stack.weights[below].values
+    q_b = dense_tasks(entry) @ stack.weights[below].values
     q_b[lo - n_i:hi - n_i] = 0.0
     expected = oracles.first_exit_desirability(
         lmdp.passive.full_matrix, n_i, lmdp.rewards.interior,
@@ -794,7 +800,8 @@ def test_boundary_solves_compose_every_task(shape, seed):
         lmdp, U = entry.lmdp, entry.solves
         assert U.shape == (lmdp.n_interior, lmdp.n_boundary)
         assert np.isfinite(U).all() and (U >= 0).all()
-        np.testing.assert_allclose(U @ entry.tasks, solve_interior(lmdp, entry.tasks),
+        tasks = dense_tasks(entry)
+        np.testing.assert_allclose(U @ tasks, solve_interior(lmdp, tasks),
                                    rtol=1e-12, atol=0)
         z_b = np.exp(rng.uniform(-6.0, 0.0, lmdp.n_boundary))
         z_b[entry.n_base_boundary:] = 0.0
@@ -967,3 +974,56 @@ def test_a_failed_inpaint_changes_nothing(monkeypatch):
     assert all(new is old for new, old in zip(stack.weights, weights))
     assert all(new is old for new, old in zip(stack.z_full, z_full))
     assert stack.reblends == {}
+
+
+# ---------------------------------------------------------------------------
+# block-form task matrices
+
+
+def test_no_augmented_layer_holds_a_dense_task_matrix():
+    # every layer shares the one base block; an augmented layer keeps only
+    # its subtask block beside it, never [[Q, f], [f, Q_t]] assembled
+    _, stack = ring_tower_template()
+    for entry in stack.layers:
+        assert entry.base_tasks is stack.task_block.matrix
+    for entry in stack.layers[:-1]:
+        dense = (entry.lmdp.n_boundary, entry.n_base_tasks + entry.n_subtasks)
+        held = [*vars(entry).values(), *vars(entry.subtask_block).values(),
+                *(entry.subtask_block.lu or ())]
+        arrays = [value for value in held if isinstance(value, np.ndarray)]
+        assert entry.subtask_block.matrix.shape == (entry.n_subtasks,) * 2
+        assert all(array.shape != dense for array in arrays)
+
+
+_weight = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), layer=st.integers(0, 2), zero_base=st.booleans(),
+       dead=st.booleans())
+def test_block_composes_match_the_dense_task_matrix(data, layer, zero_base, dead):
+    # z_b = T w over the dense task matrix T of the oracle, zero at the
+    # subtask states when the layer above is dead, and its first-exit solve
+    # inside; the clones share the base-term memo across examples, so a memo
+    # keyed on anything less than the base weights would compose stale terms
+    _, template = ring_tower_template()
+    stack, entry = template.clone(), template.layers[layer]
+    w_b = np.array(data.draw(st.lists(_weight, min_size=entry.n_base_tasks,
+                                      max_size=entry.n_base_tasks)))
+    if zero_base:
+        w_b[:] = 0.0
+    w_t = np.array(data.draw(st.lists(_weight, min_size=entry.n_subtasks,
+                                      max_size=entry.n_subtasks)))
+    weights = TaskWeights(np.concatenate([w_b, w_t]), 0.0)
+    lmdp = entry.lmdp
+    if not weights.values.any():
+        with pytest.raises(NonPositiveComposite):
+            stack._compose(layer, weights, dead)
+        return
+    for flag in (dead, not dead):
+        expected = oracles.layer_desirability(
+            lmdp.passive.full_matrix, lmdp.n_interior, lmdp.rewards.interior,
+            lmdp.rewards.temperature, dense_tasks(entry), weights.values,
+            entry.n_subtasks, flag)
+        z = stack._compose(layer, weights, flag).z
+        np.testing.assert_allclose(z, expected, rtol=1e-12, atol=0)

@@ -46,6 +46,7 @@ from lsmdp.serialize import (
     write_json,
 )
 
+import oracles
 from conftest import four_rooms_setting
 
 
@@ -257,13 +258,17 @@ def test_stack_directory_contents(tmp_path):
         directory = tmp_path / f"stack-{terminated}"
         save_stack(stack, directory)
         names = sorted(p.name for p in directory.iterdir())
-        assert names == [f"layer_{k}.{suffix}" for k in (0, 1)
-                         for suffix in ("boundary_solves.npy", "boundary_tasks.npy",
-                                        "json", "passive_data.npy",
-                                        "passive_indices.npy", "passive_indptr.npy")
-                         ] + ["manifest.json"]
+        layer_files = ("boundary_solves.npy", "json", "passive_data.npy",
+                       "passive_indices.npy", "passive_indptr.npy")
+        # the base task block once; the augmented layer adds its subtask block
+        assert names == (["base_tasks.npy"]
+                         + [f"layer_0.{suffix}" for suffix in layer_files]
+                         + ["layer_0.subtask_tasks.npy"]
+                         + [f"layer_1.{suffix}" for suffix in layer_files]
+                         + ["manifest.json"])
         manifest = json.loads((directory / "manifest.json").read_text())
-        assert manifest["format"] == 5
+        assert manifest["format"] == 6
+        assert manifest["base_tasks"] == "base_tasks.npy"
         assert manifest["depth"] == 2
         assert manifest["layer_kinds"] == ["augmented", "top"]
         assert manifest["terminated"] == [False, terminated]
@@ -316,11 +321,14 @@ def test_save_stack_round_trips_layers_and_manifest(shape, goal_frac, terminate,
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         save_stack(stack, directory)
+        base_tasks = np.load(directory / "base_tasks.npy", allow_pickle=False)
+        assert base_tasks.dtype == np.float64
+        assert np.array_equal(base_tasks, stack.layers[0].base_tasks)
         for k, entry in enumerate(stack.layers):
             doc = read_json(directory / f"layer_{k}.json")
-            assert sorted(doc) == ["boundary_solves", "boundary_tasks", "lmdp",
-                                   "passive_data", "passive_indices",
-                                   "passive_indptr"]
+            blocks = ["subtask_tasks", "task_fill"] if entry.n_subtasks else []
+            assert sorted(doc) == ["boundary_solves", "lmdp", "passive_data",
+                                   "passive_indices", "passive_indptr"] + blocks
             lmdp = entry.lmdp
             header = {"n_interior": lmdp.n_interior, "n_boundary": lmdp.n_boundary,
                       "lambda": lmdp.rewards.temperature,
@@ -344,22 +352,32 @@ def test_save_stack_round_trips_layers_and_manifest(shape, goal_frac, terminate,
             rebuilt.check_format(full_check=True)
             assert rebuilt.shape == (lmdp.n_states, lmdp.n_interior)
             assert (rebuilt != kernel).nnz == 0
-            for key, expected in (("boundary_tasks", entry.tasks),
-                                  ("boundary_solves", entry.solves)):
+            arrays = [("boundary_solves", entry.solves)]
+            if entry.n_subtasks:
+                arrays.append(("subtask_tasks", entry.subtask_block.matrix))
+            for key, expected in arrays:
                 saved = np.load(directory / doc[key], allow_pickle=False)
                 assert saved.dtype == np.float64
                 assert saved.shape == expected.shape
                 assert np.array_equal(saved, expected)
+            # the saved blocks assemble the layer's dense task matrix
+            if entry.n_subtasks:
+                assert doc["task_fill"] == entry.fill
+                saved_tasks = oracles.augmented_task_matrix(
+                    base_tasks, np.load(directory / doc["subtask_tasks"]),
+                    doc["task_fill"])
+                assert np.array_equal(saved_tasks, oracles.augmented_task_matrix(
+                    entry.base_tasks, entry.subtask_block.matrix, entry.fill))
         manifest = read_json(directory / "manifest.json")
-    assert manifest["format"] == 5
+    assert manifest["format"] == 6
     assert manifest["depth"] == stack.depth
     assert manifest["terminated"] == stack.terminated
     for saved, weights in zip(manifest["task_weights"], stack.weights):
         np.testing.assert_array_equal(saved, weights.values)
 
 
-FORMAT_5_KEYS = {"format", "depth", "kappa", "penalty", "layer_files",
-                 "layer_kinds", "terminated", "task_weights"}
+FORMAT_6_KEYS = {"format", "base_tasks", "depth", "kappa", "penalty",
+                 "layer_files", "layer_kinds", "terminated", "task_weights"}
 
 
 def assert_same_kernel(got, want):
@@ -399,8 +417,8 @@ def test_each_layer_derives_from_the_kernel_it_solves(shape, terminate,
     with tempfile.TemporaryDirectory() as tmp:
         save_stack(stack, tmp)
         manifest = read_json(Path(tmp) / "manifest.json")
-    assert set(manifest) == FORMAT_5_KEYS
-    assert manifest["format"] == 5
+    assert set(manifest) == FORMAT_6_KEYS
+    assert manifest["format"] == 6
 
 
 def test_save_stack_builds_no_passive_triples(monkeypatch, tmp_path):
