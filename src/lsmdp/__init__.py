@@ -27,13 +27,12 @@ from .core import (
 )
 from .multitask import (
     BLEND_METHODS,
-    FactoredBlock,
     TaskBasis,
     TaskWeights,
+    blend_block,
     blend_weights_matrix,
     build_task_basis,
     compose_desirability,
-    factor_block,
     solve_novel_task,
 )
 from .hierarchy import (

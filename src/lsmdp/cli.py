@@ -30,7 +30,7 @@ from .domains import (ArmSpec, RingSpec, boundary_goal_tasks, four_rooms_map,
 from .errors import BlockedCell, ConfigError, InvalidSpec, NumericalError
 from .executor import rollout_budget, run_episode
 from .hierarchy import SubtaskStructure, build_stack
-from .learning import DEFAULT_STEP_SCALE, train
+from .learning import DEFAULT_STEP_SCALE, check_step_scale, train
 from .multitask import TaskBasis, build_task_basis, solve_novel_task
 
 EXIT_OK = 0
@@ -93,11 +93,8 @@ def load_domain(path) -> DomainBundle:
         fields = {f.name for f in dataclasses.fields(RingSpec)}
         with _reading_config():
             spec = RingSpec(**{k: config[k] for k in fields if k in config})
-        goal = config.get("goal", 0)
         lmdp, structures, tasks = make_ring(spec)
-        if not (is_integer(goal) and 0 <= goal < lmdp.n_boundary):
-            raise InvalidSpec(f"goal twin {goal!r} is not a boundary index")
-        goal_q = goal_task_vector(lmdp.n_boundary, goal, spec.temperature)
+        goal_q = goal_task_vector(lmdp.n_boundary, config.get("goal", 0), spec.temperature)
         basis = build_task_basis(lmdp, tasks)
         return DomainBundle(config, lmdp, basis, structures, goal_q, config.get("start"))
     if kind == "grid":
@@ -254,7 +251,8 @@ def cmd_learn(args) -> int:
         max_steps = params.get("max_steps")
         start = bundle.start_state
         rollout_budget(bundle.lmdp.n_interior, 0 if start is None else start, max_steps)
-        step_scale = float(params.get("step_scale", DEFAULT_STEP_SCALE))
+        step_scale = params.get("step_scale", DEFAULT_STEP_SCALE)
+        check_step_scale(step_scale)
         conditions = params.get("conditions", ["flat", "guided"])
         if not conditions or not set(conditions) <= {"flat", "guided"}:
             raise InvalidSpec("learn.conditions must list 'flat' and/or "

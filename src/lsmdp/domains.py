@@ -38,6 +38,8 @@ def boundary_goal_tasks(n_boundary: int, temperature: float) -> np.ndarray:
 def goal_task_vector(n_boundary: int, goal_index: int,
                      temperature: float) -> np.ndarray:
     """Exponentiated boundary reward for a single-goal task."""
+    if not (is_integer(goal_index) and 0 <= goal_index < n_boundary):
+        raise InvalidSpec(f"goal twin {goal_index!r} is not a boundary index")
     penalty = GOAL_PENALTY_SCALE * temperature
     q = np.full(n_boundary, math.exp(penalty / temperature))
     q[goal_index] = 1.0

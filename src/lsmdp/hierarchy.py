@@ -20,13 +20,13 @@ state, U = A^-1 B = [U_b, U_t], and composes weights w = [w_b; w_t] as
 z_b = [Q w_b + f sum(w_t); Q_t w_t + f sum(w_b)] and z_i = U_b Q w_b +
 f sum(w_t) U_b 1 + U_t z_t; a termination above only zeroes z_t.  Q w_b and
 U_b Q w_b are memoized per task, so an inpaint re-blend, which moves only
-w_t, composes only the subtask block.  Q and every subtask block are
-LU-factored once per stack (``multitask.factor_block``).  A layer's task
-state is one ``Composite``: its weights, the desirability they compose, a
-policy-column cache, and the dead twin a termination above swaps in.  Within
-one task the same inpaint recurs, so a stack memoizes each re-blend's
-composite by layer, termination flag above and inpainted vector; clones share
-the memo and the composites, caches and dead twins in it.
+w_t, composes only the subtask block.  Q and every subtask block have the
+form a I + c 11^T, so each blend is in closed form (``multitask.blend_block``).
+A layer's task state is one ``Composite``: its weights, the desirability they
+compose, a policy-column cache, and the dead twin a termination above swaps
+in.  Within one task the same inpaint recurs, so a stack memoizes each
+re-blend's composite by layer, termination flag above and inpainted vector;
+clones share the memo and the composites, caches and dead twins in it.
 """
 from __future__ import annotations
 
@@ -60,9 +60,8 @@ from .errors import (
     SingularFundamentalMatrix,
     UnreachableSubtasks,
 )
-# build_task_basis stays importable here: perfbench/spans.py patches it
-from .multitask import TaskBasis, TaskWeights, blend_weights_matrix, build_task_basis
-from .multitask import FactoredBlock, factor_block
+# perfbench/spans.py patches build_task_basis and blend_weights_matrix here
+from .multitask import TaskBasis, TaskWeights, blend_block, blend_weights_matrix, build_task_basis
 
 DEFAULT_SUBTASK_PENALTY_SCALE = -5.0
 # Cross-block fill of the augmented task matrix (base tasks priced at subtask
@@ -130,10 +129,10 @@ class AugmentedMlmdp:
     The augmented LMDP treats subtask states as extra boundary states
     (indices n_base_boundary .. n_base_boundary+n_subtasks-1 of the boundary
     block).  Its task matrix is held in block form (see the module
-    docstring): the shared Q, the subtask block Q_t with its LU, which
-    inpaint re-blends solve against, and the fill f.  ``solves`` holds the
-    interior solve of each boundary state, so the interior of any boundary
-    values z_b is ``solves @ z_b``.  The top of a stack is a rung with zero
+    docstring): the shared Q, the subtask block Q_t, which inpaint
+    re-blends fit, and the fill f.  ``solves`` holds the interior solve of
+    each boundary state, so the interior of any boundary values z_b is
+    ``solves @ z_b``.  The top of a stack is a rung with zero
     subtasks over the top layer's own LMDP.  The layer's one kernel is
     ``lmdp.passive``, its last ``n_subtasks`` boundary rows the subtask rows.
     """
@@ -141,7 +140,7 @@ class AugmentedMlmdp:
     lmdp: Lmdp                      # augmented: boundary = base boundary + subtasks
     base_tasks: np.ndarray          # (n_base_boundary, n_base_tasks) Q, shared
     solves: np.ndarray              # (n_interior, n_boundary), A^-1 B
-    subtask_block: FactoredBlock    # subtask-reward block Q_t and its LU
+    subtask_tasks: np.ndarray       # (n_subtasks, n_subtasks) subtask-reward block Q_t
     neutral_weights: np.ndarray     # subtask-task blend for inpainted reward 0
     fill: float = 0.0               # cross-block fill f; none at the top
     ones_solve: np.ndarray = field(init=False, repr=False)  # U_b 1
@@ -236,16 +235,15 @@ def augment(lmdp: Lmdp, tasks: np.ndarray, structure: SubtaskStructure,
     """Append subtask states to a layer with boundary-task matrix ``tasks``.
 
     ``tasks`` is (n_boundary, n_tasks), exponentiated, and becomes the base
-    block Q; only the augmented layer is solved, once per boundary state.  The stacked
-    kernel [to_interior; to_boundary; weights], renormalized columnwise, is
-    the augmented LMDP's passive dynamics.
+    block Q; only the augmented layer is solved, once per boundary state.
+    The stacked kernel [to_interior; to_boundary; weights], renormalized
+    columnwise, is the augmented LMDP's passive dynamics.
     Each subtask task has reward 0 at its own state and ``penalty``
     (default -5 * lambda) at the other subtask states.  The cross blocks of
     the combined task matrix (base tasks at subtask states, subtask tasks at
     boundary twins) hold the fill f = exp(AUGMENT_FILL_SCALE), the much
     steeper reward AUGMENT_FILL_SCALE * lambda, kept positive so every task
-    column stays a valid exponentiated reward.  The subtask-reward block is
-    factored once here and gives the neutral blend.
+    column stays a valid exponentiated reward.
     """
     lam = lmdp.rewards.temperature
     if penalty is None:
@@ -282,17 +280,13 @@ def augment(lmdp: Lmdp, tasks: np.ndarray, structure: SubtaskStructure,
         lam,
     )
     aug_lmdp = build_lmdp(partition, passive, rewards)
-
-    subtask_block = factor_block(Q_t)
-    # the blend for inpainted reward 0 (target q_t = 1) that set_task starts from
-    neutral = blend_weights_matrix(subtask_block, np.ones(n_t)).values
-
     return AugmentedMlmdp(
         lmdp=aug_lmdp,
         base_tasks=Q,
         solves=solve_interior(aug_lmdp),
-        subtask_block=subtask_block,
-        neutral_weights=neutral,
+        subtask_tasks=Q_t,
+        # the blend for inpainted reward 0 (target q_t = 1) that set_task starts from
+        neutral_weights=blend_block(Q_t, np.ones(n_t)).values,
         fill=float(np.exp(AUGMENT_FILL_SCALE * lam / lam)),
     )
 
@@ -319,8 +313,8 @@ def rewards_to_task_weights(aug: AugmentedMlmdp, inpainted: np.ndarray,
 
     Only the subtask-task weights move; base boundary-task weights keep their
     current values.  The target is exp(inpainted / lambda) over the subtask
-    states, fitted to the factored subtask-reward block.  A target that
-    overflows (too large an inpaint scale kappa) raises RewardOverflow.
+    states, fitted to the subtask-reward block.  A target that overflows
+    (too large an inpaint scale kappa) raises RewardOverflow.
     """
     r_t = np.asarray(inpainted, dtype=np.float64)
     if r_t.shape != (aug.n_subtasks,):
@@ -332,7 +326,7 @@ def rewards_to_task_weights(aug: AugmentedMlmdp, inpainted: np.ndarray,
         raise RewardOverflow(
             f"inpainted reward / temperature {scaled.max():.6g} exceeds "
             f"log(float64 max) = {LOG_FLOAT_MAX:.3f}; lower the inpaint scale kappa")
-    sub = blend_weights_matrix(aug.subtask_block, np.exp(scaled))
+    sub = blend_block(aug.subtask_tasks, np.exp(scaled))
     values = np.concatenate([current.values[:aug.n_base_tasks], sub.values])
     return TaskWeights(values, sub.residual)
 
@@ -357,9 +351,9 @@ class HierarchyStack:
     """An ordered tower of layers plus per-episode execution state.
 
     Every layer is an AugmentedMlmdp; the top one has zero subtasks.  Layer
-    structures, each with its boundary solves, and ``task_block``, their
-    shared base block Q with its LU factors, are immutable and shared
-    between clones; nothing is solved or factored after build_stack.
+    structures, each with its boundary solves and the shared base block Q,
+    are immutable and shared between clones; nothing is solved or factored
+    after build_stack.
     ``composites[k]`` is layer k's current Composite and ``terminated[k]``
     its flag; both lists are per-clone.  A Composite's arrays are never
     written after they are made and its cache and dead twin only fill in,
@@ -382,7 +376,6 @@ class HierarchyStack:
     layers: List[AugmentedMlmdp]
     kappa: float
     penalty: float
-    task_block: FactoredBlock
     composites: List[Optional[Composite]]
     terminated: List[bool]
     target: Optional[np.ndarray] = None  # boundary task set by set_task
@@ -410,17 +403,17 @@ class HierarchyStack:
     def set_task(self, boundary_target: np.ndarray) -> None:
         """Blend the same boundary-reward target at every layer.
 
-        All layers share the base boundary set and its task matrix, so one
-        fit against ``task_block`` (factored when the stack was built) gives
-        every layer its base-task weights.  The subtask tasks start from the
-        neutral blend (inpainted reward 0), empty at the top.  A negative or
+        All layers share the base boundary set and its task matrix Q, so
+        one blend of Q gives every layer its base-task weights.  The subtask
+        tasks start from the neutral blend (inpainted reward 0), empty at
+        the top.  A negative or
         non-finite target raises InvalidSpec; on any error the stack keeps
         its previous task.
         """
         q = np.asarray(boundary_target, dtype=np.float64)
         if (q < 0).any():
             raise InvalidSpec("boundary target must be nonnegative")
-        wb = blend_weights_matrix(self.task_block, q)
+        wb = blend_block(self.layers[0].base_tasks, q)
         self.base_terms = {}
         self.composites = [
             self._compose(layer, TaskWeights(
@@ -448,7 +441,7 @@ class HierarchyStack:
         q_b, u_b = self.base_terms[key]
         fill_t = entry.fill * w_t.sum()
         z_t = (np.zeros(entry.n_subtasks) if dead
-               else entry.subtask_block.matrix @ w_t + entry.fill * w_b.sum())
+               else entry.subtask_tasks @ w_t + entry.fill * w_b.sum())
         z_i = u_b + fill_t * entry.ones_solve + entry.solves[:, n_b:] @ z_t
         low = z_i.min(initial=np.inf)
         if not low > 0:
@@ -497,8 +490,7 @@ def build_stack(basis: TaskBasis, structures: Sequence[SubtaskStructure],
     boundary set and temperature, shares the one float64 boundary-task
     matrix, and charges reward -1 per step.  Of ``basis`` only ``base`` and
     ``boundary_tasks`` are read.  Every layer solves each of its boundary
-    states once, and every block a stack blends is factored here or in
-    ``augment``, not in episodes.
+    states once; the blocks a stack blends need no factoring.
     ``kappa`` (default lambda) scales inpainted rewards and must be finite;
     ``penalty`` defaults to -5 * lambda.
     """
@@ -527,13 +519,12 @@ def build_stack(basis: TaskBasis, structures: Sequence[SubtaskStructure],
     # the top is a rung with no subtask states above it
     layers.append(AugmentedMlmdp(
         lmdp=lmdp, base_tasks=tasks, solves=solve_interior(lmdp),
-        subtask_block=factor_block(np.empty((0, 0))), neutral_weights=np.empty(0)))
+        subtask_tasks=np.empty((0, 0)), neutral_weights=np.empty(0)))
     depth = len(layers)
     return HierarchyStack(
         layers=layers,
         kappa=kappa,
         penalty=penalty,
-        task_block=factor_block(tasks),
         composites=[None] * depth,
         terminated=[False] * depth,
     )

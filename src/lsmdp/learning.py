@@ -45,7 +45,8 @@ class LearningState:
 
 
 def check_step_scale(step_scale: float) -> None:
-    if not (math.isfinite(step_scale) and step_scale > 0):
+    """InvalidSpec unless ``step_scale`` is a finite positive number, not a bool."""
+    if isinstance(step_scale, bool) or not (math.isfinite(step_scale) and step_scale > 0):
         raise InvalidSpec(f"step_scale must be finite and positive, got {step_scale}")
 
 

@@ -6,10 +6,9 @@ first use.  Because the first-exit problem is linear in the boundary values,
 any new boundary reward expressible as a nonnegative combination w of basis
 columns is solved instantly: its interior desirability is U (Q_b w).
 
-Blends fit nonnegative weights by NNLS.  A block LU-factored once by
-factor_block is blended by its exact solution w of Q w = q when w is finite,
-w >= 0 and max|Q w - q| <= 1e-10 (1 + max|q|), a certificate that w is the
-NNLS optimum (it meets the KKT conditions); otherwise NNLS runs as usual.
+Blends fit nonnegative weights by NNLS.  A block of the form Q = a I + c 11^T
+(a > 0, c >= 0), the form of every block a stack blends, has its NNLS optimum
+in closed form (blend_block); any other block goes to NNLS as usual.
 """
 from __future__ import annotations
 
@@ -18,9 +17,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.optimize
-from scipy.linalg import lapack
 
-from .core import DEFAULT_TOL, Desirability, Lmdp, solve_interior
+from .core import Desirability, Lmdp, solve_interior
 from .errors import (
     DegenerateBasis,
     DimensionMismatch,
@@ -85,63 +83,27 @@ def build_task_basis(base: Lmdp, boundary_tasks: np.ndarray) -> TaskBasis:
     return TaskBasis(base, Q)
 
 
-@dataclass(frozen=True)
-class FactoredBlock:
-    """A validated task matrix; ``lu`` is LAPACK getrf's (lu, piv) when it
-    is square and nonsingular, else None."""
-
-    matrix: np.ndarray
-    lu: tuple | None
-
-
-def _check_task_matrix(Q: np.ndarray) -> None:
-    col_mass = np.abs(Q).sum(axis=0)
-    if not np.isfinite(col_mass).all():
-        raise InvalidSpec("task matrix must be finite")
-    if (col_mass == 0).any():
-        raise DegenerateBasis(f"task column {int(np.argmin(col_mass))} is all zero")
-
-
-def factor_block(task_matrix: np.ndarray) -> FactoredBlock:
-    """Validate a 2-D task matrix; LU-factor it if square and nonsingular."""
-    Q = np.asarray(task_matrix, dtype=np.float64)
-    if Q.ndim != 2:
-        raise DimensionMismatch(f"task matrix must be 2-D, got shape {Q.shape}")
-    _check_task_matrix(Q)
-    if not 0 < Q.shape[0] == Q.shape[1]:
-        return FactoredBlock(Q, None)
-    lu, piv, info = lapack.dgetrf(Q)  # info > 0: an exactly zero pivot
-    return FactoredBlock(Q, None if info else (lu, piv))
-
-
-def blend_weights_matrix(task_matrix: np.ndarray | FactoredBlock,
-                         target: np.ndarray, method: str = "nnls") -> TaskWeights:
+def blend_weights_matrix(task_matrix: np.ndarray, target: np.ndarray,
+                         method: str = "nnls") -> TaskWeights:
     """Fit nonnegative task weights to a target exponentiated reward.
 
     nnls solves min ||target - Q w|| subject to w >= 0 (active-set method);
     pinv takes the pseudoinverse solution and clips negatives to zero, which
     is cheaper but only approximate when the sign constraint binds.  A
-    non-finite task matrix or target raises InvalidSpec.  ``task_matrix`` is
-    an array, checked on every call, or a FactoredBlock, checked when factored,
-    whose certified exact solution nnls takes first (see the module docstring).
+    non-finite task matrix or target raises InvalidSpec.
     """
-    block = task_matrix if isinstance(task_matrix, FactoredBlock) else None
-    Q = np.asarray(task_matrix if block is None else block.matrix, dtype=np.float64)
+    Q = np.asarray(task_matrix, dtype=np.float64)
     q = np.asarray(target, dtype=np.float64)
     if Q.ndim != 2 or q.shape != (Q.shape[0],):
         raise DimensionMismatch(f"target shape {q.shape} vs task matrix {Q.shape}")
     if not np.isfinite(q).all():
         raise InvalidSpec("blend target must be finite")
-    if block is None:
-        _check_task_matrix(Q)
+    col_mass = np.abs(Q).sum(axis=0)
+    if not np.isfinite(col_mass).all():
+        raise InvalidSpec("task matrix must be finite")
+    if (col_mass == 0).any():
+        raise DegenerateBasis(f"task column {int(np.argmin(col_mass))} is all zero")
     if method == "nnls":
-        if block is not None and block.lu is not None:
-            w, info = lapack.dgetrs(*block.lu, q)
-            with np.errstate(over="ignore", invalid="ignore"):
-                r = Q @ w - q
-            if (not info and np.isfinite(w).all() and w.min() >= 0
-                    and np.abs(r).max() <= DEFAULT_TOL * (1.0 + np.abs(q).max())):
-                return TaskWeights(w, float(np.linalg.norm(r)))
         w, residual = scipy.optimize.nnls(Q, q)
     elif method == "pinv":
         w = np.clip(np.linalg.pinv(Q) @ q, 0.0, None)
@@ -149,6 +111,43 @@ def blend_weights_matrix(task_matrix: np.ndarray | FactoredBlock,
     else:
         raise InvalidSpec(f"unknown blend method {method!r}; choose from {BLEND_METHODS}")
     return TaskWeights(np.asarray(w, dtype=np.float64), float(residual))
+
+
+def blend_block(task_matrix: np.ndarray, target: np.ndarray) -> TaskWeights:
+    """The NNLS blend of a stack block, in closed form when the block is
+    exactly a I + c 11^T with a > 0 and c >= 0, else blend_weights_matrix's.
+
+    The structure is read from the entries on every call.  The optimum is
+    unique (Q^2 is positive definite), and by the KKT conditions of NNLS
+    (Lawson and Hanson, 1974) its weights are w_i = max(0, (g_i - beta S)/a^2)
+    with g = Q q, beta = (2a + nc) c and S = sum(w), so its support is the
+    k largest targets, k read off sorted g.  On that support the residual is
+    one constant, which gives w from q and S alone, without g's cond(Q)^2
+    loss of accuracy.
+    """
+    Q = np.asarray(task_matrix, dtype=np.float64)
+    q = np.asarray(target, dtype=np.float64)
+    n = Q.shape[0] if Q.ndim == 2 else -1
+    if n < 1 or Q.shape != (n, n) or q.shape != (n,) or not np.isfinite(q).all():
+        return blend_weights_matrix(Q, q)
+    off = Q.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]  # the off-diagonal entries
+    d, c = Q[0, 0], (off[0, 0] if n > 1 else 0.0)
+    a = d - c
+    if not (0 < a < np.inf and c >= 0 and (Q.diagonal() == d).all() and (off == c).all()):
+        return blend_weights_matrix(Q, q)
+    s = q.sum()
+    w = q / a - c / a * (s / (a + n * c))  # every weight active: w = Q^-1 q
+    if w.min() < 0:
+        order = np.argsort(-q, kind="stable")
+        g = a * q[order] + c * s
+        beta = (2 * a + n * c) * c
+        k = np.count_nonzero(g > beta * np.cumsum(g) / (a * a + np.arange(1, n + 1) * beta))
+        top, w = order[:k], np.zeros(n)
+        if k:  # the residual is (head S - q_top) / k on the support; S = sum(w)
+            head, q_top = a + k * c, q[top].sum()
+            S = (head * q_top / k + c * (s - q_top)) / (head * head / k + (n - k) * c * c)
+            w[top] = np.maximum((q[top] - q_top / k) / a + S / k, 0.0)
+    return TaskWeights(w, float(np.linalg.norm(a * w + c * w.sum() - q)))
 
 
 def compose_desirability(basis: TaskBasis, weights: TaskWeights) -> Desirability:

@@ -142,7 +142,7 @@ def save_stack(stack: HierarchyStack, directory) -> None:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    np.save(directory / "base_tasks.npy", stack.task_block.matrix)
+    np.save(directory / "base_tasks.npy", stack.layers[0].base_tasks)
     for k, entry in enumerate(stack.layers):
         doc = {"lmdp": _lmdp_header(entry.lmdp)}
         kernel = entry.lmdp.passive.full_matrix
@@ -150,7 +150,7 @@ def save_stack(stack: HierarchyStack, directory) -> None:
                   ("passive_indices", kernel.indices.astype(np.int64)),
                   ("passive_indptr", kernel.indptr.astype(np.int64))]
         if entry.n_subtasks:
-            arrays.append(("subtask_tasks", entry.subtask_block.matrix))
+            arrays.append(("subtask_tasks", entry.subtask_tasks))
             doc["task_fill"] = entry.fill
         for key, array in arrays:
             doc[key] = f"layer_{k}.{key}.npy"

@@ -381,8 +381,10 @@ def test_grid_cells_take_only_integer_pairs(tmp_path, capsys, field, value):
     ({"max_steps": 50.5}, 13, "must be at least 1 and an integer"),
     ({}, 6.7, "is not a base interior state"),
     ({}, 27, "is not a base interior state"),
+    ({"step_scale": 0}, 13, "step_scale must be finite and positive"),
+    ({"step_scale": True}, 13, "step_scale must be finite and positive"),
 ], ids=["epochs-float", "episodes-zero", "max-steps-float", "start-float",
-        "start-out-of-range"])
+        "start-out-of-range", "step-scale-zero", "step-scale-bool"])
 def test_learn_checks_its_inputs_before_building_a_stack(tmp_path, monkeypatch,
                                                          capsys, learn, start,
                                                          message):

@@ -42,6 +42,14 @@ def test_goal_tasks_are_point_masses_with_penalty_floor():
     np.testing.assert_allclose(np.delete(goal, 2), math.exp(-10.0), rtol=1e-12)
 
 
+@pytest.mark.parametrize("index", [-1, 4, 1.0, True],
+                         ids=["negative", "past-end", "float", "bool"])
+def test_goal_index_must_name_a_boundary_twin(index):
+    # -1 used to make the last twin the goal, 4 and 1.0 to raise IndexError
+    with pytest.raises(InvalidSpec, match="not a boundary index"):
+        goal_task_vector(4, index, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # rings
 

@@ -69,7 +69,7 @@ def base_chain(n_interior=5, seed=43):
 
 def dense_tasks(entry):
     """A layer's task matrix, assembled densely by the oracle from its blocks."""
-    return oracles.augmented_task_matrix(entry.base_tasks, entry.subtask_block.matrix)
+    return oracles.augmented_task_matrix(entry.base_tasks, entry.subtask_tasks)
 
 
 def small_augmented(n_interior=5, seed=43, weights=None):
@@ -354,7 +354,7 @@ def test_own_reward_column_selects_own_task():
     for t in range(aug.n_subtasks):
         r_t = np.full(aug.n_subtasks, stack.penalty)
         r_t[t] = 0.0
-        assert np.allclose(np.exp(r_t / lam), aug.subtask_block.matrix[:, t])
+        assert np.allclose(np.exp(r_t / lam), aug.subtask_tasks[:, t])
         w = rewards_to_task_weights(aug, r_t, stack.weights[0])
         expected = np.zeros(aug.n_subtasks)
         expected[t] = 1.0
@@ -454,38 +454,33 @@ def test_set_task_blends_the_shared_task_matrix_once(monkeypatch):
         np.testing.assert_array_equal(
             dense_tasks(entry)[:entry.n_base_boundary, :entry.n_base_tasks], tasks)
     blended = []
-    real = hierarchy.blend_weights_matrix
+    real = hierarchy.blend_block
 
     def counting(task_matrix, target):
         blended.append(real(task_matrix, target))
         return blended[-1]
 
-    monkeypatch.setattr(hierarchy, "blend_weights_matrix", counting)
+    monkeypatch.setattr(hierarchy, "blend_block", counting)
     target = np.exp(-np.arange(27.0) / 4.0)
     stack.set_task(target)
     assert len(blended) == 1
     for entry, weights in zip(stack.layers, stack.weights):
         np.testing.assert_array_equal(weights.values[:entry.n_base_tasks],
                                       blended[0].values)
-    # the factored fit is the NNLS optimum of the shared task matrix
+    # the closed-form fit is the NNLS optimum of the shared task matrix
     w_nnls, _ = scipy.optimize.nnls(tasks, target)
     np.testing.assert_allclose(blended[0].values, w_nnls, rtol=0,
                                atol=1e-12 * np.abs(w_nnls).max())
 
 
-def test_a_stack_factors_its_blocks_once_and_episodes_skip_nnls(monkeypatch):
-    # ring-27 depth 3: build_stack factors the two subtask-reward blocks and
-    # the shared task matrix; set_task and an episode's neutral and inpaint
-    # re-blends then solve against those factors and never run NNLS
+def test_a_stack_blends_its_blocks_in_closed_form_and_episodes_skip_nnls(monkeypatch):
+    # ring-27 depth 3: every block a stack blends (the shared task matrix and
+    # each subtask block) is a I + c 11^T, so set_task and an episode's
+    # inpaint re-blends (layer 0's 9-wide block here) never run NNLS
     lmdp, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3))
-    basis = build_task_basis(lmdp, tasks)
-    factored, fitted, blended = [], [], []
-    real_getrf, real_nnls = multitask.lapack.dgetrf, scipy.optimize.nnls
-    real_blend = hierarchy.blend_weights_matrix
-
-    def counting_getrf(a):
-        factored.append(a.shape)
-        return real_getrf(a)
+    stack = build_stack(build_task_basis(lmdp, tasks), structures)
+    fitted, blended = [], []
+    real_nnls, real_blend = scipy.optimize.nnls, hierarchy.blend_block
 
     def counting_nnls(*args):
         fitted.append(args)
@@ -495,21 +490,36 @@ def test_a_stack_factors_its_blocks_once_and_episodes_skip_nnls(monkeypatch):
         blended.append(args)
         return real_blend(*args)
 
-    monkeypatch.setattr(multitask.lapack, "dgetrf", counting_getrf)
     monkeypatch.setattr(scipy.optimize, "nnls", counting_nnls)
-    monkeypatch.setattr(hierarchy, "blend_weights_matrix", counting_blend)
-    stack = build_stack(basis, structures)
-    assert sorted(factored) == [(3, 3), (9, 9), (27, 27)]
-    assert all(block.lu is not None for block in
-               [stack.task_block] + [e.subtask_block for e in stack.layers[:-1]])
-    factored.clear()
+    monkeypatch.setattr(hierarchy, "blend_block", counting_blend)
     task = stack.clone()
-    assert task.task_block is stack.task_block and task.layers is stack.layers
+    assert task.layers is stack.layers
     task.set_task(goal_task_vector(lmdp.n_boundary, 0, lmdp.rewards.temperature))
     traj = run_episode(task.clone(), 13, np.random.default_rng(1))
-    assert traj.events and len(blended) > 3  # neutral blends, set_task, inpaints
+    assert traj.events and len(blended) > 1  # set_task and inpaints
+    assert sorted({args[0].shape for args in blended}) == [(9, 9), (27, 27)]
     assert fitted == []
-    assert factored == []
+
+
+def test_a_binding_inpaint_reblends_without_nnls(monkeypatch):
+    # ring-243 depth 2: +kappa on half the 81 subtasks and -kappa on the last
+    # makes Q_t^-1 q negative, so the sign constraint binds; the closed form
+    # still needs no NNLS and meets scipy's optimum
+    lmdp, structures, tasks = make_ring(RingSpec(243, subtask_spacing=3, depth=2))
+    stack = build_stack(build_task_basis(lmdp, tasks), structures)
+    stack.set_task(goal_task_vector(lmdp.n_boundary, 0, lmdp.rewards.temperature))
+    aug = stack.layers[0]
+    r_t = np.zeros(aug.n_subtasks)
+    r_t[:aug.n_subtasks // 2], r_t[-1] = stack.kappa, -stack.kappa
+    target = np.exp(r_t / aug.lmdp.rewards.temperature)
+    assert aug.n_subtasks == 81 and np.linalg.solve(aug.subtask_tasks, target).min() < 0
+    w_nnls, _ = scipy.optimize.nnls(aug.subtask_tasks, target)
+    fitted = []
+    monkeypatch.setattr(scipy.optimize, "nnls", lambda *args: fitted.append(args))
+    stack.apply_inpaint(0, r_t)
+    assert fitted == []
+    np.testing.assert_allclose(stack.weights[0].values[aug.n_base_tasks:], w_nnls,
+                               rtol=0, atol=1e-12 * np.abs(w_nnls).max())
 
 
 def test_an_overflowing_inpaint_names_kappa():
@@ -611,7 +621,7 @@ def test_a_clone_shares_everything_but_its_two_lists():
     assert clone.composites is not stack.composites
     assert clone.terminated == stack.terminated
     assert clone.terminated is not stack.terminated
-    for name in ("layers", "task_block", "target", "reblends"):
+    for name in ("layers", "target", "reblends", "base_terms"):
         assert getattr(clone, name) is getattr(stack, name)
     assert (clone.kappa, clone.penalty) == (stack.kappa, stack.penalty)
 
@@ -938,13 +948,13 @@ def test_a_repeated_episode_reblends_nothing(monkeypatch):
     tasked = tasked_ring_tower()
     first = run_episode(tasked.clone(), 20, np.random.default_rng(5))
     blended = []
-    real = hierarchy.blend_weights_matrix
+    real = hierarchy.blend_block
 
     def counting(*args):
         blended.append(args)
         return real(*args)
 
-    monkeypatch.setattr(hierarchy, "blend_weights_matrix", counting)
+    monkeypatch.setattr(hierarchy, "blend_block", counting)
     second = run_episode(tasked.clone(), 20, np.random.default_rng(5))
     assert first.events and blended == []
     assert second.states == first.states
@@ -985,13 +995,11 @@ def test_no_augmented_layer_holds_a_dense_task_matrix():
     # its subtask block beside it, never [[Q, f], [f, Q_t]] assembled
     _, stack = ring_tower_template()
     for entry in stack.layers:
-        assert entry.base_tasks is stack.task_block.matrix
+        assert entry.base_tasks is stack.layers[0].base_tasks
     for entry in stack.layers[:-1]:
         dense = (entry.lmdp.n_boundary, entry.n_base_tasks + entry.n_subtasks)
-        held = [*vars(entry).values(), *vars(entry.subtask_block).values(),
-                *(entry.subtask_block.lu or ())]
-        arrays = [value for value in held if isinstance(value, np.ndarray)]
-        assert entry.subtask_block.matrix.shape == (entry.n_subtasks,) * 2
+        arrays = [value for value in vars(entry).values() if isinstance(value, np.ndarray)]
+        assert entry.subtask_tasks.shape == (entry.n_subtasks,) * 2
         assert all(array.shape != dense for array in arrays)
 
 

@@ -210,7 +210,7 @@ class Untouchable:
         raise AssertionError(f"stack.{name} used")
 
 
-@pytest.mark.parametrize("step_scale", [0.0, np.nan])
+@pytest.mark.parametrize("step_scale", [0.0, np.nan, True])
 def test_train_checks_step_scale_before_the_stack(rooms, step_scale):
     lmdp, _, goal_q, _, start = rooms
     with pytest.raises(InvalidSpec, match="step_scale"):

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from lsmdp import (
     TaskWeights,
+    blend_block,
     blend_weights_matrix,
     boundary_goal_tasks,
     build_stack,
     build_task_basis,
     compose_desirability,
     default_subtask_rewards,
-    factor_block,
     four_rooms_map,
     grid_from_ascii,
     make_grid,
@@ -23,7 +23,6 @@ from lsmdp import (
     solve_interior,
     solve_novel_task,
 )
-from lsmdp import multitask
 from lsmdp.errors import (
     DegenerateBasis,
     DimensionMismatch,
@@ -134,8 +133,8 @@ def test_pinv_weights_are_clipped_nonnegative():
 def test_blend_weights_are_read_only(basis, method):
     # logs and memos keep references to weights, never copies
     Q, q = basis.boundary_tasks, basis.boundary_tasks[:, 0]
-    weights = (blend_weights_matrix(factor_block(Q), q) if method == "factored"
-               else blend_weights_matrix(Q, q, method=method))
+    weights = (blend_block(default_subtask_rewards(3, -5.0, 1.0), np.ones(3))
+               if method == "factored" else blend_weights_matrix(Q, q, method=method))
     with pytest.raises(ValueError):
         weights.values[0] = 1.0
     mine = np.array([1.0, 2.0])
@@ -211,19 +210,46 @@ def test_a_basis_composes_from_its_boundary_solves(seed, n_tasks):
 
 
 # ---------------------------------------------------------------------------
-# factored blends
+# stack-block blends: a I + c 11^T in closed form, anything else by NNLS
+
+
+def kkt_gap(Q, q, w):
+    """Largest KKT violation of w for min ||Q w - q||, w >= 0: the gradient
+    must vanish on the support and be nonnegative off it."""
+    grad = Q.T @ (Q @ w - q)
+    return max(np.abs(grad[w > 0]).max(initial=0.0), (-grad[w == 0]).max(initial=0.0))
+
+
+_target = st.one_of(st.just(0.0), st.floats(-6.0, 2.0).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 40), log_d=st.floats(-2.0, 1.0),
+       fill=st.one_of(st.just(0.0), st.floats(0.0, 0.9999, exclude_max=True)),
+       data=st.data())
+def test_a_structured_blend_meets_the_kkt_conditions(n, log_d, fill, data):
+    d = 10.0 ** log_d
+    Q = np.full((n, n), fill * d)
+    np.fill_diagonal(Q, d)
+    q = np.array(data.draw(st.lists(_target, min_size=n, max_size=n)))
+    w = blend_block(Q, q).values
+    _, r_nnls = scipy.optimize.nnls(Q, q)
+    assert (w >= 0).all()
+    assert kkt_gap(Q, q, w) <= 1e-11 * np.abs(Q.T @ q).max(initial=0.0)
+    objective, optimum = np.sum((Q @ w - q) ** 2), r_nnls ** 2
+    assert abs(objective - optimum) <= 1e-10 * max(optimum, 1e-20 * (q @ q))
 
 
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
        off=st.floats(0.0, 2.0))
 def test_factored_blend_is_the_nnls_optimum(n, seed, off):
-    # diagonal-heavy blocks (small off) have nonnegative exact solutions;
-    # dense ones often do not, and then the blend must be scipy's NNLS
+    # random diagonal-heavy blocks are not a I + c 11^T (bar n = 1), so the
+    # blend is scipy's NNLS itself whenever the sign constraint binds
     rng = np.random.default_rng(seed)
     Q = off * rng.uniform(0.01, 1.0, (n, n)) + np.diag(rng.uniform(0.5, 1.5, n))
     q = rng.uniform(0.01, 1.0, n)
-    got = blend_weights_matrix(factor_block(Q), q)
+    got = blend_block(Q, q)
     w_nnls, r_nnls = scipy.optimize.nnls(Q, q)
     assert (got.values >= 0).all()
     assert got.residual <= r_nnls + 1e-12 * (1 + np.abs(q).max())
@@ -233,81 +259,95 @@ def test_factored_blend_is_the_nnls_optimum(n, seed, off):
         assert got.residual == r_nnls
 
 
-def test_a_negative_exact_solution_falls_back_to_nnls():
+def test_a_negative_exact_solution_gives_the_nnls_optimum(monkeypatch):
+    # Q^-1 q has negative entries, so the constraint binds; the closed form
+    # picks the support itself and never calls scipy
     Q = default_subtask_rewards(9, -0.1, 1.0)
     q = np.exp(np.linspace(0.0, -2.0, 9))
     assert np.linalg.solve(Q, q).min() < -1.0
     w_nnls, r_nnls = scipy.optimize.nnls(Q, q)
-    got = blend_weights_matrix(factor_block(Q), q)
-    np.testing.assert_array_equal(got.values, w_nnls)
-    assert got.residual == r_nnls
+    monkeypatch.setattr(scipy.optimize, "nnls", None)
+    got = blend_block(Q, q)
+    assert ((got.values == 0) == (w_nnls == 0)).all() and (w_nnls == 0).any()
+    np.testing.assert_allclose(got.values, w_nnls, rtol=0,
+                               atol=1e-14 * np.abs(w_nnls).max())
+    assert got.residual == pytest.approx(r_nnls, rel=1e-12)
 
 
 def test_a_certified_exact_blend_skips_nnls(monkeypatch):
+    # a nonnegative Q^-1 q meets the KKT conditions: it is the optimum
     Q = default_subtask_rewards(9, -5.0, 1.0)
     q = np.exp(np.linspace(0.0, -2.0, 9))
     w_nnls, r_nnls = scipy.optimize.nnls(Q, q)
     calls = []
     monkeypatch.setattr(scipy.optimize, "nnls",
                         lambda *args: calls.append(args) or w_nnls)
-    got = blend_weights_matrix(factor_block(Q), q)
+    got = blend_block(Q, q)
     assert calls == []
     np.testing.assert_allclose(got.values, w_nnls, rtol=0,
                                atol=1e-14 * np.abs(w_nnls).max())
+    assert kkt_gap(Q, q, got.values) <= 1e-15
     assert got.residual <= r_nnls + 1e-12
-    assert got.residual == np.linalg.norm(q - Q @ got.values)
+    assert got.residual == pytest.approx(np.linalg.norm(q - Q @ got.values), abs=1e-15)
 
 
-@pytest.mark.parametrize("spoil", [lambda w: 1.001 * w, lambda w: w + np.inf],
-                         ids=["inaccurate", "non-finite"])
-def test_an_uncertified_exact_solution_falls_back_to_nnls(monkeypatch, spoil):
-    # a nonnegative solve that misses the residual bound, or overflows, must
-    # not be taken as the NNLS optimum
-    Q = default_subtask_rewards(9, -5.0, 1.0)
-    q = np.exp(np.linspace(0.0, -2.0, 9))
-    block = factor_block(Q)
-    real = multitask.lapack.dgetrs
-    monkeypatch.setattr(multitask.lapack, "dgetrs",
-                        lambda lu, piv, b: (spoil(real(lu, piv, b)[0]), 0))
-    w_nnls, r_nnls = scipy.optimize.nnls(Q, q)
-    got = blend_weights_matrix(block, q)
-    np.testing.assert_array_equal(got.values, w_nnls)
-    assert got.residual == r_nnls
+@pytest.mark.parametrize("n, penalty, temperature", [
+    (9, -5.0, 1.0), (81, -5.0, 1.0), (243, -5.0, 0.5), (729, -5.0, 1.0),
+    (27, -20.0, 1.0), (243, -20.0, 1.0), (2187, -20.0, 1.0)])
+def test_library_blocks_blend_like_scipy(n, penalty, temperature):
+    # default_subtask_rewards (c = e^-5) and boundary_goal_tasks (c = e^-20)
+    # against their targets: a goal vector, the neutral blend's ones,
+    # inpainted rewards of both signs, and a goal on 40 twins; scipy makes one
+    # active-set pass per positive weight (about 9 s for a dense 2187-wide
+    # target), so the widest block takes the last target only
+    Q = default_subtask_rewards(n, penalty, temperature)
+    rng = np.random.default_rng(n)
+    goal = np.full(n, np.exp(-10.0))
+    goal[n // 3] = 1.0
+    goals = np.zeros(n)
+    goals[rng.choice(n, min(n, 40), replace=False)] = 1.0
+    targets = [goal, np.ones(n), np.exp(rng.choice([-1.0, 0.0, 1.0], n) / temperature), goals]
+    for q in targets[-1:] if n > 1000 else targets:
+        w = blend_block(Q, q).values
+        w_nnls, _ = scipy.optimize.nnls(Q, q)
+        np.testing.assert_allclose(w, w_nnls, rtol=0, atol=1e-12 * np.abs(w_nnls).max())
 
 
-@pytest.mark.parametrize("Q", [np.ones((3, 3)), np.array([[1.0, 0.5],
-                                                          [0.5, 1.0],
-                                                          [0.2, 0.1]])],
-                         ids=["singular", "non-square"])
+@pytest.mark.parametrize("Q", [np.ones((3, 3)),
+                               np.array([[1.0, 0.5], [0.5, 1.0], [0.2, 0.1]]),
+                               np.array([[1.0, 0.2], [0.3, 1.0]]),
+                               np.array([[1.0, -0.2], [-0.2, 1.0]])],
+                         ids=["singular", "non-square", "unstructured", "negative-fill"])
 def test_an_unfactorable_block_blends_by_nnls_silently(capfd, Q):
-    block = factor_block(Q)
-    assert block.lu is None
-    q = np.linspace(1.0, 2.0, Q.shape[0])
-    w_nnls, r_nnls = scipy.optimize.nnls(Q, q)
-    got = blend_weights_matrix(block, q)
-    np.testing.assert_array_equal(got.values, w_nnls)
-    assert got.residual == r_nnls
+    # anything but a I + c 11^T with a > 0, c >= 0 is blend_weights_matrix's
+    q = np.linspace(2.0, -1.0, Q.shape[0])
+    want = blend_weights_matrix(Q, q)
+    got = blend_block(Q, q)
+    np.testing.assert_array_equal(got.values, want.values)
+    assert got.residual == want.residual
     assert capfd.readouterr() == ("", "")
 
 
 def test_factored_blend_rejects_bad_targets():
-    block = factor_block(default_subtask_rewards(4, -5.0, 1.0))
+    Q = default_subtask_rewards(4, -5.0, 1.0)
     for bad in (np.inf, np.nan):
         target = np.ones(4)
         target[2] = bad
         with pytest.raises(InvalidSpec):
-            blend_weights_matrix(block, target)
+            blend_block(Q, target)
     with pytest.raises(DimensionMismatch):
-        blend_weights_matrix(block, np.ones(3))
+        blend_block(Q, np.ones(3))
 
 
-def test_factor_block_rejects_malformed_blocks():
+def test_blend_block_rejects_malformed_blocks():
     with pytest.raises(DimensionMismatch):
-        factor_block(np.ones(3))
+        blend_block(np.ones(3), np.ones(3))
     with pytest.raises(InvalidSpec):
-        factor_block(np.array([[1.0, np.nan], [0.5, 1.0]]))
+        blend_block(np.array([[1.0, np.nan], [0.5, 1.0]]), np.ones(2))
+    with pytest.raises(InvalidSpec):
+        blend_block(np.array([[np.inf, 1.0], [1.0, np.inf]]), np.ones(2))
     with pytest.raises(DegenerateBasis):
-        factor_block(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        blend_block(np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones(2))
 
 
 def test_zero_weights_cannot_compose(basis):

@@ -354,7 +354,7 @@ def test_save_stack_round_trips_layers_and_manifest(shape, goal_frac, terminate,
             assert (rebuilt != kernel).nnz == 0
             arrays = [("boundary_solves", entry.solves)]
             if entry.n_subtasks:
-                arrays.append(("subtask_tasks", entry.subtask_block.matrix))
+                arrays.append(("subtask_tasks", entry.subtask_tasks))
             for key, expected in arrays:
                 saved = np.load(directory / doc[key], allow_pickle=False)
                 assert saved.dtype == np.float64
@@ -367,7 +367,7 @@ def test_save_stack_round_trips_layers_and_manifest(shape, goal_frac, terminate,
                     base_tasks, np.load(directory / doc["subtask_tasks"]),
                     doc["task_fill"])
                 assert np.array_equal(saved_tasks, oracles.augmented_task_matrix(
-                    entry.base_tasks, entry.subtask_block.matrix, entry.fill))
+                    entry.base_tasks, entry.subtask_tasks, entry.fill))
         manifest = read_json(directory / "manifest.json")
     assert manifest["format"] == 6
     assert manifest["depth"] == stack.depth
