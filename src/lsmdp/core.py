@@ -553,7 +553,7 @@ def policy_column(lmdp: Lmdp, z_full: np.ndarray, state: int):
     if len(z_full) != P.shape[0]:
         raise DimensionMismatch(
             f"desirability covers {len(z_full)} states, LMDP has {P.shape[0]}")
-    if not 0 <= state < P.shape[1]:
+    if not (is_integer(state) and 0 <= state < P.shape[1]):
         raise InvalidSpec(f"policy column {state} is not an interior state "
                           f"(0..{P.shape[1] - 1})")
     lo, hi = P.indptr[state], P.indptr[state + 1]
@@ -563,6 +563,16 @@ def policy_column(lmdp: Lmdp, z_full: np.ndarray, state: int):
     if not 0.0 < total < math.inf:
         raise ZeroNormalizer(f"policy column {state} has desirability mass {total}")
     return rows, vals / total
+
+
+def masked_redraw_column(rows: np.ndarray, probs: np.ndarray, lo: int, hi: int):
+    """Drop subtask rows [lo, hi) and renormalize; used after an access."""
+    keep = (rows < lo) | (rows >= hi)
+    rows, probs = rows[keep], probs[keep]
+    mass = probs.sum()
+    if not mass > 0:
+        raise ZeroNormalizer("no probability mass outside subtask states")
+    return rows, probs / mass
 
 
 def narrow_draw(narrow: tuple, z: list, state: int, rng: np.random.Generator) -> int:

@@ -23,8 +23,10 @@ U_b Q w_b are memoized per task, so an inpaint re-blend, which moves only
 w_t, composes only the subtask block.  Q and every subtask block have the
 form a I + c 11^T, so each blend is in closed form (``multitask.blend_block``).
 A layer's task state is one ``Composite``: its weights, the desirability they
-compose, a policy-column cache, and the dead twin a termination above swaps
-in.  Within one task the same inpaint recurs, so a stack memoizes each
+compose, the dead twin a termination above swaps in, and a ``Column`` record
+per state read, which caches the policy column there, its redraw without
+subtask rows and the rewards an access there transmits; episodes read only
+these.  Within one task the same inpaint recurs, so a stack memoizes each
 re-blend's composite by layer, termination flag above and inpainted vector;
 clones share the memo and the composites, caches and dead twins in it.
 """
@@ -46,6 +48,9 @@ from .core import (
     _factorize,
     build_lmdp,
     is_integer,
+    masked_redraw_column,
+    policy_column,
+    running_sum,
     solve_interior,
 )
 from .errors import (
@@ -335,15 +340,57 @@ def rewards_to_task_weights(aug: AugmentedMlmdp, inpainted: np.ndarray,
 # stacks
 
 
+class Column:
+    """A cached policy column (rows, probs) and the running sum draws bisect;
+    the step ``kl``, ``masked`` redraw and ``transmit`` fill on first use."""
+
+    __slots__ = ("rows", "probs", "cum", "kl", "masked", "transmit")
+
+    def __init__(self, rows: np.ndarray, probs: np.ndarray):
+        self.rows, self.probs, self.cum = rows, probs, running_sum(probs)
+        self.kl = self.masked = self.transmit = None
+
+
 class Composite:
     """A layer's task state: TaskWeights, the read-only desirability ``z``
-    they compose, the executor's state -> Column cache of ``z``, and the
-    ``dead`` twin a termination above composes once (None until then)."""
+    they compose over ``layer``, the state -> Column cache its methods fill,
+    and the ``dead`` twin a termination above composes once (None until then)."""
 
-    __slots__ = ("weights", "z", "columns", "dead")
+    __slots__ = ("layer", "kappa", "weights", "z", "columns", "dead")
 
-    def __init__(self, weights: TaskWeights, z: np.ndarray):
-        self.weights, self.z, self.columns, self.dead = weights, z, {}, None
+    def __init__(self, layer: AugmentedMlmdp, kappa: float,
+                 weights: TaskWeights, z: np.ndarray):
+        self.layer, self.kappa, self.weights, self.z = layer, kappa, weights, z
+        self.columns, self.dead = {}, None
+
+    def column(self, state: int) -> Column:
+        """The record of the policy column at ``state``; a miss tilts it."""
+        if state not in self.columns:
+            self.columns[state] = Column(*policy_column(self.layer.lmdp, self.z, state))
+        return self.columns[state]
+
+    def redraw(self, state: int) -> Column:
+        """The column at ``state`` without subtask rows, drawn after an access."""
+        col = self.column(state)
+        if col.masked is None:
+            col.masked = Column(*masked_redraw_column(col.rows, col.probs,
+                                                      *self.layer.subtask_range))
+        return col.masked
+
+    def transmit(self, entry: int) -> np.ndarray:
+        """Inpainted rewards (read-only) an access at ``entry`` sends down:
+        kappa (a - p) of the policy and passive columns there, over the
+        layer's interior, which is the subtask states of the layer below."""
+        col = self.column(entry)
+        if col.transmit is None:
+            # the policy column's rows are the passive column's, in its order
+            P, n_i = self.layer.lmdp.passive.full_matrix, self.layer.lmdp.n_interior
+            a, p = np.zeros(P.shape[0]), np.zeros(P.shape[0])
+            a[col.rows] = col.probs
+            p[col.rows] = P.data[P.indptr[entry]:P.indptr[entry + 1]]
+            col.transmit = inpaint_rewards(a[:n_i], p[:n_i], self.kappa)
+            col.transmit.flags.writeable = False
+        return col.transmit
 
 
 @dataclass
@@ -449,7 +496,7 @@ class HierarchyStack:
                 f"layer {layer} composite desirability min = {low:.3g}")
         z = np.concatenate([z_i, q_b + fill_t, z_t])
         z.flags.writeable = False
-        return Composite(weights, z)
+        return Composite(entry, self.kappa, weights, z)
 
     def apply_inpaint(self, layer: int, inpainted: np.ndarray) -> None:
         """Receive inpainted rewards at a layer below the top and re-blend.

@@ -23,9 +23,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import Lmdp, check_count, draw_from, narrow_draw, policy_column
+from .core import Lmdp, check_count, draw_from, masked_redraw_column, narrow_draw, policy_column
 from .errors import DimensionMismatch, InvalidSpec
-from .executor import access_hierarchy, masked_redraw_column, rollout_budget
+from .executor import access_hierarchy, rollout_budget
 from .hierarchy import HierarchyStack
 
 DEFAULT_STEP_SCALE = 50.0
@@ -135,8 +135,7 @@ def run_learning_episode(lmdp: Lmdp, learner: LearningState,
     behave = work.z_interior + work.boundary_values
     comp = None
     try:
-        t = 0
-        while t < max_steps:
+        for t in range(max_steps):
             redraw = False
             while True:
                 if stack is not None and stack.composites[0] is not comp:
@@ -153,17 +152,15 @@ def run_learning_episode(lmdp: Lmdp, learner: LearningState,
                     nxt = draw_from(rows, probs, rng)
                 else:
                     nxt = narrow_draw(col, behave, s, rng)
-                if lo <= nxt < hi:
-                    access_hierarchy(stack, nxt - lo, rng)
-                    redraw = True
-                    continue
-                z_new = z_learning_step(work, s, r_i[s], nxt, lam)
-                behave[s] = z_new if comp is None else comp_list[s] * z_new
-                break
+                if not lo <= nxt < hi:
+                    break
+                access_hierarchy(stack, nxt - lo, rng)
+                redraw = True
+            z_new = z_learning_step(work, s, r_i[s], nxt, lam)
+            behave[s] = z_new if comp is None else comp_list[s] * z_new
             if nxt >= n_i:
                 return t + 1
             s = nxt
-            t += 1
         return max_steps
     finally:  # every backup made, also when a draw or an access raises
         learner.z_interior[:], learner.visits[:] = work.z_interior, work.visits

@@ -26,7 +26,7 @@ from lsmdp import (
 )
 from lsmdp import executor, hierarchy
 from lsmdp.errors import InvalidSpec, NoTaskSet, ZeroNormalizer
-from lsmdp.executor import masked_redraw_column
+from lsmdp.core import masked_redraw_column
 
 import oracles
 
@@ -173,9 +173,10 @@ def assert_same_trajectory(traj, twin):
         assert np.array_equal(ours, theirs)
 
 
-def uncached_column(stack, layer, state):
-    """executor._column with no cache: a fresh record on every read."""
-    return executor.Column(*policy_column(*stack.policy_state(layer), state))
+def uncached_column(composite, state):
+    """Composite.column with no cache: a fresh record on every read, so its
+    masked redraw and transmit are made afresh too."""
+    return hierarchy.Column(*policy_column(composite.layer.lmdp, composite.z, state))
 
 
 @settings(max_examples=40, deadline=None)
@@ -197,7 +198,7 @@ def test_warm_caches_change_no_episode(shape, data):
         run_episode(warm.clone(), int(other), np.random.default_rng([seed, k]))
     first = run_episode(warm.clone(), start, np.random.default_rng(seed))
     again = run_episode(warm.clone(), start, np.random.default_rng(seed))
-    with mock.patch.object(executor, "_column", uncached_column):
+    with mock.patch.object(hierarchy.Composite, "column", uncached_column):
         twin = run_episode(cold.clone(), start, np.random.default_rng(seed))
     assert_same_trajectory(first, twin)
     assert_same_trajectory(again, twin)
@@ -207,13 +208,13 @@ def test_a_repeated_episode_tilts_no_column(monkeypatch):
     _, tasked = ring_tower_stack()
     first = run_episode(tasked.clone(), 13, np.random.default_rng(1))
     tilted = []
-    real = executor.policy_column
+    real = hierarchy.policy_column
 
     def counting(*args):
         tilted.append(args[2])
         return real(*args)
 
-    monkeypatch.setattr(executor, "policy_column", counting)
+    monkeypatch.setattr(hierarchy, "policy_column", counting)
     second = run_episode(tasked.clone(), 13, np.random.default_rng(1))
     assert first.events and tilted == []
     assert_same_trajectory(second, first)
@@ -433,6 +434,39 @@ def test_an_access_needs_a_tasked_stack_with_a_layer_above_the_base():
         access_hierarchy(untasked, 0, np.random.default_rng(0))
     with pytest.raises(InvalidSpec, match="depth-1"):
         access_hierarchy(ring_flat_stack()[1], 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("state", [1.5, 1.0, True, np.float64(1.0)], ids=repr)
+def test_a_float_or_bool_state_is_no_state(state, warm):
+    # 1.0 == 1 and True == 1, so a warm cache would serve state 1's column
+    _, tasked = ring_tower_stack()
+    if warm:
+        # clones share composites: an access on one caches for the next
+        access_hierarchy(tasked.clone(), 1, np.random.default_rng(0))
+        assert 1 in tasked.composites[1].columns
+    stack = tasked.clone()
+    with pytest.raises(InvalidSpec, match="not a subtask state"):
+        access_hierarchy(stack, state, np.random.default_rng(0))
+    with pytest.raises(InvalidSpec, match="not an interior state"):
+        policy_column(*stack.policy_state(1), state)
+
+
+def test_an_access_transmits_kappa_times_policy_minus_passive():
+    _, stack = ring_tower_stack()
+    for layer in (1, 2):
+        composite = stack.composites[layer]
+        lmdp, z = stack.policy_state(layer)
+        n_i = lmdp.n_interior
+        for entry in range(n_i):
+            rows, probs = policy_column(lmdp, z, entry)
+            a = np.zeros(lmdp.n_states)
+            a[rows] = probs
+            p = lmdp.passive.full_matrix[:, [entry]].toarray().ravel()
+            expected = hierarchy.inpaint_rewards(a[:n_i], p[:n_i], stack.kappa)
+            sent = composite.transmit(entry)
+            assert sent.tobytes() == expected.tobytes()
+            assert not sent.flags.writeable and sent is composite.transmit(entry)
 
 
 def test_masked_redraw_excludes_subtask_rows():

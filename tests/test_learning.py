@@ -26,7 +26,7 @@ from lsmdp import (
 )
 from lsmdp.core import NARROW
 from lsmdp.errors import DimensionMismatch, InvalidSpec, NoTaskSet
-from lsmdp.executor import masked_redraw_column
+from lsmdp.core import masked_redraw_column
 
 
 def fresh_learner(n_interior, boundary, step_scale=50.0):
