@@ -26,7 +26,6 @@ from .core import (
     z_iterate,
 )
 from .multitask import (
-    BLEND_METHODS,
     TaskBasis,
     TaskWeights,
     blend_block,

@@ -196,12 +196,11 @@ def cmd_blend(args) -> int:
     bundle = load_domain(args.domain)
     if bundle.goal_q is None:
         raise InvalidSpec("this domain defines no target task to blend")
-    method = args.method.replace("blend-", "")
-    z, weights = solve_novel_task(bundle.basis, bundle.goal_q, method=method)
+    z, weights = solve_novel_task(bundle.basis, bundle.goal_q)
     _write_outputs(args, "blend", bundle.config,
                    {"weights.csv": serialize.weights_csv(weights),
                     "z.csv": serialize.desirability_csv(bundle.lmdp, z.full())},
-                   method=args.method, blend_residual=weights.residual,
+                   blend_residual=weights.residual,
                    n_tasks=bundle.basis.n_tasks)
     return EXIT_OK
 
@@ -254,9 +253,10 @@ def cmd_learn(args) -> int:
         step_scale = params.get("step_scale", DEFAULT_STEP_SCALE)
         check_step_scale(step_scale)
         conditions = params.get("conditions", ["flat", "guided"])
-        if not conditions or not set(conditions) <= {"flat", "guided"}:
+        if (not conditions or not set(conditions) <= {"flat", "guided"}
+                or len(set(conditions)) != len(conditions)):
             raise InvalidSpec("learn.conditions must list 'flat' and/or "
-                              f"'guided', got {conditions!r}")
+                              f"'guided', each once, got {conditions!r}")
     stack_template = None
     if "guided" in conditions:
         stack_template = _build_stack(bundle, None, None)
@@ -315,9 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blend", help="compose a novel task from a basis")
     common(p)
-    p.add_argument("--method",
-                   choices=["blend-nnls", "blend-pinv", "nnls", "pinv"],
-                   default="blend-nnls")
 
     p = sub.add_parser("stack", help="build and serialize a subtask tower")
     common(p)

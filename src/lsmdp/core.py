@@ -121,6 +121,13 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_real(name: str, value) -> None:
+    """InvalidSpec naming the field unless ``value`` is a Python or numpy
+    integer or float; bools, strings and None are not numbers."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise InvalidSpec(f"{name} must be a number, got {value!r}")
+
+
 def check_count(name: str, value) -> int:
     """``value`` if it is an integer of at least 1, else InvalidSpec."""
     if not (is_integer(value) and value >= 1):
@@ -215,8 +222,12 @@ class RewardModel:
     temperature: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "interior", np.asarray(self.interior, dtype=np.float64))
-        object.__setattr__(self, "boundary", np.asarray(self.boundary, dtype=np.float64))
+        check_real("temperature", self.temperature)
+        for name in ("interior", "boundary"):
+            values = np.asarray(getattr(self, name))
+            if values.dtype.kind not in "iuf":  # bools, strings and None are no rewards
+                raise InvalidSpec(f"{name} rewards must be numbers, got {values.dtype} values")
+            object.__setattr__(self, name, values.astype(np.float64, copy=False))
         if not (self.temperature > 0) or not math.isfinite(self.temperature):
             raise InvalidSpec(f"temperature must be positive, got {self.temperature}")
         if not (np.isfinite(self.interior).all() and np.isfinite(self.boundary).all()):
@@ -462,6 +473,12 @@ def z_iterate(lmdp: Lmdp, q_boundary: np.ndarray, z0: Optional[np.ndarray] = Non
     iterate raises SingularSystem naming its columns, from a finiteness test
     of the block every 8th sweep and of the columns a spent budget freezes:
     within 8 sweeps of the overflow, and never returned non-finite.
+
+    No caller in the package or the CLI passes ``z0``; it stays for the
+    tests that start from it: acceptance criterion 2 steps one sweep at a
+    time, and the block-iteration property tests start from random iterates,
+    where test_loose_probe_rows_change_no_bit needs starts of both signs to
+    make probe rows go stale.
     """
     if not tol >= 0:
         raise InvalidSpec(f"tol must be nonnegative, got {tol}")

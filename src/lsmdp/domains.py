@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import (PassiveDynamics, RewardModel, StatePartition, build_lmdp,
-                   check_count, is_integer)
+                   check_count, check_real, is_integer)
 from .errors import BlockedCell, EmptyTarget, InvalidSpec
 from .hierarchy import SubtaskStructure, default_subtask_rewards
 from .multitask import build_task_basis
@@ -46,6 +46,15 @@ def goal_task_vector(n_boundary: int, goal_index: int,
     return q
 
 
+def _check_numbers(spec, *names) -> None:
+    """InvalidSpec naming the first of ``spec``'s real-valued fields that holds
+    a bool, a string or None; a tuple or list field is checked entry by entry."""
+    for name in names:
+        value = getattr(spec, name)
+        for entry in (value if isinstance(value, (tuple, list)) else (value,)):
+            check_real(name, entry)
+
+
 # ---------------------------------------------------------------------------
 # 1-D ring
 
@@ -71,6 +80,8 @@ class RingSpec:
             raise InvalidSpec(f"subtask spacing must be an integer of at least 2, "
                               f"got {self.subtask_spacing!r}")
         check_count("depth", self.depth)
+        _check_numbers(self, "step_prob", "exit_prob", "temperature", "interior_reward",
+                       "access_weight")
         _check_walk(self.step_prob, self.exit_prob, 2)
 
     def level_sizes(self) -> List[int]:
@@ -171,6 +182,8 @@ class GridSpec:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise InvalidSpec("grid must have positive dimensions")
+        _check_numbers(self, "stay_prob", "step_prob", "exit_prob", "temperature",
+                       "interior_reward")
         _check_walk(self.step_prob, self.exit_prob, 4)
         if not abs(self.stay_prob + 4 * self.step_prob - 1.0) <= 1e-9:
             raise InvalidSpec("stay_prob + 4 * step_prob must equal 1")
@@ -342,8 +355,10 @@ class ArmSpec:
     def __post_init__(self):
         if not (is_integer(self.n_bins) and self.n_bins >= 3):
             raise InvalidSpec(f"need an integer n_bins of at least 3, got {self.n_bins!r}")
-        if self.link_lengths[0] <= 0 or self.link_lengths[1] <= 0:
-            raise InvalidSpec("link lengths must be positive")
+        _check_numbers(self, "link_lengths", "target_rect", "step_prob", "exit_prob",
+                       "temperature", "interior_reward")
+        if len(self.link_lengths) != 2 or min(self.link_lengths) <= 0:
+            raise InvalidSpec("link lengths must be two positive numbers")
         x0, x1, y0, y1 = self.target_rect
         if not (x0 < x1 and y0 < y1):
             raise InvalidSpec("target rectangle must have positive area")

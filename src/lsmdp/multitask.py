@@ -26,8 +26,6 @@ from .errors import (
     NonPositiveComposite,
 )
 
-BLEND_METHODS = ("nnls", "pinv")
-
 
 @dataclass(frozen=True)
 class TaskBasis:
@@ -87,11 +85,12 @@ def blend_weights_matrix(task_matrix: np.ndarray, target: np.ndarray,
                          method: str = "nnls") -> TaskWeights:
     """Fit nonnegative task weights to a target exponentiated reward.
 
-    nnls solves min ||target - Q w|| subject to w >= 0 (active-set method);
-    pinv takes the pseudoinverse solution and clips negatives to zero, which
-    is cheaper but only approximate when the sign constraint binds.  A
-    non-finite task matrix or target raises InvalidSpec.
+    Solves min ||target - Q w|| subject to w >= 0 by scipy's active-set NNLS.
+    A non-finite task matrix or target, or a method other than "nnls",
+    raises InvalidSpec.
     """
+    if method != "nnls":  # kept for perfbench/workloads.py and criterion 4, which pass it
+        raise InvalidSpec(f"unknown blend method {method!r}; the only one is 'nnls'")
     Q = np.asarray(task_matrix, dtype=np.float64)
     q = np.asarray(target, dtype=np.float64)
     if Q.ndim != 2 or q.shape != (Q.shape[0],):
@@ -103,13 +102,7 @@ def blend_weights_matrix(task_matrix: np.ndarray, target: np.ndarray,
         raise InvalidSpec("task matrix must be finite")
     if (col_mass == 0).any():
         raise DegenerateBasis(f"task column {int(np.argmin(col_mass))} is all zero")
-    if method == "nnls":
-        w, residual = scipy.optimize.nnls(Q, q)
-    elif method == "pinv":
-        w = np.clip(np.linalg.pinv(Q) @ q, 0.0, None)
-        residual = float(np.linalg.norm(q - Q @ w))
-    else:
-        raise InvalidSpec(f"unknown blend method {method!r}; choose from {BLEND_METHODS}")
+    w, residual = scipy.optimize.nnls(Q, q)
     return TaskWeights(np.asarray(w, dtype=np.float64), float(residual))
 
 
@@ -167,8 +160,7 @@ def compose_desirability(basis: TaskBasis, weights: TaskWeights) -> Desirability
     return Desirability(z_i, z_b)
 
 
-def solve_novel_task(basis: TaskBasis, target: np.ndarray,
-                     method: str = "nnls"):
+def solve_novel_task(basis: TaskBasis, target: np.ndarray, method: str = "nnls"):
     """Blend then compose; returns (Desirability, TaskWeights)."""
     weights = blend_weights_matrix(basis.boundary_tasks, target, method=method)
     return compose_desirability(basis, weights), weights

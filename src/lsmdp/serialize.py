@@ -18,7 +18,7 @@ import scipy
 import scipy.sparse as sp
 
 from .core import (Lmdp, PassiveDynamics, RewardModel, StatePartition,
-                   build_lmdp)
+                   build_lmdp, check_real, is_integer)
 from .errors import InvalidSpec
 from .hierarchy import HierarchyStack
 from .multitask import TaskWeights
@@ -71,32 +71,49 @@ def lmdp_to_dict(lmdp: Lmdp) -> dict:
 def lmdp_from_dict(doc: dict) -> Lmdp:
     """Rebuild an LMDP from its document; validation runs as usual.
 
-    A (source, destination) pair repeated across triples raises InvalidSpec.
+    Sizes and triple indices must be JSON integers, and lambda, rewards and
+    probabilities JSON numbers: a float size, a boolean or a string raises
+    InvalidSpec naming the field, never truncated or parsed.  So do labels
+    that are not a list or hold a comma or a line break, which would split
+    a CSV row, and a (source, destination) pair repeated across triples.
     """
     try:
-        n_i = int(doc["n_interior"])
-        n_b = int(doc["n_boundary"])
-        lam = float(doc["lambda"])
-        r_i = np.asarray(doc["r_i"], dtype=np.float64)
-        r_b = np.asarray(doc["r_b"], dtype=np.float64)
+        n_i, n_b, lam = doc["n_interior"], doc["n_boundary"], doc["lambda"]
+        r_i, r_b = list(doc["r_i"]), list(doc["r_b"])
         labels = tuple(doc["labels"]) if "labels" in doc else None
-        triples = [(int(entry[0]), int(entry[1]), float(entry[2]))
-                   for entry in doc["passive"]]
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        triples = [tuple(entry) for entry in doc["passive"]]
+    except (KeyError, TypeError) as exc:
         raise InvalidSpec(f"malformed LMDP document: {exc}") from exc
+    for name, value in (("n_interior", n_i), ("n_boundary", n_b)):
+        if not is_integer(value):
+            raise InvalidSpec(f"{name} must be a JSON integer, got {value!r}")
+    for name, values in (("lambda", [lam]), ("r_i", r_i), ("r_b", r_b)):
+        for value in values:
+            check_real(name, value)
+    if "labels" in doc and not isinstance(doc["labels"], list):
+        raise InvalidSpec(f"labels must be a JSON list, got {doc['labels']!r}")
+    for label in map(str, labels or ()):
+        if "," in label or label.splitlines() not in ([], [label]):  # any line break
+            raise InvalidSpec(f"label {label!r} holds a comma or a line break")
     seen = set()
     for entry in triples:
-        src, dst, _ = entry
+        if not (len(entry) == 3 and is_integer(entry[0]) and is_integer(entry[1])):
+            raise InvalidSpec(f"passive triple {entry} is not [source, "
+                              "destination, probability] with integer indices")
+        src, dst, prob = entry
+        check_real("passive probability", prob)
         if not (0 <= src < n_i and 0 <= dst < n_i + n_b):
             raise InvalidSpec(f"passive triple {entry} out of range")
         if (src, dst) in seen:
             raise InvalidSpec(f"passive triples repeat source {src}, destination {dst}")
         seen.add((src, dst))
     src, dst, prob = zip(*triples) if triples else ((), (), ())
-    full = sp.csc_matrix((prob, (dst, src)), shape=(n_i + n_b, n_i))
+    full = sp.csc_matrix((np.asarray(prob, dtype=np.float64), (dst, src)),
+                         shape=(n_i + n_b, n_i))
     passive = PassiveDynamics(full[:n_i], full[n_i:])
     return build_lmdp(StatePartition(n_i, n_b, labels), passive,
-                      RewardModel(r_i, r_b, lam))
+                      RewardModel(np.asarray(r_i, dtype=np.float64),
+                                  np.asarray(r_b, dtype=np.float64), float(lam)))
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,7 @@ def test_blend_writes_weights_and_composite(tmp_path, arm_config):
     assert all(w >= 0 for w in weights)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["blend_residual"] <= 1e-9
+    assert "method" not in manifest  # NNLS is the only fit
 
 
 def test_an_inline_map_and_an_lmdp_file_load(tmp_path, chain5):
@@ -124,12 +125,14 @@ def test_an_inline_map_and_an_lmdp_file_load(tmp_path, chain5):
             == (tmp_path / "inline" / "z.csv").read_bytes())
 
 
-def test_blend_pinv_method_flag(tmp_path, arm_config):
+@pytest.mark.parametrize("method", ["blend-nnls", "nnls", "blend-pinv", "pinv"])
+def test_blend_takes_no_method_flag(tmp_path, arm_config, method):
+    # NNLS is the one blend fit, so every spelling of the old flag is a usage error
     out = tmp_path / "out"
-    assert main(["blend", "--domain", arm_config, "--out", str(out),
-                 "--method", "blend-pinv"]) == EXIT_OK
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["method"] == "blend-pinv"
+    with pytest.raises(SystemExit) as exc:
+        main(["blend", "--domain", arm_config, "--out", str(out), "--method", method])
+    assert exc.value.code == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_stack_serializes_the_tower(tmp_path, ring_config):
@@ -307,6 +310,7 @@ LMDP = {"n_interior": 1, "n_boundary": 1, "lambda": 1.0, "r_i": [-1.0],
     ("solve", dict(ROOMS, exit_prob=-0.01)),
     ("solve", {"type": "grid", "goal_cells": [[0, 10]]}),
     ("solve", {"type": "lmdp"}),
+    ("solve", {"type": "lmdp", "lmdp": dict(LMDP, labels=["a,b", "c\nd"])}),
 ], ids=["ring-size-string", "goal-string", "top-level-list", "arm-bins-string",
         "max-steps-string", "learn-epochs-string", "max-steps-zero",
         "learn-max-steps-negative", "learn-episodes-zero", "learn-step-scale-zero",
@@ -315,7 +319,7 @@ LMDP = {"n_interior": 1, "n_boundary": 1, "lambda": 1.0, "r_i": [-1.0],
         "lmdp-triple-string", "lmdp-passive-int", "lmdp-triple-repeated",
         "lmdp-triple-nan", "arm-step-nan", "arm-step-negative", "arm-exit-negative",
         "arm-exit-nan", "grid-step-nan", "grid-exit-nan", "grid-exit-negative",
-        "grid-without-map", "lmdp-without-document"])
+        "grid-without-map", "lmdp-without-document", "lmdp-labels-split-rows"])
 def test_malformed_config_values(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path / "cfg.json", doc)
     assert main([command, "--domain", cfg,
@@ -352,6 +356,31 @@ def test_integer_fields_take_only_integers(tmp_path, capsys, command, doc):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc, field", [
+    (dict(RING, temperature="1.0"), "temperature"),
+    (dict(RING, temperature=None), "temperature"),
+    (dict(RING, temperature=True), "temperature"),
+    (dict(RING, interior_reward="x"), "interior_reward"),
+    (dict(RING, interior_reward="-1"), "interior_reward"),
+    (dict(RING, access_weight="0.25"), "access_weight"),
+    (dict(RING, step_prob="0.3"), "step_prob"),
+    (dict(ROOMS, temperature="1.0"), "temperature"),
+    (dict(ROOMS, stay_prob=None), "stay_prob"),
+    ({"type": "arm", "n_bins": 7, "link_lengths": [True, True]}, "link_lengths"),
+    ({"type": "arm", "n_bins": 7, "target_rect": [-3, "3", -3, 3]}, "target_rect"),
+    ({"type": "arm", "n_bins": 7, "interior_reward": False}, "interior_reward"),
+], ids=["ring-temperature-string", "ring-temperature-null", "ring-temperature-bool",
+        "ring-reward-string", "ring-reward-numeric-string", "ring-access-string",
+        "ring-step-string", "grid-temperature-string", "grid-stay-null",
+        "arm-links-bool", "arm-rect-string", "arm-reward-bool"])
+def test_real_fields_take_only_json_numbers(tmp_path, capsys, doc, field):
+    # these used to crash with a traceback or run as 1.0, -1.0 or 0.25
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert main(["solve", "--domain", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"{field} must be a number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("goal_cells", [[0, 10.0]]),
     ("goal_cells", [[0, 10, 0]]),
@@ -383,8 +412,11 @@ def test_grid_cells_take_only_integer_pairs(tmp_path, capsys, field, value):
     ({}, 27, "is not a base interior state"),
     ({"step_scale": 0}, 13, "step_scale must be finite and positive"),
     ({"step_scale": True}, 13, "step_scale must be finite and positive"),
+    ({"conditions": ["flat", "flat"]}, 13, "each once"),
+    ({"conditions": ["guided", "flat", "guided"]}, 13, "each once"),
 ], ids=["epochs-float", "episodes-zero", "max-steps-float", "start-float",
-        "start-out-of-range", "step-scale-zero", "step-scale-bool"])
+        "start-out-of-range", "step-scale-zero", "step-scale-bool",
+        "conditions-repeated", "guided-repeated"])
 def test_learn_checks_its_inputs_before_building_a_stack(tmp_path, monkeypatch,
                                                          capsys, learn, start,
                                                          message):
@@ -392,7 +424,7 @@ def test_learn_checks_its_inputs_before_building_a_stack(tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "_build_stack", lambda *args: built.append(args))
     cfg = write_config(tmp_path / "ring.json", {
         "type": "ring", "n_states": 27, "subtask_spacing": 3, "depth": 3,
-        "start": start, "learn": dict(learn, conditions=["flat", "guided"])})
+        "start": start, "learn": {"conditions": ["flat", "guided"], **learn}})
     assert main(["learn", "--domain", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert built == []

@@ -153,6 +153,19 @@ def test_nonfinite_rewards_rejected():
         RewardModel([np.nan], [0.0], 1.0)
 
 
+@pytest.mark.parametrize("interior, boundary, temperature, field", [
+    ([-1.0], [0.0], "1.0", "temperature"), ([-1.0], [0.0], True, "temperature"),
+    ([-1.0], [0.0], None, "temperature"), (["-1"], [0.0], 1.0, "interior"),
+    ([True], [0.0], 1.0, "interior"), ([None], [0.0], 1.0, "interior"),
+    ([-1.0], ["x"], 1.0, "boundary"), ([-1.0], np.array([False]), 1.0, "boundary"),
+])
+def test_rewards_and_temperature_must_be_numbers(interior, boundary, temperature, field):
+    # a string temperature used to raise TypeError and a bool to read as 1
+    with pytest.raises(InvalidSpec, match=field):
+        RewardModel(interior, boundary, temperature)
+    RewardModel(np.array([-1]), [np.float32(0.0)], np.int64(2))  # numpy numbers are numbers
+
+
 def test_exponentiate_examples():
     q_i, q_b = exponentiate_rewards(RewardModel([0.0], [0.0], 1.0))
     assert q_i[0] == 1.0 and q_b[0] == 1.0

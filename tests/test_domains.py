@@ -260,6 +260,9 @@ def test_arm_spec_validation():
         ArmSpec(5, target_rect=(1.0, 1.0, 0.0, 1.0))
     with pytest.raises(InvalidSpec):
         ArmSpec(5, step_prob=0.25)   # four moves need step_prob below 1/4
+    for links in ((1.0,), (1.0, 1.0, 1.0)):  # used to raise IndexError or ValueError
+        with pytest.raises(InvalidSpec, match="two positive numbers"):
+            ArmSpec(5, link_lengths=links)
 
 
 @pytest.mark.parametrize("spec, field", [

@@ -109,42 +109,24 @@ def test_nnls_matches_support_enumeration():
         assert weights.residual <= best + 1e-9
 
 
-def test_nnls_never_worse_than_pinv_clip():
-    rng = np.random.default_rng(41)
-    for _ in range(50):
-        n_b = int(rng.integers(2, 9))
-        n_t = int(rng.integers(1, 6))
-        Q = np.abs(rng.normal(size=(n_b, n_t))) + 0.01
-        q = np.abs(rng.normal(size=n_b))
-        r_nnls = blend_weights_matrix(Q, q, method="nnls").residual
-        r_pinv = blend_weights_matrix(Q, q, method="pinv").residual
-        assert r_nnls <= r_pinv + 1e-12
-
-
-def test_pinv_weights_are_clipped_nonnegative():
-    Q = np.array([[1.0, 0.9], [0.1, 1.0]])
-    q = np.array([1.0, 0.0])  # unconstrained fit goes negative on task 1
-    weights = blend_weights_matrix(Q, q, method="pinv")
-    assert (weights.values >= 0).all()
-
-
-
-@pytest.mark.parametrize("method", ["nnls", "pinv", "factored"])
+@pytest.mark.parametrize("method", ["nnls", "closed-form"])
 def test_blend_weights_are_read_only(basis, method):
     # logs and memos keep references to weights, never copies
     Q, q = basis.boundary_tasks, basis.boundary_tasks[:, 0]
     weights = (blend_block(default_subtask_rewards(3, -5.0, 1.0), np.ones(3))
-               if method == "factored" else blend_weights_matrix(Q, q, method=method))
+               if method == "closed-form" else blend_weights_matrix(Q, q))
     with pytest.raises(ValueError):
         weights.values[0] = 1.0
     mine = np.array([1.0, 2.0])
     TaskWeights(mine, 0.0)
     mine[0] = 3.0  # a caller's own array stays writable
 
+
 def test_unknown_blend_method_rejected(basis):
-    with pytest.raises(InvalidSpec):
-        blend_weights_matrix(basis.boundary_tasks, basis.boundary_tasks[:, 0],
-                             method="qr")
+    for method in ("qr", "pinv"):  # NNLS is the one fit for an unstructured block
+        with pytest.raises(InvalidSpec):
+            blend_weights_matrix(basis.boundary_tasks, basis.boundary_tasks[:, 0],
+                                 method=method)
 
 
 def test_zero_task_column_rejected():

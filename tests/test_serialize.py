@@ -107,7 +107,7 @@ def test_malformed_documents_are_rejected(chain5):
     with pytest.raises(InvalidSpec):
         lmdp_from_dict(broken)
     # wrong types and shapes in the labels and the passive triples
-    for field, value in (("labels", 5), ("passive", [[0, 1]]),
+    for field, value in (("labels", 5), ("labels", "abcde"), ("passive", [[0, 1]]),
                          ("passive", [[0, 0, "x"]]), ("passive", 7)):
         with pytest.raises(InvalidSpec):
             lmdp_from_dict(dict(doc, **{field: value}))
@@ -116,6 +116,35 @@ def test_malformed_documents_are_rejected(chain5):
     passive = [t for t in doc["passive"] if t[:2] != [0, 3]] + [[0, 1, 0.5]]
     with pytest.raises(InvalidSpec, match="source 0, destination 1"):
         lmdp_from_dict(dict(doc, passive=passive))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_interior", 3.0), ("n_interior", 3.9), ("n_boundary", 2.0), ("n_boundary", True),
+    ("lambda", "1.0"), ("lambda", True), ("lambda", None),
+    ("r_i", ["-1.0", "-1.0", "-1.0"]), ("r_b", [True, 0.0]),
+])
+def test_lmdp_document_sizes_are_integers_and_values_numbers(chain5, field, value):
+    # int() and float() used to truncate 3.9 to 3, read True as 1 and parse "1.0"
+    with pytest.raises(InvalidSpec, match=field):
+        lmdp_from_dict(dict(lmdp_to_dict(chain5), **{field: value}))
+
+
+@pytest.mark.parametrize("triple", [[0.7, 1, 0.5], [0, 1.0, 0.5], [0, True, 0.5],
+                                    [0, 1, "0.5"], [0, 1, None], [0, 1, 0.5, 9]])
+def test_passive_triples_take_integer_indices_and_a_number(chain5, triple):
+    doc = lmdp_to_dict(chain5)
+    assert doc["passive"][0] == [0, 1, 0.5]
+    with pytest.raises(InvalidSpec, match="passive"):
+        lmdp_from_dict(dict(doc, passive=[triple] + doc["passive"][1:]))
+
+
+@pytest.mark.parametrize("label", ["a,b", "c\nd", "e\r", "f\u2028g"])
+def test_a_label_that_would_split_its_csv_row_is_rejected(chain5, label):
+    doc = dict(lmdp_to_dict(chain5), labels=["s0", "s1", label, "b0", "b1"])
+    with pytest.raises(InvalidSpec, match="comma or a line break"):
+        lmdp_from_dict(doc)
+    lmdp = lmdp_from_dict(dict(doc, labels=["s 0", "s1", "s2", "", "goal"]))
+    assert desirability_csv(lmdp, np.ones(5)).count("\n") == 1 + 5
 
 
 def test_writers_emit_identical_bytes(chain5, tmp_path):
