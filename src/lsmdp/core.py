@@ -117,8 +117,10 @@ class StatePartition:
 
 
 def is_integer(value) -> bool:
-    """A Python or numpy integer; bools and integral floats are not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    """A Python or numpy integer; bools and integral floats are not.  A plain
+    int, what the step path's checks see, passes on one type compare."""
+    return type(value) is int or (isinstance(value, (int, np.integer))
+                                  and not isinstance(value, bool))
 
 
 def check_real(name: str, value) -> None:

@@ -135,7 +135,7 @@ def run_episode(stack: HierarchyStack, start_state: int,
     n_i = lmdp.n_interior
     lo, hi = stack.layers[0].subtask_range
     max_steps = rollout_budget(n_i, start_state, max_steps)
-    r_i = lmdp.rewards.interior
+    r_i = lmdp.rewards.interior.tolist()
     lam = lmdp.rewards.temperature
 
     states = [start_state]

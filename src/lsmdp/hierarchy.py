@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -153,24 +154,15 @@ class AugmentedMlmdp:
     def __post_init__(self):
         object.__setattr__(self, "ones_solve", self.solves[:, :self.n_base_boundary].sum(1))
 
-    @property
-    def n_subtasks(self) -> int:
-        return self.neutral_weights.shape[0]
+    n_subtasks = property(lambda self: self.neutral_weights.shape[0])
+    n_base_tasks = property(lambda self: self.base_tasks.shape[1])
+    # the step path reads these two on every access, so each is computed once
+    n_base_boundary = cached_property(lambda self: self.lmdp.n_boundary - self.n_subtasks)
 
-    @property
-    def n_base_tasks(self) -> int:
-        return self.base_tasks.shape[1]
-
-    @property
-    def n_base_boundary(self) -> int:
-        return self.lmdp.n_boundary - self.n_subtasks
-
-    @property
-    def subtask_range(self):
-        """Global state indices [lo, hi) of the subtask states.
-
-        (n_states, n_states) at the top of a stack.
-        """
+    @cached_property
+    def subtask_range(self) -> tuple:
+        """Global state indices [lo, hi) of the subtask states, (n_states,
+        n_states) at the top of a stack."""
         lo = self.lmdp.n_interior + self.n_base_boundary
         return (lo, lo + self.n_subtasks)
 
@@ -354,7 +346,11 @@ class Column:
 class Composite:
     """A layer's task state: TaskWeights, the read-only desirability ``z``
     they compose over ``layer``, the state -> Column cache its methods fill,
-    and the ``dead`` twin a termination above composes once (None until then)."""
+    and the ``dead`` twin a termination above composes once (None until then).
+    Its methods take a state the caller has already validated: the checks
+    live at the public entries (access_hierarchy, policy_column,
+    policy_state, apply_inpaint, rollout_budget), so a warm cache would
+    serve ``column(1.0)`` as state 1's record."""
 
     __slots__ = ("layer", "kappa", "weights", "z", "columns", "dead")
 
@@ -364,13 +360,13 @@ class Composite:
         self.columns, self.dead = {}, None
 
     def column(self, state: int) -> Column:
-        """The record of the policy column at ``state``; a miss tilts it."""
+        """The record at a validated ``state``; a miss tilts its policy column."""
         if state not in self.columns:
             self.columns[state] = Column(*policy_column(self.layer.lmdp, self.z, state))
         return self.columns[state]
 
     def redraw(self, state: int) -> Column:
-        """The column at ``state`` without subtask rows, drawn after an access."""
+        """A validated ``state``'s column without subtask rows, drawn after an access."""
         col = self.column(state)
         if col.masked is None:
             col.masked = Column(*masked_redraw_column(col.rows, col.probs,
@@ -378,7 +374,7 @@ class Composite:
         return col.masked
 
     def transmit(self, entry: int) -> np.ndarray:
-        """Inpainted rewards (read-only) an access at ``entry`` sends down:
+        """Inpainted rewards (read-only) an access at a validated ``entry`` sends down:
         kappa (a - p) of the policy and passive columns there, over the
         layer's interior, which is the subtask states of the layer below."""
         col = self.column(entry)
@@ -480,7 +476,8 @@ class HierarchyStack:
         """
         entry = self.layers[layer]
         n_b = entry.n_base_boundary
-        w_b, w_t = np.split(weights.values, [entry.n_base_tasks])
+        n_bt = entry.n_base_tasks
+        w_b, w_t = weights.values[:n_bt], weights.values[n_bt:]
         key = (layer, w_b.tobytes())
         if key not in self.base_terms:
             q_b = entry.base_tasks @ w_b

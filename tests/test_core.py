@@ -1,10 +1,12 @@
 """Construction, solvers, policies, and returns of the base LMDP type."""
 import contextlib
 import dataclasses
+import enum
 import math
 import re
 import warnings
 from bisect import bisect_right
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -531,6 +533,26 @@ def test_z_iterate_rejects_a_budget_that_is_not_an_integer(chain5, max_iter):
 
 def test_z_iterate_takes_a_numpy_integer_budget(chain5):
     assert z_iterate(chain5, chain5.q_boundary, max_iter=np.int64(3))[1:] == (3, False)
+
+
+class _Level(enum.IntEnum):
+    ONE = 1
+
+
+# every numpy integer scalar type, np.longlong and np.ulonglong among them
+NUMPY_INTEGER_TYPES = sorted({np.dtype(c).type for c in np.typecodes["AllInteger"]},
+                             key=lambda t: t.__name__)
+
+
+@pytest.mark.parametrize("value", [1, 2**70, _Level.ONE] + [t(1) for t in NUMPY_INTEGER_TYPES])
+def test_is_integer_takes_python_and_numpy_integers(value):
+    assert core.is_integer(value)
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), 1.0, np.float64(1.0),
+                                   Fraction(1), "1", None])
+def test_is_integer_refuses_bools_floats_and_non_numbers(value):
+    assert not core.is_integer(value)
 
 
 def test_z_iterate_rejects_wrong_shapes(chain5):

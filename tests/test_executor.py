@@ -139,6 +139,15 @@ def test_ring_tower_trace_is_pinned():
     assert_pinned_ring_tower_trace(run_episode(stack, 13, np.random.default_rng(1)))
 
 
+def test_a_return_accrues_in_python_floats():
+    # the interior rewards are read as one list, so the pinned return is a
+    # Python float rather than an np.float64 of the same value
+    _, stack = ring_tower_stack()
+    traj = run_episode(stack, 13, np.random.default_rng(1))
+    assert type(traj.total_return) is float
+    assert traj.total_return == -36.34086817965641
+
+
 def test_ring_tower_trace_is_pinned_from_the_memo():
     # a second episode clone of the tasked stack finds every inpaint
     # re-blend in the memo the first clone filled

@@ -391,6 +391,35 @@ def test_ring_tower_layer_sizes():
     assert stack.layers[2].lmdp.n_boundary == 27
 
 
+def ring27_stack():
+    lmdp, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3))
+    return build_stack(build_task_basis(lmdp, tasks), structures)
+
+
+@pytest.mark.parametrize("make", [ring27_stack, lambda: four_rooms_setting()[1]],
+                         ids=["ring-27", "four-rooms-11"])
+def test_layer_constants_are_python_ints_computed_per_layer(make):
+    stack = make()
+    for k, layer in enumerate(stack.layers):
+        n_i, n_t = layer.lmdp.n_interior, layer.n_subtasks
+        assert layer.n_base_boundary == layer.lmdp.n_boundary - n_t
+        lo = n_i + layer.n_base_boundary
+        assert layer.subtask_range == (lo, lo + n_t)
+        assert type(layer.n_base_boundary) is int
+        assert [type(end) for end in layer.subtask_range] == [int, int]
+        if k == stack.depth - 1:
+            assert n_t == 0 and layer.subtask_range == (layer.lmdp.n_states,) * 2
+        # a replaced layer computes its own constants, never the old ones
+        twin = dataclasses.replace(layer, fill=layer.fill / 2)
+        assert (twin.n_base_boundary, twin.subtask_range) == (
+            layer.n_base_boundary, layer.subtask_range)
+        if n_t:
+            fewer = dataclasses.replace(layer, fill=layer.fill / 2,
+                                        neutral_weights=layer.neutral_weights[:-1])
+            assert fewer.n_base_boundary == layer.n_base_boundary + 1
+            assert fewer.subtask_range == (lo + 1, lo + n_t)
+
+
 def test_every_layer_kernel_is_stochastic():
     lmdp, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3))
     stack = build_stack(build_task_basis(lmdp, tasks), structures)
