@@ -7,6 +7,8 @@ Conventions used throughout the package:
 * Transition matrices are column-indexed by source state: ``P[dest, src]``.
   ``to_interior`` is (n_interior, n_interior), ``to_boundary`` is
   (n_boundary, n_interior); each source column sums to 1 across both blocks.
+* Every ``PassiveDynamics`` stores each column's rows ascending, the order
+  draws walk, so the order its entries were given in never changes a draw.
 * The desirability of a state is z(s) = exp(V(s) / lambda).  Boundary states
   are absorbing, so their desirability equals their exponentiated reward.
 
@@ -170,8 +172,8 @@ class PassiveDynamics:
             s = int(np.argmax(bad))
             raise NotStochastic(f"column {s} sums to {sums[s]:.12g}")
         scale = sp.diags(1.0 / sums)
-        self.to_interior = (P_i @ scale).tocsc()
-        self.to_boundary = (P_b @ scale).tocsc()
+        self.to_interior = (P_i @ scale).tocsc().sorted_indices()
+        self.to_boundary = (P_b @ scale).tocsc().sorted_indices()
         self._check_absorption()
 
     def _check_absorption(self):

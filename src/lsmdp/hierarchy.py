@@ -184,9 +184,7 @@ def stack_subtask_kernel(passive: PassiveDynamics,
         raise AllZeroColumn(f"stacked column {int(np.argmin(mass))} has no mass")
     stacked = (stacked @ sp.diags(1.0 / mass)).tocsc()
     n_i = passive.n_interior
-    # sorted boundary rows: their order becomes each policy column's row
-    # order, which decides the row a uniform draw picks, so episodes depend on it
-    return PassiveDynamics(stacked[:n_i], stacked[n_i:].sorted_indices())
+    return PassiveDynamics(stacked[:n_i], stacked[n_i:])
 
 
 def absorption_dynamics(passive: PassiveDynamics, n_subtasks: int):

@@ -29,10 +29,8 @@ def fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _matrix_triples(matrix: sp.csc_matrix) -> List[list]:
+def _matrix_triples(M: sp.csc_matrix) -> List[list]:
     """(source, destination, probability) triples, sorted by source then dest."""
-    M = matrix.tocsc(copy=True)
-    M.sort_indices()
     out = []
     for src in range(M.shape[1]):
         lo, hi = M.indptr[src], M.indptr[src + 1]
@@ -149,9 +147,9 @@ def save_stack(stack: HierarchyStack, directory) -> None:
     under "lmdp" and names the ``.npy`` files beside it: under
     "boundary_solves" the interior solve of each boundary state, under
     "passive_data", "passive_indices" and "passive_indptr" (int64) the CSC
-    arrays of its one kernel, ``full_matrix`` as stored (its draw order),
-    subtask access rows last, and on an augmented layer under
-    "subtask_tasks" its block Q_t, beside the fill f ("task_fill").  The
+    arrays of its one kernel, ``full_matrix``, rows ascending in each column
+    as draws read them, subtask access rows last, and on an augmented layer
+    under "subtask_tasks" its block Q_t, beside the fill f ("task_fill").  The
     manifest (format 6) names ``base_tasks.npy``, the base block Q every
     layer shares, written once, and records the layer count, order and
     kinds, kappa and penalty, termination flags (a layer's subtasks live

@@ -195,3 +195,145 @@ def layer_desirability(passive, n_interior, r_interior, temperature,
         z_b[len(z_b) - n_subtasks:] = 0.0
     z_i = first_exit_desirability(passive, n_interior, r_interior, temperature, z_b)
     return np.concatenate([z_i, z_b])
+
+
+def reference_episode(kernel, r_interior, temperature, tasks, subtask_weights,
+                      row_orders, target, start, rng, max_steps=None):
+    """One hierarchical episode, run densely from the executor's protocol.
+
+    ``kernel`` is the base's (n_states, n_interior) passive kernel, boundary
+    rows last, and the stack is rebuilt from it.  Layer k + 1 has the
+    absorption kernel (``absorption_kernel``) of layer k's kernel with
+    ``subtask_weights[k]`` stacked under it and renormalized, and reward -1
+    per step; every layer keeps the base boundary set.  A layer's boundary
+    values are its task matrix (``augmented_task_matrix`` of ``tasks`` and
+    Q_t, 1 on the diagonal and e^-5 off it; ``tasks`` alone at the top)
+    times its weights, zero at its subtask states while the layer
+    above is terminated, and its interior is U z_b with U = A^-1 B by dense
+    inverse.  Weights are NNLS fits (``scipy.optimize.nnls``): the base
+    block to ``target`` at every layer, the subtask block to ones after
+    set_task and to exp(r / lambda) when rewards r are inpainted.
+
+    Per base step the base policy column is drawn: an interior state
+    advances, a base boundary state absorbs, a subtask state accesses the
+    layer above.  An accessed layer draws once: a subtask state accesses
+    further and re-blends against what comes back, a base boundary state
+    terminates the layer (nothing goes down) and any other state sends
+    kappa (a - p), kappa = lambda, over the layer's interior from its
+    current policy column.  The base then redraws without its subtask rows.  The return adds
+    r(s) - lambda KL(a || p) per advancing step, with a the distribution of
+    the draw, and lambda log target at the absorbing twin.
+
+    Every draw takes u uniform on [0, total) from ``rng`` and the first row
+    whose running sum exceeds u, walking column s of layer k in the row
+    order ``row_orders[k][s]``: the library's stored order, which decides
+    the row a draw picks.  Returns a dict of ``states``, ``events`` (base
+    time, base state, chain of (layer, entry), deepest layer, terminated
+    layer or None), ``total_return``, ``truncated`` and ``margin``, the
+    smallest distance of any u from a running sum, relative to the total.
+    """
+    from scipy.optimize import nnls
+
+    lam = kappa = float(temperature)
+    Q = _dense(tasks)
+    n_b = Q.shape[0]
+    w_b = nnls(Q, np.asarray(target, dtype=np.float64))[0]
+    P = _dense(kernel)
+    r_i = np.asarray(r_interior, dtype=np.float64)
+    layers = []  # (kernel, n_interior, n_subtasks, U, task matrix, Q_t)
+    for W in list(subtask_weights) + [None]:
+        n_i = P.shape[1]
+        if W is None:
+            aug, n_t, T, Q_t = P, 0, Q, None
+        else:
+            W = _dense(W)
+            n_t = W.shape[0]
+            aug = np.vstack([P, W])
+            aug = aug / aug.sum(axis=0)
+            Q_t = np.full((n_t, n_t), np.exp(-5.0))
+            np.fill_diagonal(Q_t, 1.0)
+            T = augmented_task_matrix(Q, Q_t)
+        q_i = np.exp(r_i / lam)
+        U = np.linalg.inv(np.eye(n_i) - q_i[:, None] * aug[:n_i].T) @ (
+            q_i[:, None] * aug[n_i:].T)
+        layers.append((aug, n_i, n_t, U, T, Q_t))
+        if W is not None:
+            to_t, to_b = absorption_kernel(aug[:n_i], aug[n_i:n_i + n_b], aug[n_i + n_b:])
+            P = np.vstack([to_t, to_b])
+            P = P / P.sum(axis=0)
+            r_i = np.full(n_t, -1.0)
+    depth = len(layers)
+    weights = [np.concatenate([w_b, nnls(Q_t, np.ones(n_t))[0]]) if n_t else w_b
+               for _, _, n_t, _, _, Q_t in layers]
+    terminated = [False] * depth
+    margin = np.inf
+
+    def column(k, s):
+        aug, n_i, n_t, U, T, _ = layers[k]
+        z_b = T @ weights[k]
+        if n_t and terminated[k + 1]:
+            z_b[n_b:] = 0.0
+        z = np.concatenate([U @ z_b, z_b])
+        rows = np.asarray(row_orders[k][s])
+        if set(np.flatnonzero(aug[:, s])) - set(rows.tolist()):
+            raise ValueError(f"row order of layer {k} column {s} misses its support")
+        v = aug[rows, s] * z[rows]
+        return rows, v / v.sum()
+
+    def draw(rows, probs):
+        nonlocal margin
+        cum = np.cumsum(probs)
+        u = rng.random() * cum[-1]
+        margin = min(margin, float(np.abs(cum - u).min() / cum[-1]))
+        return int(rows[min(int(np.searchsorted(cum, u, side="right")), len(rows) - 1)])
+
+    def transmit(k, e):
+        aug, n_i = layers[k][:2]
+        rows, probs = column(k, e)
+        a = np.zeros(aug.shape[0])
+        a[rows] = probs
+        return kappa * (a[:n_i] - aug[:n_i, e])
+
+    def reblend(k, r):
+        weights[k] = np.concatenate([w_b, nnls(layers[k][5], np.exp(r / lam))[0]])
+
+    def access(k, e, chain):
+        chain.append((k, e))
+        n_i, n_t = layers[k][1:3]
+        nxt = draw(*column(k, e))
+        if n_i + n_b <= nxt < n_i + n_b + n_t:
+            r, deepest, ended = access(k + 1, nxt - n_i - n_b, chain)
+            if r is not None:
+                reblend(k, r)
+            return transmit(k, e), deepest, ended
+        if nxt >= n_i:
+            terminated[k] = True
+            return None, k, k
+        return transmit(k, e), k, None
+
+    base, n_i, n_t = layers[0][:3]
+    r_base = np.asarray(r_interior, dtype=np.float64)
+    budget = 100 * n_i if max_steps is None else max_steps
+    states, events, total, s = [start], [], 0.0, start
+    for t in range(budget):
+        rows, probs = column(0, s)
+        nxt = draw(rows, probs)
+        if n_i + n_b <= nxt < n_i + n_b + n_t:
+            chain = []
+            r, deepest, ended = access(1, nxt - n_i - n_b, chain)
+            if r is not None:
+                reblend(0, r)
+            events.append((t, s, tuple(chain), deepest, ended))
+            rows, probs = column(0, s)
+            keep = rows < n_i + n_b
+            rows, probs = rows[keep], probs[keep] / probs[keep].sum()
+            nxt = draw(rows, probs)
+        total += r_base[s] - lam * kl_divergence(probs, base[rows, s])
+        states.append(nxt)
+        if nxt >= n_i:
+            total += lam * np.log(target[nxt - n_i])
+            return dict(states=states, events=events, total_return=total,
+                        truncated=False, margin=margin)
+        s = nxt
+    return dict(states=states, events=events, total_return=total, truncated=True,
+                margin=margin)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsmdp import (
+    ArmSpec,
     Desirability,
     RingSpec,
     PassiveDynamics,
@@ -27,15 +28,17 @@ from lsmdp import (
     draw_from,
     exponentiate_rewards,
     goal_task_vector,
+    make_arm,
     make_ring,
     policy_column,
     run_episode,
     solve_direct,
     solve_interior,
+    train,
     value_from_desirability,
     z_iterate,
 )
-from lsmdp import core
+from lsmdp import bench, core
 from lsmdp.core import DEFAULT_MAX_ITER, DEFAULT_TOL
 from lsmdp.domains import ring_passive
 from lsmdp.errors import (
@@ -48,6 +51,7 @@ from lsmdp.errors import (
     SingularSystem,
     ZeroNormalizer,
 )
+from lsmdp.serialize import lmdp_from_dict, lmdp_to_dict
 
 from conftest import (
     CHAIN5_MID_POLICY,
@@ -189,6 +193,66 @@ def test_desirability_must_be_positive():
         Desirability([1.0, 0.0], [1.0])
     with pytest.raises(NonPositiveDesirability):
         Desirability([1.0], [-0.5])
+
+
+# ---------------------------------------------------------------------------
+# kernel entry order: every kernel stores each column's rows ascending
+
+
+def unsorted_columns(M):
+    """Columns of a CSC matrix whose rows do not strictly ascend, read from
+    ``indices``: scipy caches has_sorted_indices, which can be stale."""
+    return [s for s, (lo, hi) in enumerate(zip(M.indptr[:-1], M.indptr[1:]))
+            if not (np.diff(M.indices[lo:hi]) > 0).all()]
+
+
+def in_column_order(M, descending):
+    """M with each column's entries stored ascending or descending by row."""
+    data, indices = [], []
+    for lo, hi in zip(M.indptr[:-1], M.indptr[1:]):
+        order = np.argsort(M.indices[lo:hi])[::-1 if descending else 1]
+        data.append(M.data[lo:hi][order])
+        indices.append(M.indices[lo:hi][order])
+    return sp.csc_matrix((np.concatenate(data), np.concatenate(indices), M.indptr),
+                         shape=M.shape)
+
+
+def test_every_kernel_the_library_builds_is_sorted(rooms, monkeypatch):
+    lmdp, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3))
+    ring = build_stack(build_task_basis(lmdp, tasks), structures)
+    arm, _, _ = make_arm(ArmSpec(7, target_rect=(-3.0, 3.0, -3.0, 3.0)))
+    doc = lmdp_to_dict(lmdp)
+    from_doc = lmdp_from_dict(dict(doc, passive=doc["passive"][::-1]))
+    levels = []  # every level ring_scaling counts, the derived ones among them
+    real = bench._level_lmdp
+    monkeypatch.setattr(bench, "_level_lmdp",
+                        lambda passive, lam: levels.append(passive) or real(passive, lam))
+    bench.hierarchical_counts(27)
+    assert len(levels) == 3
+    kernels = ([entry.lmdp.passive for entry in ring.layers + rooms[1].layers]
+               + [arm.passive, from_doc.passive] + levels)
+    for passive in kernels:
+        for M in (passive.to_interior, passive.to_boundary, passive.full_matrix):
+            assert unsorted_columns(M) == []
+        assert all(c is None or c[0] == sorted(c[0]) for c in passive.narrow_columns)
+
+
+def test_entry_order_changes_no_episode_and_no_curve():
+    # one ring-27 matrix given with each column's entries ascending and then
+    # descending trains the same curves and runs the same episode
+    lmdp, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3))
+    q = goal_task_vector(lmdp.n_boundary, 0, lmdp.rewards.temperature)
+    runs = []
+    for descending in (False, True):
+        passive = PassiveDynamics(in_column_order(lmdp.passive.to_interior, descending),
+                                  in_column_order(lmdp.passive.to_boundary, descending))
+        twin = build_lmdp(lmdp.partition, passive, lmdp.rewards)
+        stack = build_stack(build_task_basis(twin, tasks), structures)
+        curves = [train(twin, q, epochs=2, episodes_per_epoch=10, seed=1,
+                        stack=s, start_state=13)[1] for s in (None, stack)]
+        stack.set_task(q)
+        runs.append((curves, run_episode(stack, 13, np.random.default_rng(1)).states))
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------

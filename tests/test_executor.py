@@ -5,7 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import hypothesis
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lsmdp import (
@@ -101,13 +102,60 @@ def test_flat_stack_reproduces_direct_rollout():
 
 
 # ---------------------------------------------------------------------------
+# deep stacks against the dense reference executor
+
+
+def stored_row_orders(stack):
+    """Per layer, each column's rows in the order its full_matrix stores them."""
+    orders = []
+    for entry in stack.layers:
+        P = entry.lmdp.passive.full_matrix
+        orders.append([P.indices[lo:hi].tolist()
+                       for lo, hi in zip(P.indptr[:-1], P.indptr[1:])])
+    return orders
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.sampled_from([(9, 2), (12, 2), (12, 3), (27, 2), (27, 3)]),
+       data=st.data())
+def test_deep_episodes_match_the_reference_executor(shape, data):
+    # depth-2 chains, terminations of every layer and truncations (the
+    # events tally them) against a dense executor written from the
+    # executor docstring, which walks columns in the stored row order
+    lmdp, template = ring_template(*shape)
+    goal = data.draw(st.integers(0, lmdp.n_boundary - 1), label="goal")
+    start = data.draw(st.integers(0, lmdp.n_interior - 1), label="start")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    max_steps = data.draw(st.one_of(st.none(), st.integers(1, 40)), label="max_steps")
+    q = goal_task_vector(lmdp.n_boundary, goal, lmdp.rewards.temperature)
+    stack = template.clone()
+    stack.set_task(q)
+    _, structures, tasks = make_ring(RingSpec(shape[0], subtask_spacing=3, depth=shape[1]))
+    ref = oracles.reference_episode(
+        lmdp.passive.full_matrix, lmdp.rewards.interior, lmdp.rewards.temperature,
+        tasks, [s.weights for s in structures], stored_row_orders(stack), q, start,
+        np.random.default_rng(seed), max_steps)
+    assume(ref["margin"] > 1e-9)  # a draw this close to a boundary may flip
+    traj = run_episode(stack, start, np.random.default_rng(seed), max_steps)
+    for e in traj.events:
+        hypothesis.event(f"deepest layer {e.deepest_layer}")
+        hypothesis.event(f"terminated layer {e.terminated_layer}")
+    hypothesis.event(f"truncated {traj.truncated}")
+    assert traj.states == ref["states"]
+    assert [(e.base_time, e.base_state, e.chain, e.deepest_layer, e.terminated_layer)
+            for e in traj.events] == ref["events"]
+    assert traj.truncated == ref["truncated"]
+    assert traj.total_return == pytest.approx(ref["total_return"], rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
 # frozen corridor trace: one access, immediate hierarchy termination
 
 
 def test_corridor_trace_is_reproducible():
     stack = corridor_stack()
     traj = run_episode(stack, 0, np.random.default_rng(7), max_steps=500)
-    assert traj.states == [0, 1, 2, 3, 3, 4, 4, 5, 6, 7, 8, 9]
+    assert traj.states == [0, 1, 2, 3, 4, 3, 4, 5, 6, 7, 8, 9]
     assert not traj.truncated
     assert traj.total_return == pytest.approx(-20.968030289965487, rel=1e-12)
     assert len(traj.events) == 1
@@ -123,15 +171,20 @@ def test_corridor_trace_is_reproducible():
 
 
 def assert_pinned_ring_tower_trace(traj):
-    # base, access and inpaint draws on a depth-3 tower, two terminations;
-    # the return sums a KL term per step, so it pins the arithmetic too
-    assert traj.states == [13, 12, 11, 12, 12, 12, 12, 13, 12, 12, 11, 10, 9,
-                           8, 9, 36]
-    assert traj.total_return == -36.34086817965641
+    # base, access and inpaint draws on a depth-3 tower, 33 accesses and a
+    # termination of layer 1; the return sums a KL term per step, so it pins
+    # the arithmetic too
+    assert traj.states == [13, 12, 13, 12, 12, 12, 12, 11, 12, 12, 13, 14, 15,
+                           15, 14, 15, 16, 15, 14, 15, 15, 15, 15, 15, 14, 15,
+                           15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15,
+                           15, 15, 15, 15, 15, 16, 17, 16, 17, 44]
+    assert traj.total_return == -97.03690136980941
     assert [(e.base_time, e.chain, e.terminated_layer) for e in traj.events] == [
-        (1, ((1, 4),), None), (3, ((1, 4),), None), (4, ((1, 4),), None),
-        (5, ((1, 4),), None), (6, ((1, 4),), None), (8, ((1, 4),), None),
-        (9, ((1, 4),), None), (12, ((1, 3), (2, 1)), 2), (14, ((1, 3),), 1)]
+        (t, ((1, 4),), None) for t in (1, 3, 4, 5, 6, 8, 9)] + [
+        (t, ((1, 5),), None) for t in (12, 13, 15, 17, 19, 20, 21, 22, 23, 25,
+                                       26, 27, 28, 29, 30, 32, 33, 34, 36, 37,
+                                       38, 39, 40, 41, 42)] + [
+        (43, ((1, 5),), 1)]
 
 
 def test_ring_tower_trace_is_pinned():
@@ -145,7 +198,7 @@ def test_a_return_accrues_in_python_floats():
     _, stack = ring_tower_stack()
     traj = run_episode(stack, 13, np.random.default_rng(1))
     assert type(traj.total_return) is float
-    assert traj.total_return == -36.34086817965641
+    assert traj.total_return == -97.03690136980941
 
 
 def test_ring_tower_trace_is_pinned_from_the_memo():
