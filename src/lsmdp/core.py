@@ -5,10 +5,10 @@ Conventions used throughout the package:
 * States are indexed ``0 .. n_interior-1`` (interior) followed by
   ``n_interior .. n_interior+n_boundary-1`` (absorbing boundary).
 * Transition matrices are column-indexed by source state: ``P[dest, src]``.
-  ``to_interior`` is (n_interior, n_interior), ``to_boundary`` is
-  (n_boundary, n_interior); each source column sums to 1 across both blocks.
-* Every ``PassiveDynamics`` stores each column's rows ascending, the order
-  draws walk, so the order its entries were given in never changes a draw.
+  A ``PassiveDynamics`` stores one (n_states, n_interior) CSC kernel,
+  ``full_matrix``: each source column sums to 1 and stores its rows ascending,
+  the order draws walk, so the order entries were given in never changes a
+  draw.  Its ``to_interior`` and ``to_boundary`` blocks are slices made on read.
 * The desirability of a state is z(s) = exp(V(s) / lambda).  Boundary states
   are absorbing, so their desirability equals their exponentiated reward.
 
@@ -17,17 +17,17 @@ The central identity is the linear Bellman equation
     z_i = diag(q_i) (to_interior^T z_i + to_boundary^T z_b),
 
 a nonsingular sparse linear system whenever every interior state can reach the
-boundary.  Each ``Lmdp`` caches its assembled operator ``A = I - diag(q_i)
-to_interior^T`` and ``B = diag(q_i) to_boundary^T``, so the system for any
-boundary values q_b is ``A z_i = B q_b``.  ``solve_interior`` factors A once
-per call with SuperLU and solves every right-hand side of that call (one
-boundary vector, or a matrix of task columns) against that factorization;
-``solve_direct`` wraps it.  ``z_iterate`` applies the fixed-point map, which
-contracts monotonically from a zero start, to the same inputs: a matrix of
-task columns is iterated a block at a time with one sparse product per sweep,
-each column stopping at its own converging sweep, and the sweep count it
-reports is the sum over columns.  An overflowing iterate raises within 8
-sweeps, and a non-finite iterate is never returned.
+boundary.  ``solve_interior`` assembles ``A = I - diag(q_i) to_interior^T`` and
+``B = diag(q_i) to_boundary^T`` (no ``Lmdp`` keeps them), so the system for any
+boundary values q_b is ``A z_i = B q_b``, factors A once per call with SuperLU
+and solves every right-hand side of that call (one boundary vector, or a matrix
+of task columns) against that factorization; ``solve_direct`` wraps it.
+``z_iterate`` applies the fixed-point map, which contracts monotonically from a
+zero start, to the same inputs: a matrix of task columns is iterated a block at
+a time with one sparse product per sweep, each column stopping at its own
+converging sweep, and the sweep count it reports is the sum over columns.  An
+overflowing iterate raises within 8 sweeps, and a non-finite iterate is never
+returned.
 
 Rollouts draw one step at a time with ``policy_column`` and ``draw_from``.
 Base columns are narrow (three to six entries on the ring, arm and grid
@@ -140,7 +140,7 @@ def check_count(name: str, value) -> int:
 
 
 class PassiveDynamics:
-    """Uncontrolled transition kernel split into interior and boundary blocks.
+    """Uncontrolled transition kernel over interior and boundary rows.
 
     Parameters
     ----------
@@ -150,8 +150,10 @@ class PassiveDynamics:
         Probability of absorbing at each boundary state, column = source.
 
     Columns are validated to be finite and stochastic within 1e-9, then
-    renormalized exactly.  Construction fails with NoAbsorption if some
-    interior state has no path to any boundary state.
+    stacked into ``full_matrix``, the one stored kernel, renormalized exactly
+    with rows sorted; ``to_interior`` and ``to_boundary`` slice it on read.
+    Construction fails with NoAbsorption if some interior state has no path
+    to any boundary state.
     """
 
     def __init__(self, to_interior, to_boundary):
@@ -166,41 +168,37 @@ class PassiveDynamics:
             )
         if P_i.nnz and P_i.data.min() < 0 or P_b.nnz and P_b.data.min() < 0:
             raise NotStochastic("negative transition probability")
-        sums = np.asarray(P_i.sum(axis=0)).ravel() + np.asarray(P_b.sum(axis=0)).ravel()
+        exits = np.asarray(P_b.sum(axis=0)).ravel()
+        sums = np.asarray(P_i.sum(axis=0)).ravel() + exits
         bad = ~(np.abs(sums - 1.0) <= STOCHASTIC_ATOL)   # a NaN entry is bad too
         if bad.any():
             s = int(np.argmax(bad))
             raise NotStochastic(f"column {s} sums to {sums[s]:.12g}")
-        scale = sp.diags(1.0 / sums)
-        self.to_interior = (P_i @ scale).tocsc().sorted_indices()
-        self.to_boundary = (P_b @ scale).tocsc().sorted_indices()
-        self._check_absorption()
-
-    def _check_absorption(self):
-        n = self.n_interior
-        can = np.asarray(self.to_boundary.sum(axis=0)).ravel() > 0
+        can = exits > 0
         # propagate "can reach boundary" backwards through interior edges
         while not can.all():
-            grown = can | ((can.astype(np.float64) @ self.to_interior) > 0)
+            grown = can | ((can.astype(np.float64) @ P_i) > 0)
             if (grown == can).all():
-                stuck = int(np.argmin(can))
                 raise NoAbsorption(
-                    f"interior state {stuck} cannot reach any boundary state"
-                )
+                    f"interior state {int(np.argmin(can))} cannot reach any boundary state")
             can = grown
+        full = sp.vstack([P_i, P_b], format="csc")
+        full.data *= np.repeat(1.0 / sums, np.diff(full.indptr))
+        full.sum_duplicates()  # sorts each column's rows in place
+        full.eliminate_zeros()
+        self.full_matrix, self.n_interior = full, P_i.shape[0]
 
     @property
-    def n_interior(self) -> int:
-        return self.to_interior.shape[0]
+    def to_interior(self) -> sp.csc_matrix:
+        return self.full_matrix[:self.n_interior]
+
+    @property
+    def to_boundary(self) -> sp.csc_matrix:
+        return self.full_matrix[self.n_interior:]
 
     @property
     def n_boundary(self) -> int:
-        return self.to_boundary.shape[0]
-
-    @cached_property
-    def full_matrix(self) -> sp.csc_matrix:
-        """(n_states, n_interior) stacked kernel, boundary rows last."""
-        return sp.vstack([self.to_interior, self.to_boundary]).tocsc()
+        return self.full_matrix.shape[0] - self.n_interior
 
     @cached_property
     def narrow_columns(self) -> list:
@@ -286,21 +284,19 @@ class Lmdp:
     def q_boundary(self) -> np.ndarray:
         return exponentiate_rewards(self.rewards)[1]
 
-    @cached_property
+    @property
     def bellman_operator(self) -> tuple[sp.csc_matrix, sp.csr_matrix]:
-        """(A, B) with A = I - diag(q_i) P_i^T (csc) and B = diag(q_i) P_b^T.
-
-        The linear Bellman system for boundary values q_b is A z_i = B q_b.
-        Only the assembled matrices are kept, not a factorization: an LU
-        factor costs several times A's memory on every cached LMDP.
-        """
+        """(A, B) with A = I - diag(q_i) P_i^T (csc) and B = diag(q_i) P_b^T, the
+        linear Bellman system A z_i = B q_b, assembled on each read and never
+        kept: solve_interior reads it once per call, and no layer is solved twice."""
         q = sp.diags(self.q_interior)
         A = sp.eye(self.n_interior, format="csr") - q @ self.passive.to_interior.T
         return A.tocsc(), (q @ self.passive.to_boundary.T).tocsr()
 
     @cached_property
     def sweep_operator(self) -> sp.csr_matrix:
-        """diag(q_i) P_i^T (csr): one z_iterate sweep is one product with it."""
+        """diag(q_i) P_i^T (csr): one z_iterate sweep is one product with it.
+        Kept, unlike bellman_operator: bench calls z_iterate once per block."""
         return (sp.diags(self.q_interior) @ self.passive.to_interior.T).tocsr()
 
 
@@ -391,8 +387,8 @@ def solve_interior(lmdp: Lmdp, q_boundary: Optional[np.ndarray] = None) -> np.nd
     same trailing shape.  With none, it is the boundary solves U = A^-1 B,
     (n_interior, n_boundary), solved against B's own columns (B @ I bit for
     bit, with no I made), so boundary values z_b have interior U z_b.  The
-    operator cached on ``lmdp`` (bellman_operator) is factorized once per
-    call and every column is solved against that one factorization,
+    operator (bellman_operator) is assembled and factorized once per call
+    and every column is solved against that one factorization,
     block_width(lmdp) columns at a time.
 
     Returns raw interior z without positivity checks, which lets callers pass

@@ -82,6 +82,9 @@ class RingSpec:
         check_count("depth", self.depth)
         _check_numbers(self, "step_prob", "exit_prob", "temperature", "interior_reward",
                        "access_weight")
+        if not 0.0 < self.access_weight < math.inf:
+            raise InvalidSpec(f"access_weight must be finite and positive, "
+                              f"got {self.access_weight}")
         _check_walk(self.step_prob, self.exit_prob, 2)
 
     def level_sizes(self) -> List[int]:
@@ -180,6 +183,9 @@ class GridSpec:
     interior_reward: float = -1.0
 
     def __post_init__(self):
+        for name in ("width", "height"):
+            if not is_integer(getattr(self, name)):
+                raise InvalidSpec(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.width < 1 or self.height < 1:
             raise InvalidSpec("grid must have positive dimensions")
         _check_numbers(self, "stay_prob", "step_prob", "exit_prob", "temperature",

@@ -174,17 +174,12 @@ def stack_subtask_kernel(passive: PassiveDynamics,
     Returns the augmented kernel, whose boundary rows are the base boundary
     rows followed by one row per subtask.
     """
-    stacked = sp.vstack([
-        passive.to_interior,
-        passive.to_boundary,
-        sp.csc_matrix(weights),
-    ]).tocsc()
+    stacked = sp.vstack([passive.full_matrix, sp.csc_matrix(weights)], format="csc")
     mass = np.asarray(stacked.sum(axis=0)).ravel()
     if (mass <= 0).any():
         raise AllZeroColumn(f"stacked column {int(np.argmin(mass))} has no mass")
     stacked = (stacked @ sp.diags(1.0 / mass)).tocsc()
-    n_i = passive.n_interior
-    return PassiveDynamics(stacked[:n_i], stacked[n_i:])
+    return PassiveDynamics(stacked[:passive.n_interior], stacked[passive.n_interior:])
 
 
 def absorption_dynamics(passive: PassiveDynamics, n_subtasks: int):
@@ -203,7 +198,8 @@ def absorption_dynamics(passive: PassiveDynamics, n_subtasks: int):
     if not 0 <= n_b < passive.n_boundary:
         raise DimensionMismatch(
             f"{n_subtasks} subtasks, {passive.n_boundary} boundary rows")
-    to_boundary, to_subtasks = passive.to_boundary[:n_b], passive.to_boundary[n_b:]
+    P = passive.full_matrix
+    to_interior, to_boundary, to_subtasks = P[:n_i], P[n_i:n_i + n_b], P[n_i + n_b:]
     entries = to_subtasks.T.toarray()                # (n_i, n_t)
     col_mass = entries.sum(axis=0)
     if (col_mass <= 0).any():
@@ -211,7 +207,7 @@ def absorption_dynamics(passive: PassiveDynamics, n_subtasks: int):
             f"subtask {int(np.argmin(col_mass))} has no entry distribution"
         )
     entries = entries / col_mass
-    A = (sp.eye(n_i, format="csc") - passive.to_interior).tocsc()
+    A = (sp.eye(n_i, format="csc") - to_interior).tocsc()
     visits = _factorize(A, SingularFundamentalMatrix)(entries)
     if not np.isfinite(visits).all():
         raise SingularFundamentalMatrix("fundamental system produced non-finite visits")

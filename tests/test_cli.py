@@ -381,6 +381,17 @@ def test_real_fields_take_only_json_numbers(tmp_path, capsys, doc, field):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("weight", [0, -0.25])
+def test_a_ring_without_access_weight_is_a_config_error(tmp_path, capsys, weight):
+    # access weight 0 used to warn UnreachableSubtasks and then exit 3 from
+    # the absorption solve ("subtask 0 has no entry distribution")
+    cfg = write_config(tmp_path / "cfg.json", {
+        "type": "ring", "n_states": 27, "depth": 2, "access_weight": weight})
+    assert main(["stack", "--domain", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "access_weight must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("goal_cells", [[0, 10.0]]),
     ("goal_cells", [[0, 10, 0]]),

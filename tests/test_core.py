@@ -235,6 +235,31 @@ def test_every_kernel_the_library_builds_is_sorted(rooms, monkeypatch):
         for M in (passive.to_interior, passive.to_boundary, passive.full_matrix):
             assert unsorted_columns(M) == []
         assert all(c is None or c[0] == sorted(c[0]) for c in passive.narrow_columns)
+        # one stored kernel: the blocks are slices of full_matrix made on read
+        assert [k for k, v in vars(passive).items() if sp.issparse(v)] == ["full_matrix"]
+        n_i = passive.n_interior
+        for block, rows in ((passive.to_interior, slice(None, n_i)),
+                            (passive.to_boundary, slice(n_i, None))):
+            want = passive.full_matrix[rows]
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(block, part), getattr(want, part))
+    # no layer keeps its Bellman operator after the build's one solve
+    ring.set_task(goal_task_vector(lmdp.n_boundary, 0, lmdp.rewards.temperature))
+    run_episode(ring, 13, np.random.default_rng(1))
+    assert not any("bellman_operator" in vars(entry.lmdp) for entry in ring.layers)
+
+
+def test_a_kernel_stores_given_zeros_and_repeats_merged():
+    # column 0 holds an explicit zero and column 1 a repeated row: the stored
+    # kernel drops the zero and sums the repeat, and the caller's arrays
+    # stay as given, though the columns are scaled in place
+    P_i = sp.csc_matrix((np.array([0.0, 0.5, 0.25, 0.25]), np.array([1, 0, 0, 0]),
+                         np.array([0, 2, 4])), shape=(2, 2))
+    given = P_i.data.copy()
+    passive = PassiveDynamics(P_i, [[0.5, 0.5]])
+    assert passive.full_matrix.data.tolist() == [0.5, 0.5, 0.5, 0.5]
+    assert passive.full_matrix.indices.tolist() == [0, 2, 0, 2]
+    assert np.array_equal(P_i.data, given)
 
 
 def test_entry_order_changes_no_episode_and_no_curve():

@@ -79,6 +79,9 @@ def test_ring_spec_validation():
         RingSpec(5, step_prob=0.3, exit_prob=0.5)   # stay mass is only 0.4
     with pytest.raises(InvalidSpec):
         RingSpec(9, subtask_spacing=3, depth=3).level_sizes()
+    for weight in (0.0, -0.25, math.inf, math.nan):
+        with pytest.raises(InvalidSpec, match="access_weight must be finite and positive"):
+            RingSpec(9, subtask_spacing=3, depth=2, access_weight=weight)
 
 
 def test_ring_tower_level_sizes():
@@ -155,6 +158,11 @@ def test_grid_spec_validation():
         GridSpec(width=3, height=3, walls={(1, 1)}, goal_cells=((1, 1),))
     for width, height in ((0, 3), (3, 0), (-1, 3)):
         with pytest.raises(InvalidSpec, match="positive dimensions"):
+            GridSpec(width=width, height=height, goal_cells=((0, 0),))
+    # a float, bool or string dimension is named, not truncated or a TypeError
+    for width, height, field in ((2.5, 3, "width"), (True, 3, "width"), ("3", 3, "width"),
+                                 (3, 3.0, "height")):
+        with pytest.raises(InvalidSpec, match=f"{field} must be an integer"):
             GridSpec(width=width, height=height, goal_cells=((0, 0),))
 
 
