@@ -31,21 +31,20 @@ returned.
 
 Rollouts draw one step at a time with ``policy_column`` and ``draw_from``.
 Base columns are narrow (three to six entries on the ring, arm and grid
-domains), where numpy's per-call overhead dwarfs the arithmetic, so the
-learner's ``narrow_draw`` tilts, sums and draws a column with fewer than
-NARROW entries with Python floats over lists cached on ``PassiveDynamics``,
-with no array made.  It performs the same IEEE operations in the same
-order as numpy: products are elementwise, and numpy sums an array shorter
-than 8 strictly left to right (from 8 entries on it switches to an unrolled
-pairwise sum, which a running sum would not reproduce), so dense columns,
-such as those of absorption-derived layers, stay on numpy.  Draws need no
-cutoff: ``np.cumsum`` is sequential at every length, so ``running_sum`` and
-the bisect of ``draw_at`` match numpy's bit for bit on any column.
+domains), where numpy's per-call overhead dwarfs the arithmetic, so a column
+with fewer than NARROW entries is tilted (``narrow_tilt``), masked, drawn and
+scored in Python floats over lists cached on ``PassiveDynamics``, with no
+array made, in the same IEEE operations and order as numpy: products are
+elementwise, and numpy sums an array shorter than 8 strictly left to right
+(from 8 entries on it switches to an unrolled pairwise sum), so dense
+columns, such as those of absorption-derived layers, stay on numpy.  Draws
+need no cutoff: ``np.cumsum`` is sequential at every length, so
+``running_sum`` and the bisect of ``draw_at`` match numpy's on any column.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, repeat
@@ -82,8 +81,8 @@ LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 # ArmSpec(30), 115 on the ring-243 stack's layer 0 and 624 on the four-rooms
 # grid; wider sweeps faster, but twice this raised peak memory by a quarter.
 SOLVE_BYTES = 512 * 1024
-# narrow_columns keeps, for narrow_draw, the columns with fewer entries (None
-# for the rest); 8 is where numpy's sum turns from left to right into pairwise.
+# narrow_columns keeps, for the float path, the columns with fewer entries
+# (None for the rest); 8 is where numpy's sum turns from left to right into pairwise.
 NARROW = 8
 
 
@@ -205,14 +204,9 @@ class PassiveDynamics:
         """Per source state, ``(row_list, prob_list)`` of its full_matrix
         column as Python ints and floats when that has fewer than NARROW
         entries, else None."""
-        P = self.full_matrix
-        columns = []
-        for lo, hi in zip(P.indptr[:-1].tolist(), P.indptr[1:].tolist()):
-            if hi - lo < NARROW:
-                columns.append((P.indices[lo:hi].tolist(), P.data[lo:hi].tolist()))
-            else:
-                columns.append(None)
-        return columns
+        P, ptr = self.full_matrix, self.full_matrix.indptr.tolist()
+        return [(P.indices[lo:hi].tolist(), P.data[lo:hi].tolist()) if hi - lo < NARROW
+                else None for lo, hi in zip(ptr[:-1], ptr[1:])]
 
 
 @dataclass(frozen=True)
@@ -582,21 +576,38 @@ def policy_column(lmdp: Lmdp, z_full: np.ndarray, state: int):
     return rows, vals / total
 
 
-def masked_redraw_column(rows: np.ndarray, probs: np.ndarray, lo: int, hi: int):
-    """Drop subtask rows [lo, hi) and renormalize; used after an access."""
-    keep = (rows < lo) | (rows >= hi)
-    rows, probs = rows[keep], probs[keep]
-    mass = probs.sum()
+def masked_redraw_column(rows, probs, lo: int, hi: int):
+    """Drop subtask rows [lo, hi) and renormalize; used after an access.  A
+    ``narrow_tilt`` column, whose list rows ascend, stays lists, same floats."""
+    narrow = type(rows) is list
+    if narrow:
+        i, j = bisect_left(rows, lo), bisect_left(rows, hi)
+        rows, probs = rows[:i] + rows[j:], probs[:i] + probs[j:]
+        mass = reduce(add, probs, 0.0)
+    else:
+        keep = (rows < lo) | (rows >= hi)
+        rows, probs = rows[keep], probs[keep]
+        mass = probs.sum()
     if not mass > 0:
         raise ZeroNormalizer("no probability mass outside subtask states")
-    return rows, probs / mass
+    return rows, list(map(truediv, probs, repeat(mass))) if narrow else probs / mass
+
+
+def narrow_tilt(narrow: tuple, z_at, state: int):
+    """``policy_column`` at a ``narrow_columns`` entry as lists, in its floats;
+    ``z_at(row)`` reads z (``z.item`` of an array, a list's ``__getitem__``)."""
+    row_list, p_list = narrow
+    vals = list(map(mul, p_list, map(z_at, row_list)))
+    total = reduce(add, vals, 0.0)
+    if not 0.0 < total < math.inf:
+        raise ZeroNormalizer(f"policy column {state} has desirability mass {total}")
+    return row_list, list(map(truediv, vals, repeat(total)))
 
 
 def narrow_draw(narrow: tuple, z: list, state: int, rng: np.random.Generator) -> int:
-    """``draw_from(*policy_column(lmdp, z, state), rng)`` at a ``narrow_columns``
-    entry for ``z`` a list, with no array and no Python-level loop: the same
-    floats, policy_column's ZeroNormalizer check (past it the sum ends near 1,
-    so draw_from's cannot fail) and the same last-row clamp."""
+    """``draw_from(*narrow_tilt(narrow, z.__getitem__, state), rng)`` in one
+    call: the same floats, check (past it the sum ends near 1, so draw_from's
+    cannot fail) and last-row clamp."""
     row_list, p_list = narrow
     vals = list(map(mul, p_list, map(z.__getitem__, row_list)))
     total = reduce(add, vals, 0.0)
@@ -616,9 +627,9 @@ def value_from_desirability(z: Desirability, temperature: float) -> np.ndarray:
 
 
 def running_sum(probs) -> list:
-    """Left-to-right running sum of weights (list or array), ``np.cumsum``
-    bit for bit; raises ZeroNormalizer unless the total is finite and positive."""
-    cum = list(accumulate(np.asarray(probs).tolist()))
+    """Left-to-right running sum of a list or array of weights (``np.cumsum``'s
+    bits); raises ZeroNormalizer unless the total is finite and positive."""
+    cum = list(accumulate(probs)) if type(probs) is list else np.cumsum(probs).tolist()
     if not (cum and 0.0 < cum[-1] < math.inf):
         raise ZeroNormalizer(f"cannot draw from total mass {cum[-1] if cum else 0.0}")
     return cum
@@ -641,13 +652,17 @@ def draw_from(rows: np.ndarray, probs, rng: np.random.Generator) -> int:
 
 
 def _kl_column(a_rows, a_vals, lmdp: Lmdp, state: int) -> float:
-    """KL(a || p) against the passive column p at ``state``, over the support
-    of a, which as p's policy_column tilt or its masked redraw lies in p's."""
-    P = lmdp.passive.full_matrix
-    lo, hi = P.indptr[state], P.indptr[state + 1]
-    p_map = dict(zip(P.indices[lo:hi].tolist(), P.data[lo:hi].tolist()))
+    """KL(a || p) over the support of a, which lies in the passive column p's at
+    ``state``; a comes as a Column holds it, lists at a narrow p."""
+    p = lmdp.passive.narrow_columns[state]
+    if p is None:
+        P = lmdp.passive.full_matrix
+        lo, hi = P.indptr[state], P.indptr[state + 1]
+        p = P.indices[lo:hi].tolist(), P.data[lo:hi].tolist()
+        a_rows, a_vals = a_rows.tolist(), a_vals.tolist()
+    p_map = dict(zip(*p))
     kl = 0.0
-    for r, av in zip(a_rows.tolist(), a_vals.tolist()):
+    for r, av in zip(a_rows, a_vals):
         if av <= 0.0:
             continue
         kl += av * math.log(av / p_map[r])

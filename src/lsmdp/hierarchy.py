@@ -21,10 +21,11 @@ z_b = [Q w_b + f sum(w_t); Q_t w_t + f sum(w_b)] and z_i = U_b Q w_b +
 f sum(w_t) U_b 1 + U_t z_t; a termination above only zeroes z_t.  Q w_b and
 U_b Q w_b are memoized per task, so an inpaint re-blend, which moves only
 w_t, composes only the subtask block.  Q and every subtask block have the
-form a I + c 11^T, so each blend is in closed form (``multitask.blend_block``).
-A layer's task state is one ``Composite``: its weights, the desirability they
-compose, the dead twin a termination above swaps in, and a ``Column`` record
-per state read, which caches the policy column there, its redraw without
+form a I + c 11^T, read once per layer at build, so each blend is in closed
+form (``multitask.blend_block``).  A layer's task state is one ``Composite``:
+its weights, the desirability they compose, the dead twin a termination
+above swaps in, and a ``Column`` record per state read, which caches the
+policy column there (a narrow one in Python floats), its redraw without
 subtask rows and the rewards an access there transmits; episodes read only
 these.  Within one task the same inpaint recurs, so a stack memoizes each
 re-blend's composite by layer, termination flag above and inpainted vector;
@@ -50,6 +51,7 @@ from .core import (
     build_lmdp,
     is_integer,
     masked_redraw_column,
+    narrow_tilt,
     policy_column,
     running_sum,
     solve_interior,
@@ -67,7 +69,8 @@ from .errors import (
     UnreachableSubtasks,
 )
 # perfbench/spans.py patches build_task_basis and blend_weights_matrix here
-from .multitask import TaskBasis, TaskWeights, blend_block, blend_weights_matrix, build_task_basis
+from .multitask import (TaskBasis, TaskWeights, blend_block, blend_weights_matrix, block_form,
+                        build_task_basis)
 
 DEFAULT_SUBTASK_PENALTY_SCALE = -5.0
 # Cross-block fill of the augmented task matrix (base tasks priced at subtask
@@ -150,9 +153,13 @@ class AugmentedMlmdp:
     neutral_weights: np.ndarray     # subtask-task blend for inpainted reward 0
     fill: float = 0.0               # cross-block fill f; none at the top
     ones_solve: np.ndarray = field(init=False, repr=False)  # U_b 1
+    base_form: Optional[tuple] = field(init=False, repr=False)  # block_form(Q)
+    subtask_form: Optional[tuple] = field(init=False, repr=False)  # block_form(Q_t)
 
     def __post_init__(self):
         object.__setattr__(self, "ones_solve", self.solves[:, :self.n_base_boundary].sum(1))
+        object.__setattr__(self, "base_form", block_form(self.base_tasks))
+        object.__setattr__(self, "subtask_form", block_form(self.subtask_tasks))
 
     n_subtasks = property(lambda self: self.neutral_weights.shape[0])
     n_base_tasks = property(lambda self: self.base_tasks.shape[1])
@@ -317,7 +324,7 @@ def rewards_to_task_weights(aug: AugmentedMlmdp, inpainted: np.ndarray,
         raise RewardOverflow(
             f"inpainted reward / temperature {scaled.max():.6g} exceeds "
             f"log(float64 max) = {LOG_FLOAT_MAX:.3f}; lower the inpaint scale kappa")
-    sub = blend_block(aug.subtask_tasks, np.exp(scaled))
+    sub = blend_block(aug.subtask_tasks, np.exp(scaled), aug.subtask_form)
     values = np.concatenate([current.values[:aug.n_base_tasks], sub.values])
     return TaskWeights(values, sub.residual)
 
@@ -353,10 +360,15 @@ class Composite:
         self.layer, self.kappa, self.weights, self.z = layer, kappa, weights, z
         self.columns, self.dead = {}, None
 
+    def z_list(self) -> list:  # z as a new list of floats, for a per-step product
+        return self.z.tolist()
+
     def column(self, state: int) -> Column:
         """The record at a validated ``state``; a miss tilts its policy column."""
         if state not in self.columns:
-            self.columns[state] = Column(*policy_column(self.layer.lmdp, self.z, state))
+            narrow = self.layer.lmdp.passive.narrow_columns[state]
+            self.columns[state] = Column(*(narrow_tilt(narrow, self.z.item, state) if narrow
+                                           else policy_column(self.layer.lmdp, self.z, state)))
         return self.columns[state]
 
     def redraw(self, state: int) -> Column:
@@ -373,12 +385,13 @@ class Composite:
         layer's interior, which is the subtask states of the layer below."""
         col = self.column(entry)
         if col.transmit is None:
-            # the policy column's rows are the passive column's, in its order
+            # the policy column's rows are the passive column's, ascending
             P, n_i = self.layer.lmdp.passive.full_matrix, self.layer.lmdp.n_interior
-            a, p = np.zeros(P.shape[0]), np.zeros(P.shape[0])
-            a[col.rows] = col.probs
-            p[col.rows] = P.data[P.indptr[entry]:P.indptr[entry + 1]]
-            col.transmit = inpaint_rewards(a[:n_i], p[:n_i], self.kappa)
+            k, lo = np.searchsorted(col.rows, n_i), P.indptr[entry]
+            a, p = np.zeros(n_i), np.zeros(n_i)
+            a[col.rows[:k]] = col.probs[:k]
+            p[col.rows[:k]] = P.data[lo:lo + k]
+            col.transmit = inpaint_rewards(a, p, self.kappa)
             col.transmit.flags.writeable = False
         return col.transmit
 
@@ -400,7 +413,7 @@ class HierarchyStack:
     (layer, terminated flag of the layer above, shape and bytes of the
     inpainted vector) to the Composite that re-blend gave; nothing else
     enters a re-blend, since set_task fixed the base-task weights.
-    ``base_terms`` maps (layer, bytes of w_b) to (Q w_b, U_b Q w_b), right
+    ``base_terms`` maps (layer, bytes of w_b) to (Q w_b, U_b Q w_b, f sum(w_b)), right
     for any task (a failed set_task may leave it empty).  set_task starts
     fresh composites and empty memos and clone shares them, so every episode
     clone of one tasked stack reuses the others' re-blends, base terms,
@@ -450,7 +463,7 @@ class HierarchyStack:
         q = np.asarray(boundary_target, dtype=np.float64)
         if (q < 0).any():
             raise InvalidSpec("boundary target must be nonnegative")
-        wb = blend_block(self.layers[0].base_tasks, q)
+        wb = blend_block(self.layers[0].base_tasks, q, self.layers[0].base_form)
         self.base_terms = {}
         self.composites = [
             self._compose(layer, TaskWeights(
@@ -475,11 +488,10 @@ class HierarchyStack:
         key = (layer, w_b.tobytes())
         if key not in self.base_terms:
             q_b = entry.base_tasks @ w_b
-            self.base_terms[key] = q_b, entry.solves[:, :n_b] @ q_b
-        q_b, u_b = self.base_terms[key]
+            self.base_terms[key] = q_b, entry.solves[:, :n_b] @ q_b, entry.fill * w_b.sum()
+        q_b, u_b, fill_b = self.base_terms[key]
         fill_t = entry.fill * w_t.sum()
-        z_t = (np.zeros(entry.n_subtasks) if dead
-               else entry.subtask_tasks @ w_t + entry.fill * w_b.sum())
+        z_t = np.zeros(entry.n_subtasks) if dead else entry.subtask_tasks @ w_t + fill_b
         z_i = u_b + fill_t * entry.ones_solve + entry.solves[:, n_b:] @ z_t
         low = z_i.min(initial=np.inf)
         if not low > 0:

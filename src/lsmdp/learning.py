@@ -12,7 +12,7 @@ a list-backed copy of the learner, whose estimate and visits go back to the
 caller's arrays once, as it returns or raises, and a list of the behavior
 desirability (the estimate, times the composite when guided), rebuilt only
 when an access swaps the composite.  Narrow columns draw through one
-``narrow_draw`` call, every float as the full-array tilt gives it.
+``narrow_draw`` call and redraw through ``narrow_tilt``, in numpy's floats.
 """
 from __future__ import annotations
 
@@ -23,7 +23,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import Lmdp, check_count, draw_from, masked_redraw_column, narrow_draw, policy_column
+from .core import (Lmdp, check_count, draw_from, masked_redraw_column, narrow_draw, narrow_tilt,
+                   policy_column)
 from .errors import DimensionMismatch, InvalidSpec
 from .executor import access_hierarchy, rollout_budget
 from .hierarchy import HierarchyStack
@@ -142,16 +143,17 @@ def run_learning_episode(lmdp: Lmdp, learner: LearningState,
                     # first draw, or an access re-blended or terminated the base;
                     # the guided estimate is 1 on every boundary state
                     comp = stack.composites[0]
-                    comp_list = comp.z.tolist()
+                    comp_list = comp.z_list()
                     behave = list(map(mul, comp_list, work.z_interior)) + comp_list[n_i:]
                 col = narrow[s]
-                if col is None or redraw:
-                    rows, probs = policy_column(lmdp, np.array(behave), s)
+                if col is not None and not redraw:
+                    nxt = narrow_draw(col, behave, s, rng)
+                else:  # a dense column as arrays, a narrow redraw as lists
+                    rows, probs = (policy_column(lmdp, np.array(behave), s) if col is None
+                                   else narrow_tilt(col, behave.__getitem__, s))
                     if redraw:
                         rows, probs = masked_redraw_column(rows, probs, lo, hi)
                     nxt = draw_from(rows, probs, rng)
-                else:
-                    nxt = narrow_draw(col, behave, s, rng)
                 if not lo <= nxt < hi:
                     break
                 access_hierarchy(stack, nxt - lo, rng)

@@ -106,11 +106,25 @@ def blend_weights_matrix(task_matrix: np.ndarray, target: np.ndarray,
     return TaskWeights(np.asarray(w, dtype=np.float64), float(residual))
 
 
-def blend_block(task_matrix: np.ndarray, target: np.ndarray) -> TaskWeights:
+def block_form(task_matrix: np.ndarray):
+    """(a, c) when ``task_matrix`` is square and exactly a I + c 11^T with
+    a > 0 and c >= 0, read from its entries, else None."""
+    Q = np.asarray(task_matrix, dtype=np.float64)
+    n = Q.shape[0] if Q.ndim == 2 else -1
+    if n < 1 or Q.shape != (n, n):
+        return None
+    off = Q.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]  # the off-diagonal entries
+    d, c = Q[0, 0], (off[0, 0] if n > 1 else 0.0)
+    a = d - c
+    ok = 0 < a < np.inf and c >= 0 and (Q.diagonal() == d).all() and (off == c).all()
+    return (a, c) if ok else None
+
+
+def blend_block(task_matrix: np.ndarray, target: np.ndarray, form=None) -> TaskWeights:
     """The NNLS blend of a stack block, in closed form when the block is
     exactly a I + c 11^T with a > 0 and c >= 0, else blend_weights_matrix's.
 
-    The structure is read from the entries on every call.  The optimum is
+    ``form`` is block_form(Q), read from the entries when None.  The optimum is
     unique (Q^2 is positive definite), and by the KKT conditions of NNLS
     (Lawson and Hanson, 1974) its weights are w_i = max(0, (g_i - beta S)/a^2)
     with g = Q q, beta = (2a + nc) c and S = sum(w), so its support is the
@@ -120,14 +134,11 @@ def blend_block(task_matrix: np.ndarray, target: np.ndarray) -> TaskWeights:
     """
     Q = np.asarray(task_matrix, dtype=np.float64)
     q = np.asarray(target, dtype=np.float64)
-    n = Q.shape[0] if Q.ndim == 2 else -1
-    if n < 1 or Q.shape != (n, n) or q.shape != (n,) or not np.isfinite(q).all():
+    if form is None:
+        form = block_form(Q)
+    if form is None or q.shape != (Q.shape[0],) or not np.isfinite(q).all():
         return blend_weights_matrix(Q, q)
-    off = Q.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]  # the off-diagonal entries
-    d, c = Q[0, 0], (off[0, 0] if n > 1 else 0.0)
-    a = d - c
-    if not (0 < a < np.inf and c >= 0 and (Q.diagonal() == d).all() and (off == c).all()):
-        return blend_weights_matrix(Q, q)
+    (a, c), n = form, Q.shape[0]
     s = q.sum()
     w = q / a - c / a * (s / (a + n * c))  # every weight active: w = Q^-1 q
     if w.min() < 0:

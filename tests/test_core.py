@@ -7,6 +7,7 @@ import re
 import warnings
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,7 +40,7 @@ from lsmdp import (
     z_iterate,
 )
 from lsmdp import bench, core
-from lsmdp.core import DEFAULT_MAX_ITER, DEFAULT_TOL
+from lsmdp.core import DEFAULT_MAX_ITER, DEFAULT_TOL, masked_redraw_column
 from lsmdp.domains import ring_passive
 from lsmdp.errors import (
     DimensionMismatch,
@@ -1045,6 +1046,116 @@ def test_narrow_draw_rejects_a_column_without_finite_positive_mass(fill):
     with pytest.raises(ZeroNormalizer, match="policy column 4"):
         core.narrow_draw(narrow, z, 4, rng)
     assert rng.bit_generator.state == state
+
+
+def one_column_lmdp(rows, probs, n_interior, n_states):
+    """An LMDP whose interior state 0 has passive column ``probs`` at
+    ``rows`` and whose other interior states exit to the last state."""
+    P = np.zeros((n_states, n_interior))
+    P[rows, 0] = probs
+    P[n_states - 1, 1:] = 1.0
+    return build_lmdp(StatePartition(n_interior, n_states - n_interior),
+                      PassiveDynamics(P[:n_interior], P[n_interior:]),
+                      RewardModel(np.zeros(n_interior), np.zeros(n_states - n_interior)))
+
+
+def dict_kl(rows, probs, lmdp, state):
+    """KL(a || p) of arrays with p read from the CSC column into a dict, the
+    reference for _kl_column's narrow path."""
+    P = lmdp.passive.full_matrix
+    lo, hi = P.indptr[state], P.indptr[state + 1]
+    p_map = dict(zip(P.indices[lo:hi].tolist(), P.data[lo:hi].tolist()))
+    kl = 0.0
+    for r, av in zip(rows.tolist(), probs.tolist()):
+        if av > 0.0:
+            kl += av * math.log(av / p_map[r])
+    return kl
+
+
+def same_floats(ours, theirs):
+    return np.asarray(ours, dtype=np.float64).tobytes() == np.asarray(theirs).tobytes()
+
+
+_positive = st.floats(min_value=1e-150, max_value=1e150)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_narrow_columns_match_the_numpy_path_bit_for_bit(data):
+    # a column of 1 to 7 entries over random positive z: the Python-float
+    # tilt, masked redraw, running sum and KL give numpy's floats exactly
+    n_states = data.draw(st.integers(2, 12), label="n_states")
+    n_interior = data.draw(st.integers(1, n_states - 1), label="n_interior")
+    rows = sorted(data.draw(st.sets(st.integers(0, n_states - 1), min_size=1,
+                                    max_size=min(n_states, core.NARROW - 1)), label="rows"))
+    if rows == [0]:
+        rows.append(n_states - 1)  # a lone self-loop never absorbs
+    weights = np.array(data.draw(st.lists(st.floats(0.01, 100.0), min_size=len(rows),
+                                          max_size=len(rows)), label="weights"))
+    lmdp = one_column_lmdp(rows, weights / weights.sum(), n_interior, n_states)
+    z = np.array(data.draw(st.lists(_positive, min_size=n_states, max_size=n_states),
+                           label="z"))
+    lo = data.draw(st.integers(0, n_states), label="lo")
+    hi = data.draw(st.integers(lo, n_states), label="hi")
+    narrow = lmdp.passive.narrow_columns[0]
+    assert narrow is not None and narrow[0] == rows
+
+    ref_rows, ref_probs = policy_column(lmdp, z, 0)
+    for z_at in (z.item, z.tolist().__getitem__):
+        got_rows, got_probs = core.narrow_tilt(narrow, z_at, 0)
+        assert got_rows == ref_rows.tolist() and same_floats(got_probs, ref_probs)
+    assert core.running_sum(got_probs) == core.running_sum(ref_probs)
+    assert core.running_sum(got_probs) == np.cumsum(ref_probs).tolist()
+    assert core._kl_column(got_rows, got_probs, lmdp, 0) == dict_kl(ref_rows, ref_probs, lmdp, 0)
+
+    if all(lo <= r < hi for r in rows):  # all mass in the subtask rows
+        with pytest.raises(ZeroNormalizer):
+            masked_redraw_column(ref_rows, ref_probs, lo, hi)
+        with pytest.raises(ZeroNormalizer):
+            masked_redraw_column(got_rows, got_probs, lo, hi)
+        return
+    ref_rows, ref_probs = masked_redraw_column(ref_rows, ref_probs, lo, hi)
+    got_rows, got_probs = masked_redraw_column(got_rows, got_probs, lo, hi)
+    assert got_rows == ref_rows.tolist() and same_floats(got_probs, ref_probs)
+    assert core.running_sum(got_probs) == np.cumsum(ref_probs).tolist()
+    assert core._kl_column(got_rows, got_probs, lmdp, 0) == dict_kl(ref_rows, ref_probs, lmdp, 0)
+
+
+@pytest.mark.parametrize("fill", [0.0, np.inf, np.nan], ids=["zero", "inf", "nan"])
+def test_the_narrow_tilt_raises_where_policy_column_does(fill):
+    lmdp = one_column_lmdp([1, 2, 3], [0.25, 0.5, 0.25], 2, 4)
+    z = np.ones(4) if fill else np.zeros(4)
+    z[2] = fill
+    with pytest.raises(ZeroNormalizer, match="policy column 0"):
+        policy_column(lmdp, z, 0)
+    with pytest.raises(ZeroNormalizer, match="policy column 0"):
+        core.narrow_tilt(lmdp.passive.narrow_columns[0], z.item, 0)
+
+
+@pytest.mark.parametrize("rows, lo, hi", [([1, 2], 0, 4), ([1, 2], 1, 3), ([1, 2, 3], 1, 3)],
+                         ids=["rows-inside", "rows-exactly", "mass-inside"])
+def test_the_narrow_mask_raises_where_masked_redraw_column_does(rows, lo, hi):
+    # every row of the column, or (z = 0 at row 3) all of its mass, lies in [lo, hi)
+    lmdp = one_column_lmdp(rows, np.full(len(rows), 1.0 / len(rows)), 3, 5)
+    z = np.ones(5)
+    z[3] = 0.0
+    rows, probs = core.narrow_tilt(lmdp.passive.narrow_columns[0], z.item, 0)
+    with pytest.raises(ZeroNormalizer):
+        masked_redraw_column(np.array(rows), np.array(probs), lo, hi)
+    with pytest.raises(ZeroNormalizer):
+        masked_redraw_column(rows, probs, lo, hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(core.NARROW, 400), seed=st.integers(0, 2**32 - 1))
+def test_a_dense_running_sum_is_the_left_to_right_one(n, seed):
+    # np.cumsum, which running_sum takes for an array, is sequential at
+    # every width, unlike np.sum from 8 entries on
+    rng = np.random.default_rng(seed)
+    probs = rng.random(n) * 10.0 ** rng.integers(-12, 13, n)
+    left_to_right = list(accumulate(probs.tolist()))
+    assert np.cumsum(probs).tolist() == left_to_right
+    assert core.running_sum(probs) == left_to_right == core.running_sum(probs.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,79 @@ def test_a_repeated_episode_tilts_no_column(monkeypatch):
     assert tilted
 
 
+def test_a_repeated_episode_tilts_no_column_narrow_or_dense(monkeypatch):
+    # base columns miss through narrow_tilt and the derived layers' dense
+    # ones through policy_column; a warm repeat reaches neither
+    _, tasked = ring_tower_stack()
+    first = run_episode(tasked.clone(), 13, np.random.default_rng(1))
+    tilted = {"narrow": [], "dense": []}
+
+    def counting(kind, real):
+        def tilt(*args):
+            tilted[kind].append(args[2])
+            return real(*args)
+        return tilt
+
+    monkeypatch.setattr(hierarchy, "narrow_tilt", counting("narrow", hierarchy.narrow_tilt))
+    monkeypatch.setattr(hierarchy, "policy_column", counting("dense", hierarchy.policy_column))
+    second = run_episode(tasked.clone(), 13, np.random.default_rng(1))
+    assert first.events and tilted == {"narrow": [], "dense": []}
+    assert_same_trajectory(second, first)
+    fresh = tasked.clone()
+    fresh.set_task(tasked.target)
+    run_episode(fresh, 13, np.random.default_rng(1))
+    assert tilted["narrow"] and tilted["dense"]
+    assert tilted["narrow"][0] == 13  # the first draw's column
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_warm_caches_change_no_episode_on_a_narrow_top_layer(rooms, data):
+    # the four-rooms-11 stack's top layer (its four doors) has only narrow
+    # columns, so an access transmits from a list-backed record there, which
+    # no ring stack's top does; warm episodes equal a cold twin's array path
+    lmdp, template, goal_q, _, _ = rooms
+    top = template.layers[-1].lmdp.passive
+    assert None not in top.narrow_columns
+    start = data.draw(st.integers(0, lmdp.n_interior - 1), label="start")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    warm, cold = template.clone(), template.clone()
+    warm.set_task(goal_q)
+    cold.set_task(goal_q)
+    starts = np.random.default_rng(seed).integers(lmdp.n_interior, size=4)
+    for k, other in enumerate(starts):
+        run_episode(warm.clone(), int(other), np.random.default_rng([seed, k]))
+    first = run_episode(warm.clone(), start, np.random.default_rng(seed))
+    again = run_episode(warm.clone(), start, np.random.default_rng(seed))
+    with mock.patch.object(hierarchy.Composite, "column", uncached_column):
+        twin = run_episode(cold.clone(), start, np.random.default_rng(seed))
+    assert_same_trajectory(first, twin)
+    assert_same_trajectory(again, twin)
+    assert all(type(col.rows) is list for col in warm.composites[-1].columns.values())
+
+
+def test_a_narrow_top_layer_transmits_the_array_paths_rewards(rooms):
+    # most four-rooms accesses terminate the top layer; over 60 episodes
+    # some transmit, each from a list-backed record, as kappa (a - p) of
+    # the array-path policy and passive columns
+    lmdp, template, goal_q, _, _ = rooms
+    stack = template.clone()
+    stack.set_task(goal_q)
+    for seed in range(60):
+        run_episode(stack.clone(), seed % lmdp.n_interior, np.random.default_rng(seed))
+    top = stack.composites[-1]
+    sent = {entry: col for entry, col in top.columns.items() if col.transmit is not None}
+    assert sent
+    P, n_i = top.layer.lmdp.passive.full_matrix.toarray(), top.layer.lmdp.n_interior
+    for entry, col in sent.items():
+        assert type(col.rows) is list
+        a = np.zeros(P.shape[0])
+        rows, probs = policy_column(top.layer.lmdp, top.z, entry)
+        a[rows] = probs
+        expected = stack.kappa * (a[:n_i] - P[:n_i, entry])
+        assert col.transmit.tobytes() == expected.tobytes()
+
+
 def test_a_repeated_termination_composes_nothing(monkeypatch):
     _, tasked = ring_tower_stack()
     live = tasked.composites[0]

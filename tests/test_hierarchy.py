@@ -485,8 +485,8 @@ def test_set_task_blends_the_shared_task_matrix_once(monkeypatch):
     blended = []
     real = hierarchy.blend_block
 
-    def counting(task_matrix, target):
-        blended.append(real(task_matrix, target))
+    def counting(*args):
+        blended.append(real(*args))
         return blended[-1]
 
     monkeypatch.setattr(hierarchy, "blend_block", counting)
@@ -528,6 +528,61 @@ def test_a_stack_blends_its_blocks_in_closed_form_and_episodes_skip_nnls(monkeyp
     assert traj.events and len(blended) > 1  # set_task and inpaints
     assert sorted({args[0].shape for args in blended}) == [(9, 9), (27, 27)]
     assert fitted == []
+
+
+def test_a_tasked_goal_reads_no_block_form_after_build(monkeypatch):
+    # each layer reads the (a, c) form of its Q and Q_t once, at build;
+    # set_task and every re-blend of the episodes that follow reuse it
+    lmdp, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3))
+    stack = build_stack(build_task_basis(lmdp, tasks), structures)
+    for entry in stack.layers:
+        assert entry.base_form == multitask.block_form(entry.base_tasks) is not None
+        assert entry.subtask_form == multitask.block_form(entry.subtask_tasks)
+        assert (entry.subtask_form is None) == (entry.n_subtasks == 0)
+    read, blended = [], []
+    real_form, real_blend = multitask.block_form, hierarchy.blend_block
+
+    def counting_form(*args):
+        read.append(args)
+        return real_form(*args)
+
+    def counting_blend(*args):
+        blended.append(args)
+        return real_blend(*args)
+
+    monkeypatch.setattr(multitask, "block_form", counting_form)
+    monkeypatch.setattr(hierarchy, "block_form", counting_form)
+    monkeypatch.setattr(hierarchy, "blend_block", counting_blend)
+    stack.set_task(goal_task_vector(lmdp.n_boundary, 0, lmdp.rewards.temperature))
+    for seed in range(8):
+        run_episode(stack.clone(), 13, np.random.default_rng(seed))
+    assert len(blended) > 1 and read == []
+
+
+def test_an_unstructured_subtask_block_still_blends_by_nnls(monkeypatch):
+    # a layer whose Q_t is not a I + c 11^T reads form None at build, and
+    # its inpaint re-blends fall back to NNLS with blend_weights_matrix's weights
+    lmdp, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=2))
+    stack = build_stack(build_task_basis(lmdp, tasks), structures)
+    Q_t = stack.layers[0].subtask_tasks.copy()
+    Q_t[0, 1] *= 1.5
+    stack.layers[0] = dataclasses.replace(stack.layers[0], subtask_tasks=Q_t)
+    assert stack.layers[0].subtask_form is None and stack.layers[0].base_form is not None
+    stack.set_task(goal_task_vector(lmdp.n_boundary, 0, lmdp.rewards.temperature))
+    fitted = []
+    real_nnls = scipy.optimize.nnls
+
+    def counting_nnls(*args):
+        fitted.append(args)
+        return real_nnls(*args)
+
+    monkeypatch.setattr(scipy.optimize, "nnls", counting_nnls)
+    r_t = np.linspace(-0.5, 0.5, Q_t.shape[0])
+    stack.apply_inpaint(0, r_t)
+    assert len(fitted) == 1
+    want = multitask.blend_weights_matrix(Q_t, np.exp(r_t / lmdp.rewards.temperature))
+    got = stack.weights[0].values[stack.layers[0].n_base_tasks:]
+    assert got.tobytes() == want.values.tobytes()
 
 
 def test_a_binding_inpaint_reblends_without_nnls(monkeypatch):
