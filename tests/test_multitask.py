@@ -1,5 +1,6 @@
 """Task bases, nonnegative blending, and composite solutions."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsmdp import (
+    ArmSpec,
     TaskWeights,
     blend_block,
     blend_weights_matrix,
@@ -18,6 +20,7 @@ from lsmdp import (
     default_subtask_rewards,
     four_rooms_map,
     grid_from_ascii,
+    make_arm,
     make_grid,
     solve_direct,
     solve_interior,
@@ -44,7 +47,7 @@ def basis(chain5):
 def test_basis_columns_are_per_task_solutions(basis, chain5):
     for t in range(basis.n_tasks):
         np.testing.assert_allclose(
-            basis.solves @ basis.boundary_tasks[:, t],
+            basis.solve() @ basis.boundary_tasks[:, t],
             solve_interior(chain5, basis.boundary_tasks[:, t]),
             rtol=0, atol=1e-14)
 
@@ -60,7 +63,7 @@ def test_basis_rejects_nonpositive_columns(chain5):
 
 def test_single_task_basis_matches_direct_solve(chain5):
     basis = build_task_basis(chain5, chain5.q_boundary[:, None])
-    np.testing.assert_allclose(basis.solves @ basis.boundary_tasks[:, 0],
+    np.testing.assert_allclose(basis.solve() @ basis.boundary_tasks[:, 0],
                                solve_direct(chain5).interior, rtol=1e-14)
 
 
@@ -186,9 +189,45 @@ def test_a_basis_composes_from_its_boundary_solves(seed, n_tasks):
         lmdp.passive.full_matrix, lmdp.n_interior, lmdp.rewards.interior,
         lmdp.rewards.temperature, Q @ w)
     np.testing.assert_allclose(z.interior, expected, rtol=1e-9, atol=0)
-    assert basis.solves.shape == (lmdp.n_interior, lmdp.n_boundary)
+    assert basis.solve().shape == (lmdp.n_interior, lmdp.n_boundary)
     stack = build_stack(build_task_basis(lmdp, Q), [])
-    np.testing.assert_array_equal(stack.layers[0].solves, basis.solves)
+    np.testing.assert_array_equal(stack.layers[0].solves, basis.solve())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_tasks=st.integers(1, 6))
+def test_a_compose_is_one_solve_against_the_base_factor(seed, n_tasks):
+    # weights on disjoint supports, as NNLS leaves zeros: the compose is
+    # linear, matches the oracle, and agrees with U (Q w) from the same factor
+    rng = np.random.default_rng(seed)
+    lmdp = random_lmdp(rng)
+    Q = np.exp(rng.uniform(-3.0, 0.5, (lmdp.n_boundary, n_tasks)))
+    w = rng.uniform(0.01, 2.0, n_tasks)
+    first = rng.random(n_tasks) < 0.5
+    w1, w2 = np.where(first, w, 0.0), np.where(first, 0.0, w)
+    basis = build_task_basis(lmdp, Q)
+    z1, z2, z = (compose_desirability(basis, TaskWeights(v, 0.0)).interior
+                 if v.any() else np.zeros(lmdp.n_interior) for v in (w1, w2, w))
+    np.testing.assert_allclose(z, z1 + z2, rtol=1e-12, atol=0)
+    expected = oracles.first_exit_desirability(
+        lmdp.passive.full_matrix, lmdp.n_interior, lmdp.rewards.interior,
+        lmdp.rewards.temperature, Q @ w)
+    np.testing.assert_allclose(z, expected, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(z, basis.solve() @ (Q @ w), rtol=1e-12, atol=0)
+
+
+def test_a_basis_never_holds_its_boundary_solves():
+    # a dense U = A^-1 B on ArmSpec(20) is 400 x 400 float64, 1.28 MB; the
+    # basis and its first compose stay below a quarter of that
+    lmdp, arm_basis, _ = make_arm(ArmSpec(20))
+    Q, w = arm_basis.boundary_tasks, TaskWeights(np.full(arm_basis.n_tasks, 0.5), 0.0)
+    tracemalloc.start()
+    try:
+        compose_desirability(build_task_basis(lmdp, Q), w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < lmdp.n_interior * lmdp.n_boundary * 8 / 4
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +376,14 @@ def test_blend_block_rejects_malformed_blocks():
 def test_zero_weights_cannot_compose(basis):
     with pytest.raises(NonPositiveComposite):
         compose_desirability(basis, TaskWeights(np.zeros(basis.n_tasks), 0.0))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_weights_cannot_compose(basis, bad):
+    w = np.ones(basis.n_tasks)
+    w[0] = bad
+    with pytest.raises(InvalidSpec, match="boundary values must be finite"):
+        compose_desirability(basis, TaskWeights(w, 0.0))
 
 
 def test_weight_count_must_match_basis(basis):
