@@ -15,8 +15,6 @@ from .core import (
     Lmdp,
     PassiveDynamics,
     RewardModel,
-    StatePartition,
-    build_lmdp,
     draw_from,
     exponentiate_rewards,
     policy_column,

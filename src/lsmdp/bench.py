@@ -24,8 +24,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, Lmdp, PassiveDynamics, RewardModel,
-                   StatePartition, block_width, build_lmdp, z_iterate)
+from .core import (DEFAULT_TOL, Lmdp, PassiveDynamics, RewardModel, block_width,
+                   z_iterate)
 from .domains import ring_passive
 from .errors import InvalidSpec
 from .hierarchy import absorption_dynamics, stack_subtask_kernel
@@ -50,9 +50,8 @@ def spacing_for(n: int) -> int:
 
 
 def _level_lmdp(passive: PassiveDynamics, temperature: float) -> Lmdp:
-    n_i, n_b = passive.n_interior, passive.n_boundary
-    rewards = RewardModel(np.full(n_i, -1.0), np.zeros(n_b), temperature)
-    return build_lmdp(StatePartition(n_i, n_b), passive, rewards)
+    return Lmdp(passive, RewardModel(np.full(passive.n_interior, -1.0),
+                                     np.zeros(passive.n_boundary), temperature))
 
 
 def _count_tasks(lmdp: Lmdp, task_rows: Sequence[int], tol: float,

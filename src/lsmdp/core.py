@@ -86,37 +86,6 @@ SOLVE_BYTES = 512 * 1024
 NARROW = 8
 
 
-@dataclass(frozen=True)
-class StatePartition:
-    """Sizes of the interior/boundary split, with optional display labels."""
-
-    n_interior: int
-    n_boundary: int
-    labels: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.n_interior < 1 or self.n_boundary < 1:
-            raise InvalidSpec(
-                f"need at least one interior and one boundary state, got "
-                f"{self.n_interior}/{self.n_boundary}"
-            )
-        if self.labels is not None and len(self.labels) != self.n_states:
-            raise DimensionMismatch(
-                f"{len(self.labels)} labels for {self.n_states} states"
-            )
-
-    @property
-    def n_states(self) -> int:
-        return self.n_interior + self.n_boundary
-
-    def label(self, state: int) -> str:
-        if self.labels is not None:
-            return str(self.labels[state])
-        if state < self.n_interior:
-            return f"i{state}"
-        return f"b{state - self.n_interior}"
-
-
 def is_integer(value) -> bool:
     """A Python or numpy integer; bools and integral floats are not.  A plain
     int, what the step path's checks see, passes on one type compare."""
@@ -185,7 +154,8 @@ class PassiveDynamics:
         full.data *= np.repeat(1.0 / sums, np.diff(full.indptr))
         full.sum_duplicates()  # sorts each column's rows in place
         full.eliminate_zeros()
-        self.full_matrix, self.n_interior = full, P_i.shape[0]
+        self.full_matrix = full
+        self.n_interior, self.n_boundary = P_i.shape[0], P_b.shape[0]
 
     @property
     def to_interior(self) -> sp.csc_matrix:
@@ -194,10 +164,6 @@ class PassiveDynamics:
     @property
     def to_boundary(self) -> sp.csc_matrix:
         return self.full_matrix[self.n_interior:]
-
-    @property
-    def n_boundary(self) -> int:
-        return self.full_matrix.shape[0] - self.n_interior
 
     @cached_property
     def narrow_columns(self) -> list:
@@ -248,35 +214,53 @@ def exponentiate_rewards(rewards: RewardModel):
 
 @dataclass(frozen=True)
 class Lmdp:
-    """A first-exit linearly solvable MDP: partition + passive kernel + rewards.
+    """A first-exit linearly solvable MDP: a passive kernel, its state rewards
+    and optional display labels, one per state, interior first.
 
-    Immutable after construction; safe to share across episodes and threads.
-    Use build_lmdp to construct with full validation.
+    Its sizes are its kernel's.  Construction, ``dataclasses.replace``
+    included, checks that there is at least one interior and one boundary
+    state (InvalidSpec), that the rewards and labels cover the states
+    (DimensionMismatch) and that no reward overflows (RewardOverflow), and
+    keeps q = exp(r / lambda) as ``q_interior`` and ``q_boundary``.  Immutable after construction; safe to share across episodes and threads.
     """
 
-    partition: StatePartition
     passive: PassiveDynamics
     rewards: RewardModel
+    labels: Optional[tuple] = None
+
+    def __post_init__(self):
+        n_i, n_b = self.n_interior, self.n_boundary
+        if n_i < 1 or n_b < 1:
+            raise InvalidSpec(
+                f"need at least one interior and one boundary state, got {n_i}/{n_b}")
+        for name, shape in (("interior", (n_i,)), ("boundary", (n_b,))):
+            got = getattr(self.rewards, name).shape
+            if got != shape:
+                raise DimensionMismatch(f"{name} rewards shape {got}, expected {shape}")
+        if self.labels is not None and len(self.labels) != self.n_states:
+            raise DimensionMismatch(f"{len(self.labels)} labels for {self.n_states} states")
+        q_i, q_b = exponentiate_rewards(self.rewards)  # rejects overflow
+        object.__setattr__(self, "q_interior", q_i)
+        object.__setattr__(self, "q_boundary", q_b)
 
     @property
     def n_interior(self) -> int:
-        return self.partition.n_interior
+        return self.passive.n_interior
 
     @property
     def n_boundary(self) -> int:
-        return self.partition.n_boundary
+        return self.passive.n_boundary
 
     @property
     def n_states(self) -> int:
-        return self.partition.n_states
+        return self.passive.n_interior + self.passive.n_boundary
 
-    @cached_property
-    def q_interior(self) -> np.ndarray:
-        return exponentiate_rewards(self.rewards)[0]
-
-    @cached_property
-    def q_boundary(self) -> np.ndarray:
-        return exponentiate_rewards(self.rewards)[1]
+    def label(self, state: int) -> str:
+        if self.labels is not None:
+            return str(self.labels[state])
+        if state < self.n_interior:
+            return f"i{state}"
+        return f"b{state - self.n_interior}"
 
     @property
     def bellman_operator(self) -> tuple[sp.csc_matrix, sp.csr_matrix]:
@@ -292,33 +276,6 @@ class Lmdp:
         """diag(q_i) P_i^T (csr): one z_iterate sweep is one product with it.
         Kept, unlike bellman_operator: bench calls z_iterate once per block."""
         return (sp.diags(self.q_interior) @ self.passive.to_interior.T).tocsr()
-
-
-def build_lmdp(partition: StatePartition, passive: PassiveDynamics,
-               rewards: RewardModel) -> Lmdp:
-    """Validate cross-component dimensions and assemble an Lmdp."""
-    if passive.n_interior != partition.n_interior:
-        raise DimensionMismatch(
-            f"passive kernel has {passive.n_interior} interior states, "
-            f"partition has {partition.n_interior}"
-        )
-    if passive.n_boundary != partition.n_boundary:
-        raise DimensionMismatch(
-            f"passive kernel has {passive.n_boundary} boundary states, "
-            f"partition has {partition.n_boundary}"
-        )
-    if rewards.interior.shape != (partition.n_interior,):
-        raise DimensionMismatch(
-            f"interior rewards shape {rewards.interior.shape}, "
-            f"expected ({partition.n_interior},)"
-        )
-    if rewards.boundary.shape != (partition.n_boundary,):
-        raise DimensionMismatch(
-            f"boundary rewards shape {rewards.boundary.shape}, "
-            f"expected ({partition.n_boundary},)"
-        )
-    exponentiate_rewards(rewards)  # reject overflow at build time
-    return Lmdp(partition, passive, rewards)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .core import (PassiveDynamics, RewardModel, StatePartition, build_lmdp,
-                   check_count, check_real, is_integer)
+from .core import (Lmdp, PassiveDynamics, RewardModel, check_count, check_real,
+                   is_integer)
 from .errors import BlockedCell, EmptyTarget, InvalidSpec
 from .hierarchy import SubtaskStructure, default_subtask_rewards
 from .multitask import build_task_basis
@@ -137,11 +137,10 @@ def make_ring(spec: RingSpec):
     """
     n = spec.n_states
     labels = tuple(f"s{k}" for k in range(n)) + tuple(f"exit{k}" for k in range(n))
-    partition = StatePartition(n, n, labels)
     passive = ring_passive((n,), spec.step_prob, spec.exit_prob)
     rewards = RewardModel(np.full(n, spec.interior_reward), np.zeros(n),
                           spec.temperature)
-    lmdp = build_lmdp(partition, passive, rewards)
+    lmdp = Lmdp(passive, rewards, labels)
 
     structures = []
     sizes = spec.level_sizes()
@@ -318,10 +317,9 @@ def make_grid(spec: GridSpec, subtask_cells: Sequence[Tuple[int, int]] = (),
     to_boundary = sp.csc_matrix((b_vals, (b_rows, b_cols)), shape=(n_b, n_i))
     labels = tuple(f"r{r}c{c}" for r, c in free) + \
         tuple(f"goal_r{r}c{c}" for r, c in spec.goal_cells)
-    partition = StatePartition(n_i, n_b, labels)
     rewards = RewardModel(np.full(n_i, spec.interior_reward), np.zeros(n_b),
                           spec.temperature)
-    lmdp = build_lmdp(partition, PassiveDynamics(to_interior, to_boundary), rewards)
+    lmdp = Lmdp(PassiveDynamics(to_interior, to_boundary), rewards, labels)
 
     structure = None
     if subtask_cells:
@@ -398,11 +396,9 @@ def make_arm(spec: ArmSpec):
     angles = spec.angles()
     labels = tuple(f"j{i}_{j}" for i in range(K) for j in range(K)) + \
         tuple(f"exit_j{i}_{j}" for i in range(K) for j in range(K))
-    partition = StatePartition(n, n, labels)
     rewards = RewardModel(np.full(n, spec.interior_reward), np.zeros(n),
                           spec.temperature)
-    lmdp = build_lmdp(partition, ring_passive((K, K), spec.step_prob, spec.exit_prob),
-                      rewards)
+    lmdp = Lmdp(ring_passive((K, K), spec.step_prob, spec.exit_prob), rewards, labels)
 
     x0, x1, y0, y1 = spec.target_rect
     penalty = math.exp(GOAL_PENALTY_SCALE)

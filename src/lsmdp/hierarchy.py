@@ -46,9 +46,7 @@ from .core import (
     Lmdp,
     PassiveDynamics,
     RewardModel,
-    StatePartition,
     _factorize,
-    build_lmdp,
     is_integer,
     masked_redraw_column,
     narrow_tilt,
@@ -261,23 +259,21 @@ def augment(lmdp: Lmdp, tasks: np.ndarray, structure: SubtaskStructure,
         )
 
     passive = stack_subtask_kernel(lmdp.passive, W)
-    n_i, n_b = lmdp.n_interior, lmdp.n_boundary
     n_t = structure.n_subtasks
 
     Q_t = default_subtask_rewards(n_t, penalty, lam)
 
     labels = None
-    if lmdp.partition.labels is not None:
+    if lmdp.labels is not None:
         sub_labels = (structure.labels if structure.labels is not None
                       else tuple(f"t{t}" for t in range(n_t)))
-        labels = tuple(lmdp.partition.labels) + tuple(sub_labels)
-    partition = StatePartition(n_i, n_b + n_t, labels)
+        labels = tuple(lmdp.labels) + tuple(sub_labels)
     rewards = RewardModel(
         lmdp.rewards.interior,
         np.concatenate([lmdp.rewards.boundary, np.full(n_t, penalty)]),
         lam,
     )
-    aug_lmdp = build_lmdp(partition, passive, rewards)
+    aug_lmdp = Lmdp(passive, rewards, labels)
     return AugmentedMlmdp(
         lmdp=aug_lmdp,
         base_tasks=Q,
@@ -285,7 +281,7 @@ def augment(lmdp: Lmdp, tasks: np.ndarray, structure: SubtaskStructure,
         subtask_tasks=Q_t,
         # the blend for inpainted reward 0 (target q_t = 1) that set_task starts from
         neutral_weights=blend_block(Q_t, np.ones(n_t)).values,
-        fill=float(np.exp(AUGMENT_FILL_SCALE * lam / lam)),
+        fill=float(np.exp(AUGMENT_FILL_SCALE)),
     )
 
 
@@ -562,10 +558,9 @@ def build_stack(basis: TaskBasis, structures: Sequence[SubtaskStructure],
         labels = None
         if structure.labels is not None:
             labels = tuple(structure.labels) + tuple(
-                lmdp.partition.label(s) for s in range(lmdp.n_interior, lmdp.n_states))
-        lmdp = build_lmdp(StatePartition(n_next, lmdp.n_boundary, labels),
-                          PassiveDynamics(to_i, to_b),
-                          RewardModel(np.full(n_next, -1.0), lmdp.rewards.boundary, lam0))
+                lmdp.label(s) for s in range(lmdp.n_interior, lmdp.n_states))
+        lmdp = Lmdp(PassiveDynamics(to_i, to_b),
+                    RewardModel(np.full(n_next, -1.0), lmdp.rewards.boundary, lam0), labels)
     # the top is a rung with no subtask states above it
     layers.append(AugmentedMlmdp(
         lmdp=lmdp, base_tasks=tasks, solves=solve_interior(lmdp),

@@ -17,8 +17,7 @@ import numpy as np
 import scipy
 import scipy.sparse as sp
 
-from .core import (Lmdp, PassiveDynamics, RewardModel, StatePartition,
-                   build_lmdp, check_real, is_integer)
+from .core import Lmdp, PassiveDynamics, RewardModel, check_real, is_integer
 from .errors import InvalidSpec
 from .hierarchy import HierarchyStack
 from .multitask import TaskWeights
@@ -52,8 +51,8 @@ def _lmdp_header(lmdp: Lmdp) -> dict:
         "r_i": [float(v) for v in lmdp.rewards.interior],
         "r_b": [float(v) for v in lmdp.rewards.boundary],
     }
-    if lmdp.partition.labels is not None:
-        doc["labels"] = list(lmdp.partition.labels)
+    if lmdp.labels is not None:
+        doc["labels"] = list(lmdp.labels)
     return doc
 
 
@@ -69,8 +68,9 @@ def lmdp_to_dict(lmdp: Lmdp) -> dict:
 def lmdp_from_dict(doc: dict) -> Lmdp:
     """Rebuild an LMDP from its document; validation runs as usual.
 
-    Sizes and triple indices must be JSON integers, and lambda, rewards and
-    probabilities JSON numbers: a float size, a boolean or a string raises
+    Sizes must be nonnegative and, like triple indices, JSON integers, and
+    lambda, rewards and probabilities JSON numbers: a negative or float
+    size, a boolean or a string raises
     InvalidSpec naming the field, never truncated or parsed.  So do labels
     that are not a list or hold a comma or a line break, which would split
     a CSV row, and a (source, destination) pair repeated across triples.
@@ -83,8 +83,8 @@ def lmdp_from_dict(doc: dict) -> Lmdp:
     except (KeyError, TypeError) as exc:
         raise InvalidSpec(f"malformed LMDP document: {exc}") from exc
     for name, value in (("n_interior", n_i), ("n_boundary", n_b)):
-        if not is_integer(value):
-            raise InvalidSpec(f"{name} must be a JSON integer, got {value!r}")
+        if not (is_integer(value) and value >= 0):
+            raise InvalidSpec(f"{name} must be a nonnegative JSON integer, got {value!r}")
     for name, values in (("lambda", [lam]), ("r_i", r_i), ("r_b", r_b)):
         for value in values:
             check_real(name, value)
@@ -109,9 +109,8 @@ def lmdp_from_dict(doc: dict) -> Lmdp:
     full = sp.csc_matrix((np.asarray(prob, dtype=np.float64), (dst, src)),
                          shape=(n_i + n_b, n_i))
     passive = PassiveDynamics(full[:n_i], full[n_i:])
-    return build_lmdp(StatePartition(n_i, n_b, labels), passive,
-                      RewardModel(np.asarray(r_i, dtype=np.float64),
-                                  np.asarray(r_b, dtype=np.float64), float(lam)))
+    return Lmdp(passive, RewardModel(np.asarray(r_i, dtype=np.float64),
+                                     np.asarray(r_b, dtype=np.float64), float(lam)), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +203,7 @@ def desirability_csv(lmdp: Lmdp, z_full: np.ndarray) -> str:
     """
     with np.errstate(divide="ignore"):
         values = lmdp.rewards.temperature * np.log(z_full)
-    rows = [(str(s), lmdp.partition.label(s), fmt(z_full[s]), fmt(values[s]))
+    rows = [(str(s), lmdp.label(s), fmt(z_full[s]), fmt(values[s]))
             for s in range(lmdp.n_states)]
     return _csv("state_index,label,z,V", rows)
 

@@ -9,11 +9,10 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from lsmdp import (
+    Lmdp,
     PassiveDynamics,
     RewardModel,
-    StatePartition,
     boundary_goal_tasks,
-    build_lmdp,
     build_stack,
     build_task_basis,
     four_rooms_map,
@@ -37,8 +36,7 @@ def random_lmdp(rng, max_interior=12, max_boundary=4, temperature=None,
     lam = float(rng.uniform(0.4, 2.5)) if temperature is None else float(temperature)
     rewards = RewardModel(-rng.uniform(0.1, 2.0, n_i),
                           rng.uniform(-2.0, 0.5, n_b), lam)
-    return build_lmdp(StatePartition(n_i, n_b),
-                      PassiveDynamics(P[:n_i], P[n_i:]), rewards)
+    return Lmdp(PassiveDynamics(P[:n_i], P[n_i:]), rewards)
 
 
 def kernel_blocks(passive, n_subtasks):
@@ -71,9 +69,8 @@ def chain5():
                     [0.0, 0.5, 0.0]])
     P_b = np.array([[0.5, 0.0, 0.0],
                     [0.0, 0.0, 0.5]])
-    return build_lmdp(StatePartition(3, 2),
-                      PassiveDynamics(P_i, P_b),
-                      RewardModel([-1.0, -1.0, -1.0], [0.0, -5.0], 1.0))
+    return Lmdp(PassiveDynamics(P_i, P_b),
+                RewardModel([-1.0, -1.0, -1.0], [0.0, -5.0], 1.0))
 
 
 # four-rooms reference setting shared by executor, learning, and acceptance

@@ -14,13 +14,12 @@ import pytest
 from lsmdp import (
     ArmSpec,
     GridSpec,
+    Lmdp,
     PassiveDynamics,
     RewardModel,
     RingSpec,
-    StatePartition,
     SubtaskStructure,
     boundary_goal_tasks,
-    build_lmdp,
     build_stack,
     build_task_basis,
     draw_from,
@@ -112,9 +111,8 @@ def test_criterion_3_derived_dynamics():
     P = rng.random((6, 5)) * (rng.random((6, 5)) < 0.7)
     P[5, :] += 0.1
     P = P / P.sum(axis=0)
-    lmdp = build_lmdp(StatePartition(5, 1),
-                      PassiveDynamics(P[:5], P[5:]),
-                      RewardModel(np.full(5, -1.0), [0.0], 1.0))
+    lmdp = Lmdp(PassiveDynamics(P[:5], P[5:]),
+                RewardModel(np.full(5, -1.0), [0.0], 1.0))
     W = np.zeros((2, 5))
     W[0, 1] = 0.4
     W[1, 3] = 0.4

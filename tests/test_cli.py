@@ -312,6 +312,7 @@ LMDP = {"n_interior": 1, "n_boundary": 1, "lambda": 1.0, "r_i": [-1.0],
     ("solve", {"type": "grid", "goal_cells": [[0, 10]]}),
     ("solve", {"type": "lmdp"}),
     ("solve", {"type": "lmdp", "lmdp": dict(LMDP, labels=["a,b", "c\nd"])}),
+    ("solve", {"type": "lmdp", "lmdp": dict(LMDP, n_interior=-1, r_i=[], passive=[])}),
 ], ids=["ring-size-string", "goal-string", "top-level-list", "arm-bins-string",
         "max-steps-string", "learn-epochs-string", "max-steps-zero",
         "learn-max-steps-negative", "learn-episodes-zero", "learn-step-scale-zero",
@@ -320,7 +321,8 @@ LMDP = {"n_interior": 1, "n_boundary": 1, "lambda": 1.0, "r_i": [-1.0],
         "lmdp-triple-string", "lmdp-passive-int", "lmdp-triple-repeated",
         "lmdp-triple-nan", "arm-step-nan", "arm-step-negative", "arm-exit-negative",
         "arm-exit-nan", "grid-step-nan", "grid-exit-nan", "grid-exit-negative",
-        "grid-without-map", "lmdp-without-document", "lmdp-labels-split-rows"])
+        "grid-without-map", "lmdp-without-document", "lmdp-labels-split-rows",
+        "lmdp-negative-interior"])
 def test_malformed_config_values(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path / "cfg.json", doc)
     assert main([command, "--domain", cfg,
@@ -354,6 +356,18 @@ def test_integer_fields_take_only_integers(tmp_path, capsys, command, doc):
     assert main([command, "--domain", cfg,
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    (dict(LMDP, n_interior=0, r_i=[], passive=[]), "at least one interior and one boundary"),
+    (dict(LMDP, n_boundary=0, r_b=[], passive=[[0, 0, 1.0]]), "cannot reach any boundary"),
+], ids=["lmdp-no-interior", "lmdp-no-boundary"])
+def test_an_lmdp_needs_both_blocks(tmp_path, capsys, doc, message):
+    cfg = write_config(tmp_path / "cfg.json", {"type": "lmdp", "lmdp": doc})
+    assert main(["solve", "--domain", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
     assert not (tmp_path / "out").exists()
 
 

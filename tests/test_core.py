@@ -20,10 +20,9 @@ from lsmdp import (
     ArmSpec,
     Desirability,
     RingSpec,
+    Lmdp,
     PassiveDynamics,
     RewardModel,
-    StatePartition,
-    build_lmdp,
     build_stack,
     build_task_basis,
     draw_from,
@@ -66,9 +65,8 @@ import oracles
 
 def unit_lmdp(r_interior=-1.0, r_boundary=0.0, temperature=1.0):
     """One interior state that exits deterministically to one boundary state."""
-    return build_lmdp(StatePartition(1, 1),
-                      PassiveDynamics([[0.0]], [[1.0]]),
-                      RewardModel([r_interior], [r_boundary], temperature))
+    return Lmdp(PassiveDynamics([[0.0]], [[1.0]]),
+                RewardModel([r_interior], [r_boundary], temperature))
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +79,15 @@ def test_smallest_instance_builds():
 
 
 def test_partition_requires_both_blocks():
-    with pytest.raises(InvalidSpec):
-        StatePartition(0, 1)
-    with pytest.raises(InvalidSpec):
-        StatePartition(1, 0)
-    with pytest.raises(DimensionMismatch):
-        StatePartition(1, 1, labels=("a",))
+    with pytest.raises(InvalidSpec, match="at least one interior and one boundary"):
+        Lmdp(PassiveDynamics(np.zeros((0, 0)), np.zeros((1, 0))),
+             RewardModel([], [0.0], 1.0))
+    # a kernel with no boundary rows fails before any Lmdp, as NoAbsorption
+    with pytest.raises(NoAbsorption):
+        Lmdp(PassiveDynamics([[1.0]], np.zeros((0, 1))), RewardModel([-1.0], [], 1.0))
+    with pytest.raises(DimensionMismatch, match="1 labels for 2 states"):
+        Lmdp(PassiveDynamics([[0.0]], [[1.0]]), RewardModel([-1.0], [0.0], 1.0),
+             labels=("a",))
 
 
 def test_column_sums_below_one_rejected():
@@ -133,19 +134,24 @@ def test_indirect_absorption_accepted():
 
 def test_reward_shape_mismatch_rejected():
     with pytest.raises(DimensionMismatch):
-        build_lmdp(StatePartition(1, 1),
-                   PassiveDynamics([[0.0]], [[1.0]]),
-                   RewardModel([-1.0, -1.0], [0.0], 1.0))
+        Lmdp(PassiveDynamics([[0.0]], [[1.0]]),
+             RewardModel([-1.0, -1.0], [0.0], 1.0))
     with pytest.raises(DimensionMismatch, match="boundary rewards shape"):
-        build_lmdp(StatePartition(1, 1),
-                   PassiveDynamics([[0.0]], [[1.0]]),
-                   RewardModel([-1.0], [0.0, 0.0], 1.0))
-    # the partition must match the passive kernel in both blocks
-    for partition, block in ((StatePartition(2, 1), "interior"),
-                             (StatePartition(1, 2), "boundary")):
-        with pytest.raises(DimensionMismatch, match=f"1 {block} states"):
-            build_lmdp(partition, PassiveDynamics([[0.0]], [[1.0]]),
-                       RewardModel([-1.0], [0.0], 1.0))
+        Lmdp(PassiveDynamics([[0.0]], [[1.0]]),
+             RewardModel([-1.0], [0.0, 0.0], 1.0))
+
+
+def test_no_construction_path_skips_the_checks():
+    # dataclasses.replace runs the same checks as the constructor
+    lmdp = unit_lmdp()
+    for bad, error in (
+            (dict(rewards=RewardModel([-1.0, -1.0], [0.0], 1.0)), DimensionMismatch),
+            (dict(labels=("a", "b", "c")), DimensionMismatch),
+            (dict(rewards=RewardModel([-1.0], [1e4], 0.01)), RewardOverflow)):
+        with pytest.raises(error):
+            Lmdp(**{"passive": lmdp.passive, "rewards": lmdp.rewards, **bad})
+        with pytest.raises(error):
+            dataclasses.replace(lmdp, **bad)
 
 
 def test_nonpositive_temperature_rejected():
@@ -184,9 +190,8 @@ def test_exponentiate_examples():
 
 def test_reward_overflow_rejected_at_build():
     with pytest.raises(RewardOverflow):
-        build_lmdp(StatePartition(1, 1),
-                   PassiveDynamics([[0.0]], [[1.0]]),
-                   RewardModel([-1.0], [1e4], 0.01))
+        Lmdp(PassiveDynamics([[0.0]], [[1.0]]),
+             RewardModel([-1.0], [1e4], 0.01))
 
 
 def test_desirability_must_be_positive():
@@ -272,7 +277,7 @@ def test_entry_order_changes_no_episode_and_no_curve():
     for descending in (False, True):
         passive = PassiveDynamics(in_column_order(lmdp.passive.to_interior, descending),
                                   in_column_order(lmdp.passive.to_boundary, descending))
-        twin = build_lmdp(lmdp.partition, passive, lmdp.rewards)
+        twin = Lmdp(passive, lmdp.rewards, lmdp.labels)
         stack = build_stack(build_task_basis(twin, tasks), structures)
         curves = [train(twin, q, epochs=2, episodes_per_epoch=10, seed=1,
                         stack=s, start_state=13)[1] for s in (None, stack)]
@@ -420,10 +425,9 @@ def test_block_solve_matches_columnwise_solves(seed, sparse, n_tasks):
 
 def singular_lmdp(n_interior):
     """Self-loop 0.5, exit 0.5 and q_i = 2, so A = I - diag(q_i) P_i^T is 0."""
-    return build_lmdp(StatePartition(n_interior, 1),
-                      PassiveDynamics(0.5 * np.eye(n_interior),
-                                      np.full((1, n_interior), 0.5)),
-                      RewardModel(np.full(n_interior, math.log(2.0)), [0.0], 1.0))
+    return Lmdp(PassiveDynamics(0.5 * np.eye(n_interior),
+                                np.full((1, n_interior), 0.5)),
+                RewardModel(np.full(n_interior, math.log(2.0)), [0.0], 1.0))
 
 
 @pytest.mark.parametrize("n_interior", [1, 80])
@@ -552,7 +556,7 @@ def test_loose_probe_rows_change_no_bit(seed, width, n_tasks, cut_budget):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 40))
     passive = ring_passive((n,), rng.uniform(0.05, 0.4), rng.uniform(0.02, 0.2))
-    lmdp = build_lmdp(StatePartition(n, n), passive, RewardModel(
+    lmdp = Lmdp(passive, RewardModel(
         -rng.uniform(0.1, 2.0, n), rng.uniform(-2.0, 0.5, n), rng.uniform(0.4, 2.5)))
     shape = (n, n_tasks)
     Q = (rng.random(shape) < 0.3) * 10.0 ** rng.uniform(-8, 4, n_tasks)
@@ -680,9 +684,8 @@ def test_z_iterate_rejects_non_finite_inputs(chain5, bad):
 def diverging_lmdp():
     """A recurrent pair with q_i = e: the weighted kernel's spectral radius is
     0.9 e > 1, so z-iteration grows without bound."""
-    return build_lmdp(StatePartition(2, 1),
-                      PassiveDynamics([[0.0, 0.9], [0.9, 0.0]], [[0.1, 0.1]]),
-                      RewardModel([1.0, 1.0], [0.0], 1.0))
+    return Lmdp(PassiveDynamics([[0.0, 0.9], [0.9, 0.0]], [[0.1, 0.1]]),
+                RewardModel([1.0, 1.0], [0.0], 1.0))
 
 
 def test_diverging_iteration_raises_and_names_the_columns():
@@ -722,9 +725,8 @@ def test_an_overflow_away_from_the_probe_row_is_caught():
     # overflows to inf at sweep 24: each column's probe row stays at state 0,
     # whose change stays finite, so only the block's finiteness test, run
     # every 8th sweep (here at sweep 24), can stop the run inside the budget
-    lmdp = build_lmdp(StatePartition(2, 1),
-                      PassiveDynamics([[0.5, 0.0], [0.0, 0.9]], [[0.5, 0.1]]),
-                      RewardModel([0.0, 1.0], [0.0], 1.0))
+    lmdp = Lmdp(PassiveDynamics([[0.5, 0.0], [0.0, 0.9]], [[0.5, 0.1]]),
+                RewardModel([0.0, 1.0], [0.0], 1.0))
     with pytest.raises(SingularSystem, match=r"in columns \[0\]$"):
         z_iterate(lmdp, np.array([1e300]), max_iter=40)
 
@@ -767,9 +769,9 @@ def test_z_iteration_returns_finite_values_or_raises(seed, width, n_tasks, max_i
     P[(np.arange(n_i) + 1) % n_i, np.arange(n_i)] += 0.1
     P[n_i:] += 0.05
     P /= P.sum(axis=0)
-    lmdp = build_lmdp(StatePartition(n_i, n_b), PassiveDynamics(P[:n_i], P[n_i:]),
-                      RewardModel(rng.uniform(-1.0, 2.0, n_i),
-                                  rng.uniform(-2.0, 0.5, n_b), rng.uniform(0.4, 2.5)))
+    lmdp = Lmdp(PassiveDynamics(P[:n_i], P[n_i:]),
+                RewardModel(rng.uniform(-1.0, 2.0, n_i),
+                            rng.uniform(-2.0, 0.5, n_b), rng.uniform(0.4, 2.5)))
     Q = random_tasks(rng, lmdp, n_tasks) * 10.0 ** rng.uniform(0, 300, n_tasks)
     z0 = rng.uniform(0.0, 2.0, (n_i, n_tasks)) if start else None
     overflow = first_overflow(lmdp, Q, z0, 2000)
@@ -1054,9 +1056,8 @@ def one_column_lmdp(rows, probs, n_interior, n_states):
     P = np.zeros((n_states, n_interior))
     P[rows, 0] = probs
     P[n_states - 1, 1:] = 1.0
-    return build_lmdp(StatePartition(n_interior, n_states - n_interior),
-                      PassiveDynamics(P[:n_interior], P[n_interior:]),
-                      RewardModel(np.zeros(n_interior), np.zeros(n_states - n_interior)))
+    return Lmdp(PassiveDynamics(P[:n_interior], P[n_interior:]),
+                RewardModel(np.zeros(n_interior), np.zeros(n_states - n_interior)))
 
 
 def dict_kl(rows, probs, lmdp, state):
@@ -1177,9 +1178,8 @@ def test_passive_trajectory_return_is_reward_sum():
     # a deterministic corridor 0 -> 1 -> 2 -> exit: every policy column is
     # the passive one, so no control cost accrues and the return is the
     # interior rewards plus lambda log q at the exit, its boundary reward
-    lmdp = build_lmdp(StatePartition(3, 1),
-                      PassiveDynamics(np.eye(3, k=-1), [[0.0, 0.0, 1.0]]),
-                      RewardModel([-1.0, -2.0, -0.5], [-5.0], 0.5))
+    lmdp = Lmdp(PassiveDynamics(np.eye(3, k=-1), [[0.0, 0.0, 1.0]]),
+                RewardModel([-1.0, -2.0, -0.5], [-5.0], 0.5))
     stack = build_stack(build_task_basis(lmdp, lmdp.q_boundary[:, None]), [])
     stack.set_task(lmdp.q_boundary)
     traj = run_episode(stack, 0, np.random.default_rng(0))

@@ -227,8 +227,8 @@ def test_subtasks_must_sit_on_free_cells():
 def test_named_labels_follow_cells():
     spec, subtasks = grid_from_ascii("G.S")
     lmdp, structure, _ = make_grid(spec, subtasks)
-    assert lmdp.partition.label(0) == "r0c0"
-    assert lmdp.partition.label(3) == "goal_r0c0"
+    assert lmdp.label(0) == "r0c0"
+    assert lmdp.label(3) == "goal_r0c0"
     assert structure.labels == ("door_r0c2",)
 
 

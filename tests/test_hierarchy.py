@@ -11,15 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsmdp import (
+    Lmdp,
     PassiveDynamics,
     RewardModel,
     RingSpec,
-    StatePartition,
     SubtaskStructure,
     absorption_dynamics,
     augment,
     boundary_goal_tasks,
-    build_lmdp,
     build_stack,
     build_task_basis,
     default_subtask_rewards,
@@ -62,9 +61,8 @@ def base_chain(n_interior=5, seed=43):
         (rng.random((n_interior + 1, n_interior)) < 0.7)
     P[n_interior, :] += 0.1
     P = P / P.sum(axis=0)
-    return build_lmdp(StatePartition(n_interior, 1),
-                      PassiveDynamics(P[:n_interior], P[n_interior:]),
-                      RewardModel(np.full(n_interior, -1.0), [0.0], 1.0))
+    return Lmdp(PassiveDynamics(P[:n_interior], P[n_interior:]),
+                RewardModel(np.full(n_interior, -1.0), [0.0], 1.0))
 
 
 def dense_tasks(entry):
@@ -173,6 +171,20 @@ def test_augment_extends_boundary_and_tasks():
         -5.0 * aug.lmdp.rewards.temperature)
 
 
+def test_augment_fill_is_exactly_e_to_the_fill_scale():
+    # at this temperature (-20 lam) / lam != -20, so a fill that routes the
+    # scale through lam lands one ulp off e^-20
+    lam, scale = 0.0133, hierarchy.AUGMENT_FILL_SCALE
+    assert scale * lam / lam != scale
+    lmdp = base_chain()
+    lmdp = dataclasses.replace(lmdp, rewards=RewardModel(
+        lmdp.rewards.interior, lmdp.rewards.boundary, lam))
+    weights = np.zeros((1, lmdp.n_interior))
+    weights[0, 1] = 0.4
+    aug = augment(lmdp, np.ones((1, 1)), SubtaskStructure(weights))
+    assert aug.fill == math.exp(scale) == math.exp(-20.0)
+
+
 def test_augment_rejects_wrong_width():
     lmdp, _, tasks = make_ring(RingSpec(9))
     basis = build_task_basis(lmdp, tasks)
@@ -207,8 +219,8 @@ def test_deterministic_corridor_derives_indicator():
         P_i[s + 1, s] = 1.0
     P_b = np.zeros((1, n))
     P_b[0, n - 1] = 1.0
-    lmdp = build_lmdp(StatePartition(n, 1), PassiveDynamics(P_i, P_b),
-                      RewardModel(np.full(n, -1.0), [0.0], 1.0))
+    lmdp = Lmdp(PassiveDynamics(P_i, P_b),
+                RewardModel(np.full(n, -1.0), [0.0], 1.0))
     W = np.zeros((2, n))
     W[0, 0] = 1e-12
     W[1, n - 1] = 1e12

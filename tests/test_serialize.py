@@ -78,7 +78,7 @@ def test_lmdp_document_round_trip(chain5, tmp_path):
     np.testing.assert_array_equal(back.rewards.interior, chain5.rewards.interior)
     np.testing.assert_array_equal(back.rewards.boundary, chain5.rewards.boundary)
     assert back.rewards.temperature == chain5.rewards.temperature
-    assert back.partition.labels == chain5.partition.labels
+    assert back.labels == chain5.labels
 
     write_json(tmp_path / "m.json", doc)
     from_file = lmdp_from_dict(read_json(tmp_path / "m.json"))
@@ -165,7 +165,7 @@ def test_desirability_csv_layout(chain5):
     assert lines[0] == "state_index,label,z,V"
     assert len(lines) == 1 + chain5.n_states
     first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == chain5.partition.label(0)
+    assert first[0] == "0" and first[1] == chain5.label(0)
     assert float(first[2]) == z.interior[0]
     assert float(first[3]) == pytest.approx(
         chain5.rewards.temperature * math.log(z.interior[0]), rel=1e-15)
@@ -363,8 +363,8 @@ def test_save_stack_round_trips_layers_and_manifest(shape, goal_frac, terminate,
                       "lambda": lmdp.rewards.temperature,
                       "r_i": lmdp.rewards.interior.tolist(),
                       "r_b": lmdp.rewards.boundary.tolist()}
-            if lmdp.partition.labels is not None:
-                header["labels"] = list(lmdp.partition.labels)
+            if lmdp.labels is not None:
+                header["labels"] = list(lmdp.labels)
             assert doc["lmdp"] == header
             # the kernel's arrays as the layer stores them, bit for bit, in
             # the order its draws read them
