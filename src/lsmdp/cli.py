@@ -30,13 +30,14 @@ from .domains import (ArmSpec, RingSpec, boundary_goal_tasks, four_rooms_map,
 from .errors import BlockedCell, ConfigError, InvalidSpec, NumericalError
 from .executor import rollout_budget, run_episode
 from .hierarchy import SubtaskStructure, build_stack
-from .learning import DEFAULT_STEP_SCALE, check_step_scale, train
+from .learning import train
 from .multitask import TaskBasis, build_task_basis, solve_novel_task
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_NO_CONVERGENCE = 4
+LEARN_KEYS = {"epochs", "episodes", "n_seeds", "max_steps", "conditions"}
 
 
 @dataclass
@@ -205,15 +206,15 @@ def cmd_blend(args) -> int:
     return EXIT_OK
 
 
-def _build_stack(bundle: DomainBundle, kappa, penalty):
+def _build_stack(bundle: DomainBundle):
     if not bundle.structures:
         raise InvalidSpec("this domain defines no subtask structure to stack")
-    return build_stack(bundle.basis, bundle.structures, kappa=kappa, penalty=penalty)
+    return build_stack(bundle.basis, bundle.structures)
 
 
 def cmd_stack(args) -> int:
     bundle = load_domain(args.domain)
-    stack = _build_stack(bundle, args.kappa, args.penalty)
+    stack = _build_stack(bundle)
     serialize.save_stack(stack, Path(args.out) / "stack")
     _write_outputs(args, "stack", bundle.config, {}, depth=stack.depth,
                    kappa=stack.kappa, penalty=stack.penalty)
@@ -224,7 +225,7 @@ def cmd_simulate(args) -> int:
     bundle = load_domain(args.domain)
     if bundle.goal_q is None:
         raise InvalidSpec("this domain defines no goal task to simulate")
-    stack = _build_stack(bundle, args.kappa, args.penalty)
+    stack = _build_stack(bundle)
     stack.set_task(bundle.goal_q)
     start = bundle.start_state if bundle.start_state is not None else 0
     rng = np.random.default_rng(args.seed)
@@ -244,14 +245,15 @@ def cmd_learn(args) -> int:
         raise InvalidSpec("this domain defines no goal task to learn")
     with _reading_config():
         params = bundle.config.get("learn", {})
+        unknown = sorted(set(params) - LEARN_KEYS)
+        if unknown:
+            raise InvalidSpec(f"unknown learn keys {unknown}, known: {sorted(LEARN_KEYS)}")
         epochs = check_count("learn.epochs", params.get("epochs", 20))
         episodes = check_count("learn.episodes", params.get("episodes", 10))
         n_seeds = check_count("learn.n_seeds", params.get("n_seeds", 1))
         max_steps = params.get("max_steps")
         start = bundle.start_state
         rollout_budget(bundle.lmdp.n_interior, 0 if start is None else start, max_steps)
-        step_scale = params.get("step_scale", DEFAULT_STEP_SCALE)
-        check_step_scale(step_scale)
         conditions = params.get("conditions", ["flat", "guided"])
         if (not conditions or not set(conditions) <= {"flat", "guided"}
                 or len(set(conditions)) != len(conditions)):
@@ -259,7 +261,7 @@ def cmd_learn(args) -> int:
                               f"'guided', each once, got {conditions!r}")
     stack_template = None
     if "guided" in conditions:
-        stack_template = _build_stack(bundle, None, None)
+        stack_template = _build_stack(bundle)
     entries = []
     for offset in range(n_seeds):
         seed = args.seed + offset
@@ -267,7 +269,7 @@ def cmd_learn(args) -> int:
             stack = stack_template if condition == "guided" else None
             _, curve = train(bundle.lmdp, bundle.goal_q, epochs, episodes,
                              seed, stack=stack, start_state=bundle.start_state,
-                             max_steps=max_steps, step_scale=step_scale)
+                             max_steps=max_steps)
             entries.extend((epoch, mean, se, condition, seed)
                            for epoch, mean, se in curve)
     _write_outputs(args, "learn", bundle.config,
@@ -318,13 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stack", help="build and serialize a subtask tower")
     common(p)
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--penalty", type=float, default=None)
 
     p = sub.add_parser("simulate", help="run one hierarchical episode")
     common(p)
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--penalty", type=float, default=None)
 
     p = sub.add_parser("learn", help="online desirability learning curves")
     common(p)

@@ -9,8 +9,8 @@ layer above, whose interior states *are* those subtask states and whose
 passive dynamics are the absorption probabilities of the layer below
 (fundamental-matrix identities).  The layer above steers the layer below by
 inpainting rewards onto the subtask states: the difference between its
-desired next-state distribution and its passive one, scaled by kappa, becomes
-a boundary reward vector that the lower layer re-blends against its
+desired next-state distribution and its passive one, scaled by kappa = lambda,
+becomes a boundary reward vector that the lower layer re-blends against its
 subtask-task columns.  Every layer keeps the base boundary set and its one
 boundary-task matrix Q, one array at every layer, so one blend of Q sets the
 goal at every layer.  An augmented layer's task matrix [[Q, f 11^T],
@@ -42,7 +42,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import (
-    LOG_FLOAT_MAX,
     Lmdp,
     PassiveDynamics,
     RewardModel,
@@ -62,7 +61,6 @@ from .errors import (
     InvalidSpec,
     NoTaskSet,
     NonPositiveComposite,
-    RewardOverflow,
     SingularFundamentalMatrix,
     UnreachableSubtasks,
 )
@@ -226,24 +224,23 @@ def absorption_dynamics(passive: PassiveDynamics, n_subtasks: int):
     return np.asarray(to_interior_next), np.asarray(to_boundary_next)
 
 
-def augment(lmdp: Lmdp, tasks: np.ndarray, structure: SubtaskStructure,
-            penalty: Optional[float] = None) -> AugmentedMlmdp:
+def augment(lmdp: Lmdp, tasks: np.ndarray, structure: SubtaskStructure) -> AugmentedMlmdp:
     """Append subtask states to a layer with boundary-task matrix ``tasks``.
 
     ``tasks`` is (n_boundary, n_tasks), exponentiated, and becomes the base
     block Q; only the augmented layer is solved, once per boundary state.
     The stacked kernel [to_interior; to_boundary; weights], renormalized
     columnwise, is the augmented LMDP's passive dynamics.
-    Each subtask task has reward 0 at its own state and ``penalty``
-    (default -5 * lambda) at the other subtask states.  The cross blocks of
-    the combined task matrix (base tasks at subtask states, subtask tasks at
+    Each subtask task has reward 0 at its own state and the penalty
+    DEFAULT_SUBTASK_PENALTY_SCALE * lambda (-5 lambda), the augmented LMDP's
+    reward at every subtask state, at the others.  The cross blocks of the
+    combined task matrix (base tasks at subtask states, subtask tasks at
     boundary twins) hold the fill f = exp(AUGMENT_FILL_SCALE), the much
     steeper reward AUGMENT_FILL_SCALE * lambda, kept positive so every task
     column stays a valid exponentiated reward.
     """
     lam = lmdp.rewards.temperature
-    if penalty is None:
-        penalty = DEFAULT_SUBTASK_PENALTY_SCALE * lam
+    penalty = DEFAULT_SUBTASK_PENALTY_SCALE * lam
     Q = np.asarray(tasks, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[0] != lmdp.n_boundary or Q.shape[1] < 1:
         raise DimensionMismatch(
@@ -307,20 +304,16 @@ def rewards_to_task_weights(aug: AugmentedMlmdp, inpainted: np.ndarray,
 
     Only the subtask-task weights move; base boundary-task weights keep their
     current values.  The target is exp(inpainted / lambda) over the subtask
-    states, fitted to the subtask-reward block.  A target that overflows
-    (too large an inpaint scale kappa) raises RewardOverflow.
+    states, fitted to the subtask-reward block.  With kappa = lambda an inpaint
+    kappa (a - p) scales to a - p, within [-1, 1], so the target cannot overflow.
     """
     r_t = np.asarray(inpainted, dtype=np.float64)
     if r_t.shape != (aug.n_subtasks,):
         raise DimensionMismatch(
             f"inpainted rewards shape {r_t.shape}, expected ({aug.n_subtasks},)"
         )
-    scaled = r_t / aug.lmdp.rewards.temperature
-    if scaled.size and scaled.max() > LOG_FLOAT_MAX:
-        raise RewardOverflow(
-            f"inpainted reward / temperature {scaled.max():.6g} exceeds "
-            f"log(float64 max) = {LOG_FLOAT_MAX:.3f}; lower the inpaint scale kappa")
-    sub = blend_block(aug.subtask_tasks, np.exp(scaled), aug.subtask_form)
+    sub = blend_block(aug.subtask_tasks, np.exp(r_t / aug.lmdp.rewards.temperature),
+                      aug.subtask_form)
     values = np.concatenate([current.values[:aug.n_base_tasks], sub.values])
     return TaskWeights(values, sub.residual)
 
@@ -349,11 +342,10 @@ class Composite:
     policy_state, apply_inpaint, rollout_budget), so a warm cache would
     serve ``column(1.0)`` as state 1's record."""
 
-    __slots__ = ("layer", "kappa", "weights", "z", "columns", "dead")
+    __slots__ = ("layer", "weights", "z", "columns", "dead")
 
-    def __init__(self, layer: AugmentedMlmdp, kappa: float,
-                 weights: TaskWeights, z: np.ndarray):
-        self.layer, self.kappa, self.weights, self.z = layer, kappa, weights, z
+    def __init__(self, layer: AugmentedMlmdp, weights: TaskWeights, z: np.ndarray):
+        self.layer, self.weights, self.z = layer, weights, z
         self.columns, self.dead = {}, None
 
     def z_list(self) -> list:  # z as a new list of floats, for a per-step product
@@ -377,8 +369,8 @@ class Composite:
 
     def transmit(self, entry: int) -> np.ndarray:
         """Inpainted rewards (read-only) an access at a validated ``entry`` sends down:
-        kappa (a - p) of the policy and passive columns there, over the
-        layer's interior, which is the subtask states of the layer below."""
+        kappa (a - p), kappa = lambda, of the policy and passive columns there,
+        over the layer's interior, which is the subtask states of the layer below."""
         col = self.column(entry)
         if col.transmit is None:
             # the policy column's rows are the passive column's, ascending
@@ -387,7 +379,7 @@ class Composite:
             a, p = np.zeros(n_i), np.zeros(n_i)
             a[col.rows[:k]] = col.probs[:k]
             p[col.rows[:k]] = P.data[lo:lo + k]
-            col.transmit = inpaint_rewards(a, p, self.kappa)
+            col.transmit = inpaint_rewards(a, p, self.layer.lmdp.rewards.temperature)
             col.transmit.flags.writeable = False
         return col.transmit
 
@@ -420,8 +412,6 @@ class HierarchyStack:
     """
 
     layers: List[AugmentedMlmdp]
-    kappa: float
-    penalty: float
     composites: List[Optional[Composite]]
     terminated: List[bool]
     target: Optional[np.ndarray] = None  # boundary task set by set_task
@@ -432,6 +422,11 @@ class HierarchyStack:
     @property
     def depth(self) -> int:
         return len(self.layers)
+
+    # the inpaint scale, lambda at every layer, and the reward augment sets
+    # at every subtask state
+    kappa = property(lambda self: self.layers[0].lmdp.rewards.temperature)
+    penalty = property(lambda self: DEFAULT_SUBTASK_PENALTY_SCALE * self.kappa)
 
     # per-layer views of the composites, None before set_task
     weights = property(lambda self: [c and c.weights for c in self.composites])
@@ -495,7 +490,7 @@ class HierarchyStack:
                 f"layer {layer} composite desirability min = {low:.3g}")
         z = np.concatenate([z_i, q_b + fill_t, z_t])
         z.flags.writeable = False
-        return Composite(entry, self.kappa, weights, z)
+        return Composite(entry, weights, z)
 
     def apply_inpaint(self, layer: int, inpainted: np.ndarray) -> None:
         """Receive inpainted rewards at a layer below the top and re-blend.
@@ -526,9 +521,7 @@ class HierarchyStack:
         return self.layers[layer].lmdp, self.composites[layer].z
 
 
-def build_stack(basis: TaskBasis, structures: Sequence[SubtaskStructure],
-                kappa: Optional[float] = None,
-                penalty: Optional[float] = None) -> HierarchyStack:
+def build_stack(basis: TaskBasis, structures: Sequence[SubtaskStructure]) -> HierarchyStack:
     """Assemble a depth len(structures)+1 tower of layers.
 
     Each structure augments the current layer; the layer above lives on the
@@ -536,22 +529,16 @@ def build_stack(basis: TaskBasis, structures: Sequence[SubtaskStructure],
     boundary set and temperature, shares the one float64 boundary-task
     matrix, and charges reward -1 per step.  Of ``basis`` only ``base`` and
     ``boundary_tasks`` are read.  Every layer solves each of its boundary
-    states once; the blocks a stack blends need no factoring.
-    ``kappa`` (default lambda) scales inpainted rewards and must be finite;
-    ``penalty`` defaults to -5 * lambda.
+    states once; the blocks a stack blends need no factoring.  Inpainted
+    rewards are scaled by kappa = lambda and every subtask state carries
+    the penalty -5 lambda (``HierarchyStack.kappa`` and ``.penalty``).
     """
     lmdp, tasks = basis.base, np.asarray(basis.boundary_tasks, dtype=np.float64)
     lam0 = lmdp.rewards.temperature
-    if kappa is None:
-        kappa = lam0
-    if not np.isfinite(kappa):
-        raise InvalidSpec(f"kappa must be finite, got {kappa}")
-    if penalty is None:
-        penalty = DEFAULT_SUBTASK_PENALTY_SCALE * lam0
 
     layers: List[AugmentedMlmdp] = []
     for structure in structures:
-        aug = augment(lmdp, tasks, structure, penalty=penalty)
+        aug = augment(lmdp, tasks, structure)
         layers.append(aug)
         to_i, to_b = absorption_dynamics(aug.lmdp.passive, aug.n_subtasks)
         n_next = structure.n_subtasks
@@ -565,14 +552,7 @@ def build_stack(basis: TaskBasis, structures: Sequence[SubtaskStructure],
     layers.append(AugmentedMlmdp(
         lmdp=lmdp, base_tasks=tasks, solves=solve_interior(lmdp),
         subtask_tasks=np.empty((0, 0)), neutral_weights=np.empty(0)))
-    depth = len(layers)
-    return HierarchyStack(
-        layers=layers,
-        kappa=kappa,
-        penalty=penalty,
-        composites=[None] * depth,
-        terminated=[False] * depth,
-    )
+    return HierarchyStack(layers, [None] * len(layers), [False] * len(layers))
 
 
 def terminate_layer(stack: HierarchyStack, layer: int) -> None:

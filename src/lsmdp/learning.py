@@ -23,32 +23,25 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import (Lmdp, check_count, draw_from, masked_redraw_column, narrow_draw, narrow_tilt,
-                   policy_column)
+from .core import (STOCHASTIC_ATOL, Lmdp, check_count, draw_from, masked_redraw_column,
+                   narrow_draw, narrow_tilt, policy_column)
 from .errors import DimensionMismatch, InvalidSpec
 from .executor import access_hierarchy, rollout_budget
 from .hierarchy import HierarchyStack
 
-DEFAULT_STEP_SCALE = 50.0
+STEP_SCALE = 50.0  # c of the step size c / (c + visits), fixed
 
 
 @dataclass
 class LearningState:
-    """Online desirability estimate plus its step-size bookkeeping."""
+    """Online desirability estimate plus the visit counts its step size reads."""
 
     z_interior: np.ndarray
     boundary_values: np.ndarray
     visits: np.ndarray
-    step_scale: float = DEFAULT_STEP_SCALE
 
     def alpha(self, state: int) -> float:
-        return self.step_scale / (self.step_scale + int(self.visits[state]))
-
-
-def check_step_scale(step_scale: float) -> None:
-    """InvalidSpec unless ``step_scale`` is a finite positive number, not a bool."""
-    if isinstance(step_scale, bool) or not (math.isfinite(step_scale) and step_scale > 0):
-        raise InvalidSpec(f"step_scale must be finite and positive, got {step_scale}")
+        return STEP_SCALE / (STEP_SCALE + int(self.visits[state]))
 
 
 def z_learning_step(learner: LearningState, state: int, reward: float,
@@ -56,7 +49,7 @@ def z_learning_step(learner: LearningState, state: int, reward: float,
     """One stochastic backup from a sampled transition.
 
     z(s) <- (1 - a) z(s) + a exp(r(s)/lambda) z(s'), with the step size
-    a = c / (c + visits(s)) from the learner's visit schedule.  Both
+    a = c / (c + visits(s)), c = STEP_SCALE, from the learner's visits.  Both
     execution conditions funnel every sampled transition through here.
 
     Parameters
@@ -123,14 +116,13 @@ def run_learning_episode(lmdp: Lmdp, learner: LearningState,
         shape = np.shape(getattr(learner, name))
         if shape != (n,):
             raise DimensionMismatch(f"learner {name} shape {shape}, expected ({n},)")
-    check_step_scale(learner.step_scale)
     s = int(rng.integers(n_i)) if start_state is None else start_state
     max_steps = rollout_budget(n_i, s, max_steps)
     lam = lmdp.rewards.temperature
     r_i = lmdp.rewards.interior.tolist()
     narrow = lmdp.passive.narrow_columns
     work = LearningState(learner.z_interior.tolist(), learner.boundary_values.tolist(),
-                         learner.visits.tolist(), learner.step_scale)
+                         learner.visits.tolist())
     # behavior desirability over every state, kept in step with the estimate;
     # a guided run builds it from the composite at its first draw
     behave = work.z_interior + work.boundary_values
@@ -172,25 +164,24 @@ def train(lmdp: Lmdp, goal_task: np.ndarray, epochs: int,
           episodes_per_epoch: int, seed: int,
           stack: Optional[HierarchyStack] = None,
           start_state: Optional[int] = None,
-          max_steps: Optional[int] = None,
-          step_scale: float = DEFAULT_STEP_SCALE):
+          max_steps: Optional[int] = None):
     """Run epochs of episodes and record the trajectory-length curve.
 
     ``goal_task`` is the exponentiated boundary reward over the base
     boundary set.  A stack's base must share ``lmdp``'s interior count (else
-    DimensionMismatch), temperature and interior rewards (else InvalidSpec;
-    a kernel differing at equal rewards goes undetected).  The goal is
+    DimensionMismatch), temperature, interior rewards and kernel (else
+    InvalidSpec; on ``lmdp``'s rows its columns, over their mass there, must
+    have ``lmdp``'s sparsity and lie within STOCHASTIC_ATOL).  The goal is
     blended through the stack once and each episode runs on a fresh clone,
     so inpaints and terminations are episode-scoped.
 
     Returns (LearningState, curve) where curve rows are
     (epoch, mean_length, stderr).  ``epochs`` and ``episodes_per_epoch``
-    must be at least 1, ``step_scale`` finite and positive and
-    ``goal_task`` finite and nonnegative, or InvalidSpec is raised.
+    must be at least 1 and ``goal_task`` finite and nonnegative, or
+    InvalidSpec is raised.
     """
     check_count("epochs", epochs)
     check_count("episodes_per_epoch", episodes_per_epoch)
-    check_step_scale(step_scale)
     rng = np.random.default_rng(seed)
     goal = np.asarray(goal_task, dtype=np.float64)
     if not np.isfinite(goal).all() or (goal < 0).any():
@@ -203,6 +194,12 @@ def train(lmdp: Lmdp, goal_task: np.ndarray, epochs: int,
         if (base.rewards.temperature != lmdp.rewards.temperature
                 or not np.array_equal(base.rewards.interior, lmdp.rewards.interior)):
             raise InvalidSpec("stack base differs in temperature or interior rewards")
+        cut, flat = base.passive.full_matrix[:lmdp.n_states], lmdp.passive.full_matrix
+        mass = np.repeat(np.asarray(cut.sum(axis=0)).ravel(), np.diff(cut.indptr))
+        same = (np.array_equal(cut.indptr, flat.indptr)
+                and np.array_equal(cut.indices, flat.indices))
+        if not (same and np.abs(cut.data / mass - flat.data).max(initial=0.0) <= STOCHASTIC_ATOL):
+            raise InvalidSpec("stack base differs in its passive kernel")
         template = stack.clone()
         template.set_task(goal)
         lmdp = template.layers[0].lmdp
@@ -213,7 +210,6 @@ def train(lmdp: Lmdp, goal_task: np.ndarray, epochs: int,
         z_interior=np.ones(lmdp.n_interior),
         boundary_values=boundary,
         visits=np.zeros(lmdp.n_interior, dtype=np.int64),
-        step_scale=step_scale,
     )
     curve: List[Tuple[int, float, float]] = []
     for epoch in range(epochs):

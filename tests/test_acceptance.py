@@ -270,8 +270,6 @@ def test_criterion_8_execution_protocol():
 
 
 def test_criterion_9_cli_determinism(tmp_path, chain5):
-    from lsmdp.serialize import lmdp_to_dict
-
     def write(name, doc):
         path = tmp_path / name
         path.write_text(json.dumps(doc))

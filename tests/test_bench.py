@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from lsmdp.bench import (
-    BenchRow,
     flat_counts,
     hierarchical_counts,
     ring_scaling,

@@ -1,7 +1,6 @@
 """The command-line surface: artifacts, exit codes, reproducibility."""
 import json
 
-import numpy as np
 import pytest
 
 from lsmdp import ArmSpec, RingSpec, build_stack, build_task_basis, make_arm, make_ring
@@ -131,6 +130,28 @@ def test_blend_takes_no_method_flag(tmp_path, arm_config, method):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main(["blend", "--domain", arm_config, "--out", str(out), "--method", method])
+    assert exc.value.code == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["stack", "--kappa", "nan"],
+    ["stack", "--kappa", "inf"],
+    ["simulate", "--kappa", "nan"],
+    ["simulate", "--kappa", "inf"],
+    ["stack", "--kappa", "1"],
+    ["simulate", "--kappa", "2"],
+    ["stack", "--penalty", "-5"],
+    ["simulate", "--penalty", "-5"],
+], ids=["stack-kappa-nan", "stack-kappa-inf", "simulate-kappa-nan",
+        "simulate-kappa-inf", "stack-kappa-one", "simulate-kappa-two",
+        "stack-penalty", "simulate-penalty"])
+def test_a_stack_takes_no_scale_flags(tmp_path, ring_config, argv):
+    # the inpaint scale is lambda and the subtask penalty -5 lambda, always,
+    # so a scale flag is a usage error, finite or not
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--domain", ring_config, "--out", str(out)])
     assert exc.value.code == EXIT_CONFIG
     assert not out.exists()
 
@@ -436,12 +457,15 @@ def test_grid_cells_take_only_integer_pairs(tmp_path, capsys, field, value):
     ({"max_steps": 50.5}, 13, "must be at least 1 and an integer"),
     ({}, 6.7, "is not a base interior state"),
     ({}, 27, "is not a base interior state"),
-    ({"step_scale": 0}, 13, "step_scale must be finite and positive"),
-    ({"step_scale": True}, 13, "step_scale must be finite and positive"),
+    ({"step_scale": 0}, 13, "unknown learn keys ['step_scale']"),
+    ({"step_scale": True}, 13, "unknown learn keys ['step_scale']"),
+    ({"step_scale": 50.0}, 13, "unknown learn keys ['step_scale']"),
+    ({"episode": 5}, 13, "unknown learn keys ['episode']"),
     ({"conditions": ["flat", "flat"]}, 13, "each once"),
     ({"conditions": ["guided", "flat", "guided"]}, 13, "each once"),
 ], ids=["epochs-float", "episodes-zero", "max-steps-float", "start-float",
         "start-out-of-range", "step-scale-zero", "step-scale-bool",
+        "step-scale-fifty", "episode-typo",
         "conditions-repeated", "guided-repeated"])
 def test_learn_checks_its_inputs_before_building_a_stack(tmp_path, monkeypatch,
                                                          capsys, learn, start,
@@ -481,10 +505,6 @@ def test_every_error_is_config_or_numerical():
 
 
 @pytest.mark.parametrize("argv", [
-    ["stack", "--kappa", "nan"],
-    ["stack", "--kappa", "inf"],
-    ["simulate", "--kappa", "nan"],
-    ["simulate", "--kappa", "inf"],
     ["solve", "--method", "z-iter", "--tol", "-1"],
     ["solve", "--method", "z-iter", "--tol", "nan"],
     ["solve", "--method", "z-iter", "--max-iter", "-3"],
@@ -492,8 +512,7 @@ def test_every_error_is_config_or_numerical():
     ["bench", "--sizes", "8", "--tol", "-1"],
     ["bench", "--sizes", "abc"],
     ["bench", "--sizes", "8,x"],
-], ids=["stack-kappa-nan", "stack-kappa-inf", "simulate-kappa-nan",
-        "simulate-kappa-inf", "solve-tol-negative", "solve-tol-nan",
+], ids=["solve-tol-negative", "solve-tol-nan",
         "solve-max-iter-negative", "solve-max-iter-zero",
         "bench-tol-negative", "bench-sizes-word", "bench-sizes-partial"])
 def test_malformed_arguments(tmp_path, capsys, ring_config, argv):
@@ -530,18 +549,6 @@ def test_bad_paths_and_seeds_are_config_errors(tmp_path, capsys, ring_config,
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not (tmp_path / "out").exists()
-
-
-def test_an_overflowing_inpaint_scale_is_a_config_error(tmp_path, capsys):
-    config = write_config(tmp_path / "ring27.json", {
-        "type": "ring", "n_states": 27, "subtask_spacing": 3, "depth": 3,
-        "goal": 0, "start": 13,
-    })
-    assert main(["simulate", "--domain", config, "--kappa", "1000",
-                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: ") and "kappa" in err
-    assert "RuntimeWarning" not in err
 
 
 def test_blend_needs_a_target(tmp_path, chain_config):

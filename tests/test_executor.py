@@ -25,7 +25,7 @@ from lsmdp import (
     solve_interior,
     terminate_layer,
 )
-from lsmdp import executor, hierarchy
+from lsmdp import hierarchy
 from lsmdp.errors import InvalidSpec, NoTaskSet, ZeroNormalizer
 from lsmdp.core import masked_redraw_column
 

@@ -2,7 +2,6 @@
 import dataclasses
 import functools
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +43,6 @@ from lsmdp.errors import (
     InvalidSpec,
     NoTaskSet,
     NonPositiveComposite,
-    RewardOverflow,
     SingularFundamentalMatrix,
     UnreachableSubtasks,
 )
@@ -618,12 +616,19 @@ def test_a_binding_inpaint_reblends_without_nnls(monkeypatch):
                                rtol=0, atol=1e-12 * np.abs(w_nnls).max())
 
 
-def test_an_overflowing_inpaint_names_kappa():
-    lmdp, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3))
-    stack = build_stack(build_task_basis(lmdp, tasks), structures, kappa=1000.0)
-    stack.set_task(goal_task_vector(lmdp.n_boundary, 0, lmdp.rewards.temperature))
-    with pytest.raises(RewardOverflow, match="kappa"):
-        run_episode(stack, 13, np.random.default_rng(1))
+@pytest.mark.parametrize("lam", [1.0, 0.0133])
+def test_kappa_is_lambda_and_the_penalty_minus_five_lambda(lam):
+    # at 0.0133, (-5 lam) / lam != -5: the penalty is the product itself
+    lmdp, structures, tasks = make_ring(RingSpec(27, subtask_spacing=3, depth=3,
+                                                 temperature=lam))
+    stack = build_stack(build_task_basis(lmdp, tasks), structures)
+    assert stack.kappa == lam
+    assert stack.penalty == hierarchy.DEFAULT_SUBTASK_PENALTY_SCALE * lam
+    for entry in stack.layers:
+        # every layer transmits at the temperature kappa reads
+        assert entry.lmdp.rewards.temperature == lam
+        np.testing.assert_array_equal(
+            entry.lmdp.rewards.boundary[entry.n_base_boundary:], stack.penalty)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])

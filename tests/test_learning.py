@@ -29,10 +29,9 @@ from lsmdp.errors import DimensionMismatch, InvalidSpec, NoTaskSet
 from lsmdp.core import masked_redraw_column
 
 
-def fresh_learner(n_interior, boundary, step_scale=50.0):
+def fresh_learner(n_interior, boundary):
     return LearningState(np.ones(n_interior), np.asarray(boundary, float),
-                         np.zeros(n_interior, dtype=np.int64),
-                         step_scale=step_scale)
+                         np.zeros(n_interior, dtype=np.int64))
 
 
 def ring20():
@@ -65,7 +64,7 @@ def test_backward_sweep_recovers_a_deterministic_chain():
 
 
 def test_visit_schedule_decays():
-    learner = fresh_learner(1, [1.0], step_scale=50.0)
+    learner = fresh_learner(1, [1.0])
     assert learner.alpha(0) == 1.0
     for _ in range(50):
         z_learning_step(learner, 0, -1.0, 1, 1.0)
@@ -179,21 +178,16 @@ def test_episode_rejects_mismatched_inputs():
             run_learning_episode(lmdp, bad, rng)
 
 
-@pytest.mark.parametrize("visits, step_scale, error, match", [
-    (np.zeros(5, dtype=np.int64), 50.0, DimensionMismatch, "learner visits"),
-    (np.zeros((27, 1), dtype=np.int64), 50.0, DimensionMismatch, "learner visits"),
-    (np.zeros(27, dtype=np.int64), 0.0, InvalidSpec, "step_scale"),
-    (np.zeros(27, dtype=np.int64), -1.0, InvalidSpec, "step_scale"),
-    (np.zeros(27, dtype=np.int64), np.nan, InvalidSpec, "step_scale"),
-    (np.zeros(27, dtype=np.int64), np.inf, InvalidSpec, "step_scale"),
-], ids=["visits-short", "visits-column", "step-scale-zero", "step-scale-negative",
-        "step-scale-nan", "step-scale-inf"])
-def test_learner_inputs_are_checked_before_any_draw(visits, step_scale, error, match):
-    # these were a bare IndexError after some updates, a bare TypeError,
-    # ZeroDivisionError and ZeroNormalizer; the episode writes visits back
+@pytest.mark.parametrize("visits, error, match", [
+    (np.zeros(5, dtype=np.int64), DimensionMismatch, "learner visits"),
+    (np.zeros((27, 1), dtype=np.int64), DimensionMismatch, "learner visits"),
+], ids=["visits-short", "visits-column"])
+def test_learner_inputs_are_checked_before_any_draw(visits, error, match):
+    # these were a bare IndexError after some updates and a bare TypeError;
+    # the episode writes visits back
     ring, _, _ = make_ring(RingSpec(27))
     q = goal_task_vector(ring.n_boundary, 0, ring.rewards.temperature)
-    learner = LearningState(np.ones(27), q, visits, step_scale=step_scale)
+    learner = LearningState(np.ones(27), q, visits)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(error, match=match):
@@ -201,21 +195,6 @@ def test_learner_inputs_are_checked_before_any_draw(visits, step_scale, error, m
     np.testing.assert_array_equal(learner.z_interior, np.ones(27))
     assert not learner.visits.any()
     assert rng.bit_generator.state == state
-
-
-class Untouchable:
-    """A stack stand-in that fails on any use."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"stack.{name} used")
-
-
-@pytest.mark.parametrize("step_scale", [0.0, np.nan, True])
-def test_train_checks_step_scale_before_the_stack(rooms, step_scale):
-    lmdp, _, goal_q, _, start = rooms
-    with pytest.raises(InvalidSpec, match="step_scale"):
-        train(lmdp, goal_q, epochs=1, episodes_per_epoch=1, seed=0, stack=Untouchable(),
-              start_state=start, step_scale=step_scale)
 
 
 class FailingGenerator:
@@ -434,6 +413,18 @@ def test_a_stack_on_other_rewards_is_rejected(changes):
     stack = build_stack(build_task_basis(ring27, tasks), structures)
     goal = goal_task_vector(ring27.n_boundary, 0, ring27.rewards.temperature)
     with pytest.raises(InvalidSpec, match="temperature or interior rewards"):
+        train(other, goal, epochs=1, episodes_per_epoch=1, seed=0, stack=stack)
+
+
+def test_a_stack_on_another_kernel_is_rejected():
+    # a ring of the stack's size and rewards but another step probability
+    # used to train silently on the stack's base kernel
+    spec = RingSpec(27, subtask_spacing=3, depth=3)
+    ring27, structures, tasks = make_ring(spec)
+    other, _, _ = make_ring(dataclasses.replace(spec, step_prob=0.25))
+    stack = build_stack(build_task_basis(ring27, tasks), structures)
+    goal = goal_task_vector(ring27.n_boundary, 0, ring27.rewards.temperature)
+    with pytest.raises(InvalidSpec, match="passive kernel"):
         train(other, goal, epochs=1, episodes_per_epoch=1, seed=0, stack=stack)
 
 

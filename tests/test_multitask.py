@@ -1,5 +1,4 @@
 """Task bases, nonnegative blending, and composite solutions."""
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -33,7 +32,7 @@ from lsmdp.errors import (
     NonPositiveComposite,
 )
 
-from conftest import random_boundary_q, random_lmdp
+from conftest import random_lmdp
 import oracles
 
 
