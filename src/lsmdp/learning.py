@@ -8,11 +8,12 @@ exactly as in the executor, and behavior then tilts by the product of the
 estimate and the stack's live composite desirability.  Flat and guided runs
 share the same episode loop and the same update function; the guided
 branches are simply never taken when no stack is given.  An episode steps
-a list-backed copy of the learner, whose estimate and visits go back to the
-caller's arrays once, as it returns or raises, and a list of the behavior
-desirability (the estimate, times the composite when guided), rebuilt only
-when an access swaps the composite.  Narrow columns draw through one
-``narrow_draw`` call and redraw through ``narrow_tilt``, in numpy's floats.
+a list-backed learner, which ``train`` copies from its arrays once per run
+and a direct call on arrays once per call, writing the estimate and visits
+back once, in a ``finally``; and a list of the behavior desirability (the
+estimate, times the composite when guided), rebuilt only when an access
+swaps the composite.  Narrow columns draw through one ``narrow_draw`` call
+and redraw through ``narrow_tilt``, in numpy's floats.
 """
 from __future__ import annotations
 
@@ -101,7 +102,8 @@ def run_learning_episode(lmdp: Lmdp, learner: LearningState,
     and do not update the estimate; every advancing draw does.  The stack
     is mutated; pass a per-episode clone.  Returns the number of advancing
     steps taken (max_steps, default 100 * n_interior and at least 1, if
-    truncated).
+    truncated).  A learner whose three fields are lists is stepped in place;
+    one of arrays is copied to lists and written back in a ``finally``.
     """
     n_i = lmdp.n_interior
     lo = hi = lmdp.n_states
@@ -111,9 +113,11 @@ def run_learning_episode(lmdp: Lmdp, learner: LearningState,
         if base.n_states != lmdp.n_states:
             raise DimensionMismatch(
                 f"stack base has {base.n_states} states, LMDP has {lmdp.n_states}")
-    for name, n in (("z_interior", n_i), ("boundary_values", lmdp.n_boundary),
-                    ("visits", n_i)):
-        shape = np.shape(getattr(learner, name))
+    sizes = (("z_interior", n_i), ("boundary_values", lmdp.n_boundary), ("visits", n_i))
+    listed = all(type(getattr(learner, name)) is list for name, _ in sizes)
+    for name, n in sizes:
+        value = getattr(learner, name)
+        shape = (len(value),) if listed else np.shape(value)
         if shape != (n,):
             raise DimensionMismatch(f"learner {name} shape {shape}, expected ({n},)")
     s = int(rng.integers(n_i)) if start_state is None else start_state
@@ -121,8 +125,8 @@ def run_learning_episode(lmdp: Lmdp, learner: LearningState,
     lam = lmdp.rewards.temperature
     r_i = lmdp.rewards.interior.tolist()
     narrow = lmdp.passive.narrow_columns
-    work = LearningState(learner.z_interior.tolist(), learner.boundary_values.tolist(),
-                         learner.visits.tolist())
+    work = learner if listed else LearningState(
+        learner.z_interior.tolist(), learner.boundary_values.tolist(), learner.visits.tolist())
     # behavior desirability over every state, kept in step with the estimate;
     # a guided run builds it from the composite at its first draw
     behave = work.z_interior + work.boundary_values
@@ -157,7 +161,8 @@ def run_learning_episode(lmdp: Lmdp, learner: LearningState,
             s = nxt
         return max_steps
     finally:  # every backup made, also when a draw or an access raises
-        learner.z_interior[:], learner.visits[:] = work.z_interior, work.visits
+        if work is not learner:
+            learner.z_interior[:], learner.visits[:] = work.z_interior, work.visits
 
 
 def train(lmdp: Lmdp, goal_task: np.ndarray, epochs: int,
@@ -173,7 +178,8 @@ def train(lmdp: Lmdp, goal_task: np.ndarray, epochs: int,
     InvalidSpec; on ``lmdp``'s rows its columns, over their mass there, must
     have ``lmdp``'s sparsity and lie within STOCHASTIC_ATOL).  The goal is
     blended through the stack once and each episode runs on a fresh clone,
-    so inpaints and terminations are episode-scoped.
+    so inpaints and terminations are episode-scoped.  Every episode steps
+    one list-backed copy of the learner, written back in a ``finally``.
 
     Returns (LearningState, curve) where curve rows are
     (epoch, mean_length, stderr).  ``epochs`` and ``episodes_per_epoch``
@@ -211,16 +217,20 @@ def train(lmdp: Lmdp, goal_task: np.ndarray, epochs: int,
         boundary_values=boundary,
         visits=np.zeros(lmdp.n_interior, dtype=np.int64),
     )
+    work = LearningState([1.0] * lmdp.n_interior, boundary.tolist(), [0] * lmdp.n_interior)
     curve: List[Tuple[int, float, float]] = []
-    for epoch in range(epochs):
-        lengths = np.empty(episodes_per_epoch)
-        for episode in range(episodes_per_epoch):
-            # inpaints and terminations are episode-scoped
-            ep_stack = None if template is None else template.clone()
-            lengths[episode] = run_learning_episode(
-                lmdp, learner, rng, stack=ep_stack,
-                start_state=start_state, max_steps=max_steps)
-        stderr = (lengths.std(ddof=1) / math.sqrt(len(lengths))
-                  if len(lengths) > 1 else 0.0)
-        curve.append((epoch, float(lengths.mean()), float(stderr)))
+    try:
+        for epoch in range(epochs):
+            lengths = np.empty(episodes_per_epoch)
+            for episode in range(episodes_per_epoch):
+                # inpaints and terminations are episode-scoped
+                ep_stack = None if template is None else template.clone()
+                lengths[episode] = run_learning_episode(
+                    lmdp, work, rng, stack=ep_stack,
+                    start_state=start_state, max_steps=max_steps)
+            stderr = (lengths.std(ddof=1) / math.sqrt(len(lengths))
+                      if len(lengths) > 1 else 0.0)
+            curve.append((epoch, float(lengths.mean()), float(stderr)))
+    finally:  # every backup made, also when an episode raises
+        learner.z_interior[:], learner.visits[:] = work.z_interior, work.visits
     return learner, curve

@@ -181,19 +181,24 @@ def test_episode_rejects_mismatched_inputs():
 @pytest.mark.parametrize("visits, error, match", [
     (np.zeros(5, dtype=np.int64), DimensionMismatch, "learner visits"),
     (np.zeros((27, 1), dtype=np.int64), DimensionMismatch, "learner visits"),
-], ids=["visits-short", "visits-column"])
+    ([0] * 5, DimensionMismatch, "learner visits"),
+], ids=["visits-short", "visits-column", "list-visits-short"])
 def test_learner_inputs_are_checked_before_any_draw(visits, error, match):
     # these were a bare IndexError after some updates and a bare TypeError;
-    # the episode writes visits back
+    # the episode writes visits back.  A list-backed learner, as train
+    # passes, is stepped in place and checked by its lengths.
     ring, _, _ = make_ring(RingSpec(27))
     q = goal_task_vector(ring.n_boundary, 0, ring.rewards.temperature)
-    learner = LearningState(np.ones(27), q, visits)
+    if isinstance(visits, list):
+        learner = LearningState([1.0] * 27, q.tolist(), visits)
+    else:
+        learner = LearningState(np.ones(27), q, visits)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(error, match=match):
         run_learning_episode(ring, learner, rng, start_state=13)
     np.testing.assert_array_equal(learner.z_interior, np.ones(27))
-    assert not learner.visits.any()
+    assert not np.any(learner.visits)
     assert rng.bit_generator.state == state
 
 
@@ -242,6 +247,48 @@ def test_an_aborted_episode_writes_its_updates_back(rooms, guided, calls):
             assert learner.visits.sum() > before
     assert ours.z_interior.tobytes() == theirs.z_interior.tobytes()
     assert ours.visits.tobytes() == theirs.visits.tobytes()
+
+
+@pytest.mark.parametrize("calls", [1, 2, 5, 20])
+def test_an_aborted_train_writes_its_updates_back(monkeypatch, rooms, calls):
+    # train copies its learner into one list-backed state for the whole run;
+    # an access that raises in a later episode still leaves every backup of
+    # every episode so far in the learner's arrays
+    lmdp, template, goal_q, _, start = rooms
+    made, backups, accesses, at_raise = [], [], [], []
+
+    @dataclasses.dataclass
+    class Recorded(LearningState):
+        def __post_init__(self):
+            made.append(self)
+
+    step, access = lsmdp.learning.z_learning_step, lsmdp.learning.access_hierarchy
+
+    def counting(*args):
+        backups.append(args[1])
+        return step(*args)
+
+    def failing(*args):
+        accesses.append(args[1])
+        if len(accesses) == calls:
+            at_raise.extend([list(made[-1].z_interior), list(made[-1].visits)])
+            raise RuntimeError("access failed")
+        return access(*args)
+
+    monkeypatch.setattr(lsmdp.learning, "LearningState", Recorded)
+    monkeypatch.setattr(lsmdp.learning, "z_learning_step", counting)
+    monkeypatch.setattr(lsmdp.learning, "access_hierarchy", failing)
+    with pytest.raises(RuntimeError, match="access failed"):
+        train(lmdp, goal_q, epochs=5, episodes_per_epoch=10, seed=3,
+              stack=template, start_state=start, max_steps=2000)
+    learner, work = made  # one copy for the run, none per episode
+    assert isinstance(learner.z_interior, np.ndarray) and type(work.z_interior) is list
+    assert learner.visits.sum() == len(backups)
+    z, visits = at_raise
+    assert learner.z_interior.tolist() == z
+    assert learner.visits.tolist() == visits
+    if calls >= 5:  # backups in earlier episodes, so the write-back shows
+        assert len(backups) > 0 and learner.z_interior.min() < 1.0
 
 
 def test_estimates_stay_positive_during_training(rooms):
@@ -525,3 +572,45 @@ def test_list_episodes_match_the_array_loop(rooms, case, data):
             assert [w.values.tobytes() for w in ep_ours.weights] == [
                 w.values.tobytes() for w in ep_theirs.weights]
     assert rng_ours.random() == rng_theirs.random()
+
+
+def reference_train(lmdp, goal_q, template, epochs, episodes, seed, start, max_steps):
+    """train as a loop of run_learning_episode calls on an array-backed
+    learner, one generator for the run and a fresh clone per guided episode."""
+    rng = np.random.default_rng(seed)
+    boundary = goal_q
+    if template is not None:
+        template = template.clone()
+        template.set_task(goal_q)
+        lmdp = template.layers[0].lmdp
+        boundary = np.concatenate([goal_q, np.ones(template.layers[0].n_subtasks)])
+    learner = fresh_learner(lmdp.n_interior, boundary)
+    curve = []
+    for epoch in range(epochs):
+        lengths = np.array([
+            run_learning_episode(lmdp, learner, rng,
+                                 stack=None if template is None else template.clone(),
+                                 start_state=start, max_steps=max_steps)
+            for _ in range(episodes)], dtype=np.float64)
+        stderr = lengths.std(ddof=1) / math.sqrt(episodes) if episodes > 1 else 0.0
+        curve.append((epoch, float(lengths.mean()), float(stderr)))
+    return learner, curve
+
+
+@settings(max_examples=20, deadline=None)
+@given(guided=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       epochs=st.integers(1, 3), episodes=st.integers(1, 4), data=st.data())
+def test_train_matches_a_loop_of_array_episodes(rooms, guided, seed, epochs, episodes, data):
+    # train steps one list-backed learner across its episodes; every float
+    # of the curve and the learner is the per-episode array copy's
+    lmdp, template, goal_q, _, start = rooms
+    start = data.draw(st.sampled_from([None, start]), label="start")
+    stack = template if guided else None
+    ours, curve = train(lmdp, goal_q, epochs, episodes, seed, stack=stack,
+                        start_state=start, max_steps=2000)
+    theirs, pinned = reference_train(lmdp, goal_q, stack, epochs, episodes, seed,
+                                     start, 2000)
+    assert curve == pinned
+    assert ours.z_interior.tobytes() == theirs.z_interior.tobytes()
+    assert ours.visits.tobytes() == theirs.visits.tobytes()
+    assert ours.boundary_values.tobytes() == theirs.boundary_values.tobytes()
